@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import ExecutionTrace, update_belief
+from .engine import ExecutionTrace, advance_beliefs, group_quorums
 from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph, ReducedGraph,
                      enumerate_reduced_graphs)
 from .observation import LikelihoodModel, compute_log_ratio_bound, kl_divergence
@@ -180,14 +180,18 @@ def pseudo_belief_evolution(trace: ExecutionTrace,
     T, n, m = trace.iterations, trace.n, model.m
     out = np.empty((T + 1, n, m), dtype=np.float64)
     out[0] = trace.initial_log_belief
+    log_likelihood = np.zeros((n, m), dtype=np.float64)
+    groups = {}         # quorum patterns repeat, so their groups are reused
     for t in range(1, T + 1):
-        out[t] = out[t - 1]
-        for agent in trace.completed_at(t):
-            rec = trace.record(t, agent)
-            neighbors = [out[t - 1][j - 1] for j in rec.quorum]
-            out[t][agent - 1] = update_belief(out[t - 1][agent - 1], neighbors,
-                                              rec.signal, model, agent,
-                                              len(rec.quorum))
+        updates = []
+        for agent, rec in trace.records[t - 1].items():
+            if rec.completed:
+                updates.append((agent, rec.quorum))
+                log_likelihood[agent - 1] = model.log_likelihoods(agent, rec.signal)
+        key = tuple(updates)
+        if key not in groups:
+            groups[key] = group_quorums(updates)
+        out[t] = advance_beliefs(out[t - 1], groups[key], log_likelihood)
     return out
 
 

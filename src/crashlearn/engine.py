@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graphs import DirectedGraph
-from .observation import LikelihoodModel, signal_from_uniform
+from .observation import (LikelihoodModel, signal_from_uniform,
+                          signal_indices_from_uniforms)
 
 CRASH_PHASES = ("before_transmit", "after_transmit", "mid_update", "after_update")
 ADVERSARY_MODES = ("uniform", "fixed", "adversarial_latest")
@@ -215,6 +215,10 @@ class SimulationConfig:
 
 
 # -- belief arithmetic --------------------------------------------------------
+#
+# Every function here works on one (m,) vector or on a (k, m) block of rows
+# alike, with the same floating-point operations per entry, so a batched
+# update is bitwise equal to k one-row updates.
 
 def combine_log_beliefs(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
                         quorum_size: int, log_likelihood: np.ndarray) -> np.ndarray:
@@ -234,17 +238,45 @@ def combine_log_beliefs(current: np.ndarray, neighbor_logs: Sequence[np.ndarray]
     return acc + log_likelihood
 
 
+def log_normalizer(rows: np.ndarray) -> np.ndarray:
+    """Log-sum-exp along the last axis, kept as a length-1 axis.
+
+    The largest entry and its ties are split off the shifted sum, the
+    formula scipy.special.logsumexp uses, so the two agree bit for bit on
+    finite input: log1p(sum(exp(row - top), ties excluded) / c) + log(c)
+    + top, with c the number of ties.
+    """
+    top = np.maximum.reduce(rows, axis=-1, keepdims=True)
+    ties = rows == top
+    shifted = np.exp(rows - top)
+    shifted[ties] = 0.0
+    count = np.add.reduce(ties, axis=-1, keepdims=True, dtype=np.float64)
+    return (np.log1p(np.add.reduce(shifted, axis=-1, keepdims=True) / count)
+            + np.log(count) + top)
+
+
 def normalize_log_belief(unnormalized: np.ndarray) -> np.ndarray:
-    return unnormalized - logsumexp(unnormalized)
+    return unnormalized - log_normalizer(unnormalized)
+
+
+def _updated(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
+             quorum_size: int, log_likelihood: np.ndarray,
+             keep: np.ndarray | None = None) -> np.ndarray:
+    """The belief kernel: combine, then normalize. Entries where keep is
+    True hold their current value instead (the mid_update partial write)."""
+    unnormalized = combine_log_beliefs(current, neighbor_logs, quorum_size,
+                                       log_likelihood)
+    if keep is not None:
+        unnormalized = np.where(keep, current, unnormalized)
+    return normalize_log_belief(unnormalized)
 
 
 def update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
                   signal: str, model: LikelihoodModel, agent: int,
                   quorum_size: int) -> np.ndarray:
     """One full belief update in log space; returns a normalized vector."""
-    column = model.log_likelihoods(agent, signal)
-    return normalize_log_belief(
-        combine_log_beliefs(current, neighbor_logs, quorum_size, column))
+    return _updated(current, neighbor_logs, quorum_size,
+                    model.log_likelihoods(agent, signal))
 
 
 def partial_update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
@@ -252,11 +284,50 @@ def partial_update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarra
                           quorum_size: int, partial_count: int) -> np.ndarray:
     """Crash artifact of mid_update: only the first partial_count entries get
     the unnormalized update values before the whole vector is renormalized."""
-    column = model.log_likelihoods(agent, signal)
-    unnormalized = combine_log_beliefs(current, neighbor_logs, quorum_size, column)
-    mixed = current.copy()
-    mixed[:partial_count] = unnormalized[:partial_count]
-    return normalize_log_belief(mixed)
+    return _updated(current, neighbor_logs, quorum_size,
+                    model.log_likelihoods(agent, signal),
+                    keep=np.arange(current.shape[-1]) >= partial_count)
+
+
+QuorumGroup = tuple[np.ndarray, tuple[np.ndarray, ...]]
+
+
+def group_quorums(updates: Sequence[tuple[int, Sequence[int]]]) -> list[QuorumGroup]:
+    """Batch (agent, quorum) pairs by quorum size for advance_beliefs.
+
+    Each group is (rows, members): rows holds the 0-based agent rows, and
+    members[p] the 0-based row of each agent's p-th quorum member, in the
+    quorum's (ascending) order.
+    """
+    by_size: dict[int, list[tuple[int, Sequence[int]]]] = {}
+    for agent, quorum in updates:
+        by_size.setdefault(len(quorum), []).append((agent, quorum))
+    groups = []
+    for size, members in sorted(by_size.items()):
+        rows = np.array([agent - 1 for agent, _ in members], dtype=np.intp)
+        table = np.array([[j - 1 for j in quorum] for _, quorum in members],
+                         dtype=np.intp).reshape(len(members), size)
+        groups.append((rows, tuple(np.ascontiguousarray(col) for col in table.T)))
+    return groups
+
+
+def advance_beliefs(previous: np.ndarray, groups: Sequence[QuorumGroup],
+                    log_likelihood: np.ndarray,
+                    keep: np.ndarray | None = None) -> np.ndarray:
+    """One iteration of the belief kernel over an (n, m) block of beliefs.
+
+    Every grouped row is updated from previous, with its quorum members'
+    rows of previous and its row of the (n, m) log_likelihood; keep, if
+    given, is an (n, m) mask of entries that hold their previous value.
+    Returns a new block; rows in no group are copied unchanged.
+    """
+    out = previous.copy()
+    for rows, members in groups:
+        current = previous[rows]
+        out[rows] = _updated(current, [previous[col] for col in members],
+                             len(members), log_likelihood[rows],
+                             None if keep is None else keep[rows])
+    return out
 
 
 # -- trace --------------------------------------------------------------------
@@ -488,60 +559,81 @@ def _run_round_based(config: SimulationConfig) -> ExecutionTrace:
 
     Withholding every message until the receiver's deadline means nobody can
     run ahead, and the adversary serves each agent exactly the messages of
-    the lowest-labeled transmitting in-neighbors.
+    the lowest-labeled transmitting in-neighbors. So a round's schedule only
+    changes when some agent crashes, and every round updates all of its
+    agents in one kernel call.
     """
-    g, model, T = config.graph, config.model, config.iterations
-    need = {i: len(g.in_neighbors[i]) - config.f for i in g.nodes}
-    crash_at = {(ev.agent, ev.iteration): ev for ev in config.adversary.crash_plan}
-    uniforms = {i: _signal_rng(config.seed, i).random(T) for i in g.nodes}
+    g, T = config.graph, config.iterations
+    crash_iterations = {ev.iteration for ev in config.adversary.crash_plan}
+    signals, log_likelihood = _signal_draws(config)
 
     initial = _initial_beliefs(config)
-    beliefs = {i: initial[i - 1].copy() for i in g.nodes}
+    beliefs = initial
     alive = set(g.nodes)
-    records: list[dict[int, AgentRecord]] = [{} for _ in range(T)]
-
+    records: list[dict[int, AgentRecord]] = []
+    schedule = None
     for t in range(1, T + 1):
-        snapshots: dict[int, np.ndarray] = {}
-        for i in sorted(alive):
-            event = crash_at.get((i, t))
-            if event is None or event.phase != "before_transmit":
-                snapshots[i] = beliefs[i]
-        died: set[int] = set()
-        for i in sorted(alive):
-            event = crash_at.get((i, t))
-            if event is not None and event.phase in ("before_transmit",
-                                                     "after_transmit"):
-                records[t - 1][i] = AgentRecord(False, None, None,
-                                                beliefs[i].copy(), event.phase)
-                died.add(i)
-                continue
-            available = sorted(j for j in g.in_neighbors[i] if j in snapshots)
-            if len(available) < need[i]:
-                raise DeadlockError(f"agent {i} has {len(available)} live "
-                                    f"in-neighbors at iteration {t}, "
-                                    f"needs {need[i]}")
-            quorum = tuple(available[:need[i]])
-            neighbor_logs = [snapshots[j] for j in quorum]
-            signal = signal_from_uniform(model, i, config.theta_star,
-                                         uniforms[i][t - 1])
-            if event is not None and event.phase == "mid_update":
-                beliefs[i] = partial_update_belief(
-                    beliefs[i], neighbor_logs, signal, model, i, need[i],
-                    event.partial_count)
-                records[t - 1][i] = AgentRecord(False, quorum, signal,
-                                                beliefs[i].copy(), "mid_update")
-                died.add(i)
-                continue
-            beliefs[i] = update_belief(beliefs[i], neighbor_logs, signal,
-                                       model, i, need[i])
-            phase = "after_update" if event is not None else None
-            records[t - 1][i] = AgentRecord(True, quorum, signal,
-                                            beliefs[i].copy(), phase)
-            if event is not None:
-                died.add(i)
-        alive -= died
+        if schedule is None or t in crash_iterations:
+            schedule = _round_schedule(config, alive, t)
+        roster, groups, keep = schedule
+        beliefs = advance_beliefs(beliefs, groups, log_likelihood[t - 1], keep)
+        records.append({
+            i: AgentRecord(completed, quorum,
+                           None if quorum is None else signals[i - 1][t - 1],
+                           beliefs[i - 1], phase)
+            for i, completed, quorum, phase in roster})
+        if t in crash_iterations:
+            alive -= {i for i, completed, _, phase in roster
+                      if phase is not None}
+            schedule = None
 
     return ExecutionTrace(config, initial, records, frozenset(alive))
+
+
+def _signal_draws(config: SimulationConfig) -> tuple[list[list[str]], np.ndarray]:
+    """Every agent's T signal labels, and the matching log-likelihood rows
+    as a (T, n, m) array."""
+    model, T = config.model, config.iterations
+    labels, rows = [], []
+    for i in sorted(config.graph.nodes):
+        uniforms = _signal_rng(config.seed, i).random(T)
+        idx = signal_indices_from_uniforms(model, i, config.theta_star, uniforms)
+        space = model.signals(i)
+        labels.append([space[k] for k in idx.tolist()])
+        rows.append(model.log_table(i).T[idx])
+    return labels, np.stack(rows, axis=1)
+
+
+def _round_schedule(config: SimulationConfig, alive: set[int], t: int):
+    """Who does what in lock-step round t: a (agent, completed, quorum,
+    crash phase) roster in label order, the updaters grouped for
+    advance_beliefs, and the mid_update keep mask (None without one)."""
+    g = config.graph
+    crash_at = {ev.agent: ev for ev in config.adversary.crash_plan
+                if ev.iteration == t}
+    transmitters = {i for i in alive
+                    if i not in crash_at or crash_at[i].phase != "before_transmit"}
+    roster, updates, keep = [], [], None
+    for i in sorted(alive):
+        event = crash_at.get(i)
+        phase = None if event is None else event.phase
+        if phase in ("before_transmit", "after_transmit"):
+            roster.append((i, False, None, phase))
+            continue
+        need = len(g.in_neighbors[i]) - config.f
+        available = sorted(j for j in g.in_neighbors[i] if j in transmitters)
+        if len(available) < need:
+            raise DeadlockError(f"agent {i} has {len(available)} live "
+                                f"in-neighbors at iteration {t}, "
+                                f"needs {need}")
+        quorum = tuple(available[:need])
+        updates.append((i, quorum))
+        if phase == "mid_update":
+            if keep is None:
+                keep = np.zeros((g.n, config.model.m), dtype=bool)
+            keep[i - 1, event.partial_count:] = True
+        roster.append((i, phase != "mid_update", quorum, phase))
+    return roster, group_quorums(updates), keep
 
 
 # -- persistence --------------------------------------------------------------
@@ -571,39 +663,117 @@ def iter_trace_lines(trace: ExecutionTrace) -> Iterator[str]:
             yield json.dumps(row, sort_keys=True)
 
 
+_STEP_FIELDS = frozenset({"kind", "t", "agent", "alive", "completed", "quorum",
+                          "signal", "log_belief", "crash_phase"})
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    row = dict(pairs)
+    if len(row) != len(pairs):
+        raise TraceInvariantError(f"duplicate keys in {[key for key, _ in pairs]}")
+    return row
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_real(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _parse_record(line: str, lineno: int) -> dict:
+    try:
+        row = _DECODER.decode(line)
+    except TraceInvariantError as exc:
+        raise TraceInvariantError(f"line {lineno}: {exc}") from None
+    except ValueError as exc:
+        raise TraceInvariantError(f"line {lineno}: not JSON ({exc})") from None
+    if not isinstance(row, dict):
+        raise TraceInvariantError(f"line {lineno}: not a JSON object")
+    return row
+
+
+def _parse_step(line: str, lineno: int) -> tuple[int, int, AgentRecord]:
+    """One step line as (t, agent, record); every field must be present,
+    alone and of its written type."""
+    row = _parse_record(line, lineno)
+    if row.get("kind") != "step":
+        raise TraceInvariantError(f"unexpected record kind {row.get('kind')!r}")
+    if row.keys() != _STEP_FIELDS:
+        raise TraceInvariantError(
+            f"line {lineno}: step fields missing {sorted(_STEP_FIELDS - row.keys())}, "
+            f"unexpected {sorted(row.keys() - _STEP_FIELDS)}")
+    quorum, belief = row["quorum"], row["log_belief"]
+    wrong = [name for name, ok in (
+        ("t", _is_int(row["t"])),
+        ("agent", _is_int(row["agent"])),
+        ("alive", row["alive"] is True),
+        ("completed", type(row["completed"]) is bool),
+        ("quorum", quorum is None
+         or (type(quorum) is list and all(map(_is_int, quorum)))),
+        ("signal", row["signal"] is None or type(row["signal"]) is str),
+        ("log_belief", type(belief) is list and all(map(_is_real, belief))),
+        ("crash_phase", row["crash_phase"] is None
+         or type(row["crash_phase"]) is str)) if not ok]
+    if wrong:
+        raise TraceInvariantError(f"line {lineno}: malformed fields {wrong}")
+    record = AgentRecord(
+        completed=row["completed"],
+        quorum=None if quorum is None else tuple(quorum),
+        signal=row["signal"],
+        log_belief=np.asarray(belief, dtype=np.float64),
+        crash_phase=row["crash_phase"])
+    return row["t"], row["agent"], record
+
+
 def read_trace(path) -> ExecutionTrace:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     if not lines:
         raise TraceInvariantError("empty trace file")
-    header = json.loads(lines[0])
+    header = _parse_record(lines[0], 1)
     if header.get("kind") != "header":
         raise TraceInvariantError("first line is not a header record")
+    if not {"config", "initial_log_belief"} <= header.keys():
+        raise TraceInvariantError("header needs config and initial_log_belief")
     config = SimulationConfig.from_dict(header["config"])
-    initial = np.asarray(header["initial_log_belief"], dtype=np.float64)
+    try:
+        initial = np.asarray(header["initial_log_belief"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise TraceInvariantError(f"initial beliefs malformed ({exc})") from None
     if initial.shape != (config.graph.n, config.model.m):
         raise TraceInvariantError(f"initial beliefs have shape {initial.shape}")
     records: list[dict[int, AgentRecord]] = [{} for _ in range(config.iterations)]
-    for line in lines[1:]:
-        row = json.loads(line)
-        if row.get("kind") != "step":
-            raise TraceInvariantError(f"unexpected record kind {row.get('kind')!r}")
-        t, agent = int(row["t"]), int(row["agent"])
+    for lineno, line in enumerate(lines[1:], start=2):
+        t, agent, record = _parse_step(line, lineno)
         if not 1 <= t <= config.iterations:
             raise TraceInvariantError(f"step iteration {t} out of range")
         if agent in records[t - 1]:
             raise TraceInvariantError(f"duplicate record for t={t} agent={agent}")
-        quorum = row["quorum"]
-        records[t - 1][agent] = AgentRecord(
-            completed=bool(row["completed"]),
-            quorum=None if quorum is None else tuple(int(q) for q in quorum),
-            signal=row["signal"],
-            log_belief=np.asarray(row["log_belief"], dtype=np.float64),
-            crash_phase=row["crash_phase"])
+        records[t - 1][agent] = record
     last = records[-1]
     final_alive = frozenset(a for a, rec in last.items()
                             if rec.completed and rec.crash_phase is None)
     return ExecutionTrace(config, initial, records, final_alive)
+
+
+def _belief_faults(trace: ExecutionTrace, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every record in (t, agent) order: whether its log belief is
+    malformed (not m finite entries), and otherwise its normalization gap
+    |logsumexp|, checked on all records stacked into one block."""
+    beliefs = [rec.log_belief for per_agent in trace.records
+               for rec in per_agent.values()]
+    shaped = np.array([np.shape(b) == (m,) for b in beliefs], dtype=bool)
+    filler = np.zeros(m)
+    block = np.array([b if ok else filler for b, ok in zip(beliefs, shaped)],
+                     dtype=np.float64).reshape(len(beliefs), m)
+    malformed = ~(shaped & np.isfinite(block).all(axis=1))
+    block[malformed] = 0.0
+    return malformed, np.abs(log_normalizer(block)[:, 0])
 
 
 def validate_trace(trace: ExecutionTrace) -> None:
@@ -624,21 +794,23 @@ def validate_trace(trace: ExecutionTrace) -> None:
             f"observed crashes {trace.crash_events_observed()} differ from "
             f"plan {planned}")
 
+    malformed, gaps = _belief_faults(trace, model.m)
+    position = 0
     for t in range(1, T + 1):
-        alive = trace.alive_at_start(t)
         transmitters = trace.transmitters_at(t)
         expected_next = set()
         for agent, rec in trace.records[t - 1].items():
             where = f"t={t} agent={agent}"
             if agent not in g.nodes:
                 raise TraceInvariantError(f"{where}: unknown agent")
-            belief = rec.log_belief
-            if belief.shape != (model.m,) or not np.all(np.isfinite(belief)):
+            if malformed[position]:
                 raise TraceInvariantError(f"{where}: malformed log beliefs")
-            gap = abs(float(logsumexp(belief)))
+            gap = float(gaps[position])
             if gap > BELIEF_NORMALIZATION_TOLERANCE:
                 raise TraceInvariantError(f"{where}: beliefs unnormalized "
                                           f"(logsumexp={gap:.3e})")
+            position += 1
+            belief = rec.log_belief
             if rec.completed:
                 if rec.crash_phase not in (None, "after_update"):
                     raise TraceInvariantError(f"{where}: completed record with "

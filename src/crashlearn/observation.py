@@ -308,12 +308,18 @@ def compute_source_divergence_floor(model: LikelihoodModel, g: DirectedGraph, f:
     return check_assumption1(model, g, f, max_candidates=max_candidates).C1
 
 
+def signal_indices_from_uniforms(model: LikelihoodModel, agent: int,
+                                 theta_star: str, u) -> np.ndarray:
+    """Signal indices of uniform [0, 1) variates via the inverse CDF."""
+    row = model._cumulative[agent - 1][model.hypothesis_index(theta_star)]
+    # the minimum guards the u ~ 1.0 edge
+    return np.minimum(np.searchsorted(row, u, side="right"), row.size - 1)
+
+
 def signal_from_uniform(model: LikelihoodModel, agent: int, theta_star: str,
                         u: float) -> str:
     """Map one uniform [0, 1) variate to a signal label via the inverse CDF."""
-    row = model._cumulative[agent - 1][model.hypothesis_index(theta_star)]
-    idx = int(np.searchsorted(row, u, side="right"))
-    idx = min(idx, row.size - 1)    # guard the u ~ 1.0 edge
+    idx = int(signal_indices_from_uniforms(model, agent, theta_star, u))
     return model.signals(agent)[idx]
 
 

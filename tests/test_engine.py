@@ -1,19 +1,27 @@
 """Protocol engine: updates, scheduling, crashes, traces, determinism."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import crashlearn
 from crashlearn.engine import (AdversarySchedule, ConfigError, CrashEvent,
                                SimulationConfig, TraceInvariantError,
                                combine_log_beliefs, converged,
-                               min_final_posterior, normalize_log_belief,
-                               partial_update_belief, read_trace,
-                               run_execution, update_belief, validate_trace,
-                               write_trace)
+                               log_normalizer, min_final_posterior,
+                               normalize_log_belief, partial_update_belief,
+                               read_trace, run_execution, update_belief,
+                               validate_trace, write_trace)
 from crashlearn.graphs import DirectedGraph
+from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
 from oracles import bayes_log_posterior
@@ -64,6 +72,36 @@ def test_partial_update_freezes_suffix():
     np.testing.assert_array_equal(
         partial_update_belief(prior, [], "a", model, 1, 0, 2),
         update_belief(prior, [], "a", model, 1, 0))
+
+
+@st.composite
+def belief_blocks(draw):
+    """(k, m) blocks of finite rows with exact ties and entries near -1e3."""
+    m = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 6))
+    value = st.one_of(st.floats(-1001.0, 60.0), st.floats(-1000.5, -999.5),
+                      st.sampled_from([0.0, -1e3, -math.log(2)]))
+    pool = draw(st.lists(value, min_size=1, max_size=m))
+    entry = st.one_of(st.sampled_from(pool), value)
+    return np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=k, max_size=k)), dtype=np.float64)
+
+
+def test_log_normalizer_matches_scipy_bitwise():
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
+
+    @settings(max_examples=400, deadline=None)
+    @given(belief_blocks())
+    def check(block):
+        got = log_normalizer(block)[:, 0]
+        want = np.array([logsumexp(row) for row in block])
+        assert got.tobytes() == want.tobytes()
+        normalized = normalize_log_belief(block)
+        for row, out in zip(block, normalized):
+            assert out.tobytes() == (row - logsumexp(row)).tobytes()
+            assert normalize_log_belief(row).tobytes() == out.tobytes()
+
+    check()
 
 
 # -- configuration validation -----------------------------------------------------------
@@ -184,6 +222,70 @@ def test_seed_changes_signals():
     assert sig_a != sig_b
 
 
+def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay():
+    # K4 plus agent 5, which hears everyone and is heard by agent 1: agents
+    # 1 and 5 need quorums of 3, agents 2-4 of 2, so each round batches two
+    # quorum sizes, and agent 4's mid_update crash lands in such a round.
+    edges = [(j, i) for i in range(1, 5) for j in range(1, 5) if i != j]
+    edges += [(j, 5) for j in range(1, 5)] + [(5, 1)]
+    graph = DirectedGraph.from_edge_list(5, edges)
+    table = np.array([[0.3, 0.7], [0.7, 0.3], [0.45, 0.55]])
+    model = LikelihoodModel(("theta1", "theta2", "theta3"),
+                            [("a", "b")] * 5, [table] * 5)
+    crash = CrashEvent(agent=4, iteration=6, phase="mid_update",
+                       partial_count=2)
+    trace = run_execution(make_config(
+        graph, 1, iterations=40, seed=5, model=model,
+        adversary=AdversarySchedule(mode="adversarial_latest",
+                                    crash_plan=(crash,))))
+    validate_trace(trace)
+    beliefs = {i: trace.initial_log_belief[i - 1] for i in graph.nodes}
+    for t in range(1, trace.iterations + 1):
+        replayed, sizes = {}, set()
+        for agent, rec in trace.records[t - 1].items():
+            if rec.quorum is None:
+                replayed[agent] = beliefs[agent]
+            else:
+                sizes.add(len(rec.quorum))
+                args = (beliefs[agent], [beliefs[j] for j in rec.quorum],
+                        rec.signal, model, agent, len(rec.quorum))
+                replayed[agent] = (
+                    partial_update_belief(*args, crash.partial_count)
+                    if rec.crash_phase == "mid_update" else update_belief(*args))
+            assert replayed[agent].tobytes() == rec.log_belief.tobytes(), \
+                f"t={t} agent={agent}"
+        assert sizes == {2, 3}
+        beliefs.update(replayed)
+    assert trace.record(6, 4).crash_phase == "mid_update"
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    config = dataclasses.replace(suite_configs()["crash_mid"], iterations=50)
+    (tmp_path / "sim.json").write_text(json.dumps(config.to_dict()))
+    script = """
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import crashlearn
+assert "scipy" not in sys.modules
+from crashlearn.cli import main
+assert main(["simulate", "--config", "sim.json", "--out", "t.jsonl"]) == 0
+assert main(["analyze", "--trace", "t.jsonl"]) == 0
+assert "scipy" not in sys.modules
+"""
+    src = str(Path(crashlearn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 # -- crash semantics -------------------------------------------------------------------------
 
 def test_crash_phases_and_alive_sets():
@@ -261,7 +363,7 @@ def test_validate_trace_catches_tampering(tmp_path):
     write_trace(trace, path)
     lines = path.read_text().splitlines()
 
-    def corrupt(mutate):
+    def corrupt(mutate, match=None):
         rows = [json.loads(line) for line in lines]
         for row in rows[1:]:
             if mutate(row):
@@ -270,7 +372,7 @@ def test_validate_trace_catches_tampering(tmp_path):
         out.write_text("\n".join(
             [lines[0]] + [json.dumps(r, sort_keys=True) for r in rows[1:]])
             + "\n")
-        with pytest.raises(TraceInvariantError):
+        with pytest.raises(TraceInvariantError, match=match):
             validate_trace(read_trace(out))
 
     def break_normalization(row):
@@ -291,9 +393,34 @@ def test_validate_trace_catches_tampering(tmp_path):
             return True
         return False
 
+    def non_finite_belief(row):
+        if row.get("agent") == 3 and row.get("t") == 4:
+            row["log_belief"] = [float("nan"), 0.0]
+            return True
+        return False
+
+    def belief_of_wrong_length(row):
+        if row.get("agent") == 2 and row.get("t") == 6:
+            row["log_belief"] = row["log_belief"] + [-50.0]
+            return True
+        return False
+
+    unnormalized = []
+
+    def two_unnormalized(row):
+        # (t=7, agent=3) comes first in the file; (t=8, agent=1) follows
+        if (row.get("t"), row.get("agent")) in ((7, 3), (8, 1)):
+            row["log_belief"] = [v - 0.5 for v in row["log_belief"]]
+            unnormalized.append(row["agent"])
+        return len(unnormalized) == 2
+
     corrupt(break_normalization)
     corrupt(break_quorum)
     corrupt(break_signal)
+    corrupt(non_finite_belief, match=r"^t=4 agent=3: malformed log beliefs$")
+    corrupt(belief_of_wrong_length, match=r"^t=6 agent=2: malformed log beliefs$")
+    corrupt(two_unnormalized,
+            match=r"^t=7 agent=3: beliefs unnormalized \(logsumexp=5\.000e-01\)$")
 
 
 def test_convergence_helpers():

@@ -1,13 +1,16 @@
 """Experiment harness and command-line interface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crashlearn.cli import main
 from crashlearn.engine import (AdversarySchedule, ConfigError, CrashEvent,
-                               run_execution)
+                               run_execution, write_trace)
 from crashlearn.graphs import DirectedGraph
 from crashlearn.harness import (ExperimentBatch, IdentifiabilityGateError,
                                 analyze_trace, identifiability_gate,
@@ -237,6 +240,86 @@ def test_cli_exit_code_invariant_violation(config_dir, tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     code, _, _ = run_cli(["analyze", "--trace", str(bad)], capsys)
     assert code == 4
+
+
+STEP_FIELDS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",
+               "log_belief", "crash_phase")
+WRONG_TYPES = {
+    "kind": [3, None, ["step"]],
+    "t": ["5", 5.0, True, None, [5]],
+    "agent": ["1", 1.0, False, None],
+    "alive": [False, "true", 1, None],
+    "completed": ["true", 1, None, [True]],
+    "quorum": ["1,2", 3, [1.5], ["1"], {"1": 2}, True],
+    "signal": [5, ["a"], True, {"a": 1}],
+    "log_belief": ["-0.7", None, 1.0, [["x"]], ["a", "b"], [True, False],
+                   {"0": 1.0}],
+    "crash_phase": [5, ["mid_update"], True],
+}
+
+
+@pytest.fixture(scope="module")
+def stored_trace(base_config, tmp_path_factory):
+    """(directory, lines) of a short stored crash trace."""
+    directory = tmp_path_factory.mktemp("stored")
+    trace = run_execution(dataclasses.replace(base_config, iterations=12))
+    write_trace(trace, directory / "good.jsonl")
+    return directory, (directory / "good.jsonl").read_text().splitlines()
+
+
+def analyze_lines(directory, lines):
+    """Exit code and stderr of `analyze` on a trace made of lines."""
+    path = directory / "mutated.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--trace", str(path), "--checks", "prop2"])
+    return code, err.getvalue()
+
+
+def mutate_step(line, field, action, wrong=None):
+    row = json.loads(line)
+    if action == "delete":
+        del row[field]
+        return json.dumps(row, sort_keys=True)
+    if action == "duplicate":
+        text = json.dumps(row, sort_keys=True)
+        return "{" + f"{json.dumps(field)}: {json.dumps(row[field])}, " + text[1:]
+    row[field] = wrong
+    return json.dumps(row, sort_keys=True)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda line: mutate_step(line, "signal", "delete"),
+    lambda line: mutate_step(line, "log_belief", "retype", ["x", "y"]),
+    lambda line: line[:len(line) // 2],
+    lambda line: mutate_step(line, "t", "retype", "two"),
+], ids=["signal-deleted", "non-numeric-belief", "broken-json", "string-t"])
+def test_cli_malformed_trace_record_exits_4(stored_trace, mutate):
+    directory, lines = stored_trace
+    assert analyze_lines(directory, lines)[0] == 0
+    code, err = analyze_lines(directory, lines[:5] + [mutate(lines[5])]
+                              + lines[6:])
+    assert code == 4 and err.startswith("invariant:"), err
+
+
+def test_cli_trace_field_mutations_exit_4(stored_trace):
+    directory, lines = stored_trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(index=st.integers(1, len(lines) - 1),
+           field=st.sampled_from(STEP_FIELDS),
+           action=st.sampled_from(["delete", "duplicate", "retype"]),
+           data=st.data())
+    def check(index, field, action, data):
+        wrong = data.draw(st.sampled_from(WRONG_TYPES[field]))
+        mutated = list(lines)
+        mutated[index] = mutate_step(lines[index], field, action, wrong)
+        code, err = analyze_lines(directory, mutated)
+        assert code == 4, err
+        assert err.startswith("invariant:") and "Traceback" not in err
+
+    check()
 
 
 def test_cli_exit_code_gate_refusal(config_dir, capsys):
