@@ -11,12 +11,10 @@ from .analysis import (CheckResult, DEFAULT_CHECKS, DriftCheckpoint,
                        trace_matrices)
 from .engine import (AdversarySchedule, AgentRecord, ConfigError, CrashEvent,
                      DeadlockError, ExecutionTrace, SimulationConfig,
-                     TraceInvariantError, advance_beliefs,
-                     combine_log_beliefs, converged, group_quorums,
-                     log_normalizer, min_final_posterior,
-                     normalize_log_belief, partial_update_belief, read_trace,
-                     run_execution, update_belief, validate_trace,
-                     write_trace)
+                     TraceInvariantError, combine_log_beliefs, converged,
+                     min_final_posterior, normalize_log_belief,
+                     partial_update_belief, read_trace, run_execution,
+                     update_belief, validate_trace, write_trace)
 from .graphs import (BudgetExceededError, DetectabilityReport, DirectedGraph,
                      EquivalenceViolationError, ReducedGraph,
                      SourceDecomposition, check_condition1, check_condition2,
@@ -33,8 +31,7 @@ from .observation import (IdentifiabilityPreconditionError,
                           check_failure_free_identifiability,
                           compute_log_ratio_bound,
                           compute_source_divergence_floor, expected_log_ratios,
-                          kl_divergence, sample_signal, signal_from_uniform,
-                          signal_indices_from_uniforms)
+                          kl_divergence, sample_signal, signal_from_uniform)
 
 __version__ = "0.1.0"
 
@@ -47,7 +44,7 @@ __all__ = [
     "IdentifiabilityPreconditionError", "IdentifiabilityReport",
     "LikelihoodModel", "PiEstimate", "ReducedGraph", "SeedOutcome",
     "SimulationConfig", "SourceDecomposition", "StructureConstants",
-    "TraceInvariantError", "UpdateMatrix", "advance_beliefs", "analyze_trace",
+    "TraceInvariantError", "UpdateMatrix", "analyze_trace",
     "backward_product", "bernoulli_agent", "build_update_matrix",
     "check_assumption1", "check_condition1", "check_condition2",
     "check_failure_free_identifiability", "combine_log_beliefs", "converged",
@@ -56,14 +53,12 @@ __all__ = [
     "enumerate_reduced_graphs", "ergodic_coefficients", "estimate_pi",
     "expected_log_ratios", "expected_ratio_vectors",
     "geometric_tail_constant", "geometric_tail_constant_float",
-    "group_quorums", "identifiability_gate", "kl_divergence", "load_batch",
-    "load_simulation_config", "log_normalizer", "log_ratio_vectors",
-    "min_final_posterior",
+    "identifiability_gate", "kl_divergence", "load_batch",
+    "load_simulation_config", "log_ratio_vectors", "min_final_posterior",
     "normalize_log_belief", "partial_update_belief", "pseudo_belief_evolution",
     "psi_series", "random_link_removal_subgraph", "read_trace",
     "report_metrics", "run_batch", "run_checks", "run_execution",
-    "sample_signal", "signal_from_uniform", "signal_indices_from_uniforms",
-    "strongly_connected_components",
+    "sample_signal", "signal_from_uniform", "strongly_connected_components",
     "structure_constants", "theorem2_bound", "trace_matrices",
     "update_belief", "validate_trace", "write_trace", "write_trajectory_csv",
 ]

@@ -181,17 +181,14 @@ def pseudo_belief_evolution(trace: ExecutionTrace,
     out = np.empty((T + 1, n, m), dtype=np.float64)
     out[0] = trace.initial_log_belief
     log_likelihood = np.zeros((n, m), dtype=np.float64)
-    groups = {}         # quorum patterns repeat, so their groups are reused
     for t in range(1, T + 1):
         updates = []
         for agent, rec in trace.records[t - 1].items():
             if rec.completed:
                 updates.append((agent, rec.quorum))
                 log_likelihood[agent - 1] = model.log_likelihoods(agent, rec.signal)
-        key = tuple(updates)
-        if key not in groups:
-            groups[key] = group_quorums(updates)
-        out[t] = advance_beliefs(out[t - 1], groups[key], log_likelihood)
+        out[t] = advance_beliefs(out[t - 1], group_quorums(updates),
+                                 log_likelihood)
     return out
 
 
