@@ -27,7 +27,8 @@ import numpy as np
 from .engine import ExecutionTrace, advance_beliefs, group_quorums
 from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph, ReducedGraph,
                      enumerate_reduced_graphs)
-from .observation import LikelihoodModel, compute_log_ratio_bound, kl_divergence
+from .observation import (LikelihoodModel, _ordered_pairs,
+                          compute_log_ratio_bound, expected_log_ratios)
 
 ANALYTIC_SLACK = 1e-12          # rounding slack on exact inequalities
 PSEUDO_IDENTITY_TOLERANCE = 1e-9
@@ -212,8 +213,7 @@ def expected_ratio_vectors(trace: ExecutionTrace, model: LikelihoodModel | None,
     """(T, n) expectations of the log-ratio inputs under the true hypothesis:
     minus the agent KL divergence, masked to completers."""
     model = model or trace.config.model
-    per_agent = np.array([-kl_divergence(model, i, theta_star, theta)
-                          for i in model.agents()])
+    per_agent = expected_log_ratios(model, theta, theta_star)
     out = np.zeros((trace.iterations, trace.n), dtype=np.float64)
     for t in range(1, trace.iterations + 1):
         for agent in trace.completed_at(t):
@@ -338,10 +338,6 @@ class _Shared:
                             structure=self.structure)
                 for r in _pi_sample_points(self.trace)]
         return self._pi_samples
-
-
-def _ordered_pairs(model: LikelihoodModel) -> list[tuple[str, str]]:
-    return [(a, b) for a in model.hypotheses for b in model.hypotheses if a != b]
 
 
 # -- individual checks ------------------------------------------------------------

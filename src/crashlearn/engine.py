@@ -20,13 +20,17 @@ Crash faults remove an agent at one of four points inside an iteration:
 Dead agents keep their last belief frozen and are dropped from every later
 quorum because they never transmit again.
 
-Scheduling is deterministic given (config, seed). Message delays come from
-per-sender substreams (uniform mode), a fixed table (fixed mode), or a
-worst-case scheduler (adversarial_latest) that withholds every message as
-long as possible, which collapses execution to synchronized rounds where
-each quorum is the lowest-labeled transmitting in-neighbors. Signals come
-from per-agent substreams consumed in iteration order, so the signal
-sequence of an agent does not depend on the delay schedule.
+A run is computed as: schedule, then one belief pass. Quorums and crash
+points depend only on message delays and the crash plan, never on belief
+values, so a belief-free scheduler first fixes who hears whom in every
+iteration, and one pass then updates each iteration's agents in one kernel
+call. Message delays come from per-sender substreams (uniform mode), a fixed
+table (fixed mode), or a worst-case scheduler (adversarial_latest) that
+withholds every message as long as possible, which collapses execution to
+synchronized rounds where each quorum is the lowest-labeled transmitting
+in-neighbors. Signals come from per-agent substreams consumed in iteration
+order, so the signal sequence of an agent does not depend on the delay
+schedule.
 """
 
 from __future__ import annotations
@@ -40,10 +44,19 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .graphs import DirectedGraph
-from .observation import (LikelihoodModel, signal_from_uniform,
-                          signal_indices_from_uniforms)
+from .observation import LikelihoodModel, signal_indices_from_uniforms
 
-CRASH_PHASES = ("before_transmit", "after_transmit", "mid_update", "after_update")
+# The crash-phase state machine: what an agent does in the iteration its
+# crash phase names (None: no crash) as (transmits, takes_quorum, completes).
+# Any phase ends the agent after that iteration.
+_PHASE_RULES = {
+    None: (True, True, True),
+    "before_transmit": (False, False, False),
+    "after_transmit": (True, False, False),
+    "mid_update": (True, True, False),
+    "after_update": (True, True, True),
+}
+CRASH_PHASES = tuple(phase for phase in _PHASE_RULES if phase is not None)
 ADVERSARY_MODES = ("uniform", "fixed", "adversarial_latest")
 
 SIGNAL_STREAM = 0
@@ -379,7 +392,7 @@ class ExecutionTrace:
 
     def transmitters_at(self, t: int) -> frozenset[int]:
         return frozenset(a for a, rec in self.records[t - 1].items()
-                         if rec.crash_phase != "before_transmit")
+                         if _PHASE_RULES[rec.crash_phase][0])
 
     def log_belief_before(self, t: int, agent: int) -> np.ndarray:
         """Belief the agent held entering iteration t (end of t - 1)."""
@@ -413,6 +426,16 @@ def converged(trace: ExecutionTrace, threshold: float) -> bool:
 
 
 # -- execution ----------------------------------------------------------------
+#
+# A roster is one iteration's schedule: an (agent, completed, quorum, crash
+# event) entry for every agent that began the iteration, in label order.
+
+_Roster = list[tuple[int, bool, tuple[int, ...] | None, CrashEvent | None]]
+
+
+def _rule(event: CrashEvent | None) -> tuple[bool, bool, bool]:
+    return _PHASE_RULES[None if event is None else event.phase]
+
 
 def _signal_rng(seed: int, agent: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, SIGNAL_STREAM, agent]))
@@ -422,24 +445,14 @@ def _delay_rng(seed: int, agent: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, DELAY_STREAM, agent]))
 
 
-class _AgentState:
-    __slots__ = ("cur_iter", "ready_time", "belief", "buffers", "dead", "finished")
-
-    def __init__(self, belief: np.ndarray):
-        self.cur_iter = 1
-        self.ready_time = 0.0
-        self.belief = belief
-        self.buffers: dict[int, list[tuple[float, int, np.ndarray]]] = {}
-        self.dead = False
-        self.finished = False
-
-
 def run_execution(config: SimulationConfig) -> ExecutionTrace:
     """Simulate one run to completion; deterministic in (config, seed)."""
     config.validate()
     if config.adversary.mode == "adversarial_latest":
-        return _run_round_based(config)
-    return _run_event_driven(config)
+        rosters, final_alive = _round_schedule(config)
+    else:
+        rosters, final_alive = _event_schedule(config)
+    return _belief_pass(config, rosters, final_alive)
 
 
 def _initial_beliefs(config: SimulationConfig) -> np.ndarray:
@@ -447,87 +460,62 @@ def _initial_beliefs(config: SimulationConfig) -> np.ndarray:
     return np.full((config.graph.n, m), -math.log(m), dtype=np.float64)
 
 
-def _run_event_driven(config: SimulationConfig) -> ExecutionTrace:
-    g, model, T = config.graph, config.model, config.iterations
+def _event_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[int]]:
+    """Message-passing scheduler for uniform and fixed delays: every agent's
+    quorum is the first messages of its current iteration to be delivered.
+    Returns the rosters of iterations 1..T and the agents that finished."""
+    g, T = config.graph, config.iterations
     adversary = config.adversary
     need = {i: len(g.in_neighbors[i]) - config.f for i in g.nodes}
     crash_at = {(ev.agent, ev.iteration): ev for ev in adversary.crash_plan}
-    signal_rngs = {i: _signal_rng(config.seed, i) for i in g.nodes}
     delay_rngs = {i: _delay_rng(config.seed, i) for i in g.nodes}
     uniform_mode = adversary.mode == "uniform"
 
-    initial = _initial_beliefs(config)
-    agents = {i: _AgentState(initial[i - 1].copy()) for i in g.nodes}
-    records: list[dict[int, AgentRecord]] = [{} for _ in range(T)]
-    heap: list[tuple[float, int, int, int, int, np.ndarray]] = []
+    cur_iter = dict.fromkeys(g.nodes, 1)
+    ready_time = dict.fromkeys(g.nodes, 0.0)
+    buffers: dict[int, dict[int, list[tuple[float, int]]]] = {i: {} for i in g.nodes}
+    running, finished = set(g.nodes), set()     # running: neither dead nor done
+    rosters: list[_Roster] = [[] for _ in range(T)]
+    heap: list[tuple[float, int, int, int, int]] = []
     seq = 0
 
-    def transmit(i: int, t: int, now: float) -> None:
+    def begin_iteration(i: int, t: int, now: float) -> None:
+        """Transmit for iteration t unless a crash intercepts; an agent that
+        takes no quorum at t dies here."""
         nonlocal seq
-        payload = agents[i].belief.copy()
-        for j in sorted(g.out_neighbors[i]):
-            if uniform_mode:
-                delay = float(delay_rngs[i].uniform(0.0, adversary.dmax))
-            else:
-                delay = adversary.delay_for(i, j)
-            heapq.heappush(heap, (now + delay, i, j, seq, t, payload))
-            seq += 1
-
-    def begin_iteration(i: int, t: int, now: float) -> bool:
-        """Transmit for iteration t unless a crash intercepts; False if died."""
-        state = agents[i]
         event = crash_at.get((i, t))
-        if event is not None and event.phase == "before_transmit":
-            records[t - 1][i] = AgentRecord(False, None, None, state.belief.copy(),
-                                            "before_transmit")
-            state.dead = True
-            return False
-        transmit(i, t, now)
-        if event is not None and event.phase == "after_transmit":
-            records[t - 1][i] = AgentRecord(False, None, None, state.belief.copy(),
-                                            "after_transmit")
-            state.dead = True
-            return False
-        return True
+        transmits, takes_quorum, _ = _rule(event)
+        if transmits:
+            for j in sorted(g.out_neighbors[i]):
+                if uniform_mode:
+                    delay = float(delay_rngs[i].uniform(0.0, adversary.dmax))
+                else:
+                    delay = adversary.delay_for(i, j)
+                heapq.heappush(heap, (now + delay, i, j, seq, t))
+                seq += 1
+        if not takes_quorum:
+            rosters[t - 1].append((i, False, None, event))
+            running.discard(i)
 
     def try_advance(i: int) -> None:
-        state = agents[i]
-        while not state.dead and not state.finished:
-            t = state.cur_iter
-            buffered = state.buffers.get(t, ())
+        while i in running:
+            t = cur_iter[i]
+            buffered = buffers[i].get(t, ())
             if len(buffered) < need[i]:
                 return
             taken = buffered[:need[i]]    # delivery order, ties already by label
-            quorum = tuple(sorted(sender for _, sender, _ in taken))
-            neighbor_logs = [payload for _, sender, payload
-                             in sorted(taken, key=lambda entry: entry[1])]
-            when = max([state.ready_time] + [dt for dt, _, _ in taken])
-            signal = signal_from_uniform(model, i, config.theta_star,
-                                         signal_rngs[i].random())
+            quorum = tuple(sorted(sender for _, sender in taken))
             event = crash_at.get((i, t))
-            if event is not None and event.phase == "mid_update":
-                state.belief = partial_update_belief(
-                    state.belief, neighbor_logs, signal, model, i, need[i],
-                    event.partial_count)
-                records[t - 1][i] = AgentRecord(False, quorum, signal,
-                                                state.belief.copy(), "mid_update")
-                state.dead = True
-                return
-            state.belief = update_belief(state.belief, neighbor_logs, signal,
-                                         model, i, need[i])
-            phase = "after_update" if event is not None else None
-            records[t - 1][i] = AgentRecord(True, quorum, signal,
-                                            state.belief.copy(), phase)
-            if event is not None:
-                state.dead = True
-                return
-            if t == T:
-                state.finished = True
-                return
-            state.cur_iter = t + 1
-            state.ready_time = when
-            if not begin_iteration(i, t + 1, when):
-                return
+            _, _, completes = _rule(event)
+            rosters[t - 1].append((i, completes, quorum, event))
+            if event is not None or t == T:
+                running.discard(i)
+                if event is None:
+                    finished.add(i)
+            else:
+                cur_iter[i] = t + 1
+                ready_time[i] = max([ready_time[i]] + [dt for dt, _ in taken])
+                begin_iteration(i, t + 1, ready_time[i])
 
     for i in sorted(g.nodes):
         begin_iteration(i, 1, 0.0)
@@ -535,59 +523,104 @@ def _run_event_driven(config: SimulationConfig) -> ExecutionTrace:
         try_advance(i)
 
     while heap:
-        when, sender, receiver, _, tag, payload = heapq.heappop(heap)
-        state = agents[receiver]
-        if state.dead or state.finished or tag < state.cur_iter:
+        when, sender, receiver, _, tag = heapq.heappop(heap)
+        if receiver not in running or tag < cur_iter[receiver]:
             continue
-        state.buffers.setdefault(tag, []).append((when, sender, payload))
-        if tag == state.cur_iter:
+        buffers[receiver].setdefault(tag, []).append((when, sender))
+        if tag == cur_iter[receiver]:
             try_advance(receiver)
 
-    stuck = [i for i, st in agents.items() if not st.dead and not st.finished]
-    if stuck:
-        detail = {i: (agents[i].cur_iter,
-                      len(agents[i].buffers.get(agents[i].cur_iter, ())))
-                  for i in stuck}
+    if running:
+        detail = {i: (cur_iter[i], len(buffers[i].get(cur_iter[i], ())))
+                  for i in sorted(running)}
         raise DeadlockError(f"agents stuck as (iteration, buffered): {detail}")
 
-    final_alive = frozenset(i for i, st in agents.items() if st.finished)
-    return ExecutionTrace(config, initial, records, final_alive)
+    for roster in rosters:
+        roster.sort()
+    return rosters, frozenset(finished)
 
 
-def _run_round_based(config: SimulationConfig) -> ExecutionTrace:
+def _round_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[int]]:
     """Worst-case scheduler: lock-step rounds, quorums take the lowest labels.
 
     Withholding every message until the receiver's deadline means nobody can
     run ahead, and the adversary serves each agent exactly the messages of
-    the lowest-labeled transmitting in-neighbors. So a round's schedule only
-    changes when some agent crashes, and every round updates all of its
-    agents in one kernel call.
+    the lowest-labeled transmitting in-neighbors. So a round's roster only
+    changes when some agent crashes: the iterations between two crash
+    iterations share one roster object.
     """
-    g, T = config.graph, config.iterations
     crash_iterations = {ev.iteration for ev in config.adversary.crash_plan}
-    signals, log_likelihood = _signal_draws(config)
+    alive = set(config.graph.nodes)
+    rosters: list[_Roster] = []
+    roster = None
+    for t in range(1, config.iterations + 1):
+        if roster is None or t in crash_iterations:
+            roster = _round(config, alive, t)
+        rosters.append(roster)
+        if t in crash_iterations:
+            alive -= {i for i, _, _, event in roster if event is not None}
+            roster = None
+    return rosters, frozenset(alive)
 
+
+def _round(config: SimulationConfig, alive: set[int], t: int) -> _Roster:
+    """The roster of lock-step round t."""
+    g = config.graph
+    crash_at = {ev.agent: ev for ev in config.adversary.crash_plan
+                if ev.iteration == t}
+    transmitters = {i for i in alive if _rule(crash_at.get(i))[0]}
+    roster: _Roster = []
+    for i in sorted(alive):
+        event = crash_at.get(i)
+        _, takes_quorum, completes = _rule(event)
+        if not takes_quorum:
+            roster.append((i, False, None, event))
+            continue
+        need = len(g.in_neighbors[i]) - config.f
+        available = sorted(j for j in g.in_neighbors[i] if j in transmitters)
+        if len(available) < need:
+            raise DeadlockError(f"agent {i} has {len(available)} live "
+                                f"in-neighbors at iteration {t}, "
+                                f"needs {need}")
+        roster.append((i, completes, tuple(available[:need]), event))
+    return roster
+
+
+def _belief_pass(config: SimulationConfig, rosters: Sequence[_Roster],
+                 final_alive: frozenset[int]) -> ExecutionTrace:
+    """Replay the schedule through the belief kernel, one advance_beliefs call
+    per iteration; consecutive iterations sharing a roster object share its
+    quorum groups and keep mask."""
+    signals, log_likelihood = _signal_draws(config)
     initial = _initial_beliefs(config)
     beliefs = initial
-    alive = set(g.nodes)
     records: list[dict[int, AgentRecord]] = []
-    schedule = None
-    for t in range(1, T + 1):
-        if schedule is None or t in crash_iterations:
-            schedule = _round_schedule(config, alive, t)
-        roster, groups, keep = schedule
+    grouped = None
+    for t, roster in enumerate(rosters, start=1):
+        if roster is not grouped:
+            grouped = roster
+            groups = group_quorums([(i, quorum) for i, _, quorum, _ in roster
+                                    if quorum is not None])
+            keep = _keep_mask(roster, initial.shape)
         beliefs = advance_beliefs(beliefs, groups, log_likelihood[t - 1], keep)
         records.append({
             i: AgentRecord(completed, quorum,
                            None if quorum is None else signals[i - 1][t - 1],
-                           beliefs[i - 1], phase)
-            for i, completed, quorum, phase in roster})
-        if t in crash_iterations:
-            alive -= {i for i, completed, _, phase in roster
-                      if phase is not None}
-            schedule = None
+                           beliefs[i - 1], None if event is None else event.phase)
+            for i, completed, quorum, event in roster})
+    return ExecutionTrace(config, initial, records, final_alive)
 
-    return ExecutionTrace(config, initial, records, frozenset(alive))
+
+def _keep_mask(roster: _Roster, shape: tuple[int, int]) -> np.ndarray | None:
+    """The entries a mid_update crash leaves untouched, or None without one.
+    SimulationConfig.validate sets partial_count for mid_update only."""
+    keep = None
+    for i, _, _, event in roster:
+        if event is not None and event.partial_count is not None:
+            if keep is None:
+                keep = np.zeros(shape, dtype=bool)
+            keep[i - 1, event.partial_count:] = True
+    return keep
 
 
 def _signal_draws(config: SimulationConfig) -> tuple[list[list[str]], np.ndarray]:
@@ -602,38 +635,6 @@ def _signal_draws(config: SimulationConfig) -> tuple[list[list[str]], np.ndarray
         labels.append([space[k] for k in idx.tolist()])
         rows.append(model.log_table(i).T[idx])
     return labels, np.stack(rows, axis=1)
-
-
-def _round_schedule(config: SimulationConfig, alive: set[int], t: int):
-    """Who does what in lock-step round t: a (agent, completed, quorum,
-    crash phase) roster in label order, the updaters grouped for
-    advance_beliefs, and the mid_update keep mask (None without one)."""
-    g = config.graph
-    crash_at = {ev.agent: ev for ev in config.adversary.crash_plan
-                if ev.iteration == t}
-    transmitters = {i for i in alive
-                    if i not in crash_at or crash_at[i].phase != "before_transmit"}
-    roster, updates, keep = [], [], None
-    for i in sorted(alive):
-        event = crash_at.get(i)
-        phase = None if event is None else event.phase
-        if phase in ("before_transmit", "after_transmit"):
-            roster.append((i, False, None, phase))
-            continue
-        need = len(g.in_neighbors[i]) - config.f
-        available = sorted(j for j in g.in_neighbors[i] if j in transmitters)
-        if len(available) < need:
-            raise DeadlockError(f"agent {i} has {len(available)} live "
-                                f"in-neighbors at iteration {t}, "
-                                f"needs {need}")
-        quorum = tuple(available[:need])
-        updates.append((i, quorum))
-        if phase == "mid_update":
-            if keep is None:
-                keep = np.zeros((g.n, config.model.m), dtype=bool)
-            keep[i - 1, event.partial_count:] = True
-        roster.append((i, phase != "mid_update", quorum, phase))
-    return roster, group_quorums(updates), keep
 
 
 # -- persistence --------------------------------------------------------------
@@ -718,7 +719,7 @@ def _parse_step(line: str, lineno: int) -> tuple[int, int, AgentRecord]:
         ("signal", row["signal"] is None or type(row["signal"]) is str),
         ("log_belief", type(belief) is list and all(map(_is_real, belief))),
         ("crash_phase", row["crash_phase"] is None
-         or type(row["crash_phase"]) is str)) if not ok]
+         or row["crash_phase"] in CRASH_PHASES)) if not ok]
     if wrong:
         raise TraceInvariantError(f"line {lineno}: malformed fields {wrong}")
     record = AgentRecord(
@@ -740,7 +741,11 @@ def read_trace(path) -> ExecutionTrace:
         raise TraceInvariantError("first line is not a header record")
     if not {"config", "initial_log_belief"} <= header.keys():
         raise TraceInvariantError("header needs config and initial_log_belief")
-    config = SimulationConfig.from_dict(header["config"])
+    try:
+        config = SimulationConfig.from_dict(header["config"])
+        config.validate()
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise TraceInvariantError(f"header config malformed ({exc!r})") from None
     try:
         initial = np.asarray(header["initial_log_belief"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -811,18 +816,16 @@ def validate_trace(trace: ExecutionTrace) -> None:
                                           f"(logsumexp={gap:.3e})")
             position += 1
             belief = rec.log_belief
-            if rec.completed:
-                if rec.crash_phase not in (None, "after_update"):
-                    raise TraceInvariantError(f"{where}: completed record with "
-                                              f"phase {rec.crash_phase}")
-                if rec.crash_phase is None:
-                    expected_next.add(agent)
-            elif rec.crash_phase not in ("before_transmit", "after_transmit",
-                                         "mid_update"):
+            _, takes_quorum, completes = _PHASE_RULES[rec.crash_phase]
+            if rec.completed and not completes:
+                raise TraceInvariantError(f"{where}: completed record with "
+                                          f"phase {rec.crash_phase}")
+            if completes and not rec.completed:
                 raise TraceInvariantError(f"{where}: incomplete record needs a "
                                           f"crash phase, got {rec.crash_phase}")
-            has_quorum = rec.completed or rec.crash_phase == "mid_update"
-            if has_quorum:
+            if rec.crash_phase is None:
+                expected_next.add(agent)
+            if takes_quorum:
                 if rec.quorum is None or rec.signal is None:
                     raise TraceInvariantError(f"{where}: missing quorum or signal")
                 if len(rec.quorum) != need[agent]:

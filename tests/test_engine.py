@@ -222,10 +222,12 @@ def test_seed_changes_signals():
     assert sig_a != sig_b
 
 
-def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay():
+@pytest.mark.parametrize("mode", ["adversarial_latest", "uniform"])
+def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay(mode):
     # K4 plus agent 5, which hears everyone and is heard by agent 1: agents
     # 1 and 5 need quorums of 3, agents 2-4 of 2, so each round batches two
     # quorum sizes, and agent 4's mid_update crash lands in such a round.
+    # Both schedulers are checked bitwise against the one-row updates.
     edges = [(j, i) for i in range(1, 5) for j in range(1, 5) if i != j]
     edges += [(j, 5) for j in range(1, 5)] + [(5, 1)]
     graph = DirectedGraph.from_edge_list(5, edges)
@@ -236,8 +238,7 @@ def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay():
                        partial_count=2)
     trace = run_execution(make_config(
         graph, 1, iterations=40, seed=5, model=model,
-        adversary=AdversarySchedule(mode="adversarial_latest",
-                                    crash_plan=(crash,))))
+        adversary=AdversarySchedule(mode=mode, crash_plan=(crash,))))
     validate_trace(trace)
     beliefs = {i: trace.initial_log_belief[i - 1] for i in graph.nodes}
     for t in range(1, trace.iterations + 1):
@@ -288,14 +289,15 @@ assert "scipy" not in sys.modules
 
 # -- crash semantics -------------------------------------------------------------------------
 
-def test_crash_phases_and_alive_sets():
+@pytest.mark.parametrize("mode", ["adversarial_latest", "uniform"])
+def test_crash_phases_and_alive_sets(mode):
     g = DirectedGraph.complete(4)
 
     def run_with(phase, partial=None, t_crash=12):
         return run_execution(make_config(
             g, 1, iterations=20, seed=3,
             adversary=AdversarySchedule(
-                mode="adversarial_latest",
+                mode=mode,
                 crash_plan=(CrashEvent(4, t_crash, phase, partial),))))
 
     pre = run_with("before_transmit")
@@ -306,6 +308,14 @@ def test_crash_phases_and_alive_sets():
     assert 4 in pre.alive_at_start(12)
     assert 4 not in pre.alive_at_start(13)
     assert 4 not in pre.transmitters_at(12)
+
+    sent = run_with("after_transmit")
+    rec = sent.record(12, 4)
+    assert not rec.completed and rec.crash_phase == "after_transmit"
+    assert rec.quorum is None and rec.signal is None
+    np.testing.assert_array_equal(rec.log_belief, sent.log_belief_before(12, 4))
+    assert 4 in sent.transmitters_at(12)    # it sent before dying
+    assert 4 not in sent.alive_at_start(13)
 
     mid = run_with("mid_update", partial=1)
     rec = mid.record(12, 4)
@@ -320,7 +330,7 @@ def test_crash_phases_and_alive_sets():
     assert 4 in post.alive_at_start(12)
     assert 4 not in post.alive_at_start(13)
 
-    for trace in (pre, mid, post):
+    for trace in (pre, sent, mid, post):
         validate_trace(trace)
         assert trace.final_alive == frozenset({1, 2, 3})
         assert trace.crash_events_observed() == ((4, 12, trace.record(12, 4).crash_phase),)
@@ -365,13 +375,12 @@ def test_validate_trace_catches_tampering(tmp_path):
 
     def corrupt(mutate, match=None):
         rows = [json.loads(line) for line in lines]
-        for row in rows[1:]:
+        for row in rows:
             if mutate(row):
                 break
         out = tmp_path / "bad.jsonl"
-        out.write_text("\n".join(
-            [lines[0]] + [json.dumps(r, sort_keys=True) for r in rows[1:]])
-            + "\n")
+        out.write_text("\n".join(json.dumps(r, sort_keys=True) for r in rows)
+                       + "\n")
         with pytest.raises(TraceInvariantError, match=match):
             validate_trace(read_trace(out))
 
@@ -414,6 +423,20 @@ def test_validate_trace_catches_tampering(tmp_path):
             unnormalized.append(row["agent"])
         return len(unnormalized) == 2
 
+    def crash_as(phase, completed):
+        # Rewrites the plan along with agent 4's t=10 record, so the plan
+        # comparison passes and only the phase rule can object.
+        def mutate(row):
+            if row["kind"] == "header":
+                row["config"]["adversary"]["crash_plan"][0].update(
+                    phase=phase,
+                    partial_count=1 if phase == "mid_update" else None)
+            elif (row["t"], row["agent"]) == (10, 4):
+                row.update(crash_phase=phase, completed=completed)
+                return True
+            return False
+        return mutate
+
     corrupt(break_normalization)
     corrupt(break_quorum)
     corrupt(break_signal)
@@ -421,6 +444,15 @@ def test_validate_trace_catches_tampering(tmp_path):
     corrupt(belief_of_wrong_length, match=r"^t=6 agent=2: malformed log beliefs$")
     corrupt(two_unnormalized,
             match=r"^t=7 agent=3: beliefs unnormalized \(logsumexp=5\.000e-01\)$")
+    for phase in ("before_transmit", "after_transmit"):
+        corrupt(crash_as(phase, completed=False),
+                match=rf"^t=10 agent=4: {phase} record must not carry "
+                      rf"quorum or signal$")
+    corrupt(crash_as("after_update", completed=False),
+            match=r"^t=10 agent=4: incomplete record needs a crash phase, "
+                  r"got after_update$")
+    corrupt(crash_as("mid_update", completed=True),
+            match=r"^t=10 agent=4: completed record with phase mid_update$")
 
 
 def test_convergence_helpers():

@@ -289,17 +289,46 @@ def mutate_step(line, field, action, wrong=None):
     return json.dumps(row, sort_keys=True)
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda line: mutate_step(line, "signal", "delete"),
-    lambda line: mutate_step(line, "log_belief", "retype", ["x", "y"]),
-    lambda line: line[:len(line) // 2],
-    lambda line: mutate_step(line, "t", "retype", "two"),
-], ids=["signal-deleted", "non-numeric-belief", "broken-json", "string-t"])
-def test_cli_malformed_trace_record_exits_4(stored_trace, mutate):
+def edit_config(line, edit):
+    """The header line with its config replaced by edit(config)."""
+    row = json.loads(line)
+    row["config"] = edit(row["config"])
+    return json.dumps(row, sort_keys=True)
+
+
+def unknown_phase(config):
+    event = dict(config["adversary"]["crash_plan"][0], phase="sideways")
+    return {**config, "adversary": {**config["adversary"], "crash_plan": [event]}}
+
+
+@pytest.mark.parametrize("index, mutate", [
+    pytest.param(5, lambda line: mutate_step(line, "signal", "delete"),
+                 id="signal-deleted"),
+    pytest.param(5, lambda line: mutate_step(line, "log_belief", "retype",
+                                             ["x", "y"]),
+                 id="non-numeric-belief"),
+    pytest.param(5, lambda line: line[:len(line) // 2], id="broken-json"),
+    pytest.param(5, lambda line: mutate_step(line, "t", "retype", "two"),
+                 id="string-t"),
+    pytest.param(0, lambda line: edit_config(
+        line, lambda c: {k: v for k, v in c.items() if k != "graph"}),
+        id="header-graph-deleted"),
+    pytest.param(0, lambda line: edit_config(
+        line, lambda c: {**c, "iterations": "twelve"}),
+        id="header-string-iterations"),
+    pytest.param(0, lambda line: edit_config(
+        line, lambda c: {**c, "graph": {**c["graph"], "n": "four"}}),
+        id="header-string-n"),
+    pytest.param(0, lambda line: edit_config(line, unknown_phase),
+                 id="header-unknown-crash-phase"),
+    pytest.param(0, lambda line: edit_config(line, lambda c: [1]),
+                 id="header-config-not-object"),
+])
+def test_cli_malformed_trace_record_exits_4(stored_trace, index, mutate):
     directory, lines = stored_trace
     assert analyze_lines(directory, lines)[0] == 0
-    code, err = analyze_lines(directory, lines[:5] + [mutate(lines[5])]
-                              + lines[6:])
+    code, err = analyze_lines(directory, lines[:index] + [mutate(lines[index])]
+                              + lines[index + 1:])
     assert code == 4 and err.startswith("invariant:"), err
 
 

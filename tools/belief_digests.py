@@ -1,11 +1,13 @@
-"""SHA-256 digests of every belief a simulation produces, for comparing the
+"""SHA-256 digests of everything a simulation records, for comparing the
 engine bit for bit across versions.
 
-One line per config: its label, the digest of every record's log belief in
-(t, agent) order, and the digest of pseudo_belief_evolution's output. The
-configs are the test suite's suite_configs() and simulation seeds
-1000-1063 of the benchmark's two simulation configs. Run it once per
-checkout, each time with that checkout's src/ on the path, and diff:
+One line per config: its label, the digest of the trace's step lines
+(iter_trace_lines without its header: every record's quorum, signal,
+completion, crash phase and log belief, in (t, agent) order), and the
+digest of pseudo_belief_evolution's output. The configs are the test
+suite's suite_configs() and simulation seeds 1000-1063 of the benchmark's
+two simulation configs. Run it once per checkout, each time with that
+checkout's src/ on the path, and diff:
 
     PYTHONPATH=src python3 tools/belief_digests.py > new.txt
     PYTHONPATH=OTHER/src python3 tools/belief_digests.py > old.txt
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,15 +42,14 @@ def configs():
 
 def digests(config) -> tuple[str, str]:
     from crashlearn.analysis import pseudo_belief_evolution
-    from crashlearn.engine import run_execution
+    from crashlearn.engine import iter_trace_lines, run_execution
     trace = run_execution(config)
-    records = hashlib.sha256()
-    for per_agent in trace.records:
-        for agent, rec in sorted(per_agent.items()):
-            records.update(agent.to_bytes(4, "little"))
-            records.update(rec.log_belief.tobytes())
+    steps = hashlib.sha256()
+    for line in islice(iter_trace_lines(trace), 1, None):
+        steps.update(line.encode())
+        steps.update(b"\n")
     pseudo = hashlib.sha256(pseudo_belief_evolution(trace).tobytes())
-    return records.hexdigest(), pseudo.hexdigest()
+    return steps.hexdigest(), pseudo.hexdigest()
 
 
 def main() -> None:
