@@ -752,6 +752,11 @@ def read_trace(path) -> ExecutionTrace:
         raise TraceInvariantError(f"initial beliefs malformed ({exc})") from None
     if initial.shape != (config.graph.n, config.model.m):
         raise TraceInvariantError(f"initial beliefs have shape {initial.shape}")
+    # f < n agents crash, so every iteration has at least one step record.
+    if config.iterations > len(lines) - 1:
+        raise TraceInvariantError(
+            f"header claims {config.iterations} iterations but the trace has "
+            f"{len(lines) - 1} step records")
     records: list[dict[int, AgentRecord]] = [{} for _ in range(config.iterations)]
     for lineno, line in enumerate(lines[1:], start=2):
         t, agent, record = _parse_step(line, lineno)

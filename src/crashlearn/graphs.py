@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -266,10 +267,181 @@ class ReducedGraph:
         return h
 
 
-def _link_removal_counts(g: DirectedGraph, f: int) -> list[int]:
-    return [sum(math.comb(len(g.in_neighbors[i]), k)
-                for k in range(min(f, len(g.in_neighbors[i])) + 1))
-            for i in range(1, g.n + 1)]
+_WORD = 64
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _packed(nodes: Iterable[int], words: int) -> np.ndarray:
+    """Bitmask of 1-based nodes in uint64 words, node v at bit v - 1."""
+    m = 0
+    for v in nodes:
+        m |= 1 << (v - 1)
+    return np.array([(m >> (_WORD * w)) & ((1 << _WORD) - 1) for w in range(words)],
+                    dtype=np.uint64)
+
+
+def _unpacked(mask: np.ndarray) -> set[int]:
+    """The 1-based nodes of one packed mask."""
+    m = sum(int(word) << (_WORD * w) for w, word in enumerate(mask))
+    return {v + 1 for v in range(m.bit_length()) if (m >> v) & 1}
+
+
+def _close_in_reach(reach: np.ndarray) -> None:
+    """Transitive closure in place, one Warshall pass over intermediate nodes.
+
+    reach has shape (candidates, n, words); reach[c, i] holds the nodes with a
+    path into node i of candidate c. Nodes with an empty row stay empty.
+    """
+    for k in range(reach.shape[1]):
+        word, bit = divmod(k, _WORD)
+        into = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
+        reach |= reach[:, k:k + 1, :] * into[:, :, None]
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits per mask over the last (word) axis."""
+    return _BYTE_POPCOUNT[masks.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+
+
+class _RemovalSpace:
+    """Every way for each node to drop some of its in-links, as one index.
+
+    Candidate c picks option (c // strides[i]) % counts[i] at node i + 1; node
+    1 is the most significant digit, so c runs in itertools.product order.
+    Option o of node i + 1 is removals[i][o], a (node, dropped in-neighbors)
+    pair as in ReducedGraph.removed_in_links; it keeps kept_edges[i][o],
+    packed in kept[i][o].
+    """
+
+    def __init__(self, g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
+                 cap: int, what: str) -> None:
+        degrees = [len(g.in_neighbors[i]) for i in range(1, g.n + 1)]
+        counts = [sum(math.comb(d, k) for k in sizes(d)) for d in degrees]
+        self.total = math.prod(counts)
+        if self.total > cap:
+            raise BudgetExceededError(
+                f"{self.total} {what} candidates exceed the cap {cap}")
+        self.g = g
+        self.words = -(-g.n // _WORD)
+        self.removals: list[list[tuple[int, frozenset[int]]]] = []
+        self.kept_edges: list[list[tuple[tuple[int, int], ...]]] = []
+        self.kept: list[np.ndarray] = []
+        for i, d in zip(range(1, g.n + 1), degrees):
+            nbrs = sorted(g.in_neighbors[i])
+            removals = [(i, frozenset(c)) for k in sizes(d)
+                        for c in itertools.combinations(nbrs, k)]
+            keeps = [[j for j in nbrs if j not in r] for _, r in removals]
+            self.removals.append(removals)
+            self.kept_edges.append([tuple((j, i) for j in k) for k in keeps])
+            self.kept.append(np.stack([_packed(k, self.words) for k in keeps]))
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.strides = np.ones(g.n, dtype=np.int64)
+        for i in range(g.n - 2, -1, -1):
+            self.strides[i] = self.strides[i + 1] * counts[i + 1]
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        for start in range(0, self.total, _SCAN_CHUNK):
+            yield np.arange(start, min(start + _SCAN_CHUNK, self.total),
+                            dtype=np.int64)
+
+    def digits(self, c: np.ndarray) -> np.ndarray:
+        return (c[:, None] // self.strides) % self.counts
+
+    def in_masks(self, digits: np.ndarray) -> np.ndarray:
+        """(candidates, n, words) kept in-link masks for the given digits."""
+        return np.stack([kept[digits[:, i]] for i, kept in enumerate(self.kept)],
+                        axis=1)
+
+    def self_bits(self, nodes: Iterable[int]) -> np.ndarray:
+        """(n, words) masks with each given node's own bit in its row."""
+        bits = np.zeros((self.g.n, self.words), dtype=np.uint64)
+        for v in nodes:
+            bits[v - 1] = _packed([v], self.words)
+        return bits
+
+
+def _census(g: DirectedGraph, f: int, max_candidates: int,
+            ) -> tuple[_RemovalSpace, list[tuple[frozenset[int], np.ndarray, np.ndarray]]]:
+    """Every distinct reduced graph, as (sink set S, keys, first candidates)
+    blocks ordered by sorted surviving nodes.
+
+    Sinks are never kept in-links, so within block S two candidates give the
+    same reduced graph exactly when they pick the same options outside S: the
+    key is the candidate index with the digits of S zeroed, and first is the
+    smallest candidate with that key.
+    """
+    if f < 0:
+        raise ValueError("f must be nonnegative")
+    space = _RemovalSpace(g, lambda d: range(min(f, d) + 1), max_candidates,
+                          "link-removal")
+    found: dict[frozenset[int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    for c in space.chunks():
+        digits = space.digits(c)
+        has_out = np.bitwise_or.reduce(space.in_masks(digits), axis=1)
+        maybe_sinks = sorted(g.nodes - _unpacked(np.bitwise_and.reduce(has_out, axis=0)))
+        for size in range(min(f, len(maybe_sinks)) + 1):
+            if size == g.n:
+                continue  # never delete every node
+            for subset in itertools.combinations(maybe_sinks, size):
+                rows = ~(has_out & _packed(subset, space.words)).any(axis=1)
+                cols = [v - 1 for v in subset]
+                keys = c[rows] - digits[rows][:, cols] @ space.strides[cols]
+                block = found.setdefault(frozenset(subset), ([], []))
+                block[0].append(keys)
+                block[1].append(c[rows])
+    blocks = []
+    for sinks, (keys, firsts) in found.items():
+        keys, at = np.unique(np.concatenate(keys), return_index=True)
+        if keys.size:
+            blocks.append((sinks, keys, np.concatenate(firsts)[at]))
+    blocks.sort(key=lambda b: sorted(g.nodes - b[0]))
+    return space, blocks
+
+
+def _source_structure(space: _RemovalSpace, sinks: frozenset[int], keys: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per census row of block sinks: does it have a unique source component,
+    and the size of its smallest one.
+
+    After closure, node v's row is every node with a path into v; the
+    smallest such set over live nodes is the smallest source component, and
+    the source is unique exactly when some node reaches every live node.
+    """
+    self_bits = space.self_bits(space.g.nodes - sinks)
+    live = [v - 1 for v in sorted(space.g.nodes - sinks)]
+    dead = [v - 1 for v in sinks]
+    unique = np.empty(keys.size, dtype=bool)
+    smallest = np.empty(keys.size, dtype=np.int64)
+    for start in range(0, keys.size, _SCAN_CHUNK):
+        part = slice(start, start + _SCAN_CHUNK)
+        reach = space.in_masks(space.digits(keys[part]))
+        reach[:, dead] = 0      # a zeroed key digit keeps every in-link
+        reach |= self_bits
+        _close_in_reach(reach)
+        reach = reach[:, live]
+        unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
+        smallest[part] = _popcount(reach).min(axis=1)
+    return unique, smallest
+
+
+def _order(rg: ReducedGraph) -> tuple[list[int], list[tuple[int, int]]]:
+    return sorted(rg.nodes), sorted(rg.edges)
+
+
+def _materialize(space: _RemovalSpace, f: int, sinks: frozenset[int],
+                 keys: np.ndarray, firsts: np.ndarray) -> list[ReducedGraph]:
+    """The reduced graphs of census rows (sinks, keys), each with the removal
+    metadata of its first candidate."""
+    g = space.g
+    nodes = g.nodes - sinks
+    receivers = [i - 1 for i in sorted(nodes) if g.in_neighbors[i]]
+    reduced = []
+    for key, picks in zip(space.digits(keys).tolist(), space.digits(firsts).tolist()):
+        edges = frozenset(e for i in receivers for e in space.kept_edges[i][key[i]])
+        removed = tuple(map(operator.getitem, space.removals, picks))
+        reduced.append(ReducedGraph(base=g, f=f, removed_in_links=removed,
+                                    removed_sinks=sinks, nodes=nodes, edges=edges))
+    return reduced
 
 
 def enumerate_reduced_graphs(g: DirectedGraph, f: int,
@@ -277,47 +449,15 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
                              ) -> tuple[ReducedGraph, ...]:
     """All distinct reduced graphs, deduplicated on (surviving nodes, edges).
 
+    Ordered by (sorted nodes, sorted edges); each carries the removal of the
+    first candidate, in per-node itertools.product order, that produces it.
     Raises BudgetExceededError when the link-removal choice space alone
     exceeds max_candidates.
     """
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    total = math.prod(_link_removal_counts(g, f))
-    if total > max_candidates:
-        raise BudgetExceededError(
-            f"{total} link-removal candidates exceed the cap {max_candidates}")
-
-    per_node: list[list[frozenset[int]]] = []
-    for i in range(1, g.n + 1):
-        nbrs = sorted(g.in_neighbors[i])
-        opts = [frozenset(c)
-                for k in range(min(f, len(nbrs)) + 1)
-                for c in itertools.combinations(nbrs, k)]
-        per_node.append(opts)
-
-    seen: dict[tuple, ReducedGraph] = {}
-    for choice in itertools.product(*per_node):
-        removal = {i + 1: choice[i] for i in range(g.n)}
-        kept = [(j, i) for j, i in g.edges if j not in removal[i]]
-        has_out = {j for j, _ in kept}
-        sinks = sorted(g.nodes - has_out)
-        for size in range(min(f, len(sinks)) + 1):
-            if size == g.n:
-                continue  # never delete every node
-            for subset in itertools.combinations(sinks, size):
-                dropped = frozenset(subset)
-                nodes = g.nodes - dropped
-                edges = frozenset((j, i) for j, i in kept
-                                  if j in nodes and i in nodes)
-                key = (nodes, edges)
-                if key not in seen:
-                    seen[key] = ReducedGraph(
-                        base=g, f=f,
-                        removed_in_links=tuple(sorted(removal.items())),
-                        removed_sinks=dropped, nodes=nodes, edges=edges)
-    ordered = sorted(seen.values(),
-                     key=lambda rg: (sorted(rg.nodes), sorted(rg.edges)))
-    return tuple(ordered)
+    space, blocks = _census(g, f, max_candidates)
+    reduced = [rg for sinks, keys, firsts in blocks
+               for rg in _materialize(space, f, sinks, keys, firsts)]
+    return tuple(sorted(reduced, key=_order))
 
 
 def _maximal_removal_scan(g: DirectedGraph, f: int,
@@ -328,62 +468,17 @@ def _maximal_removal_scan(g: DirectedGraph, f: int,
     sink removal, so scanning the edge-minimal patterns decides the property
     for every reduced graph.
     """
-    n = g.n
-    combos: list[list[tuple[int, ...]]] = []
-    masks: list[np.ndarray] = []
-    for i in range(1, n + 1):
-        nbrs = sorted(g.in_neighbors[i])
-        k = min(f, len(nbrs))
-        node_combos = list(itertools.combinations(nbrs, k))
-        combos.append(node_combos)
-        full = 0
-        for j in nbrs:
-            full |= 1 << (j - 1)
-        vals = []
-        for combo in node_combos:
-            m = full
-            for j in combo:
-                m &= ~(1 << (j - 1))
-            vals.append(m)
-        masks.append(np.asarray(vals, dtype=np.uint32))
-    counts = [len(c) for c in combos]
-    total = math.prod(counts)
-    if total > max_candidates:
-        raise BudgetExceededError(
-            f"{total} maximal-removal candidates exceed the cap {max_candidates}")
-
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * counts[i + 1]
-    steps = max(1, (max(n - 1, 1)).bit_length())
-
-    for start in range(0, total, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        reach = np.empty((idx.size, n), dtype=np.uint32)
-        for i in range(n):
-            sel = (idx // strides[i]) % counts[i]
-            reach[:, i] = masks[i][sel] | np.uint32(1 << i)
-        # reach[c, i] = bitmask of nodes with a path into i; squared each step
-        for _ in range(steps):
-            grown = reach.copy()
-            for i in range(n):
-                col = reach[:, i]
-                for u in range(n):
-                    if u == i:
-                        continue
-                    hit = (col >> np.uint32(u)) & np.uint32(1)
-                    grown[:, i] |= reach[:, u] * hit
-            reach = grown
-        everywhere = reach[:, 0].copy()
-        for i in range(1, n):
-            everywhere &= reach[:, i]
-        bad = np.nonzero(everywhere == 0)[0]
+    space = _RemovalSpace(g, lambda d: (min(f, d),), max_candidates,
+                          "maximal-removal")
+    self_bits = space.self_bits(g.nodes)
+    for c in space.chunks():
+        reach = space.in_masks(space.digits(c)) | self_bits
+        _close_in_reach(reach)
+        bad = np.flatnonzero(~np.bitwise_and.reduce(reach, axis=1).any(axis=1))
         if bad.size:
-            c = int(idx[bad[0]])
-            removal = {i + 1: frozenset(combos[i][(c // strides[i]) % counts[i]])
-                       for i in range(n)}
-            witness = ReducedGraph.build(g, f, removal)
-            return False, witness
+            picks = space.digits(c[bad[:1]])[0].tolist()
+            removal = dict(map(operator.getitem, space.removals, picks))
+            return False, ReducedGraph.build(g, f, removal)
     return True, None
 
 
@@ -497,21 +592,26 @@ class DetectabilityReport:
 def detectability_report(g: DirectedGraph, f: int,
                          max_candidates: int = DEFAULT_ENUMERATION_CAP,
                          ) -> DetectabilityReport:
-    """Full enumeration route plus both condition checks, cross-asserted.
+    """Reduced-graph census plus both condition checks, cross-asserted.
 
-    Raises EquivalenceViolationError if any two routes disagree (that would be
-    an implementation defect, not a property of the input).
+    chi, gamma and the literal unique-source verdict come from the census of
+    every reduced graph; on failure the witness is the first failing reduced
+    graph in enumerate_reduced_graphs order. Raises EquivalenceViolationError
+    if any two routes disagree (that would be an implementation defect, not a
+    property of the input).
     """
-    reduced = enumerate_reduced_graphs(g, f, max_candidates=max_candidates)
+    space, blocks = _census(g, f, max_candidates)
     literal_unique = True
     witness: object = None
     gamma = g.n
-    for rg in reduced:
-        decomp = rg.source_decomposition()
-        if not decomp.unique_source and literal_unique:
+    for sinks, keys, firsts in blocks:
+        unique, smallest = _source_structure(space, sinks, keys)
+        gamma = min(gamma, int(smallest.min()))
+        if literal_unique and not unique.all():
             literal_unique = False
-            witness = rg
-        gamma = min(gamma, min(len(c) for c in decomp.source_components))
+            failing = np.flatnonzero(~unique)
+            witness = min(_materialize(space, f, sinks, keys[failing], firsts[failing]),
+                          key=_order)
     fast_holds, fast_witness = check_condition1(g, f, max_candidates=max_candidates)
     c2_holds, c2_witness = check_condition2(g, f)
     if not (literal_unique == fast_holds == c2_holds):
@@ -524,6 +624,6 @@ def detectability_report(g: DirectedGraph, f: int,
         n=g.n, f=f,
         condition1_holds=literal_unique,
         condition2_holds=c2_holds,
-        chi=len(reduced), gamma=gamma,
+        chi=sum(keys.size for _, keys, _ in blocks), gamma=gamma,
         xi=g.influence_floor(),
         witness=witness)

@@ -51,8 +51,10 @@ def components_and_sources(nodes, edges):
     return comps, sources
 
 
-def brute_reduced_graphs(n, edges, f):
-    """Every distinct reduced graph as a frozen (nodes, edges) pair.
+def _walk_reduced_graphs(n, edges, f):
+    """Every removal pattern in per-node itertools.product order, then sink
+    subsets by size: yields (per-node dropped in-links, deleted sinks,
+    surviving nodes, surviving edges), repeats included.
 
     Removal pattern: each node drops any subset of its in-links of size <= f,
     then any subset of the sinks of the result, of size <= f and never all
@@ -67,8 +69,8 @@ def brute_reduced_graphs(n, edges, f):
         for k in range(min(f, len(in_links[i])) + 1):
             opts.extend(itertools.combinations(in_links[i], k))
         per_node.append(opts)
-    found = set()
     for choice in itertools.product(*per_node):
+        dropped = {i + 1: frozenset(combo) for i, combo in enumerate(choice)}
         dropped_links = {(j, i + 1) for i, combo in enumerate(choice) for j in combo}
         kept = edges - dropped_links
         senders = {j for j, _ in kept}
@@ -79,8 +81,21 @@ def brute_reduced_graphs(n, edges, f):
             for subset in itertools.combinations(sinks, size):
                 alive = nodes - set(subset)
                 surv = frozenset((j, i) for j, i in kept if j in alive and i in alive)
-                found.add((frozenset(alive), surv))
-    return found
+                yield dropped, frozenset(subset), frozenset(alive), surv
+
+
+def brute_reduced_graphs(n, edges, f):
+    """Every distinct reduced graph as a frozen (nodes, edges) pair."""
+    return {(alive, surv) for _, _, alive, surv in _walk_reduced_graphs(n, edges, f)}
+
+
+def brute_first_removals(n, edges, f):
+    """(nodes, edges) -> (per-node dropped in-links, deleted sinks) of the
+    first removal pattern that produces it."""
+    first = {}
+    for dropped, subset, alive, surv in _walk_reduced_graphs(n, edges, f):
+        first.setdefault((alive, surv), (dropped, subset))
+    return first
 
 
 def brute_condition1(n, edges, f):

@@ -1,11 +1,12 @@
 """Topology layer: reduced-graph enumeration, source structure, conditions."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crashlearn.graphs import (BudgetExceededError, DirectedGraph,
                                check_condition1, check_condition2,
@@ -13,8 +14,8 @@ from crashlearn.graphs import (BudgetExceededError, DirectedGraph,
                                random_link_removal_subgraph,
                                strongly_connected_components)
 
-from oracles import (brute_condition1, brute_condition2, brute_gamma,
-                     brute_reduced_graphs, components_and_sources)
+from oracles import (brute_condition1, brute_condition2, brute_first_removals,
+                     brute_gamma, brute_reduced_graphs, components_and_sources)
 
 
 def random_graph(rng, n, p):
@@ -101,6 +102,15 @@ def test_complete5_f2_chi():
     assert rep.condition1_holds and rep.condition2_holds
 
 
+def test_complete7_f1_chi():
+    # 7^7 link-removal candidates, all distinct, plus one graph per node
+    # that every other node cut off and that is then deleted as a sink
+    rep = detectability_report(DirectedGraph.complete(7), 1)
+    assert rep.chi == 823550
+    assert rep.gamma == 6
+    assert rep.condition1_holds and rep.condition2_holds
+
+
 # -- oracle cross-checks ---------------------------------------------------------------
 
 HAND_CASES = [
@@ -134,6 +144,48 @@ def test_gamma_matches_brute_force():
         g = DirectedGraph.from_edge_list(n, edges)
         rep = detectability_report(g, f)
         assert rep.gamma == brute_gamma(n, edges, f)
+
+
+@pytest.mark.parametrize("n,edges,f,witness,dropped,sinks", [
+    (3, [(1, 2), (2, 3), (3, 1)], 1, {"nodes": [1, 2], "edges": []},
+     {1: {3}, 2: {1}, 3: set()}, {3}),
+    (4, [(2, 1), (3, 1), (4, 1)], 1, {"nodes": [1, 2, 3], "edges": [[2, 1], [3, 1]]},
+     {1: {4}, 2: set(), 3: set(), 4: set()}, {4}),
+    (4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)], 1,
+     {"nodes": [1, 2, 3], "edges": [[1, 3]]},
+     {1: {4}, 2: {1}, 3: {2}, 4: set()}, {4}),
+])
+def test_failing_report_witness(n, edges, f, witness, dropped, sinks):
+    rep = detectability_report(DirectedGraph.from_edge_list(n, edges), f)
+    assert rep.to_dict()["witness"] == witness
+    assert dict(rep.witness.removed_in_links) == {i: frozenset(s)
+                                                  for i, s in dropped.items()}
+    assert rep.witness.removed_sinks == frozenset(sinks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_report_matches_literal_route(data):
+    n = data.draw(st.integers(2, 5))
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs))))
+    f = data.draw(st.integers(0, 2))
+    g = DirectedGraph.from_edge_list(n, edges)
+    assume(math.prod(sum(math.comb(len(g.in_neighbors[i]), k) for k in range(f + 1))
+                     for i in g.nodes) <= 3000)
+    reduced = enumerate_reduced_graphs(g, f)
+    assert list(reduced) == sorted(reduced,
+                                   key=lambda r: (sorted(r.nodes), sorted(r.edges)))
+    assert {r.key: (dict(r.removed_in_links), r.removed_sinks)
+            for r in reduced} == brute_first_removals(n, edges, f)
+    decomps = [r.source_decomposition() for r in reduced]
+    failing = [r for r, d in zip(reduced, decomps) if not d.unique_source]
+    rep = detectability_report(g, f)
+    assert rep.chi == len(reduced) == len(brute_reduced_graphs(n, edges, f))
+    assert rep.gamma == brute_gamma(n, edges, f) == min(
+        len(c) for d in decomps for c in d.source_components)
+    assert rep.condition1_holds is (not failing)
+    assert rep.witness == (failing[0] if failing else None)
 
 
 def test_random_instances_match_oracle():

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from crashlearn.cli import main
 from crashlearn.engine import (AdversarySchedule, ConfigError, CrashEvent,
-                               run_execution, write_trace)
+                               TraceInvariantError, read_trace, run_execution,
+                               write_trace)
 from crashlearn.graphs import DirectedGraph
 from crashlearn.harness import (ExperimentBatch, IdentifiabilityGateError,
                                 analyze_trace, identifiability_gate,
@@ -323,6 +324,9 @@ def unknown_phase(config):
                  id="header-unknown-crash-phase"),
     pytest.param(0, lambda line: edit_config(line, lambda c: [1]),
                  id="header-config-not-object"),
+    pytest.param(0, lambda line: edit_config(
+        line, lambda c: {**c, "iterations": 1_000_000}),
+        id="header-iterations-beyond-steps"),
 ])
 def test_cli_malformed_trace_record_exits_4(stored_trace, index, mutate):
     directory, lines = stored_trace
@@ -330,6 +334,17 @@ def test_cli_malformed_trace_record_exits_4(stored_trace, index, mutate):
     code, err = analyze_lines(directory, lines[:index] + [mutate(lines[index])]
                               + lines[index + 1:])
     assert code == 4 and err.startswith("invariant:"), err
+
+
+def test_read_trace_rejects_iteration_claim_before_reading_steps(stored_trace):
+    # a header may not claim more iterations than there are step records
+    directory, lines = stored_trace
+    path = directory / "claims.jsonl"
+    header = edit_config(lines[0], lambda c: {**c, "iterations": 1_000_000})
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+    with pytest.raises(TraceInvariantError,
+                       match=f"claims 1000000 iterations .* {len(lines) - 1} step"):
+        read_trace(path)
 
 
 def test_cli_trace_field_mutations_exit_4(stored_trace):

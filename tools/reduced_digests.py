@@ -1,0 +1,78 @@
+"""SHA-256 digests of the reduced-graph census, for comparing the graph layer
+across versions.
+
+One line per (graph, f): its label, the digest of enumerate_reduced_graphs'
+ordered output (each reduced graph's nodes, edges, removed_in_links and
+removed_sinks) and the digest of detectability_report(...).to_dict(). A pair
+the enumeration cap refuses prints the error message instead. The pairs are
+the test suite's HAND_CASES and FROZEN, complete graphs K3-K6 with f=1, K5
+with f=2, and 40 seeded random digraphs. Run it once per checkout, each time
+with that checkout's src/ on the path, and diff:
+
+    PYTHONPATH=src python3 tools/reduced_digests.py > new.txt
+    PYTHONPATH=OTHER/src python3 tools/reduced_digests.py > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+RANDOM_SEED = 4242
+RANDOM_GRAPHS = 40
+
+
+def cases():
+    """(label, DirectedGraph, f) triples, built from this checkout's tests."""
+    sys.path[:0] = [str(ROOT / "tests")]
+    from test_graphs import FROZEN, HAND_CASES
+
+    from crashlearn.graphs import DirectedGraph
+    for k, (n, edges, f) in enumerate(HAND_CASES):
+        yield f"hand{k}-f{f}", DirectedGraph.from_edge_list(n, edges), f
+    for k, (build, f, *_) in enumerate(FROZEN):
+        yield f"frozen{k}-f{f}", build(), f
+    for n, f in [(3, 1), (4, 1), (5, 1), (6, 1), (5, 2)]:
+        yield f"K{n}-f{f}", DirectedGraph.complete(n), f
+    rng = np.random.default_rng(RANDOM_SEED)
+    for k in range(RANDOM_GRAPHS):
+        n = int(rng.integers(2, 7))
+        p = float(rng.choice([0.3, 0.5, 0.8]))
+        f = int(rng.integers(0, 3))
+        edges = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1)
+                 if j != i and rng.random() < p]
+        yield f"random{k}-n{n}-f{f}", DirectedGraph.from_edge_list(n, edges), f
+
+
+def digests(g, f) -> tuple[str, ...]:
+    from crashlearn.graphs import (BudgetExceededError, detectability_report,
+                                   enumerate_reduced_graphs)
+    try:
+        reduced = enumerate_reduced_graphs(g, f)
+        report = detectability_report(g, f)
+    except BudgetExceededError as exc:
+        return ("refused:", str(exc))
+    census = hashlib.sha256()
+    for rg in reduced:
+        row = [sorted(rg.nodes), sorted(rg.edges),
+               [[i, sorted(dropped)] for i, dropped in rg.removed_in_links],
+               sorted(rg.removed_sinks)]
+        census.update(json.dumps(row).encode())
+        census.update(b"\n")
+    summary = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return census.hexdigest(), summary.hexdigest()
+
+
+def main() -> None:
+    for label, g, f in cases():
+        print(label, *digests(g, f), flush=True)
+
+
+if __name__ == "__main__":
+    main()
