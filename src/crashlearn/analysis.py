@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .engine import ExecutionTrace, advance_beliefs, group_quorums
-from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph, ReducedGraph,
-                     enumerate_reduced_graphs)
+from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph,
+                     first_dominated_nodes, source_census)
 from .observation import (LikelihoodModel, _ordered_pairs,
                           compute_log_ratio_bound, expected_log_ratios)
 
@@ -45,7 +44,6 @@ DEFAULT_CHECKS = ("lemma1", "lemma2", "thm2", "prop1", "prop2", "prop3",
 class StructureConstants:
     """Reduced-graph census of (graph, f) used by the convergence bounds."""
 
-    reduced: tuple[ReducedGraph, ...]
     sources: tuple[frozenset[int], ...]     # deduplicated source components
     chi: int                                # number of distinct reduced graphs
     gamma: int                              # smallest source component size
@@ -62,23 +60,13 @@ class StructureConstants:
             return 0.0
 
 
-@lru_cache(maxsize=64)
 def structure_constants(graph: DirectedGraph, f: int,
                         max_candidates: int = DEFAULT_ENUMERATION_CAP,
                         ) -> StructureConstants:
-    reduced = enumerate_reduced_graphs(graph, f, max_candidates=max_candidates)
-    sources: list[frozenset[int]] = []
-    gamma = graph.n
-    for rg in reduced:
-        decomp = rg.source_decomposition()
-        for comp in decomp.source_components:
-            gamma = min(gamma, len(comp))
-            if comp not in sources:
-                sources.append(comp)
-    chi = len(reduced)
-    return StructureConstants(reduced=reduced, sources=tuple(sources), chi=chi,
-                              gamma=gamma, xi=graph.influence_floor(),
-                              window=graph.n * chi)
+    census = source_census(graph, f, max_candidates)
+    return StructureConstants(sources=census.sources, chi=census.chi,
+                              gamma=census.gamma, xi=graph.influence_floor(),
+                              window=graph.n * census.chi)
 
 
 # -- matrices and products ----------------------------------------------------
@@ -458,34 +446,22 @@ def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
 def check_prop1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                 shared: _Shared | None = None) -> CheckResult:
     """Every iteration matrix dominates xi times the adjacency of some
-    reduced graph: support inclusion picks the graph, then every required
-    entry is at least xi as an exact rational."""
+    reduced graph: support inclusion picks the first such graph in
+    enumeration order, then every required entry is at least xi as an exact
+    rational. A completer's quorum entries carry its diagonal weight, so the
+    graph's nodes give every required value."""
     shared = shared or _Shared(trace, model)
-    matrices, structure = shared.matrices, shared.structure
-    xi = structure.xi
+    matrices, xi = shared.matrices, shared.structure.xi
+    graph, f = trace.config.graph, trace.config.f
     failures: list[int] = []
     worst_slack = math.inf
-    cache: dict[tuple, ReducedGraph | None] = {}
     for um in matrices:
-        key = (um.completers, tuple(sorted(um.quorums.items())))
-        if key not in cache:
-            allowed = {(j, i) for i, quorum in um.quorums.items() for j in quorum}
-            found = None
-            for candidate in structure.reduced:
-                if candidate.edges <= allowed:
-                    found = candidate
-                    break
-            cache[key] = found
-        chosen = cache[key]
-        if chosen is None:
+        nodes = first_dominated_nodes(graph, f, um.quorums)
+        if nodes is None:
             failures.append(um.t)
             continue
-        quorum_sizes = {i: len(q) for i, q in um.quorums.items()}
-        required = [Fraction(1, quorum_sizes[node] + 1)
-                    if node in um.completers else Fraction(1)
-                    for node in chosen.nodes]
-        required.extend(Fraction(1, quorum_sizes[v] + 1)
-                        for _, v in chosen.edges)
+        required = [Fraction(1, len(um.quorums[node]) + 1)
+                    if node in um.quorums else Fraction(1) for node in nodes]
         if any(weight < xi for weight in required):
             failures.append(um.t)
             continue

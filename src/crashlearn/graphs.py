@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -360,26 +360,32 @@ class _RemovalSpace:
         return bits
 
 
-def _census(g: DirectedGraph, f: int, max_candidates: int,
-            ) -> tuple[_RemovalSpace, list[tuple[frozenset[int], np.ndarray, np.ndarray]]]:
+def _link_removals(g: DirectedGraph, f: int, max_candidates: int) -> _RemovalSpace:
+    """Every way to drop at most f in-links per node; refused above the cap."""
+    if f < 0:
+        raise ValueError("f must be nonnegative")
+    return _RemovalSpace(g, lambda d: range(min(f, d) + 1), max_candidates,
+                         "link-removal")
+
+
+def _census(space: _RemovalSpace, f: int,
+            ) -> list[tuple[frozenset[int], np.ndarray, np.ndarray]]:
     """Every distinct reduced graph, as (sink set S, keys, first candidates)
     blocks ordered by sorted surviving nodes.
 
     Sinks are never kept in-links, so within block S two candidates give the
     same reduced graph exactly when they pick the same options outside S: the
     key is the candidate index with the digits of S zeroed, and first is the
-    smallest candidate with that key.
+    smallest candidate with that key. For S empty the key is the candidate
+    itself, so that block is every candidate and needs no deduplication.
     """
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    space = _RemovalSpace(g, lambda d: range(min(f, d) + 1), max_candidates,
-                          "link-removal")
+    g = space.g
     found: dict[frozenset[int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for c in space.chunks():
         digits = space.digits(c)
         has_out = np.bitwise_or.reduce(space.in_masks(digits), axis=1)
         maybe_sinks = sorted(g.nodes - _unpacked(np.bitwise_and.reduce(has_out, axis=0)))
-        for size in range(min(f, len(maybe_sinks)) + 1):
+        for size in range(1, min(f, len(maybe_sinks)) + 1):
             if size == g.n:
                 continue  # never delete every node
             for subset in itertools.combinations(maybe_sinks, size):
@@ -389,43 +395,68 @@ def _census(g: DirectedGraph, f: int, max_candidates: int,
                 block = found.setdefault(frozenset(subset), ([], []))
                 block[0].append(keys)
                 block[1].append(c[rows])
-    blocks = []
+    everything = np.arange(space.total, dtype=np.int64)
+    blocks = [(frozenset(), everything, everything)]
     for sinks, (keys, firsts) in found.items():
         keys, at = np.unique(np.concatenate(keys), return_index=True)
         if keys.size:
             blocks.append((sinks, keys, np.concatenate(firsts)[at]))
     blocks.sort(key=lambda b: sorted(g.nodes - b[0]))
-    return space, blocks
+    return blocks
 
 
-def _source_structure(space: _RemovalSpace, sinks: frozenset[int], keys: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Per census row of block sinks: does it have a unique source component,
-    and the size of its smallest one.
+def _closed_reach(space: _RemovalSpace, sinks: frozenset[int], keys: np.ndarray,
+                  ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Closed in-reach sets of census rows (sinks, keys), chunk by chunk.
 
-    After closure, node v's row is every node with a path into v; the
-    smallest such set over live nodes is the smallest source component, and
-    the source is unique exactly when some node reaches every live node.
+    Yields (rows, reach) with reach of shape (rows, live nodes, words): after
+    closure, live node v's row is every node with a path into v, v included.
+    A row's smallest such set is its smallest source component, and its
+    source is unique exactly when some node reaches every live node, that
+    is, when the AND of its live rows is nonzero.
     """
     self_bits = space.self_bits(space.g.nodes - sinks)
     live = [v - 1 for v in sorted(space.g.nodes - sinks)]
     dead = [v - 1 for v in sinks]
-    unique = np.empty(keys.size, dtype=bool)
-    smallest = np.empty(keys.size, dtype=np.int64)
     for start in range(0, keys.size, _SCAN_CHUNK):
-        part = slice(start, start + _SCAN_CHUNK)
-        reach = space.in_masks(space.digits(keys[part]))
+        reach = space.in_masks(space.digits(keys[start:start + _SCAN_CHUNK]))
         reach[:, dead] = 0      # a zeroed key digit keeps every in-link
         reach |= self_bits
         _close_in_reach(reach)
-        reach = reach[:, live]
-        unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
-        smallest[part] = _popcount(reach).min(axis=1)
-    return unique, smallest
+        yield slice(start, start + _SCAN_CHUNK), reach[:, live]
 
 
-def _order(rg: ReducedGraph) -> tuple[list[int], list[tuple[int, int]]]:
-    return sorted(rg.nodes), sorted(rg.edges)
+def _enumeration_rank(space: _RemovalSpace, sinks: frozenset[int],
+                      keys: np.ndarray) -> np.ndarray:
+    """The permutation that puts census rows of block sinks in
+    enumerate_reduced_graphs order.
+
+    All rows of a block share their nodes, so the order is that of their
+    sorted edge lists, a proper prefix first: each row's indices into
+    sorted(g.edges), ascending and padded with -1, compared column by column.
+    """
+    if keys.size < 2:
+        return np.arange(keys.size)
+    g = space.g
+    index = {e: k for k, e in enumerate(sorted(g.edges))}
+    width = len(index)
+    dtype = np.min_scalar_type(-width - 1)
+    receivers = [i - 1 for i in sorted(g.nodes - sinks) if g.in_neighbors[i]]
+    options = {}
+    for i in receivers:
+        options[i] = np.zeros((len(space.kept_edges[i]), width), dtype=bool)
+        for o, edges in enumerate(space.kept_edges[i]):
+            options[i][o, [index[e] for e in edges]] = True
+    columns = np.empty((keys.size, width), dtype=dtype)
+    for start in range(0, keys.size, _SCAN_CHUNK):
+        digits = space.digits(keys[start:start + _SCAN_CHUNK])
+        kept = np.zeros((len(digits), width), dtype=bool)
+        for i in receivers:
+            kept |= options[i][digits[:, i]]
+        columns[start:start + len(digits)] = np.sort(
+            np.where(kept, np.arange(width, dtype=dtype), width), axis=1)
+    columns[columns == width] = -1
+    return np.lexsort(columns.T[::-1])
 
 
 def _materialize(space: _RemovalSpace, f: int, sinks: frozenset[int],
@@ -454,10 +485,85 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
     Raises BudgetExceededError when the link-removal choice space alone
     exceeds max_candidates.
     """
-    space, blocks = _census(g, f, max_candidates)
-    reduced = [rg for sinks, keys, firsts in blocks
-               for rg in _materialize(space, f, sinks, keys, firsts)]
-    return tuple(sorted(reduced, key=_order))
+    space = _link_removals(g, f, max_candidates)
+    reduced = []
+    for sinks, keys, firsts in _census(space, f):
+        order = _enumeration_rank(space, sinks, keys)
+        reduced.extend(_materialize(space, f, sinks, keys[order], firsts[order]))
+    return tuple(reduced)
+
+
+@dataclass(frozen=True)
+class SourceCensus:
+    """Source structure over every reduced graph of (g, f)."""
+
+    chi: int                                # number of distinct reduced graphs
+    gamma: int                              # smallest source component size
+    sources: tuple[frozenset[int], ...]     # distinct source components
+    witness: ReducedGraph | None            # first graph without a unique source
+
+
+@lru_cache(maxsize=64)
+def source_census(g: DirectedGraph, f: int,
+                  max_candidates: int = DEFAULT_ENUMERATION_CAP) -> SourceCensus:
+    """chi, gamma, every distinct source component in the order it first
+    appears in enumerate_reduced_graphs (a graph's own sources by smallest
+    node), and the first reduced graph in that order without a unique source.
+
+    The source components of a reduced graph are its minimal in-reach sets:
+    node v lies in one exactly when every node that reaches v is reached by v.
+    """
+    space = _link_removals(g, f, max_candidates)
+    chi, gamma = 0, g.n
+    sources: dict[frozenset[int], None] = {}
+    witness = None
+    for sinks, keys, firsts in _census(space, f):
+        order = _enumeration_rank(space, sinks, keys)
+        keys, firsts = keys[order], firsts[order]
+        chi += keys.size
+        live = [v - 1 for v in sorted(g.nodes - sinks)]
+        for part, reach in _closed_reach(space, sinks, keys):
+            gamma = min(gamma, int(_popcount(reach).min()))
+            unique = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
+            if witness is None and not unique.all():
+                row = part.start + int(np.argmin(unique))
+                witness, = _materialize(space, f, sinks, keys[row:row + 1],
+                                        firsts[row:row + 1])
+            member = np.unpackbits(reach.view(np.uint8), axis=-1,
+                                   bitorder="little")[:, :, live].astype(bool)
+            in_source = (~member | member.transpose(0, 2, 1)).all(axis=2)
+            masks = reach[in_source]            # row by row, nodes ascending
+            _, first = np.unique(masks, axis=0, return_index=True)
+            for k in np.sort(first):
+                sources.setdefault(frozenset(_unpacked(masks[k])))
+    return SourceCensus(chi=chi, gamma=gamma, sources=tuple(sources),
+                        witness=witness)
+
+
+def first_dominated_nodes(g: DirectedGraph, f: int,
+                          kept_in: Mapping[int, Iterable[int]]) -> frozenset[int] | None:
+    """Nodes of the first reduced graph, in enumerate_reduced_graphs order,
+    whose every edge (j, i) has j in kept_in[i] (a node missing from kept_in
+    keeps no in-link); None when no reduced graph qualifies.
+
+    Deleted sinks S keep no out-link, so such a graph with sinks S exists
+    exactly when |S| <= f, S is not every node, and each other node i can
+    drop, within its budget f, every in-link from outside kept_in[i] or from
+    S. Nodes order reduced graphs first, so the first one has the feasible S
+    whose surviving node list sorts first.
+    """
+    nodes = sorted(g.nodes)
+    kept = {i: frozenset(kept_in.get(i, ())) for i in nodes}
+    best = None
+    for size in range(min(f, g.n - 1) + 1):
+        for removed in map(frozenset, itertools.combinations(nodes, size)):
+            survivors = [i for i in nodes if i not in removed]
+            if best is not None and survivors >= best:
+                continue
+            if all(len(g.in_neighbors[i] - (kept[i] - removed)) <= f
+                   for i in survivors):
+                best = survivors
+    return None if best is None else frozenset(best)
 
 
 def _maximal_removal_scan(g: DirectedGraph, f: int,
@@ -495,6 +601,12 @@ def check_condition1(g: DirectedGraph, f: int,
     return _maximal_removal_scan(g, f, max_candidates)
 
 
+def _refuse_partition_scan(n: int, node_limit: int) -> None:
+    if n > node_limit:
+        raise BudgetExceededError(
+            f"partition scan is 3^{n}; limit is {node_limit} nodes")
+
+
 def check_condition2(g: DirectedGraph, f: int,
                      node_limit: int = PARTITION_NODE_LIMIT,
                      ) -> tuple[bool, tuple[frozenset[int], frozenset[int], frozenset[int]] | None]:
@@ -507,9 +619,7 @@ def check_condition2(g: DirectedGraph, f: int,
     if f < 0:
         raise ValueError("f must be nonnegative")
     n = g.n
-    if n > node_limit:
-        raise BudgetExceededError(
-            f"partition scan is 3^{n}; limit is {node_limit} nodes")
+    _refuse_partition_scan(n, node_limit)
     in_mask = [0] * (n + 1)
     for i in range(1, n + 1):
         m = 0
@@ -598,20 +708,25 @@ def detectability_report(g: DirectedGraph, f: int,
     every reduced graph; on failure the witness is the first failing reduced
     graph in enumerate_reduced_graphs order. Raises EquivalenceViolationError
     if any two routes disagree (that would be an implementation defect, not a
-    property of the input).
+    property of the input). Graphs that check_condition2 refuses are refused
+    before the census.
     """
-    space, blocks = _census(g, f, max_candidates)
+    space = _link_removals(g, f, max_candidates)
+    _refuse_partition_scan(g.n, PARTITION_NODE_LIMIT)
+    blocks = _census(space, f)
     literal_unique = True
     witness: object = None
     gamma = g.n
     for sinks, keys, firsts in blocks:
-        unique, smallest = _source_structure(space, sinks, keys)
-        gamma = min(gamma, int(smallest.min()))
+        unique = np.empty(keys.size, dtype=bool)
+        for part, reach in _closed_reach(space, sinks, keys):
+            unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
+            gamma = min(gamma, int(_popcount(reach).min()))
         if literal_unique and not unique.all():
             literal_unique = False
             failing = np.flatnonzero(~unique)
-            witness = min(_materialize(space, f, sinks, keys[failing], firsts[failing]),
-                          key=_order)
+            first = failing[_enumeration_rank(space, sinks, keys[failing])[:1]]
+            witness, = _materialize(space, f, sinks, keys[first], firsts[first])
     fast_holds, fast_witness = check_condition1(g, f, max_candidates=max_candidates)
     c2_holds, c2_witness = check_condition2(g, f)
     if not (literal_unique == fast_holds == c2_holds):

@@ -16,8 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph, ReducedGraph,
-                     enumerate_reduced_graphs)
+from .graphs import DEFAULT_ENUMERATION_CAP, DirectedGraph, source_census
 
 ZERO_TOLERANCE = 1e-12          # "nonzero" means strictly above this
 ROW_SUM_TOLERANCE = 1e-12       # direct construction
@@ -250,7 +249,6 @@ class IdentifiabilityReport:
 def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
                       max_candidates: int = DEFAULT_ENUMERATION_CAP,
                       tolerance: float = ZERO_TOLERANCE,
-                      reduced: tuple[ReducedGraph, ...] | None = None,
                       ) -> IdentifiabilityReport:
     """Every reduced-graph source component must distinguish every ordered pair.
 
@@ -261,20 +259,12 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
     """
     if g.n != model.n:
         raise ValueError(f"graph has {g.n} nodes but model has {model.n} agents")
-    if reduced is None:
-        reduced = enumerate_reduced_graphs(g, f, max_candidates=max_candidates)
-    sources: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for rg in reduced:
-        decomp = rg.source_decomposition()
-        if not decomp.unique_source:
-            raise IdentifiabilityPreconditionError(
-                f"reduced graph on nodes {sorted(rg.nodes)} has "
-                f"{len(decomp.source_components)} source components")
-        src = decomp.source_components[0]
-        if src not in seen:
-            seen.add(src)
-            sources.append(src)
+    census = source_census(g, f, max_candidates)
+    if census.witness is not None:
+        decomp = census.witness.source_decomposition()
+        raise IdentifiabilityPreconditionError(
+            f"reduced graph on nodes {sorted(census.witness.nodes)} has "
+            f"{len(decomp.source_components)} source components")
 
     c0 = compute_log_ratio_bound(model)
     ff_ok, _ = check_failure_free_identifiability(model, tolerance=tolerance)
@@ -289,7 +279,7 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
     worst_witness: tuple[str, str, frozenset[int]] | None = None
     for a, b in pairs:
         kls = per_agent[(a, b)]
-        for src in sources:
+        for src in census.sources:
             total = sum(kls[i - 1] for i in src)
             if total < worst_value:
                 worst_value = total

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def reach_sets(nodes, edges):
@@ -131,6 +132,35 @@ def brute_gamma(n, edges, f):
         _, sources = components_and_sources(alive, surv)
         best = min(best, min(len(c) for c in sources))
     return best
+
+
+def first_dominated_reduction(reduced, quorums):
+    """Linear search: the first of the given reduced graphs whose every edge
+    (j, i) has j in the quorum of completer i (quorums maps each completer to
+    its quorum), or None."""
+    allowed = {(j, i) for i, quorum in quorums.items() for j in quorum}
+    return next((r for r in reduced if r.edges <= allowed), None)
+
+
+def prop1_by_search(reduced, matrices, xi):
+    """Proposition 1 over update matrices by linear search through the
+    reduced graphs in order: every node's diagonal weight and every edge's
+    entry of the first dominated graph must reach xi. Returns the failing
+    iterations and the smallest slack of a required entry over xi."""
+    failures, worst = [], math.inf
+    for um in matrices:
+        chosen = first_dominated_reduction(reduced, um.quorums)
+        if chosen is None:
+            failures.append(um.t)
+            continue
+        required = [Fraction(1, len(um.quorums[v]) + 1) if v in um.quorums
+                    else Fraction(1) for v in chosen.nodes]
+        required.extend(Fraction(1, len(um.quorums[v]) + 1) for _, v in chosen.edges)
+        if any(weight < xi for weight in required):
+            failures.append(um.t)
+            continue
+        worst = min([worst] + [float(weight - xi) for weight in required])
+    return failures, worst
 
 
 def kl(p, q):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashlearn.analysis import (DEFAULT_CHECKS, backward_product,
-                                 build_update_matrix,
+                                 build_update_matrix, check_prop1,
                                  decompose_log_ratio_drift,
                                  ergodic_coefficients, estimate_pi,
                                  expected_ratio_vectors,
@@ -18,11 +18,13 @@ from crashlearn.analysis import (DEFAULT_CHECKS, backward_product,
                                  psi_series, run_checks, structure_constants,
                                  theorem2_bound, trace_matrices)
 from crashlearn.engine import (AdversarySchedule, CrashEvent, run_execution)
-from crashlearn.graphs import DirectedGraph
+from crashlearn.graphs import (DirectedGraph, enumerate_reduced_graphs,
+                               first_dominated_nodes)
 from crashlearn.observation import check_assumption1, kl_divergence
 
 from conftest import make_config
-from oracles import geometric_tail_sum_direct
+from oracles import (first_dominated_reduction, geometric_tail_sum_direct,
+                     prop1_by_search)
 
 
 # -- update matrices --------------------------------------------------------------------
@@ -227,12 +229,31 @@ def test_estimate_pi_argument_validation(suite_traces):
 
 # -- trace checks --------------------------------------------------------------------------
 
+def assert_prop1_matches_search(trace):
+    """check_prop1's constructed graphs and margin equal the linear search's."""
+    graph, f = trace.config.graph, trace.config.f
+    reduced = enumerate_reduced_graphs(graph, f)
+    matrices = trace_matrices(trace)
+    for um in matrices:
+        found = first_dominated_reduction(reduced, um.quorums)
+        assert first_dominated_nodes(graph, f, um.quorums) == (
+            None if found is None else found.nodes), um.t
+    failures, worst = prop1_by_search(reduced, matrices,
+                                      structure_constants(graph, f).xi)
+    result = check_prop1(trace)
+    assert result.passed is (not failures)
+    assert result.worst_margin == (-1.0 if failures else worst)
+    if failures:
+        assert result.witness == {"iterations_without_dominated_reduction": failures}
+
+
 def test_all_checks_pass_on_suite(suite_traces):
     for name, (config, trace) in suite_traces.items():
         results = run_checks(trace)
         failed = {k: v for k, v in results.items() if not v["passed"]}
         assert not failed, f"{name}: {failed}"
         assert set(results) == set(DEFAULT_CHECKS)
+        assert_prop1_matches_search(trace)
 
 
 def test_run_checks_subset_and_unknown(suite_traces):
@@ -260,6 +281,7 @@ def test_quorum_domination_check_fails_on_engineered_gap():
     result = run_checks(trace, checks=("prop1",))["prop1"]
     assert not result["passed"]
     assert result["witness"]["iterations_without_dominated_reduction"] == [4]
+    assert_prop1_matches_search(trace)
     # every other iteration is dominated, so prop2 still holds throughout
     assert run_checks(trace, checks=("prop2",))["prop2"]["passed"]
 

@@ -2,18 +2,24 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from crashlearn import graphs
+from crashlearn.analysis import structure_constants
 from crashlearn.graphs import (BudgetExceededError, DirectedGraph,
                                check_condition1, check_condition2,
                                detectability_report, enumerate_reduced_graphs,
                                random_link_removal_subgraph,
                                strongly_connected_components)
+from crashlearn.observation import (IdentifiabilityPreconditionError,
+                                    check_assumption1)
 
+from conftest import standard_model
 from oracles import (brute_condition1, brute_condition2, brute_first_removals,
                      brute_gamma, brute_reduced_graphs, components_and_sources)
 
@@ -179,13 +185,28 @@ def test_report_matches_literal_route(data):
     assert {r.key: (dict(r.removed_in_links), r.removed_sinks)
             for r in reduced} == brute_first_removals(n, edges, f)
     decomps = [r.source_decomposition() for r in reduced]
-    failing = [r for r, d in zip(reduced, decomps) if not d.unique_source]
+    failing = [(r, d) for r, d in zip(reduced, decomps) if not d.unique_source]
+    sources = list(dict.fromkeys(c for d in decomps for c in d.source_components))
+    gamma = min(len(c) for c in sources)
     rep = detectability_report(g, f)
     assert rep.chi == len(reduced) == len(brute_reduced_graphs(n, edges, f))
-    assert rep.gamma == brute_gamma(n, edges, f) == min(
-        len(c) for d in decomps for c in d.source_components)
+    assert rep.gamma == brute_gamma(n, edges, f) == gamma
     assert rep.condition1_holds is (not failing)
-    assert rep.witness == (failing[0] if failing else None)
+    assert rep.witness == (failing[0][0] if failing else None)
+    structure = structure_constants(g, f)
+    assert (structure.chi, structure.gamma, list(structure.sources)) == (
+        len(reduced), gamma, sources)
+    model = standard_model(n)
+    if failing:
+        witness, decomp = failing[0]
+        with pytest.raises(IdentifiabilityPreconditionError, match=re.escape(
+                f"reduced graph on nodes {sorted(witness.nodes)} has "
+                f"{len(decomp.source_components)} source components")):
+            check_assumption1(model, g, f)
+    else:
+        # identical agents: the first smallest source is the worst
+        assert check_assumption1(model, g, f).worst_pair_and_source[2] == min(
+            sources, key=len)
 
 
 def test_random_instances_match_oracle():
@@ -241,6 +262,14 @@ def test_enumeration_budget_raises():
                                  max_candidates=1000)
     with pytest.raises(BudgetExceededError):
         detectability_report(DirectedGraph.complete(5), 2, max_candidates=1000)
+
+
+def test_report_refuses_partition_scan_before_census(monkeypatch):
+    def census(*args):
+        raise AssertionError("census ran")
+    monkeypatch.setattr(graphs, "_census", census)
+    with pytest.raises(BudgetExceededError, match=re.escape("partition scan is 3^13")):
+        detectability_report(DirectedGraph.cycle(13), 1)
 
 
 def test_report_serializes():

@@ -1,10 +1,15 @@
 """SHA-256 digests of the reduced-graph census, for comparing the graph layer
 across versions.
 
-One line per (graph, f): its label, the digest of enumerate_reduced_graphs'
-ordered output (each reduced graph's nodes, edges, removed_in_links and
-removed_sinks) and the digest of detectability_report(...).to_dict(). A pair
-the enumeration cap refuses prints the error message instead. The pairs are
+One line per (graph, f): its label, then four digests. The first covers
+enumerate_reduced_graphs' ordered output (each reduced graph's nodes, edges,
+removed_in_links and removed_sinks), the second
+detectability_report(...).to_dict(), the third structure_constants' chi,
+gamma and ordered sources, and the fourth check_assumption1's to_dict(), or
+its precondition message, on a model where every agent is Bernoulli(0.3)
+against Bernoulli(0.7). Identical agents tie, so the reported source shows
+the order of the sources. A pair the enumeration cap refuses prints the error
+message instead. The pairs are
 the test suite's HAND_CASES and FROZEN, complete graphs K3-K6 with f=1, K5
 with f=2, and 40 seeded random digraphs. Run it once per checkout, each time
 with that checkout's src/ on the path, and diff:
@@ -50,14 +55,29 @@ def cases():
         yield f"random{k}-n{n}-f{f}", DirectedGraph.from_edge_list(n, edges), f
 
 
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def digests(g, f) -> tuple[str, ...]:
+    from crashlearn.analysis import structure_constants
     from crashlearn.graphs import (BudgetExceededError, detectability_report,
                                    enumerate_reduced_graphs)
+    from crashlearn.observation import (IdentifiabilityPreconditionError,
+                                        LikelihoodModel, bernoulli_agent,
+                                        check_assumption1)
     try:
         reduced = enumerate_reduced_graphs(g, f)
         report = detectability_report(g, f)
+        structure = structure_constants(g, f)
     except BudgetExceededError as exc:
         return ("refused:", str(exc))
+    model = LikelihoodModel(("theta1", "theta2"),
+                            *zip(*[bernoulli_agent(0.3, 0.7) for _ in range(g.n)]))
+    try:
+        identify = check_assumption1(model, g, f).to_dict()
+    except IdentifiabilityPreconditionError as exc:
+        identify = str(exc)
     census = hashlib.sha256()
     for rg in reduced:
         row = [sorted(rg.nodes), sorted(rg.edges),
@@ -65,8 +85,9 @@ def digests(g, f) -> tuple[str, ...]:
                sorted(rg.removed_sinks)]
         census.update(json.dumps(row).encode())
         census.update(b"\n")
-    summary = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
-    return census.hexdigest(), summary.hexdigest()
+    sources = [sorted(source) for source in structure.sources]
+    return (census.hexdigest(), _digest(report.to_dict()),
+            _digest([structure.chi, structure.gamma, sources]), _digest(identify))
 
 
 def main() -> None:
