@@ -373,10 +373,15 @@ def test_validate_trace_catches_tampering(tmp_path):
     write_trace(trace, path)
     lines = path.read_text().splitlines()
 
-    def corrupt(mutate, match=None):
+    def corrupt(mutate, match):
+        # mutate edits rows in file order until it returns True, or "drop"
+        # to delete the row it was given.
         rows = [json.loads(line) for line in lines]
-        for row in rows:
-            if mutate(row):
+        for position, row in enumerate(rows):
+            done = mutate(row)
+            if done == "drop":
+                del rows[position]
+            if done:
                 break
         out = tmp_path / "bad.jsonl"
         out.write_text("\n".join(json.dumps(r, sort_keys=True) for r in rows)
@@ -437,9 +442,11 @@ def test_validate_trace_catches_tampering(tmp_path):
             return False
         return mutate
 
-    corrupt(break_normalization)
-    corrupt(break_quorum)
-    corrupt(break_signal)
+    corrupt(break_normalization,
+            match=r"^t=5 agent=1: beliefs unnormalized \(logsumexp=6\.931e-01\)$")
+    corrupt(break_quorum,
+            match=r"^t=5 agent=1: quorum members \[1\] are not in-neighbors$")
+    corrupt(break_signal, match=r"^t=3 agent=2: unknown signal 'zzz'$")
     corrupt(non_finite_belief, match=r"^t=4 agent=3: malformed log beliefs$")
     corrupt(belief_of_wrong_length, match=r"^t=6 agent=2: malformed log beliefs$")
     corrupt(two_unnormalized,
@@ -453,6 +460,53 @@ def test_validate_trace_catches_tampering(tmp_path):
                   r"got after_update$")
     corrupt(crash_as("mid_update", completed=True),
             match=r"^t=10 agent=4: completed record with phase mid_update$")
+
+    def step(t, agent, /, **fields):
+        def mutate(row):
+            if (row.get("t"), row.get("agent")) == (t, agent):
+                row.update(fields)
+                return True
+            return False
+        return mutate
+
+    def drop(t, agent):
+        return lambda row: ("drop" if (row.get("t"), row.get("agent"))
+                            == (t, agent) else False)
+
+    def header_and_step(plan, t, agent, **fields):
+        # Rewrites the crash plan along with one record, so that only the
+        # check the test names can object.
+        def mutate(row):
+            if row["kind"] == "header":
+                row["config"]["adversary"]["crash_plan"] = plan
+                return False
+            return step(t, agent, **fields)(row)
+        return mutate
+
+    corrupt(step(5, 1, quorum=[2]), match=r"^t=5 agent=1: quorum size 1 != 2$")
+    corrupt(step(5, 1, quorum=[3, 2]),
+            match=r"^t=5 agent=1: quorum not strictly increasing$")
+    corrupt(step(12, 1, quorum=[2, 4]),
+            match=r"^t=12 agent=1: quorum members \[4\] did not transmit at t=12$")
+    corrupt(step(5, 1, signal=None),
+            match=r"^t=5 agent=1: missing quorum or signal$")
+    corrupt(step(3, 2, agent=1),
+            match=r"^duplicate record for t=3 agent=1$")
+    corrupt(step(240, 3, t=241), match=r"^step iteration 241 out of range$")
+    corrupt(drop(1, 1), match=r"^iteration 1 must include every agent$")
+    after_transmit = [{"agent": 4, "iteration": 10, "phase": "after_transmit",
+                       "partial_count": None}]
+    corrupt(header_and_step(after_transmit, 10, 4, crash_phase="after_transmit",
+                            quorum=None, signal=None),
+            match=r"^t=10 agent=4: belief changed without an update$")
+    corrupt(header_and_step([], 10, 4, crash_phase=None, completed=True),
+            match=r"^iteration 11 alive set \[1, 2, 3\] != survivors of "
+                  r"iteration 10 \[1, 2, 3, 4\]$")
+    late_plan = [{"agent": 4, "iteration": 11, "phase": "mid_update",
+                  "partial_count": 1}]
+    corrupt(header_and_step(late_plan, 10, 4),
+            match=r"^observed crashes \(\(4, 10, 'mid_update'\),\) differ from "
+                  r"plan \(\(4, 11, 'mid_update'\),\)$")
 
 
 def test_convergence_helpers():
