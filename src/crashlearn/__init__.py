@@ -31,7 +31,7 @@ from .observation import (IdentifiabilityPreconditionError,
                           check_failure_free_identifiability,
                           compute_log_ratio_bound,
                           compute_source_divergence_floor, expected_log_ratios,
-                          kl_divergence, sample_signal, signal_from_uniform)
+                          kl_divergence)
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,7 @@ __all__ = [
     "normalize_log_belief", "partial_update_belief", "pseudo_belief_evolution",
     "psi_series", "random_link_removal_subgraph", "read_trace",
     "report_metrics", "run_batch", "run_checks", "run_execution",
-    "sample_signal", "signal_from_uniform", "strongly_connected_components",
+    "strongly_connected_components",
     "structure_constants", "theorem2_bound", "trace_matrices",
     "update_belief", "validate_trace", "write_trace", "write_trajectory_csv",
 ]

@@ -19,11 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import ExecutionTrace, advance_beliefs, group_quorums
+from .engine import (ExecutionTrace, advance_beliefs, iteration_groups,
+                     log_likelihood_rows)
 from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph,
                      first_dominated_nodes, source_census)
 from .observation import (LikelihoodModel, _ordered_pairs,
@@ -82,25 +84,32 @@ class UpdateMatrix:
     quorums: dict[int, tuple[int, ...]]
 
 
+def _update_matrices(trace: ExecutionTrace, ts: range) -> tuple[UpdateMatrix, ...]:
+    """The matrices of iterations ts, from the completed mask and quorums."""
+    rows = slice(ts.start - 1, ts.stop - 1)
+    completed, quorum = trace.completed[rows], trace.quorum[rows]
+    matrices = np.zeros(completed.shape + completed.shape[1:], dtype=np.float64)
+    steps, agents = np.nonzero(completed)
+    quorums = quorum[steps, agents]
+    sizes = np.add.reduce(quorums >= 0, axis=1)
+    weights = 1.0 / (sizes + 1)
+    cells, places = np.nonzero(quorums >= 0)
+    matrices[steps[cells], agents[cells], quorums[cells, places] - 1] = weights[cells]
+    matrices[steps, agents, agents] = 1.0 - sizes * weights
+    idle_steps, idle = np.nonzero(~completed)
+    matrices[idle_steps, idle, idle] = 1.0
+    return tuple(UpdateMatrix(t=t, matrix=matrix, alive=trace.alive_at_start(t),
+                              completers=trace.completed_at(t),
+                              quorums=trace.quorums_at(t))
+                 for t, matrix in zip(ts, matrices))
+
+
 def build_update_matrix(trace: ExecutionTrace, t: int) -> UpdateMatrix:
-    n = trace.n
-    matrix = np.eye(n, dtype=np.float64)
-    quorums: dict[int, tuple[int, ...]] = {}
-    for agent in trace.completed_at(t):
-        quorum = trace.record(t, agent).quorum
-        quorums[agent] = quorum
-        weight = 1.0 / (len(quorum) + 1)
-        row = np.zeros(n, dtype=np.float64)
-        row[[j - 1 for j in quorum]] = weight
-        row[agent - 1] = 1.0 - len(quorum) * weight
-        matrix[agent - 1] = row
-    return UpdateMatrix(t=t, matrix=matrix, alive=trace.alive_at_start(t),
-                        completers=trace.completed_at(t), quorums=quorums)
+    return _update_matrices(trace, range(t, t + 1))[0]
 
 
 def trace_matrices(trace: ExecutionTrace) -> tuple[UpdateMatrix, ...]:
-    return tuple(build_update_matrix(trace, t)
-                 for t in range(1, trace.iterations + 1))
+    return _update_matrices(trace, range(1, trace.iterations + 1))
 
 
 def backward_product(matrices: Sequence[UpdateMatrix], t_hi: int, t_lo: int,
@@ -166,18 +175,12 @@ def pseudo_belief_evolution(trace: ExecutionTrace,
     """(T + 1, n, m) log array: completers apply the exact engine update, all
     other agents carry their previous value forward unchanged."""
     model = model or trace.config.model
-    T, n, m = trace.iterations, trace.n, model.m
-    out = np.empty((T + 1, n, m), dtype=np.float64)
+    out = np.empty((trace.iterations + 1,) + trace.initial_log_belief.shape,
+                   dtype=np.float64)
     out[0] = trace.initial_log_belief
-    log_likelihood = np.zeros((n, m), dtype=np.float64)
-    for t in range(1, T + 1):
-        updates = []
-        for agent, rec in trace.records[t - 1].items():
-            if rec.completed:
-                updates.append((agent, rec.quorum))
-                log_likelihood[agent - 1] = model.log_likelihoods(agent, rec.signal)
-        out[t] = advance_beliefs(out[t - 1], group_quorums(updates),
-                                 log_likelihood)
+    log_likelihood = log_likelihood_rows(model, trace.signal)
+    for t, groups in enumerate(iteration_groups(trace.completed, trace.quorum)):
+        out[t + 1] = advance_beliefs(out[t], groups, log_likelihood[t])
     return out
 
 
@@ -188,12 +191,8 @@ def log_ratio_vectors(trace: ExecutionTrace, model: LikelihoodModel | None,
     model = model or trace.config.model
     a = model.hypothesis_index(theta)
     b = model.hypothesis_index(theta_star)
-    out = np.zeros((trace.iterations, trace.n), dtype=np.float64)
-    for t in range(1, trace.iterations + 1):
-        for agent in trace.completed_at(t):
-            column = model.log_likelihoods(agent, trace.record(t, agent).signal)
-            out[t - 1][agent - 1] = column[a] - column[b]
-    return out
+    rows = log_likelihood_rows(model, trace.signal)
+    return np.where(trace.completed, rows[..., a] - rows[..., b], 0.0)
 
 
 def expected_ratio_vectors(trace: ExecutionTrace, model: LikelihoodModel | None,
@@ -201,12 +200,8 @@ def expected_ratio_vectors(trace: ExecutionTrace, model: LikelihoodModel | None,
     """(T, n) expectations of the log-ratio inputs under the true hypothesis:
     minus the agent KL divergence, masked to completers."""
     model = model or trace.config.model
-    per_agent = expected_log_ratios(model, theta, theta_star)
-    out = np.zeros((trace.iterations, trace.n), dtype=np.float64)
-    for t in range(1, trace.iterations + 1):
-        for agent in trace.completed_at(t):
-            out[t - 1][agent - 1] = per_agent[agent - 1]
-    return out
+    return np.where(trace.completed,
+                    expected_log_ratios(model, theta, theta_star), 0.0)
 
 
 def psi_series(trace: ExecutionTrace, model: LikelihoodModel | None,
@@ -257,9 +252,7 @@ def estimate_pi(trace: ExecutionTrace, r: int, horizon: int | None = None,
     reference = min(rows)
     residual, _ = ergodic_coefficients(product, rows)
     bound = theorem2_bound(horizon, r, structure, config.f)
-    dead = [k for k in range(1, trace.n + 1)
-            if k not in trace.alive_at_start(r)]
-    zeros_ok = all(product[reference - 1][k - 1] == 0.0 for k in dead)
+    zeros_ok = not product[reference - 1][~trace.alive[r - 1]].any()
     return PiEstimate(r=r, horizon=horizon, reference_row=reference,
                       pi=product[reference - 1].copy(), residual=residual,
                       bound=bound, dead_columns_zero=zeros_ok)
@@ -294,38 +287,24 @@ class _Shared:
     def __init__(self, trace: ExecutionTrace, model: LikelihoodModel | None):
         self.trace = trace
         self.model = model or trace.config.model
-        self._matrices = None
-        self._structure = None
-        self._pseudo = None
-        self._pi_samples = None
 
-    @property
+    @cached_property
     def matrices(self) -> tuple[UpdateMatrix, ...]:
-        if self._matrices is None:
-            self._matrices = trace_matrices(self.trace)
-        return self._matrices
+        return trace_matrices(self.trace)
 
-    @property
+    @cached_property
     def structure(self) -> StructureConstants:
-        if self._structure is None:
-            cfg = self.trace.config
-            self._structure = structure_constants(cfg.graph, cfg.f)
-        return self._structure
+        return structure_constants(self.trace.config.graph, self.trace.config.f)
 
-    @property
+    @cached_property
     def pseudo(self) -> np.ndarray:
-        if self._pseudo is None:
-            self._pseudo = pseudo_belief_evolution(self.trace, self.model)
-        return self._pseudo
+        return pseudo_belief_evolution(self.trace, self.model)
 
-    @property
+    @cached_property
     def pi_samples(self) -> list[PiEstimate]:
-        if self._pi_samples is None:
-            self._pi_samples = [
-                estimate_pi(self.trace, r, matrices=self.matrices,
+        return [estimate_pi(self.trace, r, matrices=self.matrices,
                             structure=self.structure)
                 for r in _pi_sample_points(self.trace)]
-        return self._pi_samples
 
 
 # -- individual checks ------------------------------------------------------------
@@ -482,26 +461,25 @@ def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     shared = shared or _Shared(trace, model)
     matrices = shared.matrices
     T, n = trace.iterations, trace.n
-    boundaries = [1] + [t for t in range(2, T + 1)
-                        if trace.alive_at_start(t) != trace.alive_at_start(t - 1)]
+    changes = (trace.alive[1:] != trace.alive[:-1]).any(axis=1)
+    boundaries = [1] + (np.flatnonzero(changes) + 2).tolist()
     worst = math.inf
     witness = None
     for r in boundaries:
-        alive = sorted(trace.alive_at_start(r))
-        dead = [k for k in range(1, n + 1) if k not in trace.alive_at_start(r)]
-        alive_idx = [i - 1 for i in alive]
-        dead_idx = [k - 1 for k in dead]
+        alive_idx = np.flatnonzero(trace.alive[r - 1])
+        dead_idx = np.flatnonzero(~trace.alive[r - 1])
         product = np.eye(n)
         for tau in range(r, T + 1):
             product = matrices[tau - 1].matrix @ product
-            if dead_idx:
+            if dead_idx.size:
                 block = product[np.ix_(alive_idx, dead_idx)]
                 if np.any(block != 0.0):
                     where = np.argwhere(block != 0.0)[0]
                     return CheckResult(
                         "prop2", False, -float(np.max(np.abs(block))),
-                        {"r": r, "tau": tau, "i": alive[where[0]],
-                         "j": dead[where[1]], "value": float(block[tuple(where)])})
+                        {"r": r, "tau": tau, "i": int(alive_idx[where[0]]) + 1,
+                         "j": int(dead_idx[where[1]]) + 1,
+                         "value": float(block[tuple(where)])})
             gaps = np.abs(product[alive_idx].sum(axis=1) - 1.0)
             margin = ROW_SUM_TOLERANCE - float(np.max(gaps))
             if margin < worst:
@@ -580,14 +558,13 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     pseudo = shared.pseudo
     T, n = trace_.iterations, trace_.n
 
-    identity_gap = 0.0
+    gaps = np.where(trace_.completed,
+                    np.abs(pseudo[1:] - trace_.log_belief).max(axis=2), 0.0)
+    identity_gap = float(gaps.max())
     identity_witness = None
-    for t in range(1, T + 1):
-        for agent in trace_.completed_at(t):
-            gap = float(np.max(np.abs(pseudo[t][agent - 1]
-                                      - trace_.record(t, agent).log_belief)))
-            if gap > identity_gap:
-                identity_gap, identity_witness = gap, {"t": t, "agent": agent}
+    if identity_gap > 0.0:
+        t, agent = divmod(int(np.argmax(gaps)), n)
+        identity_witness = {"t": t + 1, "agent": agent + 1}
     margins = [(PSEUDO_IDENTITY_TOLERANCE - identity_gap,
                 dict(identity_witness or {}, part="pseudo_identity",
                      gap=identity_gap))]

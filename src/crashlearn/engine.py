@@ -31,6 +31,15 @@ synchronized rounds where each quorum is the lowest-labeled transmitting
 in-neighbors. Signals come from per-agent substreams consumed in iteration
 order, so the signal sequence of an agent does not depend on the delay
 schedule.
+
+An ExecutionTrace stores a run as four arrays over (iteration, agent), row
+t - 1 for iteration t: phase (T, n) int8 (-1: not alive at the start of t,
+0: a normal iteration, k: the k-th entry of CRASH_PHASES), quorum (T, n, q)
+(1-based labels padded with -1, q the largest in-degree minus f), signal
+(T, n) (index into model.signals(agent), or -1) and log_belief (T, n, m)
+(beliefs at the end of t; a dead agent's stays frozen). read_trace rejects
+a record whose own fields are malformed or contradict the config or its
+crash phase; validate_trace checks the records against each other.
 """
 
 from __future__ import annotations
@@ -38,8 +47,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -305,23 +316,28 @@ def partial_update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarra
 QuorumGroup = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
 
-def group_quorums(updates: Sequence[tuple[int, Sequence[int]]]) -> list[QuorumGroup]:
-    """Batch (agent, quorum) pairs by quorum size for advance_beliefs.
-
-    Each group is (rows, members): rows holds the 0-based agent rows, and
-    members[p] the 0-based row of each agent's p-th quorum member, in the
-    quorum's (ascending) order.
-    """
-    by_size: dict[int, list[tuple[int, Sequence[int]]]] = {}
-    for agent, quorum in updates:
-        by_size.setdefault(len(quorum), []).append((agent, quorum))
-    groups = []
-    for size, members in sorted(by_size.items()):
-        rows = np.array([agent - 1 for agent, _ in members], dtype=np.intp)
-        table = np.array([[j - 1 for j in quorum] for _, quorum in members],
-                         dtype=np.intp).reshape(len(members), size)
-        groups.append((rows, tuple(np.ascontiguousarray(col) for col in table.T)))
-    return groups
+def iteration_groups(rows: np.ndarray, quorum: np.ndarray,
+                     ) -> Iterator[list[QuorumGroup]]:
+    """advance_beliefs groups of each iteration, from a (T, n) mask of the
+    agents that update and their (T, n, q) padded quorums. A group is one
+    quorum size as (rows, members): 0-based agent rows, and members[p] the
+    0-based row of each agent's p-th quorum member. Consecutive iterations
+    with equal rows share one list."""
+    T = rows.shape[0]
+    sizes = np.add.reduce(quorum >= 0, axis=2)
+    fresh = np.ones(T, dtype=bool)
+    fresh[1:] = ((rows[1:] != rows[:-1]).any(axis=1)
+                 | (quorum[1:] != quorum[:-1]).reshape(T - 1, -1).any(axis=1))
+    groups: list[QuorumGroup] = []
+    for t in range(T):
+        if fresh[t]:
+            groups = []
+            for size in sorted(set(sizes[t, rows[t]].tolist())):
+                agents = np.flatnonzero(rows[t] & (sizes[t] == size))
+                table = quorum[t, agents, :size].astype(np.intp) - 1
+                groups.append((agents, tuple(np.ascontiguousarray(col)
+                                             for col in table.T)))
+        yield groups
 
 
 def advance_beliefs(previous: np.ndarray, groups: Sequence[QuorumGroup],
@@ -345,6 +361,13 @@ def advance_beliefs(previous: np.ndarray, groups: Sequence[QuorumGroup],
 
 # -- trace --------------------------------------------------------------------
 
+# _PHASE_TABLE[code] is (alive, transmits, takes_quorum, completes) for a
+# trace phase code; code -1 reads the last row, the all-False one.
+_PHASE_NAMES = tuple(_PHASE_RULES)
+_PHASE_TABLE = np.array([(True, *rules) for rules in _PHASE_RULES.values()]
+                        + [(False, False, False, False)], dtype=bool)
+
+
 @dataclass(eq=False)
 class AgentRecord:
     """State of one agent at the end of one iteration it was alive for."""
@@ -357,18 +380,23 @@ class AgentRecord:
 
 
 class ExecutionTrace:
-    """Everything one run produced, indexed by iteration then agent."""
+    """Everything one run produced, as the arrays of the module docstring."""
 
     def __init__(self, config: SimulationConfig, initial_log_belief: np.ndarray,
-                 records: Sequence[dict[int, AgentRecord]],
-                 final_alive: frozenset[int]):
-        if len(records) != config.iterations:
-            raise ValueError(f"{len(records)} iteration records for "
-                             f"{config.iterations} iterations")
+                 phase: np.ndarray, quorum: np.ndarray, signal: np.ndarray,
+                 log_belief: np.ndarray):
+        T, n, m = config.iterations, config.graph.n, config.model.m
+        shapes = (phase.shape, quorum.shape[:2], signal.shape, log_belief.shape)
+        if shapes != ((T, n), (T, n), (T, n), (T, n, m)):
+            raise ValueError(f"trace arrays of shapes {shapes} for T={T}, "
+                             f"n={n}, m={m}")
         self.config = config
         self.initial_log_belief = initial_log_belief
-        self.records = tuple(dict(sorted(r.items())) for r in records)
-        self.final_alive = frozenset(final_alive)
+        self.phase, self.quorum = phase, quorum
+        self.signal, self.log_belief = signal, log_belief
+        (self.alive, self.transmitted, self.takes_quorum,
+         self.completed) = np.moveaxis(_PHASE_TABLE[phase], -1, 0)
+        self.final_alive = _agents(phase[-1] == 0)
 
     @property
     def iterations(self) -> int:
@@ -378,47 +406,73 @@ class ExecutionTrace:
     def n(self) -> int:
         return self.config.graph.n
 
+    @cached_property
+    def records(self) -> tuple[dict[int, AgentRecord], ...]:
+        """Every iteration as {agent: AgentRecord}, built on first use."""
+        out = tuple({} for _ in range(self.iterations))
+        for t, agent, completed, phase, signal, quorum, _ in self.step_rows():
+            out[t - 1][agent] = AgentRecord(
+                completed, None if quorum is None else tuple(quorum), signal,
+                self.log_belief[t - 1, agent - 1], phase)
+        return out
+
     def record(self, t: int, agent: int) -> AgentRecord:
         return self.records[t - 1][agent]
 
     def alive_at_start(self, t: int) -> frozenset[int]:
         """Agents that began iteration t; t = iterations + 1 gives survivors."""
-        if t == self.iterations + 1:
-            return self.final_alive
-        return frozenset(self.records[t - 1])
+        return self.final_alive if t == self.iterations + 1 else _agents(self.alive[t - 1])
 
     def completed_at(self, t: int) -> frozenset[int]:
-        return frozenset(a for a, rec in self.records[t - 1].items() if rec.completed)
+        return _agents(self.completed[t - 1])
 
     def transmitters_at(self, t: int) -> frozenset[int]:
-        return frozenset(a for a, rec in self.records[t - 1].items()
-                         if _PHASE_RULES[rec.crash_phase][0])
+        return _agents(self.transmitted[t - 1])
+
+    def quorums_at(self, t: int) -> dict[int, tuple[int, ...]]:
+        """The quorum of every agent that completed iteration t."""
+        rows = self.quorum[t - 1].tolist()
+        return {agent: tuple(j for j in rows[agent - 1] if j >= 0)
+                for agent in sorted(self.completed_at(t))}
 
     def log_belief_before(self, t: int, agent: int) -> np.ndarray:
         """Belief the agent held entering iteration t (end of t - 1)."""
-        for back in range(t - 1, 0, -1):
-            rec = self.records[back - 1].get(agent)
-            if rec is not None:
-                return rec.log_belief
-        return self.initial_log_belief[agent - 1]
+        return (self.initial_log_belief if t == 1 else self.log_belief[t - 2])[agent - 1]
 
     def crash_events_observed(self) -> tuple[tuple[int, int, str], ...]:
-        seen = []
-        for t, per_agent in enumerate(self.records, start=1):
-            for agent, rec in per_agent.items():
-                if rec.crash_phase is not None:
-                    seen.append((agent, t, rec.crash_phase))
-        return tuple(sorted(seen))
+        ts, agents = np.nonzero(self.phase > 0)
+        return tuple(sorted((a + 1, t + 1, _PHASE_NAMES[self.phase[t, a]])
+                            for t, a in zip(ts.tolist(), agents.tolist())))
+
+    def step_rows(self) -> Iterator[tuple]:
+        """Every (iteration, alive agent) as plain values, in (t, agent)
+        order: (t, agent, completed, crash_phase, signal, quorum, log_belief)
+        with quorum a list or None and log_belief a list of floats."""
+        rules = _PHASE_TABLE.tolist()
+        spaces = [self.config.model.signals(a) for a in range(1, self.n + 1)]
+        ts, agents = np.nonzero(self.alive)
+        for t, a, code, k, quorum, belief in zip(
+                ts.tolist(), agents.tolist(), self.phase[ts, agents].tolist(),
+                self.signal[ts, agents].tolist(), self.quorum[ts, agents].tolist(),
+                self.log_belief[ts, agents].tolist()):
+            _, _, takes_quorum, completed = rules[code]
+            yield (t + 1, a + 1, completed, _PHASE_NAMES[code],
+                   spaces[a][k] if k >= 0 else None,
+                   [j for j in quorum if j >= 0] if takes_quorum else None, belief)
+
+
+def _agents(mask: np.ndarray) -> frozenset[int]:
+    """The 1-based labels where an (n,) mask is True."""
+    return frozenset(compress(range(1, mask.size + 1), mask.tolist()))
 
 
 def min_final_posterior(trace: ExecutionTrace) -> float:
     """Smallest posterior on the true hypothesis among surviving agents."""
     star = trace.config.model.hypothesis_index(trace.config.theta_star)
-    last = trace.records[-1]
-    values = [math.exp(last[a].log_belief[star]) for a in sorted(trace.final_alive)]
-    if not values:
+    rows = [agent - 1 for agent in sorted(trace.final_alive)]
+    if not rows:
         raise ValueError("no surviving agents")
-    return min(values)
+    return min(math.exp(v) for v in trace.log_belief[-1, rows, star].tolist())
 
 
 def converged(trace: ExecutionTrace, threshold: float) -> bool:
@@ -426,56 +480,50 @@ def converged(trace: ExecutionTrace, threshold: float) -> bool:
 
 
 # -- execution ----------------------------------------------------------------
-#
-# A roster is one iteration's schedule: an (agent, completed, quorum, crash
-# event) entry for every agent that began the iteration, in label order.
 
-_Roster = list[tuple[int, bool, tuple[int, ...] | None, CrashEvent | None]]
-
-
-def _rule(event: CrashEvent | None) -> tuple[bool, bool, bool]:
-    return _PHASE_RULES[None if event is None else event.phase]
+def _rule(event: CrashEvent | None) -> tuple[int, bool, bool, bool]:
+    """(phase code, transmits, takes_quorum, completes) of a crash event."""
+    phase = None if event is None else event.phase
+    return (_PHASE_NAMES.index(phase), *_PHASE_RULES[phase])
 
 
-def _signal_rng(seed: int, agent: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, SIGNAL_STREAM, agent]))
-
-
-def _delay_rng(seed: int, agent: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, DELAY_STREAM, agent]))
+def _rng(seed: int, stream: int, agent: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, stream, agent]))
 
 
 def run_execution(config: SimulationConfig) -> ExecutionTrace:
     """Simulate one run to completion; deterministic in (config, seed)."""
     config.validate()
     if config.adversary.mode == "adversarial_latest":
-        rosters, final_alive = _round_schedule(config)
+        phase, quorum = _round_schedule(config)
     else:
-        rosters, final_alive = _event_schedule(config)
-    return _belief_pass(config, rosters, final_alive)
+        phase, quorum = _event_schedule(config)
+    return _belief_pass(config, phase, quorum)
 
 
-def _initial_beliefs(config: SimulationConfig) -> np.ndarray:
-    m = config.model.m
-    return np.full((config.graph.n, m), -math.log(m), dtype=np.float64)
+def _blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """phase and quorum arrays with no agent alive anywhere."""
+    g, T = config.graph, config.iterations
+    width = max(len(g.in_neighbors[i]) for i in g.nodes) - config.f
+    return (np.full((T, g.n), -1, dtype=np.int8),
+            np.full((T, g.n, width), -1, dtype=np.int32))
 
 
-def _event_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[int]]:
+def _event_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Message-passing scheduler for uniform and fixed delays: every agent's
-    quorum is the first messages of its current iteration to be delivered.
-    Returns the rosters of iterations 1..T and the agents that finished."""
+    quorum is the first messages of its current iteration to be delivered."""
     g, T = config.graph, config.iterations
     adversary = config.adversary
     need = {i: len(g.in_neighbors[i]) - config.f for i in g.nodes}
     crash_at = {(ev.agent, ev.iteration): ev for ev in adversary.crash_plan}
-    delay_rngs = {i: _delay_rng(config.seed, i) for i in g.nodes}
+    delay_rngs = {i: _rng(config.seed, DELAY_STREAM, i) for i in g.nodes}
     uniform_mode = adversary.mode == "uniform"
+    phase, quorums = _blank_schedule(config)
 
     cur_iter = dict.fromkeys(g.nodes, 1)
     ready_time = dict.fromkeys(g.nodes, 0.0)
     buffers: dict[int, dict[int, list[tuple[float, int]]]] = {i: {} for i in g.nodes}
-    running, finished = set(g.nodes), set()     # running: neither dead nor done
-    rosters: list[_Roster] = [[] for _ in range(T)]
+    running = set(g.nodes)      # neither dead nor done
     heap: list[tuple[float, int, int, int, int]] = []
     seq = 0
 
@@ -484,7 +532,7 @@ def _event_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[
         takes no quorum at t dies here."""
         nonlocal seq
         event = crash_at.get((i, t))
-        transmits, takes_quorum, _ = _rule(event)
+        phase[t - 1, i - 1], transmits, takes_quorum, _ = _rule(event)
         if transmits:
             for j in sorted(g.out_neighbors[i]):
                 if uniform_mode:
@@ -494,7 +542,6 @@ def _event_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[
                 heapq.heappush(heap, (now + delay, i, j, seq, t))
                 seq += 1
         if not takes_quorum:
-            rosters[t - 1].append((i, False, None, event))
             running.discard(i)
 
     def try_advance(i: int) -> None:
@@ -504,14 +551,9 @@ def _event_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[
             if len(buffered) < need[i]:
                 return
             taken = buffered[:need[i]]    # delivery order, ties already by label
-            quorum = tuple(sorted(sender for _, sender in taken))
-            event = crash_at.get((i, t))
-            _, _, completes = _rule(event)
-            rosters[t - 1].append((i, completes, quorum, event))
-            if event is not None or t == T:
+            quorums[t - 1, i - 1, :need[i]] = sorted(sender for _, sender in taken)
+            if (i, t) in crash_at or t == T:
                 running.discard(i)
-                if event is None:
-                    finished.add(i)
             else:
                 cur_iter[i] = t + 1
                 ready_time[i] = max([ready_time[i]] + [dt for dt, _ in taken])
@@ -534,47 +576,46 @@ def _event_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[
         detail = {i: (cur_iter[i], len(buffers[i].get(cur_iter[i], ())))
                   for i in sorted(running)}
         raise DeadlockError(f"agents stuck as (iteration, buffered): {detail}")
-
-    for roster in rosters:
-        roster.sort()
-    return rosters, frozenset(finished)
+    return phase, quorums
 
 
-def _round_schedule(config: SimulationConfig) -> tuple[list[_Roster], frozenset[int]]:
+def _round_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Worst-case scheduler: lock-step rounds, quorums take the lowest labels.
 
     Withholding every message until the receiver's deadline means nobody can
     run ahead, and the adversary serves each agent exactly the messages of
-    the lowest-labeled transmitting in-neighbors. So a round's roster only
-    changes when some agent crashes: the iterations between two crash
-    iterations share one roster object.
+    the lowest-labeled transmitting in-neighbors. So a round only differs
+    from the one before when some agent crashes: the rounds strictly between
+    two crash iterations are filled as one block.
     """
-    crash_iterations = {ev.iteration for ev in config.adversary.crash_plan}
+    T = config.iterations
+    phase, quorum = _blank_schedule(config)
+    crash_iterations = sorted({ev.iteration for ev in config.adversary.crash_plan})
     alive = set(config.graph.nodes)
-    rosters: list[_Roster] = []
-    roster = None
-    for t in range(1, config.iterations + 1):
-        if roster is None or t in crash_iterations:
-            roster = _round(config, alive, t)
-        rosters.append(roster)
-        if t in crash_iterations:
-            alive -= {i for i, _, _, event in roster if event is not None}
-            roster = None
-    return rosters, frozenset(alive)
+    start = 1
+    for stop in crash_iterations + [T + 1]:
+        if start < stop:
+            _round(config, alive, start, phase[start - 1:stop - 1],
+                   quorum[start - 1:stop - 1])
+        if stop <= T:
+            alive -= _round(config, alive, stop, phase[stop - 1:stop],
+                            quorum[stop - 1:stop])
+        start = stop + 1
+    return phase, quorum
 
 
-def _round(config: SimulationConfig, alive: set[int], t: int) -> _Roster:
-    """The roster of lock-step round t."""
+def _round(config: SimulationConfig, alive: set[int], t: int,
+           phase: np.ndarray, quorum: np.ndarray) -> set[int]:
+    """Fill the phase and quorum rows of lock-step round t into every row of
+    the given blocks; returns the agents that crash in it."""
     g = config.graph
     crash_at = {ev.agent: ev for ev in config.adversary.crash_plan
                 if ev.iteration == t}
-    transmitters = {i for i in alive if _rule(crash_at.get(i))[0]}
-    roster: _Roster = []
+    transmitters = {i for i in alive if _rule(crash_at.get(i))[1]}
     for i in sorted(alive):
         event = crash_at.get(i)
-        _, takes_quorum, completes = _rule(event)
+        phase[:, i - 1], _, takes_quorum, _ = _rule(event)
         if not takes_quorum:
-            roster.append((i, False, None, event))
             continue
         need = len(g.in_neighbors[i]) - config.f
         available = sorted(j for j in g.in_neighbors[i] if j in transmitters)
@@ -582,59 +623,50 @@ def _round(config: SimulationConfig, alive: set[int], t: int) -> _Roster:
             raise DeadlockError(f"agent {i} has {len(available)} live "
                                 f"in-neighbors at iteration {t}, "
                                 f"needs {need}")
-        roster.append((i, completes, tuple(available[:need]), event))
-    return roster
+        quorum[:, i - 1, :need] = available[:need]
+    return set(crash_at)
 
 
-def _belief_pass(config: SimulationConfig, rosters: Sequence[_Roster],
-                 final_alive: frozenset[int]) -> ExecutionTrace:
+def _belief_pass(config: SimulationConfig, phase: np.ndarray,
+                 quorum: np.ndarray) -> ExecutionTrace:
     """Replay the schedule through the belief kernel, one advance_beliefs call
-    per iteration; consecutive iterations sharing a roster object share its
-    quorum groups and keep mask."""
-    signals, log_likelihood = _signal_draws(config)
-    initial = _initial_beliefs(config)
+    per iteration; consecutive iterations with the same updating agents and
+    quorums share their quorum groups."""
+    draws = _signal_draws(config)
+    log_likelihood = log_likelihood_rows(config.model, draws)
+    m = config.model.m
+    initial = np.full((config.graph.n, m), -math.log(m), dtype=np.float64)
+    # Per crash iteration, the entries a mid_update crash leaves untouched;
+    # SimulationConfig.validate sets partial_count for mid_update only.
+    keeps: dict[int, np.ndarray] = {}
+    for ev in config.adversary.crash_plan:
+        if ev.partial_count is not None:
+            keeps.setdefault(ev.iteration, np.zeros(initial.shape, dtype=bool))[
+                ev.agent - 1, ev.partial_count:] = True
+    takes_quorum = _PHASE_TABLE[phase, 2]
+    log_belief = np.empty(log_likelihood.shape, dtype=np.float64)
     beliefs = initial
-    records: list[dict[int, AgentRecord]] = []
-    grouped = None
-    for t, roster in enumerate(rosters, start=1):
-        if roster is not grouped:
-            grouped = roster
-            groups = group_quorums([(i, quorum) for i, _, quorum, _ in roster
-                                    if quorum is not None])
-            keep = _keep_mask(roster, initial.shape)
-        beliefs = advance_beliefs(beliefs, groups, log_likelihood[t - 1], keep)
-        records.append({
-            i: AgentRecord(completed, quorum,
-                           None if quorum is None else signals[i - 1][t - 1],
-                           beliefs[i - 1], None if event is None else event.phase)
-            for i, completed, quorum, event in roster})
-    return ExecutionTrace(config, initial, records, final_alive)
+    for t, groups in enumerate(iteration_groups(takes_quorum, quorum)):
+        beliefs = advance_beliefs(beliefs, groups, log_likelihood[t],
+                                  keeps.get(t + 1))
+        log_belief[t] = beliefs
+    signal = np.where(takes_quorum, draws, -1).astype(np.int32)
+    return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)
 
 
-def _keep_mask(roster: _Roster, shape: tuple[int, int]) -> np.ndarray | None:
-    """The entries a mid_update crash leaves untouched, or None without one.
-    SimulationConfig.validate sets partial_count for mid_update only."""
-    keep = None
-    for i, _, _, event in roster:
-        if event is not None and event.partial_count is not None:
-            if keep is None:
-                keep = np.zeros(shape, dtype=bool)
-            keep[i - 1, event.partial_count:] = True
-    return keep
-
-
-def _signal_draws(config: SimulationConfig) -> tuple[list[list[str]], np.ndarray]:
-    """Every agent's T signal labels, and the matching log-likelihood rows
-    as a (T, n, m) array."""
+def _signal_draws(config: SimulationConfig) -> np.ndarray:
+    """Every agent's T signal indices, as a (T, n) array."""
     model, T = config.model, config.iterations
-    labels, rows = [], []
-    for i in sorted(config.graph.nodes):
-        uniforms = _signal_rng(config.seed, i).random(T)
-        idx = signal_indices_from_uniforms(model, i, config.theta_star, uniforms)
-        space = model.signals(i)
-        labels.append([space[k] for k in idx.tolist()])
-        rows.append(model.log_table(i).T[idx])
-    return labels, np.stack(rows, axis=1)
+    return np.stack([signal_indices_from_uniforms(
+        model, i, config.theta_star, _rng(config.seed, SIGNAL_STREAM, i).random(T))
+        for i in sorted(config.graph.nodes)], axis=1)
+
+
+def log_likelihood_rows(model: LikelihoodModel, signal: np.ndarray) -> np.ndarray:
+    """The (T, n, m) log-likelihood rows of (T, n) signal indices; entries
+    of -1 (no signal) give an arbitrary row."""
+    return np.stack([model.log_table(i).T[signal[:, i - 1]]
+                     for i in range(1, model.n + 1)], axis=1)
 
 
 # -- persistence --------------------------------------------------------------
@@ -643,25 +675,18 @@ def write_trace(trace: ExecutionTrace, path) -> None:
     """One JSON object per line: a header record, then one record per
     (iteration, alive agent) in (t, agent) order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in iter_trace_lines(trace):
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(line + "\n" for line in iter_trace_lines(trace))
 
 
 def iter_trace_lines(trace: ExecutionTrace) -> Iterator[str]:
     header = {"kind": "header", "config": trace.config.to_dict(),
               "initial_log_belief": trace.initial_log_belief.tolist()}
     yield json.dumps(header, sort_keys=True)
-    for t in range(1, trace.iterations + 1):
-        for agent in sorted(trace.records[t - 1]):
-            rec = trace.records[t - 1][agent]
-            row = {"kind": "step", "t": t, "agent": agent, "alive": True,
-                   "completed": rec.completed,
-                   "quorum": None if rec.quorum is None else list(rec.quorum),
-                   "signal": rec.signal,
-                   "log_belief": rec.log_belief.tolist(),
-                   "crash_phase": rec.crash_phase}
-            yield json.dumps(row, sort_keys=True)
+    for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
+        row = {"kind": "step", "t": t, "agent": agent, "alive": True,
+               "completed": completed, "quorum": quorum, "signal": signal,
+               "log_belief": belief, "crash_phase": phase}
+        yield json.dumps(row, sort_keys=True)
 
 
 _STEP_FIELDS = frozenset({"kind", "t", "agent", "alive", "completed", "quorum",
@@ -678,14 +703,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_real(value) -> bool:
-    return type(value) in (int, float)
-
-
 def _parse_record(line: str, lineno: int) -> dict:
     try:
         row = _DECODER.decode(line)
@@ -698,9 +715,11 @@ def _parse_record(line: str, lineno: int) -> dict:
     return row
 
 
-def _parse_step(line: str, lineno: int) -> tuple[int, int, AgentRecord]:
-    """One step line as (t, agent, record); every field must be present,
-    alone and of its written type."""
+def _parse_step(line: str, lineno: int, config: SimulationConfig,
+                width: int) -> tuple[dict, int, list[int], int]:
+    """One step line as (row, phase code, quorum padded to width, signal
+    index). Every field must be present, alone and of its written type, and
+    agree with the config on its own."""
     row = _parse_record(line, lineno)
     if row.get("kind") != "step":
         raise TraceInvariantError(f"unexpected record kind {row.get('kind')!r}")
@@ -708,30 +727,58 @@ def _parse_step(line: str, lineno: int) -> tuple[int, int, AgentRecord]:
         raise TraceInvariantError(
             f"line {lineno}: step fields missing {sorted(_STEP_FIELDS - row.keys())}, "
             f"unexpected {sorted(row.keys() - _STEP_FIELDS)}")
-    quorum, belief = row["quorum"], row["log_belief"]
+    t, agent, quorum, signal = row["t"], row["agent"], row["quorum"], row["signal"]
+    phase, belief = row["crash_phase"], row["log_belief"]
     wrong = [name for name, ok in (
-        ("t", _is_int(row["t"])),
-        ("agent", _is_int(row["agent"])),
+        ("t", type(t) is int),
+        ("agent", type(agent) is int),
         ("alive", row["alive"] is True),
         ("completed", type(row["completed"]) is bool),
         ("quorum", quorum is None
-         or (type(quorum) is list and all(map(_is_int, quorum)))),
-        ("signal", row["signal"] is None or type(row["signal"]) is str),
-        ("log_belief", type(belief) is list and all(map(_is_real, belief))),
-        ("crash_phase", row["crash_phase"] is None
-         or row["crash_phase"] in CRASH_PHASES)) if not ok]
+         or (type(quorum) is list and all(type(j) is int for j in quorum))),
+        ("signal", signal is None or type(signal) is str),
+        ("log_belief", type(belief) is list
+         and all(type(v) in (int, float) for v in belief)),
+        ("crash_phase", phase is None or phase in CRASH_PHASES)) if not ok]
     if wrong:
         raise TraceInvariantError(f"line {lineno}: malformed fields {wrong}")
-    record = AgentRecord(
-        completed=row["completed"],
-        quorum=None if quorum is None else tuple(quorum),
-        signal=row["signal"],
-        log_belief=np.asarray(belief, dtype=np.float64),
-        crash_phase=row["crash_phase"])
-    return row["t"], row["agent"], record
+    if not 1 <= t <= config.iterations:
+        raise TraceInvariantError(f"step iteration {t} out of range")
+    where = f"t={t} agent={agent}"
+    if not 1 <= agent <= config.graph.n:
+        raise TraceInvariantError(f"{where}: unknown agent")
+    if len(belief) != config.model.m:
+        raise TraceInvariantError(f"{where}: malformed log beliefs")
+    _, takes_quorum, completes = _PHASE_RULES[phase]
+    if row["completed"] and not completes:
+        raise TraceInvariantError(f"{where}: completed record with phase {phase}")
+    if completes and not row["completed"]:
+        raise TraceInvariantError(f"{where}: incomplete record needs a crash "
+                                  f"phase, got {phase}")
+    if not takes_quorum:
+        if quorum is not None or signal is not None:
+            raise TraceInvariantError(f"{where}: {phase} record must not carry "
+                                      f"quorum or signal")
+        return row, _PHASE_NAMES.index(phase), [-1] * width, -1
+    if quorum is None or signal is None:
+        raise TraceInvariantError(f"{where}: missing quorum or signal")
+    # A quorum the arrays cannot hold gets validate_trace's message here.
+    if len(quorum) > width:
+        need = len(config.graph.in_neighbors[agent]) - config.f
+        raise TraceInvariantError(f"{where}: quorum size {len(quorum)} != {need}")
+    bad = sorted({j for j in quorum if not 1 <= j <= config.graph.n})
+    if bad:
+        raise TraceInvariantError(f"{where}: quorum members {bad} are not "
+                                  f"in-neighbors")
+    if signal not in config.model.signals(agent):
+        raise TraceInvariantError(f"{where}: unknown signal {signal!r}")
+    return (row, _PHASE_NAMES.index(phase), quorum + [-1] * (width - len(quorum)),
+            config.model.signal_index(agent, signal))
 
 
 def read_trace(path) -> ExecutionTrace:
+    """Parse a trace file into the trace arrays, checking each step record's
+    own fields on the way; validate_trace checks the rest."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     if not lines:
@@ -750,51 +797,48 @@ def read_trace(path) -> ExecutionTrace:
         initial = np.asarray(header["initial_log_belief"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise TraceInvariantError(f"initial beliefs malformed ({exc})") from None
-    if initial.shape != (config.graph.n, config.model.m):
+    T, n = config.iterations, config.graph.n
+    if initial.shape != (n, config.model.m):
         raise TraceInvariantError(f"initial beliefs have shape {initial.shape}")
-    # f < n agents crash, so every iteration has at least one step record.
-    if config.iterations > len(lines) - 1:
+    # At most f agents ever crash, so a trace has at least T * (n - f) step
+    # records: the arrays stay proportional to the file.
+    if len(lines) - 1 < T * (n - config.f):
         raise TraceInvariantError(
-            f"header claims {config.iterations} iterations but the trace has "
+            f"header claims {T} iterations but the trace has "
             f"{len(lines) - 1} step records")
-    records: list[dict[int, AgentRecord]] = [{} for _ in range(config.iterations)]
+    phase, quorum = _blank_schedule(config)
+    signal = np.full((T, n), -1, dtype=np.int32)
+    cells, beliefs = [], []
     for lineno, line in enumerate(lines[1:], start=2):
-        t, agent, record = _parse_step(line, lineno)
-        if not 1 <= t <= config.iterations:
-            raise TraceInvariantError(f"step iteration {t} out of range")
-        if agent in records[t - 1]:
-            raise TraceInvariantError(f"duplicate record for t={t} agent={agent}")
-        records[t - 1][agent] = record
-    last = records[-1]
-    final_alive = frozenset(a for a, rec in last.items()
-                            if rec.completed and rec.crash_phase is None)
-    return ExecutionTrace(config, initial, records, final_alive)
-
-
-def _belief_faults(trace: ExecutionTrace, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every record in (t, agent) order: whether its log belief is
-    malformed (not m finite entries), and otherwise its normalization gap
-    |logsumexp|, checked on all records stacked into one block."""
-    beliefs = [rec.log_belief for per_agent in trace.records
-               for rec in per_agent.values()]
-    shaped = np.array([np.shape(b) == (m,) for b in beliefs], dtype=bool)
-    filler = np.zeros(m)
-    block = np.array([b if ok else filler for b, ok in zip(beliefs, shaped)],
-                     dtype=np.float64).reshape(len(beliefs), m)
-    malformed = ~(shaped & np.isfinite(block).all(axis=1))
-    block[malformed] = 0.0
-    return malformed, np.abs(log_normalizer(block)[:, 0])
+        row, code, members, k = _parse_step(line, lineno, config, quorum.shape[2])
+        t, a = row["t"] - 1, row["agent"] - 1
+        if phase[t, a] >= 0:
+            raise TraceInvariantError(f"duplicate record for t={t + 1} "
+                                      f"agent={a + 1}")
+        phase[t, a], quorum[t, a], signal[t, a] = code, members, k
+        cells.append((t + 1, a))
+        beliefs.append(row["log_belief"])
+    # Row 0 is the initial belief; a dead agent reads its last record's row.
+    stacked = np.empty((T + 1, n, config.model.m), dtype=np.float64)
+    stacked[0] = initial
+    try:
+        stacked[tuple(np.array(cells).T)] = beliefs
+    except OverflowError as exc:
+        raise TraceInvariantError(f"malformed log beliefs ({exc})") from None
+    source = np.where(phase >= 0, np.arange(1, T + 1)[:, None], 0)
+    log_belief = stacked[np.maximum.accumulate(source), np.arange(n)]
+    return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)
 
 
 def validate_trace(trace: ExecutionTrace) -> None:
-    """Check every protocol invariant a trace must satisfy; raise on the first
-    violation. Does not re-run the scheduler, so it accepts any delivery
-    order, but quorums must name real transmitting in-neighbors."""
+    """Check every invariant that relates a trace's records to each other
+    and to the config; raise on the first violation in (t, agent) order.
+    Does not re-run the scheduler, so it accepts any delivery order, but
+    quorums must name real transmitting in-neighbors."""
     config = trace.config
     config.validate()
-    g, model, T = config.graph, config.model, config.iterations
-    need = {i: len(g.in_neighbors[i]) - config.f for i in g.nodes}
-    if trace.alive_at_start(1) != g.nodes:
+    g, T, n = config.graph, config.iterations, config.graph.n
+    if not trace.alive[0].all():
         raise TraceInvariantError("iteration 1 must include every agent")
 
     planned = tuple(sorted((ev.agent, ev.iteration, ev.phase)
@@ -804,62 +848,52 @@ def validate_trace(trace: ExecutionTrace) -> None:
             f"observed crashes {trace.crash_events_observed()} differ from "
             f"plan {planned}")
 
-    malformed, gaps = _belief_faults(trace, model.m)
-    position = 0
-    for t in range(1, T + 1):
-        transmitters = trace.transmitters_at(t)
-        expected_next = set()
-        for agent, rec in trace.records[t - 1].items():
-            where = f"t={t} agent={agent}"
-            if agent not in g.nodes:
-                raise TraceInvariantError(f"{where}: unknown agent")
-            if malformed[position]:
-                raise TraceInvariantError(f"{where}: malformed log beliefs")
-            gap = float(gaps[position])
-            if gap > BELIEF_NORMALIZATION_TOLERANCE:
-                raise TraceInvariantError(f"{where}: beliefs unnormalized "
-                                          f"(logsumexp={gap:.3e})")
-            position += 1
-            belief = rec.log_belief
-            _, takes_quorum, completes = _PHASE_RULES[rec.crash_phase]
-            if rec.completed and not completes:
-                raise TraceInvariantError(f"{where}: completed record with "
-                                          f"phase {rec.crash_phase}")
-            if completes and not rec.completed:
-                raise TraceInvariantError(f"{where}: incomplete record needs a "
-                                          f"crash phase, got {rec.crash_phase}")
-            if rec.crash_phase is None:
-                expected_next.add(agent)
-            if takes_quorum:
-                if rec.quorum is None or rec.signal is None:
-                    raise TraceInvariantError(f"{where}: missing quorum or signal")
-                if len(rec.quorum) != need[agent]:
-                    raise TraceInvariantError(f"{where}: quorum size "
-                                              f"{len(rec.quorum)} != {need[agent]}")
-                if list(rec.quorum) != sorted(set(rec.quorum)):
-                    raise TraceInvariantError(f"{where}: quorum not strictly "
-                                              f"increasing")
-                bad = set(rec.quorum) - g.in_neighbors[agent]
-                if bad:
-                    raise TraceInvariantError(f"{where}: quorum members {sorted(bad)} "
-                                              f"are not in-neighbors")
-                ghosts = set(rec.quorum) - transmitters
-                if ghosts:
-                    raise TraceInvariantError(f"{where}: quorum members {sorted(ghosts)} "
-                                              f"did not transmit at t={t}")
-                if rec.signal not in model.signals(agent):
-                    raise TraceInvariantError(f"{where}: unknown signal "
-                                              f"{rec.signal!r}")
-            else:
-                if rec.quorum is not None or rec.signal is not None:
-                    raise TraceInvariantError(f"{where}: {rec.crash_phase} record "
-                                              f"must not carry quorum or signal")
-                previous = trace.log_belief_before(t, agent)
-                if not np.array_equal(belief, previous):
-                    raise TraceInvariantError(f"{where}: belief changed without "
-                                              f"an update")
-        nxt = trace.alive_at_start(t + 1)
-        if set(nxt) != expected_next:
-            raise TraceInvariantError(
-                f"iteration {t + 1} alive set {sorted(nxt)} != survivors of "
-                f"iteration {t} {sorted(expected_next)}")
+    alive, takes, quorum = trace.alive, trace.takes_quorum, trace.quorum
+    beliefs = trace.log_belief
+    need = np.array([len(g.in_neighbors[i]) - config.f for i in range(1, n + 1)])
+    sizes = np.add.reduce(quorum >= 0, axis=2)
+    # Tables indexed by label, where the padding label -1 reads column 0.
+    members = np.maximum(quorum, 0)
+    hears = np.ones((n, n + 1), dtype=bool)
+    hears[:, 1:] = [[j in g.in_neighbors[i] for j in range(1, n + 1)]
+                    for i in range(1, n + 1)]
+    sent = np.concatenate([np.ones((T, 1), dtype=bool), trace.transmitted], axis=1)
+    malformed = alive & ~np.isfinite(beliefs).all(axis=2)
+    gaps = np.abs(log_normalizer(np.where(malformed[..., None], 0.0, beliefs))[..., 0])
+    before = np.concatenate([trace.initial_log_belief[None], beliefs[:-1]])
+
+    def outside(table: np.ndarray, t: int, i: int) -> list[int]:
+        return sorted({j for j in quorum[t, i].tolist() if j >= 0 and not table[j]})
+
+    # Each record's checks as (T, n) masks, in the order they are reported.
+    checks = (
+        (malformed, lambda t, i: "malformed log beliefs"),
+        (alive & (gaps > BELIEF_NORMALIZATION_TOLERANCE),
+         lambda t, i: f"beliefs unnormalized (logsumexp={gaps[t, i]:.3e})"),
+        (takes & (sizes != need),
+         lambda t, i: f"quorum size {sizes[t, i]} != {need[i]}"),
+        (takes & ((quorum[..., 1:] >= 0)
+                  & (quorum[..., 1:] <= quorum[..., :-1])).any(axis=2),
+         lambda t, i: "quorum not strictly increasing"),
+        (takes & ~hears[np.arange(n)[:, None], members].all(axis=2),
+         lambda t, i: f"quorum members {outside(hears[i], t, i)} are not "
+                      f"in-neighbors"),
+        (takes & ~sent[np.arange(T)[:, None, None], members].all(axis=2),
+         lambda t, i: f"quorum members {outside(sent[t], t, i)} did not "
+                      f"transmit at t={t + 1}"),
+        (alive & ~takes & (beliefs != before).any(axis=2),
+         lambda t, i: "belief changed without an update"),
+    )
+    hits = np.flatnonzero(np.stack([mask for mask, _ in checks], axis=2))
+    survivors = alive & (trace.phase == 0)
+    following = np.concatenate([alive[1:], survivors[-1:]])
+    broken = np.flatnonzero((following != survivors).any(axis=1))
+    first = np.unravel_index(hits[0], (T, n, len(checks))) if hits.size else None
+    if broken.size and (first is None or broken[0] < first[0]):
+        t = int(broken[0])
+        raise TraceInvariantError(
+            f"iteration {t + 2} alive set {sorted(_agents(following[t]))} != "
+            f"survivors of iteration {t + 1} {sorted(_agents(survivors[t]))}")
+    if first is not None:
+        t, i, c = (int(v) for v in first)
+        raise TraceInvariantError(f"t={t + 1} agent={i + 1}: {checks[c][1](t, i)}")

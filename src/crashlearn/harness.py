@@ -195,14 +195,11 @@ def write_trajectory_csv(trace: ExecutionTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t", "agent", "completed", "crash_phase", "signal",
                          "quorum"] + [f"posterior_{h}" for h in hypotheses])
-        for t in range(1, trace.iterations + 1):
-            for agent in sorted(trace.records[t - 1]):
-                rec = trace.record(t, agent)
-                writer.writerow(
-                    [t, agent, int(rec.completed), rec.crash_phase or "",
-                     rec.signal or "",
-                     "|".join(str(q) for q in rec.quorum or ())]
-                    + [repr(math.exp(v)) for v in rec.log_belief])
+        for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
+            writer.writerow(
+                [t, agent, int(completed), phase or "", signal or "",
+                 "|".join(str(q) for q in quorum or ())]
+                + [repr(math.exp(v)) for v in belief])
 
 
 def report_metrics(summary: BatchSummary, out_dir) -> dict[str, str]:

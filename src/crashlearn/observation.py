@@ -306,19 +306,6 @@ def signal_indices_from_uniforms(model: LikelihoodModel, agent: int,
     return np.minimum(np.searchsorted(row, u, side="right"), row.size - 1)
 
 
-def signal_from_uniform(model: LikelihoodModel, agent: int, theta_star: str,
-                        u: float) -> str:
-    """Map one uniform [0, 1) variate to a signal label via the inverse CDF."""
-    idx = int(signal_indices_from_uniforms(model, agent, theta_star, u))
-    return model.signals(agent)[idx]
-
-
-def sample_signal(model: LikelihoodModel, agent: int, theta_star: str,
-                  rng: np.random.Generator) -> str:
-    """Draw one signal label for the agent under the true hypothesis."""
-    return signal_from_uniform(model, agent, theta_star, rng.random())
-
-
 def bernoulli_agent(p: float, q: float,
                     signals: tuple[str, str] = ("a", "b")) -> tuple[tuple[str, str], np.ndarray]:
     """Two-signal table helper: P(signals[0]) = p under the first hypothesis, q under the second."""

@@ -286,6 +286,21 @@ def test_quorum_domination_check_fails_on_engineered_gap():
     assert run_checks(trace, checks=("prop2",))["prop2"]["passed"]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="prop1 fails at the crash iteration when the "
+                          "crashing agent transmitted (ROADMAP item 1)")
+@pytest.mark.parametrize("phase, partial_count",
+                         [("mid_update", 1), ("after_transmit", None)])
+def test_prop1_holds_when_a_transmitting_agent_crashes(phase, partial_count):
+    config = make_config(
+        DirectedGraph.complete(4), 1, iterations=60, seed=1000,
+        adversary=AdversarySchedule(
+            mode="uniform", dmax=3.0,
+            crash_plan=(CrashEvent(4, 10, phase, partial_count),)))
+    result = run_checks(run_execution(config), checks=("prop1",))["prop1"]
+    assert result["passed"], result["witness"]
+
+
 def test_checks_report_margins(suite_traces):
     _, trace = suite_traces["crash_mid"]
     results = run_checks(trace)

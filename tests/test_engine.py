@@ -486,10 +486,16 @@ def test_validate_trace_catches_tampering(tmp_path):
     corrupt(step(5, 1, quorum=[2]), match=r"^t=5 agent=1: quorum size 1 != 2$")
     corrupt(step(5, 1, quorum=[3, 2]),
             match=r"^t=5 agent=1: quorum not strictly increasing$")
+    corrupt(step(5, 1, quorum=[2, 2]),
+            match=r"^t=5 agent=1: quorum not strictly increasing$")
+    corrupt(step(5, 1, quorum=[2, 3, 4]), match=r"^t=5 agent=1: quorum size 3 != 2$")
+    corrupt(step(5, 1, quorum=[0, 2]),
+            match=r"^t=5 agent=1: quorum members \[0\] are not in-neighbors$")
     corrupt(step(12, 1, quorum=[2, 4]),
             match=r"^t=12 agent=1: quorum members \[4\] did not transmit at t=12$")
     corrupt(step(5, 1, signal=None),
             match=r"^t=5 agent=1: missing quorum or signal$")
+    corrupt(step(240, 3, agent=0), match=r"^t=240 agent=0: unknown agent$")
     corrupt(step(3, 2, agent=1),
             match=r"^duplicate record for t=3 agent=1$")
     corrupt(step(240, 3, t=241), match=r"^step iteration 241 out of range$")
@@ -502,11 +508,34 @@ def test_validate_trace_catches_tampering(tmp_path):
     corrupt(header_and_step([], 10, 4, crash_phase=None, completed=True),
             match=r"^iteration 11 alive set \[1, 2, 3\] != survivors of "
                   r"iteration 10 \[1, 2, 3, 4\]$")
+    def record_then_alive_set(row):
+        # Two faults: agent 1's quorum at t=50 and agent 3's missing record
+        # at t=51. A record comes before the alive set after its iteration.
+        if (row.get("t"), row.get("agent")) == (50, 1):
+            row["quorum"] = [2]
+        return "drop" if (row.get("t"), row.get("agent")) == (51, 3) else False
+
+    corrupt(record_then_alive_set, match=r"^t=50 agent=1: quorum size 1 != 2$")
     late_plan = [{"agent": 4, "iteration": 11, "phase": "mid_update",
                   "partial_count": 1}]
     corrupt(header_and_step(late_plan, 10, 4),
             match=r"^observed crashes \(\(4, 10, 'mid_update'\),\) differ from "
                   r"plan \(\(4, 11, 'mid_update'\),\)$")
+
+
+def test_read_trace_bounds_iterations_by_step_records(tmp_path):
+    # Every iteration has at least n - f step records, so a header claiming
+    # T iterations needs T * (n - f) of them before any array is allocated.
+    config = suite_configs()["crash_mid"]
+    path = tmp_path / "short.jsonl"
+    write_trace(run_execution(config), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:301]) + "\n")
+    assert 240 <= 300 < 240 * (4 - 1)
+    with pytest.raises(TraceInvariantError,
+                       match=r"^header claims 240 iterations but the trace "
+                             r"has 300 step records$"):
+        read_trace(path)
 
 
 def test_convergence_helpers():

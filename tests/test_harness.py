@@ -308,6 +308,9 @@ def unknown_phase(config):
     pytest.param(5, lambda line: mutate_step(line, "log_belief", "retype",
                                              ["x", "y"]),
                  id="non-numeric-belief"),
+    pytest.param(5, lambda line: mutate_step(line, "log_belief", "retype",
+                                             [10 ** 400, 0.0]),
+                 id="belief-beyond-float"),
     pytest.param(5, lambda line: line[:len(line) // 2], id="broken-json"),
     pytest.param(5, lambda line: mutate_step(line, "t", "retype", "two"),
                  id="string-t"),

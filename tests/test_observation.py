@@ -15,7 +15,7 @@ from crashlearn.observation import (IdentifiabilityPreconditionError,
                                     compute_log_ratio_bound,
                                     compute_source_divergence_floor,
                                     expected_log_ratios, kl_divergence,
-                                    sample_signal, signal_from_uniform)
+                                    signal_indices_from_uniforms)
 
 from oracles import kl
 
@@ -213,23 +213,31 @@ def test_model_graph_size_mismatch_rejected():
 
 def test_inverse_cdf_hand_values():
     m = model_of([bernoulli_agent(0.3, 0.7)])
-    assert signal_from_uniform(m, 1, "theta1", 0.0) == "a"
-    assert signal_from_uniform(m, 1, "theta1", 0.2999) == "a"
-    assert signal_from_uniform(m, 1, "theta1", 0.3) == "b"
-    assert signal_from_uniform(m, 1, "theta1", 0.9999) == "b"
-    assert signal_from_uniform(m, 1, "theta2", 0.69) == "a"
-    assert signal_from_uniform(m, 1, "theta2", 0.71) == "b"
+
+    def signal(theta, u):
+        return m.signals(1)[int(signal_indices_from_uniforms(m, 1, theta, u))]
+
+    assert signal("theta1", 0.0) == "a"
+    assert signal("theta1", 0.2999) == "a"
+    assert signal("theta1", 0.3) == "b"
+    assert signal("theta1", 0.9999) == "b"
+    assert signal("theta2", 0.69) == "a"
+    assert signal("theta2", 0.71) == "b"
     # u == 1.0 cannot fall off the table
-    assert signal_from_uniform(m, 1, "theta1", 1.0) == "b"
+    assert signal("theta1", 1.0) == "b"
+    # one call over an array maps every variate the same way
+    u = np.array([0.0, 0.2999, 0.3, 0.9999, 1.0])
+    assert signal_indices_from_uniforms(m, 1, "theta1", u).tolist() == [0, 0, 1, 1, 1]
 
 
 def test_sampling_determinism_and_frequencies():
     m = model_of([bernoulli_agent(0.3, 0.7)])
-    draws1 = [sample_signal(m, 1, "theta1", np.random.default_rng(5))
-              for _ in range(20)]
-    draws2 = [sample_signal(m, 1, "theta1", np.random.default_rng(5))
-              for _ in range(20)]
-    assert draws1 == draws2
-    rng = np.random.default_rng(123)
-    hits = sum(sample_signal(m, 1, "theta1", rng) == "a" for _ in range(20000))
+    draws1 = signal_indices_from_uniforms(
+        m, 1, "theta1", np.random.default_rng(5).random(20))
+    draws2 = signal_indices_from_uniforms(
+        m, 1, "theta1", np.random.default_rng(5).random(20))
+    assert draws1.tolist() == draws2.tolist()
+    draws = signal_indices_from_uniforms(
+        m, 1, "theta1", np.random.default_rng(123).random(20000))
+    hits = int(np.count_nonzero(draws == 0))      # signal "a"
     assert abs(hits / 20000 - 0.3) < 0.02     # ~6 sigma at this sample size
