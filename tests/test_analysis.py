@@ -17,7 +17,8 @@ from crashlearn.analysis import (DEFAULT_CHECKS, backward_product,
                                  log_ratio_vectors, pseudo_belief_evolution,
                                  psi_series, run_checks, structure_constants,
                                  theorem2_bound, trace_matrices)
-from crashlearn.engine import (AdversarySchedule, CrashEvent, run_execution)
+from crashlearn.engine import (CRASH_PHASES, AdversarySchedule, CrashEvent,
+                               ExecutionTrace, run_execution)
 from crashlearn.graphs import (DirectedGraph, enumerate_reduced_graphs,
                                first_dominated_nodes)
 from crashlearn.observation import check_assumption1, kl_divergence
@@ -299,6 +300,55 @@ def test_prop1_holds_when_a_transmitting_agent_crashes(phase, partial_count):
             crash_plan=(CrashEvent(4, 10, phase, partial_count),)))
     result = run_checks(run_execution(config), checks=("prop1",))["prop1"]
     assert result["passed"], result["witness"]
+
+
+def _retraced(trace, **arrays):
+    """The trace rebuilt from its own arrays with some of them replaced."""
+    fields = dict(phase=trace.phase, quorum=trace.quorum, signal=trace.signal,
+                  log_belief=trace.log_belief)
+    return ExecutionTrace(trace.config, trace.initial_log_belief,
+                          **dict(fields, **arrays))
+
+
+def test_checks_fail_on_engineered_traces(suite_traces):
+    # ring, idle: every agent transmits but never updates before the last
+    # iteration, so every matrix but the last is the identity
+    _, ring = suite_traces["ring"]
+    phase = ring.phase.copy()
+    phase[:-1] = CRASH_PHASES.index("after_transmit") + 1
+    idle = run_checks(_retraced(ring, phase=phase),
+                      checks=("lemma1", "thm2", "prop3", "lemma4"))
+    assert all(result["passed"] is False for result in idle.values())
+    assert idle["lemma1"]["witness"] == {"t": 1, "rows": "window", "eta": 0.0,
+                                         "floor": 0.125, "windows_checked": 80}
+    assert {key: idle["thm2"]["witness"][key]
+            for key in ("r", "t", "delta")} == {"r": 1, "t": 237, "delta": 1.0}
+    assert {key: idle["prop3"]["witness"][key]
+            for key in ("r", "horizon", "residual")} == {"r": 1, "horizon": 91,
+                                                         "residual": 1.0}
+    assert idle["lemma4"]["witness"] == {"r": 1, "pi": [1.0, 0.0, 0.0],
+                                         "reason": "no source clears the "
+                                                   "threshold"}
+
+    # crash_pre: a survivor hears the agent that died at t = 7
+    _, crash = suite_traces["crash_pre"]
+    quorum = crash.quorum.copy()
+    quorum[20 - 1, 1 - 1, :2] = [2, 4]
+    prop2 = run_checks(_retraced(crash, quorum=quorum),
+                       checks=("prop2",))["prop2"]
+    assert prop2["passed"] is False
+    assert prop2["witness"] == {"r": 8, "tau": 20, "i": 1, "j": 4,
+                                "value": 1 / 3}
+
+    # crash_pre: one recorded belief off the replay by 1e-6
+    log_belief = crash.log_belief.copy()
+    log_belief[30 - 1, 2 - 1, 0] += 1e-6
+    psi = run_checks(_retraced(crash, log_belief=log_belief),
+                     checks=("psi",))["psi"]
+    assert psi["passed"] is False
+    assert {key: psi["witness"][key] for key in ("t", "agent", "part")} == {
+        "t": 30, "agent": 2, "part": "pseudo_identity"}
+    assert psi["witness"]["gap"] == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_checks_report_margins(suite_traces):
