@@ -2,9 +2,8 @@
 
 from .analysis import (CheckResult, DEFAULT_CHECKS, DriftCheckpoint,
                        DriftDecomposition, PiEstimate, StructureConstants,
-                       UpdateMatrix, backward_product, build_update_matrix,
-                       decompose_log_ratio_drift, ergodic_coefficients,
-                       estimate_pi, expected_ratio_vectors,
+                       backward_product, decompose_log_ratio_drift,
+                       ergodic_coefficients, estimate_pi, expected_ratio_vectors,
                        geometric_tail_constant, geometric_tail_constant_float,
                        log_ratio_vectors, pseudo_belief_evolution, psi_series,
                        run_checks, structure_constants, theorem2_bound,
@@ -44,10 +43,10 @@ __all__ = [
     "IdentifiabilityPreconditionError", "IdentifiabilityReport",
     "LikelihoodModel", "PiEstimate", "ReducedGraph", "SeedOutcome",
     "SimulationConfig", "SourceDecomposition", "StructureConstants",
-    "TraceInvariantError", "UpdateMatrix", "analyze_trace",
-    "backward_product", "bernoulli_agent", "build_update_matrix",
-    "check_assumption1", "check_condition1", "check_condition2",
-    "check_failure_free_identifiability", "combine_log_beliefs", "converged",
+    "TraceInvariantError", "analyze_trace", "backward_product",
+    "bernoulli_agent", "check_assumption1", "check_condition1",
+    "check_condition2", "check_failure_free_identifiability",
+    "combine_log_beliefs", "converged",
     "compute_log_ratio_bound", "compute_source_divergence_floor",
     "decompose_log_ratio_drift", "detectability_report",
     "enumerate_reduced_graphs", "ergodic_coefficients", "estimate_pi",

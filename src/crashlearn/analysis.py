@@ -7,6 +7,13 @@ then satisfy a linear recursion driven by per-iteration log-likelihood-ratio
 vectors, and every convergence statement about the protocol is a statement
 about backward products of these matrices.
 
+trace_matrices returns a run's matrices as one (T, n, n) array, row t - 1
+for iteration t. Every product comes from one of two folds: the forward fold
+gives the product over [lo, t] for every t as M_t @ (M_{t-1} ... M_lo), the
+backward fold the product over [r, hi] for every r as (M_hi ... M_{r+1}) @
+M_r. Each quantity always uses the same fold, so its association order, and
+with it every report, is bitwise reproducible.
+
 Each check_* function verifies one such statement on a concrete trace and
 returns a CheckResult; run_checks bundles them. Checks never loosen a bound
 to pass: structural claims (zero columns, dominating reduced graphs, source
@@ -28,13 +35,12 @@ from .engine import (ExecutionTrace, advance_beliefs, iteration_groups,
                      log_likelihood_rows)
 from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph,
                      first_dominated_nodes, source_census)
-from .observation import (LikelihoodModel, _ordered_pairs,
+from .observation import (ROW_SUM_TOLERANCE, LikelihoodModel, _ordered_pairs,
                           compute_log_ratio_bound, expected_log_ratios)
 
 ANALYTIC_SLACK = 1e-12          # rounding slack on exact inequalities
 PSEUDO_IDENTITY_TOLERANCE = 1e-9
 PSI_RESIDUAL_TOLERANCE = 1e-8
-ROW_SUM_TOLERANCE = 1e-12
 
 DEFAULT_CHECKS = ("lemma1", "lemma2", "thm2", "prop1", "prop2", "prop3",
                   "lemma4", "psi")
@@ -73,21 +79,10 @@ def structure_constants(graph: DirectedGraph, f: int,
 
 # -- matrices and products ----------------------------------------------------
 
-@dataclass(eq=False)
-class UpdateMatrix:
-    """Row-stochastic matrix of one iteration plus the sets that shaped it."""
-
-    t: int
-    matrix: np.ndarray
-    alive: frozenset[int]
-    completers: frozenset[int]
-    quorums: dict[int, tuple[int, ...]]
-
-
-def _update_matrices(trace: ExecutionTrace, ts: range) -> tuple[UpdateMatrix, ...]:
-    """The matrices of iterations ts, from the completed mask and quorums."""
-    rows = slice(ts.start - 1, ts.stop - 1)
-    completed, quorum = trace.completed[rows], trace.quorum[rows]
+def trace_matrices(trace: ExecutionTrace) -> np.ndarray:
+    """(T, n, n) stack of the iteration matrices, row t - 1 for iteration t,
+    from the completed mask and quorums."""
+    completed, quorum = trace.completed, trace.quorum
     matrices = np.zeros(completed.shape + completed.shape[1:], dtype=np.float64)
     steps, agents = np.nonzero(completed)
     quorums = quorum[steps, agents]
@@ -98,49 +93,73 @@ def _update_matrices(trace: ExecutionTrace, ts: range) -> tuple[UpdateMatrix, ..
     matrices[steps, agents, agents] = 1.0 - sizes * weights
     idle_steps, idle = np.nonzero(~completed)
     matrices[idle_steps, idle, idle] = 1.0
-    return tuple(UpdateMatrix(t=t, matrix=matrix, alive=trace.alive_at_start(t),
-                              completers=trace.completed_at(t),
-                              quorums=trace.quorums_at(t))
-                 for t, matrix in zip(ts, matrices))
+    return matrices
 
 
-def build_update_matrix(trace: ExecutionTrace, t: int) -> UpdateMatrix:
-    return _update_matrices(trace, range(t, t + 1))[0]
+def _forward_fold(matrices: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Entry k is the product over iterations [lo, lo + k - 1], formed as
+    M_t @ (M_{t-1} ... M_lo); entry 0 is the identity."""
+    out = np.empty((hi - lo + 2,) + matrices.shape[1:], dtype=np.float64)
+    out[0] = product = np.eye(matrices.shape[1])
+    for k, matrix in enumerate(matrices[lo - 1:hi], start=1):
+        out[k] = product = matrix @ product
+    return out
 
 
-def trace_matrices(trace: ExecutionTrace) -> tuple[UpdateMatrix, ...]:
-    return _update_matrices(trace, range(1, trace.iterations + 1))
+def _backward_fold(matrices: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Entry k is the product over iterations [lo + k, hi], formed as
+    (M_hi ... M_{r+1}) @ M_r; the last entry is the identity."""
+    out = np.empty((hi - lo + 2,) + matrices.shape[1:], dtype=np.float64)
+    out[-1] = product = np.eye(matrices.shape[1])
+    for k in range(hi - lo, -1, -1):
+        out[k] = product = product @ matrices[lo - 1 + k]
+    return out
 
 
-def backward_product(matrices: Sequence[UpdateMatrix], t_hi: int, t_lo: int,
-                     ) -> np.ndarray:
+def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack times the matching vector."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... added one at a time onto zero, as a running
+    total does; np.sum's pairwise order would change the last bits."""
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
+def backward_product(matrices: np.ndarray, t_hi: int, t_lo: int) -> np.ndarray:
     """Product of the iteration matrices from t_hi down to t_lo; the empty
     range t_lo = t_hi + 1 gives the identity."""
-    n = matrices[0].matrix.shape[0]
     if t_lo > t_hi + 1:
         raise ValueError(f"empty product range start {t_lo} > {t_hi + 1}")
-    product = np.eye(n, dtype=np.float64)
-    for tau in range(t_lo, t_hi + 1):
-        product = matrices[tau - 1].matrix @ product
-    return product
+    return _forward_fold(matrices, t_lo, t_hi)[-1]
 
 
-def ergodic_coefficients(matrix: np.ndarray, rows: Iterable[int],
-                         ) -> tuple[float, float]:
-    """Disagreement delta and overlap eta of the rows named by agent labels.
+def ergodic_coefficients(matrices: np.ndarray, rows: Iterable[int] | np.ndarray,
+                         ) -> tuple:
+    """Disagreement delta and overlap eta of the chosen rows of each matrix
+    in a (..., n, n) stack; rows is a boolean (..., n) mask or a collection
+    of agent labels. Floats for one matrix, arrays over the stack otherwise.
 
-    Pairs include (i, i), so a single restricted row gives delta 0 and eta
-    equal to its row sum.
+    Pairs include (i, i), so a single chosen row gives delta 0 and eta
+    equal to its row sum; no chosen row gives delta 0 and eta 1.
     """
-    idx = sorted(r - 1 for r in rows)
-    if not idx:
-        return 0.0, 1.0
-    sub = matrix[idx]
-    delta = float(np.max(sub.max(axis=0) - sub.min(axis=0)))
-    eta = math.inf
-    for a in range(len(idx)):
-        for b in range(a, len(idx)):
-            eta = min(eta, float(np.minimum(sub[a], sub[b]).sum()))
+    n = matrices.shape[-1]
+    if not isinstance(rows, np.ndarray):
+        rows = np.isin(np.arange(1, n + 1), list(rows))
+    rows = np.broadcast_to(rows, matrices.shape[:-1])
+    chosen, some = rows[..., None], rows.any(axis=-1)
+    spread = (np.where(chosen, matrices, -np.inf).max(axis=-2)
+              - np.where(chosen, matrices, np.inf).min(axis=-2))
+    delta = np.where(some, spread.max(axis=-1), 0.0)
+    eta = np.full(matrices.shape[:-2], np.inf)
+    for shift in range(n // 2 + 1):     # pairs (a, a - shift mod n), every a
+        overlap = np.minimum(matrices, np.roll(matrices, shift, axis=-2)).sum(axis=-1)
+        pairs = rows & np.roll(rows, shift, axis=-1)
+        eta = np.minimum(eta, np.where(pairs, overlap, np.inf).min(axis=-1))
+    eta = np.where(some, eta, 1.0)
+    if matrices.ndim == 2:
+        return float(delta), float(eta)
     return delta, eta
 
 
@@ -233,7 +252,7 @@ class PiEstimate:
 
 
 def estimate_pi(trace: ExecutionTrace, r: int, horizon: int | None = None,
-                matrices: Sequence[UpdateMatrix] | None = None,
+                matrices: np.ndarray | None = None,
                 structure: StructureConstants | None = None) -> PiEstimate:
     config = trace.config
     if structure is None:
@@ -289,7 +308,7 @@ class _Shared:
         self.model = model or trace.config.model
 
     @cached_property
-    def matrices(self) -> tuple[UpdateMatrix, ...]:
+    def matrices(self) -> np.ndarray:
         return trace_matrices(self.trace)
 
     @cached_property
@@ -318,45 +337,39 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     shared = shared or _Shared(trace, model)
     matrices, structure = shared.matrices, shared.structure
     T, n = trace.iterations, trace.n
-    worst = math.inf
-    witness = None
-    base_rows = trace.alive_at_start(1)
-
-    product = np.eye(n)
-    for t in range(T, 0, -1):
-        product = product @ matrices[t - 1].matrix     # now the product over [t, T]
-        d_late, e_late = ergodic_coefficients(product, trace.alive_at_start(t))
-        d_full, e_full = ergodic_coefficients(product, base_rows)
-        for label, delta, eta in (("restricted", d_late, e_late),
-                                  ("full", d_full, e_full)):
-            margin = (1.0 - eta) - delta + ANALYTIC_SLACK
-            if margin < worst:
-                worst, witness = margin, {"t": t, "rows": label,
-                                          "delta": delta, "eta": eta}
-        mono = min(d_full - d_late, e_late - e_full) + ANALYTIC_SLACK
-        if mono < worst:
-            worst, witness = mono, {"t": t, "rows": "monotonicity",
-                                    "delta": (d_late, d_full),
-                                    "eta": (e_late, e_full)}
+    suffixes = _backward_fold(matrices, 1, T)[:-1]     # product over [t, T]
+    d_late, e_late = ergodic_coefficients(suffixes, trace.alive)
+    d_full, e_full = ergodic_coefficients(suffixes, trace.alive[0])
+    per_t = np.stack([(1.0 - e_late) - d_late, (1.0 - e_full) - d_full,
+                      np.minimum(d_full - d_late, e_late - e_full)],
+                     axis=1)[::-1] + ANALYTIC_SLACK        # t = T down to 1
 
     crash_iterations = {ev.iteration for ev in trace.config.adversary.crash_plan}
     window = structure.window
     floor = structure.xi_window_float()
-    windows_checked = 0
-    for start in range(1, T - window + 2, window):
-        span = range(start, start + window)
-        if crash_iterations.intersection(span):
-            continue
-        block = backward_product(matrices, start + window - 1, start)
-        _, eta = ergodic_coefficients(block, trace.alive_at_start(start))
-        windows_checked += 1
-        margin = eta - floor + ANALYTIC_SLACK
-        if margin < worst:
-            worst, witness = margin, {"t": start, "rows": "window",
-                                      "eta": eta, "floor": floor}
-    if witness is not None and isinstance(witness, dict):
-        witness = dict(witness, windows_checked=windows_checked)
-    return CheckResult("lemma1", worst >= 0.0, float(worst), witness)
+    starts = np.array([start for start in range(1, T - window + 2, window)
+                       if not crash_iterations.intersection(
+                           range(start, start + window))], dtype=np.int64)
+    blocks = np.array([backward_product(matrices, start + window - 1, start)
+                       for start in starts.tolist()]).reshape(-1, n, n)
+    _, etas = ergodic_coefficients(blocks, trace.alive[starts - 1])
+
+    margins = np.concatenate([per_t.ravel(), etas - floor + ANALYTIC_SLACK])
+    k = int(np.argmin(margins))
+    if k < per_t.size:
+        t, part = T - k // 3, k % 3
+        delta = (float(d_late[t - 1]), float(d_full[t - 1]))
+        eta = (float(e_late[t - 1]), float(e_full[t - 1]))
+        witness = ({"t": t, "rows": "monotonicity", "delta": delta, "eta": eta}
+                   if part == 2 else {"t": t, "rows": ("restricted", "full")[part],
+                                      "delta": delta[part], "eta": eta[part]})
+    else:
+        w = k - per_t.size
+        witness = {"t": int(starts[w]), "rows": "window", "eta": float(etas[w]),
+                   "floor": floor}
+    witness["windows_checked"] = len(starts)
+    worst = float(margins[k])
+    return CheckResult("lemma1", worst >= 0.0, worst, witness)
 
 
 def check_lemma2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
@@ -371,28 +384,26 @@ def check_lemma2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     if T < 2:
         return CheckResult("lemma2", True, math.inf, "trace too short to split")
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    witness = None
-    tried = 0
-    while tried < n_triples:
-        draws = sorted(int(v) for v in rng.integers(1, T + 1, size=3))
-        t0, t1, t2 = draws
-        if t1 == t2:
-            continue
-        tried += 1
-        early = backward_product(matrices, t1, t0)
-        late = backward_product(matrices, t2, t1 + 1)
-        full = late @ early
-        rows = trace.alive_at_start(t1 + 1)
-        d_full, _ = ergodic_coefficients(full, rows)
-        d_early, _ = ergodic_coefficients(early, rows)
-        _, e_late = ergodic_coefficients(late, rows)
-        margin = (1.0 - e_late) * d_early - d_full + ANALYTIC_SLACK
-        if margin < worst:
-            worst, witness = margin, {"t0": t0, "t1": t1, "t2": t2,
-                                      "lhs": d_full,
-                                      "rhs": (1.0 - e_late) * d_early}
-    return CheckResult("lemma2", worst >= 0.0, float(worst), witness)
+    triples = []
+    while len(triples) < n_triples:
+        t0, t1, t2 = sorted(int(v) for v in rng.integers(1, T + 1, size=3))
+        if t1 != t2:
+            triples.append((t0, t1, t2))
+    early = np.array([backward_product(matrices, t1, t0) for t0, t1, _ in triples])
+    late = np.array([backward_product(matrices, t2, t1 + 1)
+                     for _, t1, t2 in triples])
+    rows = trace.alive[[t1 for _, t1, _ in triples]]    # alive at start of t1 + 1
+    d_full, _ = ergodic_coefficients(np.matmul(late, early), rows)
+    d_early, _ = ergodic_coefficients(early, rows)
+    _, e_late = ergodic_coefficients(late, rows)
+    rhs = (1.0 - e_late) * d_early
+    margins = rhs - d_full + ANALYTIC_SLACK
+    k = int(np.argmin(margins))
+    t0, t1, t2 = triples[k]
+    worst = float(margins[k])
+    return CheckResult("lemma2", worst >= 0.0, worst,
+                       {"t0": t0, "t1": t1, "t2": t2, "lhs": float(d_full[k]),
+                        "rhs": float(rhs[k])})
 
 
 def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
@@ -401,25 +412,25 @@ def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     contraction bound at every strided t for several anchors r."""
     shared = shared or _Shared(trace, model)
     matrices, structure = shared.matrices, shared.structure
-    T, n = trace.iterations, trace.n
-    f = trace.config.f
+    T, f = trace.iterations, trace.config.f
+    survivors = np.vstack([trace.alive[1:], trace.phase[-1:] == 0])  # start of t + 1
     anchors = sorted({1, max(1, T // 4), max(1, T // 2)})
     stride = max(1, T // 100)
-    worst = math.inf
-    witness = None
+    points, deltas, bounds = [], [], []
     for r in anchors:
-        product = np.eye(n)
-        for t in range(r, T + 1):
-            product = matrices[t - 1].matrix @ product
-            if (t - r) % stride and t != T:
-                continue
-            delta, _ = ergodic_coefficients(product, trace.alive_at_start(t + 1))
-            bound = theorem2_bound(t, r, structure, f)
-            margin = bound - delta + ANALYTIC_SLACK
-            if margin < worst:
-                worst, witness = margin, {"r": r, "t": t, "delta": delta,
-                                          "bound": bound}
-    return CheckResult("thm2", worst >= 0.0, float(worst), witness)
+        ts = np.arange(r, T + 1)
+        ts = ts[((ts - r) % stride == 0) | (ts == T)]
+        products = _forward_fold(matrices, r, T)[ts - r + 1]      # over [r, t]
+        deltas.append(ergodic_coefficients(products, survivors[ts - 1])[0])
+        bounds.extend(theorem2_bound(t, r, structure, f) for t in ts.tolist())
+        points.extend((r, t) for t in ts.tolist())
+    deltas = np.concatenate(deltas)
+    margins = np.array(bounds) - deltas + ANALYTIC_SLACK
+    k = int(np.argmin(margins))
+    (r, t), worst = points[k], float(margins[k])
+    return CheckResult("thm2", worst >= 0.0, worst,
+                       {"r": r, "t": t, "delta": float(deltas[k]),
+                        "bound": bounds[k]})
 
 
 def check_prop1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
@@ -430,19 +441,20 @@ def check_prop1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     rational. A completer's quorum entries carry its diagonal weight, so the
     graph's nodes give every required value."""
     shared = shared or _Shared(trace, model)
-    matrices, xi = shared.matrices, shared.structure.xi
+    xi = shared.structure.xi
     graph, f = trace.config.graph, trace.config.f
     failures: list[int] = []
     worst_slack = math.inf
-    for um in matrices:
-        nodes = first_dominated_nodes(graph, f, um.quorums)
+    for t in range(1, trace.iterations + 1):
+        quorums = trace.quorums_at(t)
+        nodes = first_dominated_nodes(graph, f, quorums)
         if nodes is None:
-            failures.append(um.t)
+            failures.append(t)
             continue
-        required = [Fraction(1, len(um.quorums[node]) + 1)
-                    if node in um.quorums else Fraction(1) for node in nodes]
+        required = [Fraction(1, len(quorums[node]) + 1)
+                    if node in quorums else Fraction(1) for node in nodes]
         if any(weight < xi for weight in required):
-            failures.append(um.t)
+            failures.append(t)
             continue
         worst_slack = min([worst_slack]
                           + [float(weight - xi) for weight in required])
@@ -460,33 +472,31 @@ def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     one within rounding."""
     shared = shared or _Shared(trace, model)
     matrices = shared.matrices
-    T, n = trace.iterations, trace.n
+    T = trace.iterations
     changes = (trace.alive[1:] != trace.alive[:-1]).any(axis=1)
     boundaries = [1] + (np.flatnonzero(changes) + 2).tolist()
-    worst = math.inf
-    witness = None
+    points, gaps = [], []
     for r in boundaries:
         alive_idx = np.flatnonzero(trace.alive[r - 1])
         dead_idx = np.flatnonzero(~trace.alive[r - 1])
-        product = np.eye(n)
-        for tau in range(r, T + 1):
-            product = matrices[tau - 1].matrix @ product
-            if dead_idx.size:
-                block = product[np.ix_(alive_idx, dead_idx)]
-                if np.any(block != 0.0):
-                    where = np.argwhere(block != 0.0)[0]
-                    return CheckResult(
-                        "prop2", False, -float(np.max(np.abs(block))),
-                        {"r": r, "tau": tau, "i": int(alive_idx[where[0]]) + 1,
-                         "j": int(dead_idx[where[1]]) + 1,
-                         "value": float(block[tuple(where)])})
-            gaps = np.abs(product[alive_idx].sum(axis=1) - 1.0)
-            margin = ROW_SUM_TOLERANCE - float(np.max(gaps))
-            if margin < worst:
-                worst = margin
-                witness = {"r": r, "tau": tau,
-                           "max_row_sum_gap": float(np.max(gaps))}
-    return CheckResult("prop2", worst >= 0.0, float(worst), witness)
+        products = _forward_fold(matrices, r, T)[1:][:, alive_idx]  # over [r, tau]
+        leaks = np.flatnonzero((products[:, :, dead_idx] != 0.0).any(axis=(1, 2)))
+        if leaks.size:
+            block = products[leaks[0]][:, dead_idx]
+            where = np.argwhere(block != 0.0)[0]
+            return CheckResult(
+                "prop2", False, -float(np.max(np.abs(block))),
+                {"r": r, "tau": r + int(leaks[0]), "i": int(alive_idx[where[0]]) + 1,
+                 "j": int(dead_idx[where[1]]) + 1,
+                 "value": float(block[tuple(where)])})
+        gaps.append(np.abs(products.sum(axis=2) - 1.0).max(axis=1))
+        points.extend((r, tau) for tau in range(r, T + 1))
+    gaps = np.concatenate(gaps)
+    margins = ROW_SUM_TOLERANCE - gaps
+    k = int(np.argmin(margins))
+    (r, tau), worst = points[k], float(margins[k])
+    return CheckResult("prop2", worst >= 0.0, worst,
+                       {"r": r, "tau": tau, "max_row_sum_gap": float(gaps[k])})
 
 
 def check_prop3(trace: ExecutionTrace, model: LikelihoodModel | None = None,
@@ -570,28 +580,25 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                      gap=identity_gap))]
 
     checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
+    suffixes = {t: _backward_fold(matrices, 1, t) for t in checkpoints}
     for theta, theta_star in _ordered_pairs(model):
         psi = psi_series(trace_, model, theta, theta_star, pseudo=pseudo)
         ratios = log_ratio_vectors(trace_, model, theta, theta_star)
-        recursion_gap = 0.0
+        steps = np.abs(psi[1:] - (_apply(matrices, psi[:-1]) + ratios)).max(axis=1)
+        recursion_gap = float(steps.max())
         recursion_witness = None
-        for t in range(1, T + 1):
-            predicted = matrices[t - 1].matrix @ psi[t - 1] + ratios[t - 1]
-            gap = float(np.max(np.abs(psi[t] - predicted)))
-            if gap > recursion_gap:
-                recursion_gap, recursion_witness = gap, {"t": t,
-                                                         "pair": (theta,
-                                                                  theta_star)}
+        if recursion_gap > 0.0:
+            recursion_witness = {"t": int(np.argmax(steps)) + 1,
+                                 "pair": (theta, theta_star)}
         margins.append((PSI_RESIDUAL_TOLERANCE - recursion_gap,
                         dict(recursion_witness or {}, part="recursion",
                              gap=recursion_gap)))
-        for t in checkpoints:
-            acc = np.eye(n)
-            total = np.zeros(n)
-            for r in range(t, 0, -1):
-                total = total + acc @ ratios[r - 1]
-                acc = acc @ matrices[r - 1].matrix
-            total = total + acc @ psi[0]
+        for t, suffix in suffixes.items():
+            # psi[t] is the sum over r = t down to 1 of the product over
+            # [r + 1, t] (suffix[r]) times ratios[r - 1], plus the product
+            # over [1, t] times psi[0]
+            total = (_sum_in_order(_apply(suffix[1:], ratios[:t])[::-1])
+                     + suffix[0] @ psi[0])
             gap = float(np.max(np.abs(psi[t] - total)))
             margins.append((PSI_RESIDUAL_TOLERANCE - gap,
                             {"part": "expansion", "t": t,
@@ -698,29 +705,23 @@ def decompose_log_ratio_drift(trace: ExecutionTrace,
     for t in checkpoints:
         if not 1 <= t <= T:
             raise ValueError(f"checkpoint {t} outside 1..{T}")
-        rows = sorted(trace.alive_at_start(t + 1))
-        reference = rows[0]
-        acc = np.eye(n)                      # product over [r + 1, t]
-        drift = 0.0
-        slln = 0.0
-        deviations = np.zeros(n)
-        for r in range(t, 0, -1):
-            pi_row = acc[reference - 1]
-            drift += float(pi_row @ expected[r - 1])
-            slln += float(pi_row @ (ratios[r - 1] - expected[r - 1]))
-            deviations = deviations + (acc - pi_row) @ ratios[r - 1]
-            acc = acc @ matrices[r - 1].matrix
-        deviations = deviations + acc @ psi[0]
-        identity_residual = max(abs(psi[t][i - 1]
-                                    - (deviations[i - 1] + slln + drift))
-                                for i in rows)
+        rows = np.array(sorted(trace.alive_at_start(t + 1))) - 1
+        # the product over [r + 1, t] is later[r]; the terms of r are
+        # summed from r = t down to 1
+        later = _backward_fold(matrices, 1, t)
+        pi_rows = later[1:, rows[0], None]
+        drift = float(_sum_in_order(_apply(pi_rows, expected[:t])[::-1, 0]))
+        slln = float(_sum_in_order(
+            _apply(pi_rows, ratios[:t] - expected[:t])[::-1, 0]))
+        deviations = (_sum_in_order(_apply(later[1:] - pi_rows, ratios[:t])[::-1])
+                      + later[0] @ psi[0])
+        residuals = psi[t][rows] - (deviations[rows] + slln + drift)
         results.append(DriftCheckpoint(
-            t=t, reference_row=reference,
+            t=t, reference_row=int(rows[0]) + 1,
             drift=drift, drift_bound=-C1 * xi_pow * t,
             slln=slln, slln_bound=6.0 * C0 * math.sqrt(t),
-            max_fluctuation=float(np.max(np.abs(deviations[[i - 1
-                                                            for i in rows]]))),
+            max_fluctuation=float(np.max(np.abs(deviations[rows]))),
             fluctuation_bound=fluct_bound,
-            identity_residual=float(identity_residual)))
+            identity_residual=float(np.max(np.abs(residuals)))))
     return DriftDecomposition(theta=theta, theta_star=theta_star, C0=C0, C1=C1,
                               checkpoints=tuple(results))

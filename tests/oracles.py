@@ -142,22 +142,23 @@ def first_dominated_reduction(reduced, quorums):
     return next((r for r in reduced if r.edges <= allowed), None)
 
 
-def prop1_by_search(reduced, matrices, xi):
-    """Proposition 1 over update matrices by linear search through the
+def prop1_by_search(reduced, trace, xi):
+    """Proposition 1 over a trace's iterations by linear search through the
     reduced graphs in order: every node's diagonal weight and every edge's
     entry of the first dominated graph must reach xi. Returns the failing
     iterations and the smallest slack of a required entry over xi."""
     failures, worst = [], math.inf
-    for um in matrices:
-        chosen = first_dominated_reduction(reduced, um.quorums)
+    for t in range(1, trace.iterations + 1):
+        quorums = trace.quorums_at(t)
+        chosen = first_dominated_reduction(reduced, quorums)
         if chosen is None:
-            failures.append(um.t)
+            failures.append(t)
             continue
-        required = [Fraction(1, len(um.quorums[v]) + 1) if v in um.quorums
+        required = [Fraction(1, len(quorums[v]) + 1) if v in quorums
                     else Fraction(1) for v in chosen.nodes]
-        required.extend(Fraction(1, len(um.quorums[v]) + 1) for _, v in chosen.edges)
+        required.extend(Fraction(1, len(quorums[v]) + 1) for _, v in chosen.edges)
         if any(weight < xi for weight in required):
-            failures.append(um.t)
+            failures.append(t)
             continue
         worst = min([worst] + [float(weight - xi) for weight in required])
     return failures, worst

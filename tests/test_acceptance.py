@@ -203,7 +203,7 @@ def test_criterion_09_pseudo_belief_identity(suite_traces):
         psi = psi_series(trace, None, "theta2", "theta1", pseudo=pseudo)
         ratios = log_ratio_vectors(trace, None, "theta2", "theta1")
         for t in range(1, trace.iterations + 1):
-            predicted = matrices[t - 1].matrix @ psi[t - 1] + ratios[t - 1]
+            predicted = matrices[t - 1] @ psi[t - 1] + ratios[t - 1]
             gap = np.max(np.abs(psi[t] - predicted))
             worst_residual = max(worst_residual, float(gap))
     ok = worst_identity <= 1e-9 and worst_residual <= 1e-8
@@ -256,12 +256,11 @@ def test_criterion_11_learning_at_scale():
         trace = run_execution(dataclasses.replace(base, seed=seed))
         if min_final_posterior(trace) >= 0.99:
             converged_seeds += 1
-        final = trace.records[-1]
+        final = trace.log_belief[-1]
         star = 0    # theta1 index
         drift_ok = True
         for agent in sorted(trace.final_alive):
-            log_ratio = float(final[agent].log_belief[1]
-                              - final[agent].log_belief[star])
+            log_ratio = float(final[agent - 1][1] - final[agent - 1][star])
             if Fraction(log_ratio) / T > threshold:
                 drift_ok = False
         drift_seeds += drift_ok
@@ -289,9 +288,8 @@ def test_criterion_12_negative_control_gate_and_failure():
     seeds = range(1000, 1050)
     for seed in seeds:
         trace = run_execution(dataclasses.replace(config, seed=seed))
-        final = trace.records[-1]
-        best = max(math.exp(final[a].log_belief[0])
-                   for a in sorted(trace.final_alive))
+        final = trace.log_belief[-1]
+        best = max(math.exp(final[a - 1][0]) for a in sorted(trace.final_alive))
         if best < 0.99:
             failures += 1
     ok = refused and failures >= len(seeds) // 2

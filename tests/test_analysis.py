@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashlearn.analysis import (DEFAULT_CHECKS, backward_product,
-                                 build_update_matrix, check_prop1,
-                                 decompose_log_ratio_drift,
+                                 check_prop1, decompose_log_ratio_drift,
                                  ergodic_coefficients, estimate_pi,
                                  expected_ratio_vectors,
                                  geometric_tail_constant,
@@ -32,26 +31,27 @@ from oracles import (first_dominated_reduction, geometric_tail_sum_direct,
 
 def test_matrix_rows_on_lockstep_cycle(suite_traces):
     _, trace = suite_traces["ring"]
-    um = build_update_matrix(trace, 5)
-    assert um.alive == um.completers == frozenset({1, 2, 3})
+    matrix = trace_matrices(trace)[5 - 1]
+    assert trace.alive_at_start(5) == trace.completed_at(5) == frozenset({1, 2, 3})
     # each agent averages itself with its single in-neighbor
     expected = np.array([[0.5, 0.0, 0.5],
                          [0.5, 0.5, 0.0],
                          [0.0, 0.5, 0.5]])
-    np.testing.assert_array_equal(um.matrix, expected)
-    assert um.quorums == {1: (3,), 2: (1,), 3: (2,)}
+    np.testing.assert_array_equal(matrix, expected)
+    assert trace.quorums_at(5) == {1: (3,), 2: (1,), 3: (2,)}
 
 
 def test_matrix_unit_row_for_non_completers(suite_traces):
     _, trace = suite_traces["crash_pre"]       # agent 4 dies at t = 7
-    um = build_update_matrix(trace, 9)
-    assert 4 not in um.completers
-    np.testing.assert_array_equal(um.matrix[3], np.eye(4)[3])
-    for agent in um.completers:
-        row = um.matrix[agent - 1]
+    matrix = trace_matrices(trace)[9 - 1]
+    completers, quorums = trace.completed_at(9), trace.quorums_at(9)
+    assert 4 not in completers
+    np.testing.assert_array_equal(matrix[3], np.eye(4)[3])
+    for agent in completers:
+        row = matrix[agent - 1]
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
-        weight = 1.0 / (len(um.quorums[agent]) + 1)
-        assert row[agent - 1] == pytest.approx(1.0 - len(um.quorums[agent])
+        weight = 1.0 / (len(quorums[agent]) + 1)
+        assert row[agent - 1] == pytest.approx(1.0 - len(quorums[agent])
                                                * weight, abs=0.0)
 
 
@@ -60,10 +60,10 @@ def test_backward_product_conventions(suite_traces):
     ms = trace_matrices(trace)
     np.testing.assert_array_equal(backward_product(ms, 3, 4), np.eye(3))
     single = backward_product(ms, 4, 4)
-    np.testing.assert_array_equal(single, ms[3].matrix)
+    np.testing.assert_array_equal(single, ms[3])
     triple = backward_product(ms, 6, 4)
     np.testing.assert_allclose(
-        triple, ms[5].matrix @ ms[4].matrix @ ms[3].matrix,
+        triple, ms[5] @ ms[4] @ ms[3],
         rtol=0, atol=1e-16)
     with pytest.raises(ValueError):
         backward_product(ms, 3, 5)
@@ -234,12 +234,11 @@ def assert_prop1_matches_search(trace):
     """check_prop1's constructed graphs and margin equal the linear search's."""
     graph, f = trace.config.graph, trace.config.f
     reduced = enumerate_reduced_graphs(graph, f)
-    matrices = trace_matrices(trace)
-    for um in matrices:
-        found = first_dominated_reduction(reduced, um.quorums)
-        assert first_dominated_nodes(graph, f, um.quorums) == (
-            None if found is None else found.nodes), um.t
-    failures, worst = prop1_by_search(reduced, matrices,
+    for t in range(1, trace.iterations + 1):
+        found = first_dominated_reduction(reduced, trace.quorums_at(t))
+        assert first_dominated_nodes(graph, f, trace.quorums_at(t)) == (
+            None if found is None else found.nodes), t
+    failures, worst = prop1_by_search(reduced, trace,
                                       structure_constants(graph, f).xi)
     result = check_prop1(trace)
     assert result.passed is (not failures)
