@@ -1,5 +1,5 @@
 """SHA-256 digests of everything a simulation records, for comparing the
-engine bit for bit across versions.
+engine and the analysis bit for bit across versions.
 
 One line per config: its label, then these digests:
   - the trace's step lines (iter_trace_lines without its header: every
@@ -9,11 +9,14 @@ One line per config: its label, then these digests:
   - the bytes write_trajectory_csv writes;
   - every line of iter_trace_lines, header included, of the trace that
     read_trace returns for the file write_trace wrote;
-  - on the test suite's configs only, json.dumps(run_checks(trace),
-    sort_keys=True).
-The configs are the test suite's suite_configs() and simulation seeds
-1000-1063 of the benchmark's two simulation configs. Run it once per
-checkout, each time with that checkout's src/ on the path, and diff:
+  - on the checked configs, json.dumps(run_checks(trace), sort_keys=True);
+  - on the test suite's configs only, the JSON of every field of
+    decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0).
+The configs are the test suite's suite_configs() (checked), simulation
+seeds 1000-1063 of the benchmark's two simulation configs (seeds 1000-1003
+checked), and seeds 1000-1003 of complete-4, f=1, uniform delays up to 3,
+T=60, agent 4 crashing at t=10 in each crash phase (checked). Run it once
+per checkout, each time with that checkout's src/ on the path, and diff:
 
     PYTHONPATH=src python3 tools/belief_digests.py > new.txt
     PYTHONPATH=OTHER/src python3 tools/belief_digests.py > old.txt
@@ -22,6 +25,7 @@ checkout, each time with that checkout's src/ on the path, and diff:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -31,22 +35,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1000, 1064)
+CHECKED_SEEDS = range(1000, 1004)
 
 
 def configs():
-    """(label, SimulationConfig, whether to digest the checks) triples,
-    built from this checkout's tests and benchmark definitions."""
+    """(label, SimulationConfig, digest the checks, digest the drift)
+    tuples, built from this checkout's tests and benchmark definitions."""
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
-    from conftest import suite_configs
+    from conftest import make_config, suite_configs
     from workloads import CONFIGS, simulation_payload
 
-    from crashlearn.engine import SimulationConfig
+    from crashlearn.engine import (CRASH_PHASES, AdversarySchedule,
+                                   CrashEvent, SimulationConfig)
+    from crashlearn.graphs import DirectedGraph
     for label, config in suite_configs().items():
-        yield label, config, True
+        yield label, config, True, True
     for label, (mode, iterations) in CONFIGS.items():
         for seed in SEEDS:
             payload = simulation_payload(mode, iterations, seed)
-            yield f"{label}-{seed}", SimulationConfig.from_dict(payload), False
+            yield (f"{label}-{seed}", SimulationConfig.from_dict(payload),
+                   seed in CHECKED_SEEDS, False)
+    for phase in CRASH_PHASES:
+        crash = CrashEvent(4, 10, phase, 1 if phase == "mid_update" else None)
+        for seed in CHECKED_SEEDS:
+            yield (f"{phase}-{seed}", make_config(
+                DirectedGraph.complete(4), 1, iterations=60, seed=seed,
+                adversary=AdversarySchedule(mode="uniform", dmax=3.0,
+                                            crash_plan=(crash,))), True, False)
 
 
 def _lines_digest(lines) -> str:
@@ -57,8 +72,14 @@ def _lines_digest(lines) -> str:
     return digest.hexdigest()
 
 
-def digests(config, with_checks: bool, workdir: Path) -> list[str]:
-    from crashlearn.analysis import pseudo_belief_evolution, run_checks
+def _json_digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def digests(config, with_checks: bool, with_drift: bool,
+            workdir: Path) -> list[str]:
+    from crashlearn.analysis import (decompose_log_ratio_drift,
+                                     pseudo_belief_evolution, run_checks)
     from crashlearn.engine import (iter_trace_lines, read_trace,
                                    run_execution, write_trace)
     from crashlearn.harness import write_trajectory_csv
@@ -71,15 +92,17 @@ def digests(config, with_checks: bool, workdir: Path) -> list[str]:
     write_trace(trace, trace_path)
     out.append(_lines_digest(iter_trace_lines(read_trace(trace_path))))
     if with_checks:
-        report = json.dumps(run_checks(trace), sort_keys=True)
-        out.append(hashlib.sha256(report.encode()).hexdigest())
+        out.append(_json_digest(run_checks(trace)))
+    if with_drift:
+        drift = decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0)
+        out.append(_json_digest(dataclasses.asdict(drift)))
     return out
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        for label, config, with_checks in configs():
-            print(label, *digests(config, with_checks, Path(workdir)),
+        for label, config, with_checks, with_drift in configs():
+            print(label, *digests(config, with_checks, with_drift, Path(workdir)),
                   flush=True)
 
 
