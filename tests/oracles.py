@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def reach_sets(nodes, edges):
     """node -> set of nodes reachable from it (including itself)."""
@@ -162,6 +164,192 @@ def prop1_by_search(reduced, trace, xi):
             continue
         worst = min([worst] + [float(weight - xi) for weight in required])
     return failures, worst
+
+
+def ergodic_by_pairs(matrix, rows):
+    """Disagreement and overlap of the rows named by agent labels, one row
+    pair at a time: the largest column spread, and the smallest sum of
+    entrywise minima over pairs (a, b) with a <= b."""
+    idx = sorted(r - 1 for r in rows)
+    if not idx:
+        return 0.0, 1.0
+    sub = matrix[idx]
+    delta = float(np.max(sub.max(axis=0) - sub.min(axis=0)))
+    eta = math.inf
+    for a in range(len(idx)):
+        for b in range(a, len(idx)):
+            eta = min(eta, float(np.minimum(sub[a], sub[b]).sum()))
+    return delta, eta
+
+
+def product_by_loop(matrices, t_hi, t_lo):
+    """M_{t_hi} @ ... @ M_{t_lo}, each factor multiplied on the left."""
+    product = np.eye(matrices.shape[1])
+    for tau in range(t_lo, t_hi + 1):
+        product = matrices[tau - 1] @ product
+    return product
+
+
+def _first_min(items):
+    """(margin, witness) of the first smallest margin, by strict updates."""
+    worst, witness = math.inf, None
+    for margin, make_witness in items:
+        if margin < worst:
+            worst, witness = margin, make_witness()
+    return worst, witness
+
+
+def lemma1_by_loops(trace, matrices, window, floor, slack):
+    """check_lemma1's margin and witness, one suffix product at a time."""
+    T, n = matrices.shape[:2]
+    items = []
+    product = np.eye(n)
+    for t in range(T, 0, -1):
+        product = product @ matrices[t - 1]
+        d_late, e_late = ergodic_by_pairs(product, trace.alive_at_start(t))
+        d_full, e_full = ergodic_by_pairs(product, trace.alive_at_start(1))
+        for label, delta, eta in (("restricted", d_late, e_late),
+                                  ("full", d_full, e_full)):
+            items.append(((1.0 - eta) - delta + slack,
+                          lambda t=t, label=label, delta=delta, eta=eta:
+                          {"t": t, "rows": label, "delta": delta, "eta": eta}))
+        items.append((min(d_full - d_late, e_late - e_full) + slack,
+                      lambda t=t, d=(d_late, d_full), e=(e_late, e_full):
+                      {"t": t, "rows": "monotonicity", "delta": d, "eta": e}))
+    crashes = {ev.iteration for ev in trace.config.adversary.crash_plan}
+    checked = 0
+    for start in range(1, T - window + 2, window):
+        if crashes.intersection(range(start, start + window)):
+            continue
+        block = product_by_loop(matrices, start + window - 1, start)
+        _, eta = ergodic_by_pairs(block, trace.alive_at_start(start))
+        checked += 1
+        items.append((eta - floor + slack, lambda start=start, eta=eta:
+                      {"t": start, "rows": "window", "eta": eta, "floor": floor}))
+    worst, witness = _first_min(items)
+    return worst, dict(witness, windows_checked=checked)
+
+
+def lemma2_by_loops(trace, matrices, slack, n_triples=50, seed=0):
+    """check_lemma2's margin and witness over the same random split points."""
+    T = matrices.shape[0]
+    rng = np.random.default_rng(seed)
+    items = []
+    while len(items) < n_triples:
+        t0, t1, t2 = sorted(int(v) for v in rng.integers(1, T + 1, size=3))
+        if t1 == t2:
+            continue
+        early = product_by_loop(matrices, t1, t0)
+        late = product_by_loop(matrices, t2, t1 + 1)
+        rows = trace.alive_at_start(t1 + 1)
+        d_full, _ = ergodic_by_pairs(late @ early, rows)
+        d_early, _ = ergodic_by_pairs(early, rows)
+        _, e_late = ergodic_by_pairs(late, rows)
+        rhs = (1.0 - e_late) * d_early
+        items.append((rhs - d_full + slack,
+                      lambda t=(t0, t1, t2), lhs=d_full, rhs=rhs:
+                      {"t0": t[0], "t1": t[1], "t2": t[2], "lhs": lhs, "rhs": rhs}))
+    return _first_min(items)
+
+
+def thm2_by_loops(trace, matrices, bound, slack):
+    """check_thm2's margin and witness; bound(t, r) is the contraction bound."""
+    T, n = matrices.shape[:2]
+    stride = max(1, T // 100)
+    items = []
+    for r in sorted({1, max(1, T // 4), max(1, T // 2)}):
+        product = np.eye(n)
+        for t in range(r, T + 1):
+            product = matrices[t - 1] @ product
+            if (t - r) % stride and t != T:
+                continue
+            delta, _ = ergodic_by_pairs(product, trace.alive_at_start(t + 1))
+            items.append((bound(t, r) - delta + slack,
+                          lambda r=r, t=t, delta=delta:
+                          {"r": r, "t": t, "delta": delta, "bound": bound(t, r)}))
+    return _first_min(items)
+
+
+def prop2_by_loops(trace, matrices, tolerance):
+    """check_prop2's margin and witness, one product over [r, tau] at a time."""
+    T, n = matrices.shape[:2]
+    boundaries = [1] + [t for t in range(2, T + 1)
+                        if trace.alive_at_start(t) != trace.alive_at_start(t - 1)]
+    items = []
+    for r in boundaries:
+        alive = sorted(trace.alive_at_start(r))
+        dead = sorted(set(range(1, n + 1)) - trace.alive_at_start(r))
+        product = np.eye(n)
+        for tau in range(r, T + 1):
+            product = matrices[tau - 1] @ product
+            for i in alive:
+                for j in dead:
+                    if product[i - 1, j - 1] != 0.0:
+                        block = product[np.ix_([a - 1 for a in alive],
+                                               [d - 1 for d in dead])]
+                        return -float(np.max(np.abs(block))), {
+                            "r": r, "tau": tau, "i": i, "j": j,
+                            "value": float(product[i - 1, j - 1])}
+            gap = max(abs(product[i - 1].sum() - 1.0) for i in alive)
+            items.append((tolerance - float(gap), lambda r=r, tau=tau, gap=gap:
+                          {"r": r, "tau": tau, "max_row_sum_gap": float(gap)}))
+    return _first_min(items)
+
+
+def psi_by_loops(trace, matrices, pseudo, pairs, tolerances):
+    """check_psi's margin and witness. pairs holds (theta, theta_star, psi,
+    ratios) per hypothesis pair; tolerances is (identity, residual). The
+    expansion of psi[t] is summed from r = t down to 1 with a running total."""
+    T, n = matrices.shape[:2]
+    identity_gap, identity_witness = 0.0, {}
+    for t in range(1, T + 1):
+        for agent in sorted(trace.completed_at(t)):
+            gap = float(np.max(np.abs(pseudo[t][agent - 1]
+                                      - trace.log_belief[t - 1][agent - 1])))
+            if gap > identity_gap:
+                identity_gap, identity_witness = gap, {"t": t, "agent": agent}
+    margins = [(tolerances[0] - identity_gap,
+                dict(identity_witness, part="pseudo_identity", gap=identity_gap))]
+    for theta, theta_star, psi, ratios in pairs:
+        recursion_gap, recursion_witness = 0.0, {}
+        for t in range(1, T + 1):
+            gap = float(np.max(np.abs(psi[t] - (matrices[t - 1] @ psi[t - 1]
+                                                + ratios[t - 1]))))
+            if gap > recursion_gap:
+                recursion_gap = gap
+                recursion_witness = {"t": t, "pair": (theta, theta_star)}
+        margins.append((tolerances[1] - recursion_gap,
+                        dict(recursion_witness, part="recursion", gap=recursion_gap)))
+        for t in sorted({max(1, T // 3), max(1, (2 * T) // 3), T}):
+            acc = np.eye(n)
+            total = np.zeros(n)
+            for r in range(t, 0, -1):
+                total = total + acc @ ratios[r - 1]
+                acc = acc @ matrices[r - 1]
+            gap = float(np.max(np.abs(psi[t] - (total + acc @ psi[0]))))
+            margins.append((tolerances[1] - gap, {"part": "expansion", "t": t,
+                                                  "pair": (theta, theta_star),
+                                                  "gap": gap}))
+    return min(margins, key=lambda pair: pair[0])
+
+
+def drift_by_loops(matrices, psi, ratios, expected, t, rows):
+    """(drift, slln, deviations, identity residual) at checkpoint t for the
+    survivor labels rows, the first of them the reference row."""
+    n = matrices.shape[1]
+    acc = np.eye(n)
+    drift = slln = 0.0
+    deviations = np.zeros(n)
+    for r in range(t, 0, -1):
+        pi_row = acc[rows[0] - 1]
+        drift += float(pi_row @ expected[r - 1])
+        slln += float(pi_row @ (ratios[r - 1] - expected[r - 1]))
+        deviations = deviations + (acc - pi_row) @ ratios[r - 1]
+        acc = acc @ matrices[r - 1]
+    deviations = deviations + acc @ psi[0]
+    residual = max(abs(psi[t][i - 1] - (deviations[i - 1] + slln + drift))
+                   for i in rows)
+    return drift, slln, deviations, float(residual)
 
 
 def kl(p, q):

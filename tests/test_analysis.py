@@ -1,5 +1,6 @@
 """Matrix reconstruction, contraction machinery, and the trace checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crashlearn.analysis import (DEFAULT_CHECKS, backward_product,
+from crashlearn.analysis import (ANALYTIC_SLACK, DEFAULT_CHECKS,
+                                 PSEUDO_IDENTITY_TOLERANCE,
+                                 PSI_RESIDUAL_TOLERANCE, backward_product,
                                  check_prop1, decompose_log_ratio_drift,
                                  ergodic_coefficients, estimate_pi,
                                  expected_ratio_vectors,
@@ -20,11 +23,14 @@ from crashlearn.engine import (CRASH_PHASES, AdversarySchedule, CrashEvent,
                                ExecutionTrace, run_execution)
 from crashlearn.graphs import (DirectedGraph, enumerate_reduced_graphs,
                                first_dominated_nodes)
-from crashlearn.observation import check_assumption1, kl_divergence
+from crashlearn.observation import (ROW_SUM_TOLERANCE, check_assumption1,
+                                    kl_divergence)
 
 from conftest import make_config
-from oracles import (first_dominated_reduction, geometric_tail_sum_direct,
-                     prop1_by_search)
+from oracles import (drift_by_loops, ergodic_by_pairs,
+                     first_dominated_reduction, geometric_tail_sum_direct,
+                     lemma1_by_loops, lemma2_by_loops, prop1_by_search,
+                     prop2_by_loops, psi_by_loops, thm2_by_loops)
 
 
 # -- update matrices --------------------------------------------------------------------
@@ -115,6 +121,22 @@ def test_disagreement_contracts_through_overlap_property(seed):
     _, e_a = ergodic_coefficients(a, rows)
     d_b, _ = ergodic_coefficients(b, rows)
     assert d_ab <= (1.0 - e_a) * d_b + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_ergodic_coefficients_of_a_stack_match_each_matrix(seed):
+    # one call over a stack with a row mask per matrix gives, bit for bit,
+    # the pair-by-pair values of each matrix alone
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 13))
+    stack = rng.dirichlet(np.ones(k), size=(6, k))
+    masks = rng.random((6, k)) < 0.5
+    deltas, etas = ergodic_coefficients(stack, masks)
+    for matrix, mask, delta, eta in zip(stack, masks, deltas, etas):
+        labels = (np.flatnonzero(mask) + 1).tolist()
+        assert (delta, eta) == ergodic_by_pairs(matrix, labels)
+        assert ergodic_coefficients(matrix, labels) == (delta, eta)
 
 
 # -- contraction bounds ----------------------------------------------------------------------
@@ -350,6 +372,42 @@ def test_checks_fail_on_engineered_traces(suite_traces):
     assert psi["witness"]["gap"] == pytest.approx(1e-6, rel=1e-9)
 
 
+def test_checks_match_loop_references(suite_traces):
+    # every check that multiplies matrices reports, bit for bit, what the
+    # loops forming one product at a time report, on passing and failing
+    # traces alike
+    _, ring = suite_traces["ring"]
+    _, crash = suite_traces["crash_pre"]
+    phase, quorum = ring.phase.copy(), crash.quorum.copy()
+    phase[:-1] = CRASH_PHASES.index("after_transmit") + 1
+    quorum[20 - 1, 1 - 1, :2] = [2, 4]
+    traces = [trace for _, trace in suite_traces.values()]
+    traces += [_retraced(ring, phase=phase), _retraced(crash, quorum=quorum)]
+    for trace in traces:
+        matrices, model = trace_matrices(trace), trace.config.model
+        structure = structure_constants(trace.config.graph, trace.config.f)
+        pairs = [(a, b, psi_series(trace, None, a, b),
+                  log_ratio_vectors(trace, None, a, b))
+                 for a, b in itertools.permutations(model.hypotheses, 2)]
+        expected = {
+            "lemma1": lemma1_by_loops(trace, matrices, structure.window,
+                                      structure.xi_window_float(), ANALYTIC_SLACK),
+            "lemma2": lemma2_by_loops(trace, matrices, ANALYTIC_SLACK),
+            "thm2": thm2_by_loops(
+                trace, matrices,
+                lambda t, r: theorem2_bound(t, r, structure, trace.config.f),
+                ANALYTIC_SLACK),
+            "prop2": prop2_by_loops(trace, matrices, ROW_SUM_TOLERANCE),
+            "psi": psi_by_loops(trace, matrices, pseudo_belief_evolution(trace),
+                                pairs, (PSEUDO_IDENTITY_TOLERANCE,
+                                        PSI_RESIDUAL_TOLERANCE)),
+        }
+        report = run_checks(trace, checks=tuple(expected))
+        for name, (worst, witness) in expected.items():
+            assert report[name] == {"passed": worst >= 0.0, "worst_margin": worst,
+                                    "witness": witness}, name
+
+
 def test_checks_report_margins(suite_traces):
     _, trace = suite_traces["crash_mid"]
     results = run_checks(trace)
@@ -386,6 +444,21 @@ def test_drift_decomposition_solo_agent_is_exact(suite_traces):
         assert cp.drift == pytest.approx(-kl * cp.t, rel=1e-12)
         assert cp.max_fluctuation == 0.0
         assert cp.identity_residual <= 1e-10
+
+
+def test_drift_decomposition_matches_loop_reference(suite_traces):
+    for name, (config, trace) in suite_traces.items():
+        args = (trace, None, "theta2", "theta1")
+        dec = decompose_log_ratio_drift(*args, 1.0)
+        for cp in dec.checkpoints:
+            rows = sorted(trace.alive_at_start(cp.t + 1))
+            drift, slln, deviations, residual = drift_by_loops(
+                trace_matrices(trace), psi_series(*args), log_ratio_vectors(*args),
+                expected_ratio_vectors(*args), cp.t, rows)
+            fluctuation = float(np.max(np.abs(deviations[[i - 1 for i in rows]])))
+            assert (cp.reference_row, cp.drift, cp.slln, cp.max_fluctuation,
+                    cp.identity_residual) == (rows[0], drift, slln, fluctuation,
+                                              residual), (name, cp.t)
 
 
 def test_drift_checkpoint_validation(suite_traces):
