@@ -11,8 +11,8 @@ trace_matrices returns a run's matrices as one (T, n, n) array, row t - 1
 for iteration t. Every product comes from one of two folds: the forward fold
 gives the product over [lo, t] for every t as M_t @ (M_{t-1} ... M_lo), the
 backward fold the product over [r, hi] for every r as (M_hi ... M_{r+1}) @
-M_r. Each quantity always uses the same fold, so its association order, and
-with it every report, is bitwise reproducible.
+M_r. Each quantity is always formed by the same fold, in the same order, so
+every report is bitwise reproducible.
 
 Each check_* function verifies one such statement on a concrete trace and
 returns a CheckResult; run_checks bundles them. Checks never loosen a bound
@@ -389,6 +389,8 @@ def check_lemma2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
         t0, t1, t2 = sorted(int(v) for v in rng.integers(1, T + 1, size=3))
         if t1 != t2:
             triples.append((t0, t1, t2))
+    if not triples:
+        return CheckResult("lemma2", True, math.inf, None)
     early = np.array([backward_product(matrices, t1, t0) for t0, t1, _ in triples])
     late = np.array([backward_product(matrices, t2, t1 + 1)
                      for _, t1, t2 in triples])
@@ -563,13 +565,11 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     backward-product expansion."""
     shared = shared or _Shared(trace, model)
     model = shared.model
-    trace_ = shared.trace
-    matrices = shared.matrices
-    pseudo = shared.pseudo
-    T, n = trace_.iterations, trace_.n
+    matrices, pseudo = shared.matrices, shared.pseudo
+    T, n = trace.iterations, trace.n
 
-    gaps = np.where(trace_.completed,
-                    np.abs(pseudo[1:] - trace_.log_belief).max(axis=2), 0.0)
+    gaps = np.where(trace.completed,
+                    np.abs(pseudo[1:] - trace.log_belief).max(axis=2), 0.0)
     identity_gap = float(gaps.max())
     identity_witness = None
     if identity_gap > 0.0:
@@ -582,8 +582,8 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
     suffixes = {t: _backward_fold(matrices, 1, t) for t in checkpoints}
     for theta, theta_star in _ordered_pairs(model):
-        psi = psi_series(trace_, model, theta, theta_star, pseudo=pseudo)
-        ratios = log_ratio_vectors(trace_, model, theta, theta_star)
+        psi = psi_series(trace, model, theta, theta_star, pseudo=pseudo)
+        ratios = log_ratio_vectors(trace, model, theta, theta_star)
         steps = np.abs(psi[1:] - (_apply(matrices, psi[:-1]) + ratios)).max(axis=1)
         recursion_gap = float(steps.max())
         recursion_witness = None

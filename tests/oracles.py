@@ -193,9 +193,9 @@ def product_by_loop(matrices, t_hi, t_lo):
 def _first_min(items):
     """(margin, witness) of the first smallest margin, by strict updates."""
     worst, witness = math.inf, None
-    for margin, make_witness in items:
+    for margin, candidate in items:
         if margin < worst:
-            worst, witness = margin, make_witness()
+            worst, witness = margin, candidate
     return worst, witness
 
 
@@ -211,11 +211,10 @@ def lemma1_by_loops(trace, matrices, window, floor, slack):
         for label, delta, eta in (("restricted", d_late, e_late),
                                   ("full", d_full, e_full)):
             items.append(((1.0 - eta) - delta + slack,
-                          lambda t=t, label=label, delta=delta, eta=eta:
                           {"t": t, "rows": label, "delta": delta, "eta": eta}))
         items.append((min(d_full - d_late, e_late - e_full) + slack,
-                      lambda t=t, d=(d_late, d_full), e=(e_late, e_full):
-                      {"t": t, "rows": "monotonicity", "delta": d, "eta": e}))
+                      {"t": t, "rows": "monotonicity", "delta": (d_late, d_full),
+                       "eta": (e_late, e_full)}))
     crashes = {ev.iteration for ev in trace.config.adversary.crash_plan}
     checked = 0
     for start in range(1, T - window + 2, window):
@@ -224,7 +223,7 @@ def lemma1_by_loops(trace, matrices, window, floor, slack):
         block = product_by_loop(matrices, start + window - 1, start)
         _, eta = ergodic_by_pairs(block, trace.alive_at_start(start))
         checked += 1
-        items.append((eta - floor + slack, lambda start=start, eta=eta:
+        items.append((eta - floor + slack,
                       {"t": start, "rows": "window", "eta": eta, "floor": floor}))
     worst, witness = _first_min(items)
     return worst, dict(witness, windows_checked=checked)
@@ -246,9 +245,8 @@ def lemma2_by_loops(trace, matrices, slack, n_triples=50, seed=0):
         d_early, _ = ergodic_by_pairs(early, rows)
         _, e_late = ergodic_by_pairs(late, rows)
         rhs = (1.0 - e_late) * d_early
-        items.append((rhs - d_full + slack,
-                      lambda t=(t0, t1, t2), lhs=d_full, rhs=rhs:
-                      {"t0": t[0], "t1": t[1], "t2": t[2], "lhs": lhs, "rhs": rhs}))
+        items.append((rhs - d_full + slack, {"t0": t0, "t1": t1, "t2": t2,
+                                             "lhs": d_full, "rhs": rhs}))
     return _first_min(items)
 
 
@@ -265,7 +263,6 @@ def thm2_by_loops(trace, matrices, bound, slack):
                 continue
             delta, _ = ergodic_by_pairs(product, trace.alive_at_start(t + 1))
             items.append((bound(t, r) - delta + slack,
-                          lambda r=r, t=t, delta=delta:
                           {"r": r, "t": t, "delta": delta, "bound": bound(t, r)}))
     return _first_min(items)
 
@@ -290,9 +287,9 @@ def prop2_by_loops(trace, matrices, tolerance):
                         return -float(np.max(np.abs(block))), {
                             "r": r, "tau": tau, "i": i, "j": j,
                             "value": float(product[i - 1, j - 1])}
-            gap = max(abs(product[i - 1].sum() - 1.0) for i in alive)
-            items.append((tolerance - float(gap), lambda r=r, tau=tau, gap=gap:
-                          {"r": r, "tau": tau, "max_row_sum_gap": float(gap)}))
+            gap = float(max(abs(product[i - 1].sum() - 1.0) for i in alive))
+            items.append((tolerance - gap,
+                          {"r": r, "tau": tau, "max_row_sum_gap": gap}))
     return _first_min(items)
 
 
