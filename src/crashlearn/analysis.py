@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import (ExecutionTrace, advance_beliefs, iteration_groups,
-                     log_likelihood_rows)
+from .engine import (ExecutionTrace, belief_recursion, log_likelihood_rows,
+                     update_matrices)
 from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph,
                      first_dominated_nodes, source_census)
 from .observation import (ROW_SUM_TOLERANCE, LikelihoodModel, _ordered_pairs,
@@ -82,18 +82,7 @@ def structure_constants(graph: DirectedGraph, f: int,
 def trace_matrices(trace: ExecutionTrace) -> np.ndarray:
     """(T, n, n) stack of the iteration matrices, row t - 1 for iteration t,
     from the completed mask and quorums."""
-    completed, quorum = trace.completed, trace.quorum
-    matrices = np.zeros(completed.shape + completed.shape[1:], dtype=np.float64)
-    steps, agents = np.nonzero(completed)
-    quorums = quorum[steps, agents]
-    sizes = np.add.reduce(quorums >= 0, axis=1)
-    weights = 1.0 / (sizes + 1)
-    cells, places = np.nonzero(quorums >= 0)
-    matrices[steps[cells], agents[cells], quorums[cells, places] - 1] = weights[cells]
-    matrices[steps, agents, agents] = 1.0 - sizes * weights
-    idle_steps, idle = np.nonzero(~completed)
-    matrices[idle_steps, idle, idle] = 1.0
-    return matrices
+    return update_matrices(trace.completed, trace.quorum)
 
 
 def _forward_fold(matrices: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -191,15 +180,17 @@ def geometric_tail_constant_float(xi: Fraction, n: int, chi: int, f: int) -> flo
 
 def pseudo_belief_evolution(trace: ExecutionTrace,
                             model: LikelihoodModel | None = None) -> np.ndarray:
-    """(T + 1, n, m) log array: completers apply the exact engine update, all
-    other agents carry their previous value forward unchanged."""
+    """(T + 1, n, m) log array: completers apply the engine's belief
+    recursion, all other agents carry their previous value forward
+    unchanged."""
     model = model or trace.config.model
     out = np.empty((trace.iterations + 1,) + trace.initial_log_belief.shape,
                    dtype=np.float64)
     out[0] = trace.initial_log_belief
-    log_likelihood = log_likelihood_rows(model, trace.signal)
-    for t, groups in enumerate(iteration_groups(trace.completed, trace.quorum)):
-        out[t + 1] = advance_beliefs(out[t], groups, log_likelihood[t])
+    out[1:] = belief_recursion(
+        trace.initial_log_belief, trace.phase, trace.completed,
+        update_matrices(trace.completed, trace.quorum),
+        log_likelihood_rows(model, trace.signal))
     return out
 
 
@@ -441,29 +432,37 @@ def check_prop1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     reduced graph: support inclusion picks the first such graph in
     enumeration order, then every required entry is at least xi as an exact
     rational. A completer's quorum entries carry its diagonal weight, so the
-    graph's nodes give every required value."""
+    graph's nodes give every required value. The matrix depends only on the
+    completers and their quorums, so each such pattern is checked once."""
     shared = shared or _Shared(trace, model)
     xi = shared.structure.xi
     graph, f = trace.config.graph, trace.config.f
-    failures: list[int] = []
+    completed, T = trace.completed, trace.iterations
+    patterns = np.concatenate(
+        [completed, np.where(completed[..., None], trace.quorum, -1).reshape(T, -1)],
+        axis=1)
+    _, firsts, inverse = np.unique(patterns, axis=0, return_index=True,
+                                   return_inverse=True)
+    failed = np.zeros(len(firsts), dtype=bool)
     worst_slack = math.inf
-    for t in range(1, trace.iterations + 1):
-        quorums = trace.quorums_at(t)
+    for p, t in enumerate(firsts.tolist()):
+        quorums = trace.quorums_at(t + 1)
         nodes = first_dominated_nodes(graph, f, quorums)
         if nodes is None:
-            failures.append(t)
+            failed[p] = True
             continue
         required = [Fraction(1, len(quorums[node]) + 1)
                     if node in quorums else Fraction(1) for node in nodes]
         if any(weight < xi for weight in required):
-            failures.append(t)
+            failed[p] = True
             continue
         worst_slack = min([worst_slack]
                           + [float(weight - xi) for weight in required])
-    if failures:
+    failures = np.flatnonzero(failed[inverse.ravel()]) + 1
+    if failures.size:
         return CheckResult("prop1", False, -1.0,
                            {"iterations_without_dominated_reduction":
-                            sorted(set(failures))})
+                            failures.tolist()})
     return CheckResult("prop1", True, float(worst_slack), None)
 
 

@@ -23,14 +23,25 @@ quorum because they never transmit again.
 A run is computed as: schedule, then one belief pass. Quorums and crash
 points depend only on message delays and the crash plan, never on belief
 values, so a belief-free scheduler first fixes who hears whom in every
-iteration, and one pass then updates each iteration's agents in one kernel
-call. Message delays come from per-sender substreams (uniform mode), a fixed
-table (fixed mode), or a worst-case scheduler (adversarial_latest) that
-withholds every message as long as possible, which collapses execution to
-synchronized rounds where each quorum is the lowest-labeled transmitting
+iteration. Message delays come from per-sender substreams (uniform mode), a
+fixed table (fixed mode), or a worst-case scheduler (adversarial_latest)
+that withholds every message as long as possible, which collapses execution
+to synchronized rounds where each quorum is the lowest-labeled transmitting
 in-neighbors. Signals come from per-agent substreams consumed in iteration
 order, so the signal sequence of an agent does not depend on the delay
 schedule.
+
+The belief pass is belief_recursion, which the analysis replay shares. In
+log space an iteration applies a row-stochastic update matrix, adds the
+log-likelihoods and subtracts a per-row normalizer; a per-row constant
+passes unchanged through a row-stochastic matrix, so the normalizers can
+wait, and the unnormalized beliefs of a stretch of iterations are a prefix
+scan of affine maps. The pass cuts the run where the phase rows change,
+steps each crash iteration on its own (it may rewrite only part of a
+belief), scans the rest in chunks of BELIEF_CHUNK iterations and normalizes
+every row of a chunk at once. Beliefs agree with one update_belief or
+partial_update_belief call per record within 1e-12 (relative above
+magnitude 1, absolute below); rows that do not update are copied exactly.
 
 An ExecutionTrace stores a run as four arrays over (iteration, agent), row
 t - 1 for iteration t: phase (T, n) int8 (-1: not alive at the start of t,
@@ -54,7 +65,7 @@ from itertools import compress
 
 import numpy as np
 
-from .graphs import DirectedGraph
+from .graphs import ConfigError, DirectedGraph, config_integer
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -74,10 +85,6 @@ SIGNAL_STREAM = 0
 DELAY_STREAM = 1
 
 BELIEF_NORMALIZATION_TOLERANCE = 1e-9
-
-
-class ConfigError(ValueError):
-    """Simulation configuration rejected before any execution starts."""
 
 
 class DeadlockError(RuntimeError):
@@ -106,9 +113,11 @@ class CrashEvent:
     @classmethod
     def from_dict(cls, payload: Mapping) -> CrashEvent:
         pc = payload.get("partial_count")
-        return cls(agent=int(payload["agent"]), iteration=int(payload["iteration"]),
+        return cls(agent=config_integer(payload["agent"], "crash agent"),
+                   iteration=config_integer(payload["iteration"], "crash iteration"),
                    phase=str(payload["phase"]),
-                   partial_count=None if pc is None else int(pc))
+                   partial_count=None if pc is None
+                   else config_integer(pc, "partial_count"))
 
 
 def _delay_key(sender: int, receiver: int) -> str:
@@ -230,19 +239,19 @@ class SimulationConfig:
     @classmethod
     def from_dict(cls, payload: Mapping) -> SimulationConfig:
         return cls(graph=DirectedGraph.from_dict(payload["graph"]),
-                   f=int(payload["f"]),
+                   f=config_integer(payload["f"], "f"),
                    model=LikelihoodModel.from_dict(payload["model"]),
                    theta_star=str(payload["theta_star"]),
-                   iterations=int(payload["iterations"]),
-                   seed=int(payload["seed"]),
+                   iterations=config_integer(payload["iterations"], "iterations"),
+                   seed=config_integer(payload["seed"], "seed"),
                    adversary=AdversarySchedule.from_dict(payload.get("adversary", {})))
 
 
 # -- belief arithmetic --------------------------------------------------------
 #
-# Every function here works on one (m,) vector or on a (k, m) block of rows
-# alike, with the same floating-point operations per entry, so a batched
-# update is bitwise equal to k one-row updates.
+# The one-row updates state the protocol's arithmetic directly; every
+# function here works on one (m,) vector or on a (k, m) block of rows alike.
+# belief_recursion computes whole runs and agrees with them within 1e-12.
 
 def combine_log_beliefs(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
                         quorum_size: int, log_likelihood: np.ndarray) -> np.ndarray:
@@ -313,50 +322,89 @@ def partial_update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarra
                     keep=np.arange(current.shape[-1]) >= partial_count)
 
 
-QuorumGroup = tuple[np.ndarray, tuple[np.ndarray, ...]]
+def update_matrices(rows: np.ndarray, quorum: np.ndarray) -> np.ndarray:
+    """(T, n, n) stack of row-stochastic update matrices from a (T, n) mask
+    of the agents that update and their (T, n, q) padded quorums: an
+    updating agent weighs itself and each quorum member 1/(quorum size + 1),
+    every other agent keeps a unit row."""
+    matrices = np.zeros(rows.shape + rows.shape[1:], dtype=np.float64)
+    steps, agents = np.nonzero(rows)
+    quorums = quorum[steps, agents]
+    sizes = np.add.reduce(quorums >= 0, axis=1)
+    weights = 1.0 / (sizes + 1)
+    cells, places = np.nonzero(quorums >= 0)
+    matrices[steps[cells], agents[cells], quorums[cells, places] - 1] = weights[cells]
+    matrices[steps, agents, agents] = 1.0 - sizes * weights
+    idle_steps, idle = np.nonzero(~rows)
+    matrices[idle_steps, idle, idle] = 1.0
+    return matrices
 
 
-def iteration_groups(rows: np.ndarray, quorum: np.ndarray,
-                     ) -> Iterator[list[QuorumGroup]]:
-    """advance_beliefs groups of each iteration, from a (T, n) mask of the
-    agents that update and their (T, n, q) padded quorums. A group is one
-    quorum size as (rows, members): 0-based agent rows, and members[p] the
-    0-based row of each agent's p-th quorum member. Consecutive iterations
-    with equal rows share one list."""
-    T = rows.shape[0]
-    sizes = np.add.reduce(quorum >= 0, axis=2)
-    fresh = np.ones(T, dtype=bool)
-    fresh[1:] = ((rows[1:] != rows[:-1]).any(axis=1)
-                 | (quorum[1:] != quorum[:-1]).reshape(T - 1, -1).any(axis=1))
-    groups: list[QuorumGroup] = []
-    for t in range(T):
-        if fresh[t]:
-            groups = []
-            for size in sorted(set(sizes[t, rows[t]].tolist())):
-                agents = np.flatnonzero(rows[t] & (sizes[t] == size))
-                table = quorum[t, agents, :size].astype(np.intp) - 1
-                groups.append((agents, tuple(np.ascontiguousarray(col)
-                                             for col in table.T)))
-        yield groups
+# Iterations per scan chunk. Unnormalized beliefs drift with the length of
+# a chunk, so renormalizing at its end also bounds the rounding.
+BELIEF_CHUNK = 512
 
 
-def advance_beliefs(previous: np.ndarray, groups: Sequence[QuorumGroup],
-                    log_likelihood: np.ndarray,
-                    keep: np.ndarray | None = None) -> np.ndarray:
-    """One iteration of the belief kernel over an (n, m) block of beliefs.
+def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
+                     matrices: np.ndarray, log_likelihood: np.ndarray,
+                     keep: np.ndarray | None = None) -> np.ndarray:
+    """(T, n, m) log beliefs at the end of every iteration, from the (n, m)
+    initial block, the (T, n) phase codes, a (T, n) mask of the agents that
+    update (a function of each iteration's phase row), their update matrices
+    and (T, n, m) log-likelihood rows. keep, if given, is a (T, n, m) mask
+    of entries that hold their previous value (the mid_update partial write).
 
-    Every grouped row is updated from previous, with its quorum members'
-    rows of previous and its row of the (n, m) log_likelihood; keep, if
-    given, is an (n, m) mask of entries that hold their previous value.
-    Returns a new block; rows in no group are copied unchanged.
+    A span is a run of iterations with equal phase rows, cut into chunks of
+    BELIEF_CHUNK iterations and solved with one scan each (see _scan). A
+    crashing agent's code differs from its code before and after, so every
+    crash iteration is a single step. Rows that do not update copy their
+    previous value exactly.
     """
-    out = previous.copy()
-    for rows, members in groups:
-        current = previous[rows]
-        out[rows] = _updated(current, [previous[col] for col in members],
-                             len(members), log_likelihood[rows],
-                             None if keep is None else keep[rows])
+    T = phase.shape[0]
+    # Shifting a row's log-likelihoods by a constant only shifts its
+    # unnormalized beliefs, so each row drives with its top entry at 0,
+    # which keeps them near the normalized ones (and a flat row exact). A
+    # partial write mixes the update with unshifted previous values, so
+    # those rows keep their log-likelihoods as they are.
+    shift = np.maximum.reduce(log_likelihood, axis=-1, keepdims=True)
+    if keep is not None:
+        shift = np.where(keep.any(axis=-1, keepdims=True), 0.0, shift)
+    drive = np.where(rows[..., None], log_likelihood - shift, 0.0)
+    starts = np.ones(T, dtype=bool)
+    starts[1:] = (phase[1:] != phase[:-1]).any(axis=1)
+    bounds = np.flatnonzero(starts).tolist() + [T]
+    out = np.empty(drive.shape, dtype=np.float64)
+    previous = initial
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for a in range(lo, hi, BELIEF_CHUNK):
+            b = min(a + BELIEF_CHUNK, hi)
+            out[a:b] = _scan(previous, matrices[a:b], drive[a:b], rows[a],
+                             None if keep is None else keep[a:b])
+            previous = out[b - 1]
     return out
+
+
+def _scan(previous: np.ndarray, matrices: np.ndarray, drive: np.ndarray,
+          rows: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """Beliefs over one chunk whose updating rows are the same throughout.
+
+    In log space an update is the affine map y -> A_t y + L_t followed by a
+    per-row shift (the normalizer), and a per-row shift passes unchanged
+    through a row-stochastic A_t. So the unnormalized beliefs are a prefix
+    scan of the affine maps, here Hillis-Steele: after the step of offset k,
+    entry t holds the composition of the maps t - 2k + 1 .. t. Each entry is
+    then applied to the chunk's starting beliefs and renormalized.
+    """
+    product, offset = matrices.copy(), drive.copy()
+    k = 1
+    while k < len(product):
+        offset[k:] = product[k:] @ offset[:-k] + offset[k:]
+        product[k:] = product[k:] @ product[:-k]
+        k *= 2
+    unnormalized = product @ previous + offset
+    if keep is not None:
+        unnormalized = np.where(keep, previous, unnormalized)
+    return np.where(rows[:, None], normalize_log_belief(unnormalized), previous)
 
 
 # -- trace --------------------------------------------------------------------
@@ -629,27 +677,21 @@ def _round(config: SimulationConfig, alive: set[int], t: int,
 
 def _belief_pass(config: SimulationConfig, phase: np.ndarray,
                  quorum: np.ndarray) -> ExecutionTrace:
-    """Replay the schedule through the belief kernel, one advance_beliefs call
-    per iteration; consecutive iterations with the same updating agents and
-    quorums share their quorum groups."""
+    """Replay the schedule through belief_recursion."""
     draws = _signal_draws(config)
     log_likelihood = log_likelihood_rows(config.model, draws)
     m = config.model.m
     initial = np.full((config.graph.n, m), -math.log(m), dtype=np.float64)
-    # Per crash iteration, the entries a mid_update crash leaves untouched;
-    # SimulationConfig.validate sets partial_count for mid_update only.
-    keeps: dict[int, np.ndarray] = {}
+    # The entries a mid_update crash leaves untouched; SimulationConfig.validate
+    # sets partial_count for mid_update only.
+    keep = np.zeros(log_likelihood.shape, dtype=bool)
     for ev in config.adversary.crash_plan:
         if ev.partial_count is not None:
-            keeps.setdefault(ev.iteration, np.zeros(initial.shape, dtype=bool))[
-                ev.agent - 1, ev.partial_count:] = True
+            keep[ev.iteration - 1, ev.agent - 1, ev.partial_count:] = True
     takes_quorum = _PHASE_TABLE[phase, 2]
-    log_belief = np.empty(log_likelihood.shape, dtype=np.float64)
-    beliefs = initial
-    for t, groups in enumerate(iteration_groups(takes_quorum, quorum)):
-        beliefs = advance_beliefs(beliefs, groups, log_likelihood[t],
-                                  keeps.get(t + 1))
-        log_belief[t] = beliefs
+    log_belief = belief_recursion(initial, phase, takes_quorum,
+                                  update_matrices(takes_quorum, quorum),
+                                  log_likelihood, keep)
     signal = np.where(takes_quorum, draws, -1).astype(np.int32)
     return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)
 

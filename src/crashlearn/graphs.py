@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,21 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 1_000_000
 PARTITION_NODE_LIMIT = 12
 _SCAN_CHUNK = 1 << 15
+
+
+class ConfigError(ValueError):
+    """Simulation configuration rejected before any execution starts."""
+
+
+def config_integer(value, name: str) -> int:
+    """A config field that must be an integer: an int, or a float with an
+    integral value. Booleans, fractions and non-numbers are rejected, not
+    truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,11 +83,12 @@ class DirectedGraph:
     @classmethod
     def from_dict(cls, payload: Mapping) -> DirectedGraph:
         """Parse {"n": int, "edges": [[j, i], ...]}; rejects duplicates and self-loops."""
-        n = int(payload["n"])
+        n = config_integer(payload["n"], "graph n")
         raw = payload.get("edges", [])
         seen: set[tuple[int, int]] = set()
         for item in raw:
-            j, i = int(item[0]), int(item[1])
+            j = config_integer(item[0], "edge endpoint")
+            i = config_integer(item[1], "edge endpoint")
             if (j, i) in seen:
                 raise ValueError(f"duplicate edge ({j}, {i})")
             seen.add((j, i))

@@ -20,6 +20,7 @@ from .analysis import DEFAULT_CHECKS, run_checks
 from .engine import (ConfigError, ExecutionTrace, SimulationConfig,
                      min_final_posterior, run_execution, validate_trace,
                      write_trace, read_trace)
+from .graphs import config_integer
 from .observation import (IdentifiabilityPreconditionError,
                           check_assumption1)
 
@@ -59,7 +60,7 @@ class ExperimentBatch:
         config = load_simulation_config(payload["config"], base_dir=base_dir)
         checks = payload.get("checks")
         return cls(base_config=config,
-                   seeds=tuple(int(s) for s in payload["seeds"]),
+                   seeds=tuple(config_integer(s, "seed") for s in payload["seeds"]),
                    convergence_threshold=float(
                        payload.get("convergence_threshold", 0.99)),
                    checks=DEFAULT_CHECKS if checks is None else tuple(checks))

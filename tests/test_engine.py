@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crashlearn
-from crashlearn.engine import (AdversarySchedule, ConfigError, CrashEvent,
+from crashlearn.analysis import pseudo_belief_evolution
+from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
+                               AdversarySchedule, ConfigError, CrashEvent,
                                SimulationConfig, TraceInvariantError,
                                combine_log_beliefs, converged,
                                log_normalizer, min_final_posterior,
@@ -222,12 +224,40 @@ def test_seed_changes_signals():
     assert sig_a != sig_b
 
 
+ONE_STEP_TOLERANCE = 1e-12
+
+
+def assert_one_step_updates(trace) -> None:
+    """Every record agrees, within ONE_STEP_TOLERANCE (relative above
+    magnitude 1, absolute below), with update_belief or partial_update_belief
+    applied to the trace's own beliefs of the iteration before; a record
+    without a quorum repeats its previous belief exactly."""
+    model = trace.config.model
+    partial = {ev.agent: ev.partial_count
+               for ev in trace.config.adversary.crash_plan}
+    for t in range(1, trace.iterations + 1):
+        for agent, rec in trace.records[t - 1].items():
+            before = trace.log_belief_before(t, agent)
+            if rec.quorum is None:
+                assert rec.log_belief.tobytes() == before.tobytes(), \
+                    f"t={t} agent={agent}"
+                continue
+            args = (before, [trace.log_belief_before(t, j) for j in rec.quorum],
+                    rec.signal, model, agent, len(rec.quorum))
+            want = (partial_update_belief(*args, partial[agent])
+                    if rec.crash_phase == "mid_update" else update_belief(*args))
+            assert all(math.isclose(g, w, rel_tol=ONE_STEP_TOLERANCE,
+                                    abs_tol=ONE_STEP_TOLERANCE)
+                       for g, w in zip(rec.log_belief.tolist(), want.tolist())), \
+                f"t={t} agent={agent}: {rec.log_belief} != {want}"
+
+
 @pytest.mark.parametrize("mode", ["adversarial_latest", "uniform"])
 def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay(mode):
     # K4 plus agent 5, which hears everyone and is heard by agent 1: agents
-    # 1 and 5 need quorums of 3, agents 2-4 of 2, so each round batches two
+    # 1 and 5 need quorums of 3, agents 2-4 of 2, so each round mixes two
     # quorum sizes, and agent 4's mid_update crash lands in such a round.
-    # Both schedulers are checked bitwise against the one-row updates.
+    # Both schedulers are checked against the one-row updates.
     edges = [(j, i) for i in range(1, 5) for j in range(1, 5) if i != j]
     edges += [(j, 5) for j in range(1, 5)] + [(5, 1)]
     graph = DirectedGraph.from_edge_list(5, edges)
@@ -240,24 +270,86 @@ def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay(mode):
         graph, 1, iterations=40, seed=5, model=model,
         adversary=AdversarySchedule(mode=mode, crash_plan=(crash,))))
     validate_trace(trace)
-    beliefs = {i: trace.initial_log_belief[i - 1] for i in graph.nodes}
+    assert_one_step_updates(trace)
     for t in range(1, trace.iterations + 1):
-        replayed, sizes = {}, set()
-        for agent, rec in trace.records[t - 1].items():
-            if rec.quorum is None:
-                replayed[agent] = beliefs[agent]
-            else:
-                sizes.add(len(rec.quorum))
-                args = (beliefs[agent], [beliefs[j] for j in rec.quorum],
-                        rec.signal, model, agent, len(rec.quorum))
-                replayed[agent] = (
-                    partial_update_belief(*args, crash.partial_count)
-                    if rec.crash_phase == "mid_update" else update_belief(*args))
-            assert replayed[agent].tobytes() == rec.log_belief.tobytes(), \
-                f"t={t} agent={agent}"
-        assert sizes == {2, 3}
-        beliefs.update(replayed)
+        assert {len(rec.quorum) for rec in trace.records[t - 1].values()
+                if rec.quorum is not None} == {2, 3}
     assert trace.record(6, 4).crash_phase == "mid_update"
+
+
+# Likelihood tables over signals (a, b) by number of hypotheses: informative
+# and flat agents.
+TABLES = {2: ([[0.3, 0.7], [0.7, 0.3]], [[0.5, 0.5], [0.5, 0.5]]),
+          3: ([[0.3, 0.7], [0.7, 0.3], [0.45, 0.55]],
+              [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])}
+
+
+@st.composite
+def recursion_runs(draw):
+    """Configs on graphs of up to 7 agents whose in-degrees are all at
+    least f <= 2, with 2 or 3 hypotheses, any adversary mode and up to f
+    crashes in any phase. Half the runs are longer than two scan chunks,
+    their first crash one iteration before, at or after a chunk boundary."""
+    n = draw(st.integers(1, 7))
+    f = draw(st.integers(0, min(2, n - 1)))
+    edges = []
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        if others:
+            edges += [(j, i) for j in draw(st.sets(st.sampled_from(others),
+                                                   min_size=f))]
+    m = draw(st.sampled_from(sorted(TABLES)))
+    tables = [np.array(draw(st.sampled_from(TABLES[m]))) for _ in range(n)]
+    model = LikelihoodModel(("theta1", "theta2", "theta3")[:m],
+                            [("a", "b")] * n, tables)
+    long = draw(st.booleans())
+    T = draw(st.integers(2 * BELIEF_CHUNK + 1, 2 * BELIEF_CHUNK + 40) if long
+             else st.integers(1, 40))
+    plan = []
+    for k, agent in enumerate(draw(st.lists(st.integers(1, n), unique=True,
+                                            max_size=f))):
+        phase = draw(st.sampled_from(CRASH_PHASES))
+        t = draw(st.integers(BELIEF_CHUNK, BELIEF_CHUNK + 2) if long and k == 0
+                 else st.integers(1, T))
+        plan.append(CrashEvent(agent, t, phase, draw(st.integers(1, m - 1))
+                               if phase == "mid_update" else None))
+    return make_config(
+        DirectedGraph.from_edge_list(n, edges), f, iterations=T,
+        seed=draw(st.integers(0, 2 ** 16)), model=model,
+        adversary=AdversarySchedule(mode=draw(st.sampled_from(ADVERSARY_MODES)),
+                                    dmax=3.0, crash_plan=tuple(plan)))
+
+
+def assert_recursion_properties(trace) -> None:
+    """The engine's records follow the one-row updates, and the analysis
+    replay reproduces them on completers bit for bit."""
+    validate_trace(trace)
+    assert_one_step_updates(trace)
+    pseudo = pseudo_belief_evolution(trace)
+    assert (pseudo[1:][trace.completed] == trace.log_belief[trace.completed]).all()
+
+
+def test_belief_recursion_matches_one_step_updates():
+    @settings(max_examples=40, deadline=None)
+    @given(recursion_runs())
+    def check(config):
+        assert_recursion_properties(run_execution(config))
+
+    check()
+
+
+@pytest.mark.parametrize("mode", ["adversarial_latest", "uniform"])
+@pytest.mark.parametrize("crash_at", [BELIEF_CHUNK, BELIEF_CHUNK + 1,
+                                      BELIEF_CHUNK + 2],
+                         ids=["before-boundary", "at-boundary", "after-boundary"])
+def test_belief_recursion_across_chunk_boundaries(mode, crash_at):
+    # Iteration BELIEF_CHUNK + 1 opens the second chunk of the crash-free
+    # span that starts the run.
+    crash = CrashEvent(agent=4, iteration=crash_at, phase="mid_update",
+                       partial_count=1)
+    assert_recursion_properties(run_execution(make_config(
+        DirectedGraph.complete(4), 1, iterations=2 * BELIEF_CHUNK + 20, seed=7,
+        adversary=AdversarySchedule(mode=mode, crash_plan=(crash,)))))
 
 
 def test_no_scipy_at_run_time(tmp_path):

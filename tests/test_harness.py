@@ -227,6 +227,62 @@ def test_cli_exit_code_config_error(config_dir, capsys):
     assert code == 2 and "config" in err
 
 
+# Every integer field of a simulation config, as a path into its dict, and
+# values int() would silently turn into an integer.
+INTEGER_FIELDS = {
+    "f": ("f",), "iterations": ("iterations",), "seed": ("seed",),
+    "graph-n": ("graph", "n"), "edge-endpoint": ("graph", "edges", 0, 1),
+    "crash-agent": ("adversary", "crash_plan", 0, "agent"),
+    "crash-iteration": ("adversary", "crash_plan", 0, "iteration"),
+    "partial-count": ("adversary", "crash_plan", 0, "partial_count"),
+}
+NOT_INTEGERS = {"fraction": 1.5, "true": True, "false": False}
+
+
+def with_field(config: dict, path: tuple, value) -> dict:
+    """A deep copy of a JSON config with the entry at path replaced."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+@pytest.mark.parametrize("path", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS)
+def test_cli_simulate_rejects_non_integer_fields(base_config, tmp_path, capsys,
+                                                 path, value):
+    (tmp_path / "sim.json").write_text(json.dumps(
+        with_field(base_config.to_dict(), path, value)))
+    code, _, err = run_cli(["simulate", "--config", str(tmp_path / "sim.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+def test_cli_batch_rejects_non_integer_seeds(config_dir, tmp_path, capsys, value):
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": str(config_dir / "sim.json"), "seeds": [21, value]}))
+    code, _, err = run_cli(["batch", "--config", str(tmp_path / "batch.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert "must be an integer" in err
+
+
+def test_cli_simulate_accepts_integral_floats(base_config, tmp_path, capsys):
+    outputs = []
+    for config in (base_config.to_dict(),
+                   dict(base_config.to_dict(), f=1.0, iterations=60.0, seed=0.0)):
+        (tmp_path / "sim.json").write_text(json.dumps(config))
+        code, out, err = run_cli(["simulate", "--config",
+                                  str(tmp_path / "sim.json")], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_exit_code_invariant_violation(config_dir, tmp_path, capsys):
     trace_path = tmp_path / "t.jsonl"
     code, _, _ = run_cli(["simulate", "--config",
@@ -337,6 +393,16 @@ def test_cli_malformed_trace_record_exits_4(stored_trace, index, mutate):
     code, err = analyze_lines(directory, lines[:index] + [mutate(lines[index])]
                               + lines[index + 1:])
     assert code == 4 and err.startswith("invariant:"), err
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+@pytest.mark.parametrize("path", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS)
+def test_cli_trace_header_rejects_non_integer_fields(stored_trace, path, value):
+    directory, lines = stored_trace
+    header = edit_config(lines[0], lambda config: with_field(config, path, value))
+    code, err = analyze_lines(directory, [header] + lines[1:])
+    assert code == 4 and err.startswith("invariant:"), err
+    assert "must be an integer" in err
 
 
 def test_read_trace_rejects_iteration_claim_before_reading_steps(stored_trace):

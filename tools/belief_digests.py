@@ -1,37 +1,51 @@
-"""SHA-256 digests of everything a simulation records, for comparing the
-engine and the analysis bit for bit across versions.
+"""Compare what a simulation records across two checkouts of crashlearn.
 
-One line per config: its label, then these digests:
-  - the trace's step lines (iter_trace_lines without its header: every
-    record's quorum, signal, completion, crash phase and log belief, in
-    (t, agent) order);
-  - pseudo_belief_evolution's output;
-  - the bytes write_trajectory_csv writes;
-  - every line of iter_trace_lines, header included, of the trace that
-    read_trace returns for the file write_trace wrote;
-  - on the checked configs, json.dumps(run_checks(trace), sort_keys=True);
-  - on the test suite's configs only, the JSON of every field of
-    decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0).
-The configs are the test suite's suite_configs() (checked), simulation
-seeds 1000-1063 of the benchmark's two simulation configs (seeds 1000-1003
-checked), and seeds 1000-1003 of complete-4, f=1, uniform delays up to 3,
-T=60, agent 4 crashing at t=10 in each crash phase (checked). Run it once
-per checkout, each time with that checkout's src/ on the path, and diff:
+    python3 tools/belief_digests.py digests
+    python3 tools/belief_digests.py deviations OTHER/src
+
+`digests` (the default) prints one line per config: its label, then SHA-256
+digests of everything that does not depend on belief arithmetic:
+  - the trace's phase, quorum and signal arrays;
+  - trace_matrices(trace);
+  - on the checked configs, json.dumps(run_checks(trace), sort_keys=True),
+    every verdict, margin and witness.
+Run it once per checkout, each time with that checkout's src/ on the path,
+and diff; a change of belief kernel leaves every line unchanged:
 
     PYTHONPATH=src python3 tools/belief_digests.py > new.txt
     PYTHONPATH=OTHER/src python3 tools/belief_digests.py > old.txt
     diff old.txt new.txt
+
+`deviations` runs the configs once with OTHER/src in a subprocess and once
+with the src/ on this process's path, and prints, per config, the largest
+deviation of each belief-dependent quantity as |a - b| / max(1, |a|, |b|),
+so a value at most tol means math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+holds for every entry: the trace's log beliefs, pseudo_belief_evolution's
+output, the run_checks margins (checked configs) and every number of
+decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0) (the test
+suite's configs); "-" where a config has none. The last line is the largest
+of each column.
+
+The configs are the test suite's suite_configs() (checked), simulation seeds
+1000-1063 of the benchmark's two simulation configs (seeds 1000-1003
+checked), and seeds 1000-1003 of complete-4, f=1, uniform delays up to 3,
+T=60, agent 4 crashing at t=10 in each crash phase (checked).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import math
+import os
+import subprocess
 import sys
 import tempfile
-from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1000, 1064)
@@ -39,7 +53,7 @@ CHECKED_SEEDS = range(1000, 1004)
 
 
 def configs():
-    """(label, SimulationConfig, digest the checks, digest the drift)
+    """(label, SimulationConfig, run the checks, decompose the drift)
     tuples, built from this checkout's tests and benchmark definitions."""
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
     from conftest import make_config, suite_configs
@@ -64,46 +78,108 @@ def configs():
                                             crash_plan=(crash,))), True, False)
 
 
-def _lines_digest(lines) -> str:
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+def _digest(payload) -> str:
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()
 
 
-def _json_digest(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def digests(config, with_checks: bool, with_drift: bool,
-            workdir: Path) -> list[str]:
-    from crashlearn.analysis import (decompose_log_ratio_drift,
-                                     pseudo_belief_evolution, run_checks)
-    from crashlearn.engine import (iter_trace_lines, read_trace,
-                                   run_execution, write_trace)
-    from crashlearn.harness import write_trajectory_csv
+def digests(config, with_checks: bool) -> list[str]:
+    from crashlearn.analysis import run_checks, trace_matrices
+    from crashlearn.engine import run_execution
     trace = run_execution(config)
-    out = [_lines_digest(islice(iter_trace_lines(trace), 1, None)),
-           hashlib.sha256(pseudo_belief_evolution(trace).tobytes()).hexdigest()]
-    csv_path, trace_path = workdir / "trajectory.csv", workdir / "trace.jsonl"
-    write_trajectory_csv(trace, csv_path)
-    out.append(hashlib.sha256(csv_path.read_bytes()).hexdigest())
-    write_trace(trace, trace_path)
-    out.append(_lines_digest(iter_trace_lines(read_trace(trace_path))))
+    out = [_digest(np.ascontiguousarray(array).tobytes())
+           for array in (trace.phase, trace.quorum, trace.signal,
+                         trace_matrices(trace))]
     if with_checks:
-        out.append(_json_digest(run_checks(trace)))
-    if with_drift:
-        drift = decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0)
-        out.append(_json_digest(dataclasses.asdict(drift)))
+        out.append(_digest(run_checks(trace)))
     return out
 
 
-def main() -> None:
+def belief_values(config, with_checks: bool, with_drift: bool) -> dict:
+    """Every belief-dependent quantity of one config, as float arrays."""
+    from crashlearn.analysis import (DEFAULT_CHECKS, decompose_log_ratio_drift,
+                                     pseudo_belief_evolution, run_checks)
+    from crashlearn.engine import run_execution
+    trace = run_execution(config)
+    values = {"beliefs": trace.log_belief,
+              "pseudo": pseudo_belief_evolution(trace)}
+    if with_checks:
+        report = run_checks(trace)
+        values["margins"] = np.array([report[name]["worst_margin"]
+                                      for name in DEFAULT_CHECKS])
+    if with_drift:
+        drift = dataclasses.asdict(
+            decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0))
+        values["drift"] = np.array(
+            [drift["C0"], drift["C1"]]
+            + [value for checkpoint in drift["checkpoints"]
+               for value in checkpoint.values()], dtype=np.float64)
+    return values
+
+
+def deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| / max(1, |a|, |b|); equal entries (infinities too)
+    count as 0."""
+    if a.shape != b.shape:
+        return math.inf
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        gaps = np.where(a == b, 0.0, np.abs(a - b) / scale)
+    return float(np.max(gaps, initial=0.0))
+
+
+COLUMNS = ("beliefs", "pseudo", "margins", "drift")
+
+
+def dump(directory: Path) -> None:
+    """Write belief_values of every config to DIRECTORY/<index>.npz."""
+    for index, (_, config, with_checks, with_drift) in enumerate(configs()):
+        np.savez(directory / f"{index}.npz",
+                 **belief_values(config, with_checks, with_drift))
+
+
+def deviations(other_src: Path) -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        for label, config, with_checks, with_drift in configs():
-            print(label, *digests(config, with_checks, with_drift, Path(workdir)),
-                  flush=True)
+        env = dict(os.environ, PYTHONPATH=str(other_src.resolve()))
+        subprocess.run([sys.executable, __file__, "dump", workdir],
+                       env=env, check=True)
+        print("config", *COLUMNS)
+        worst = dict.fromkeys(COLUMNS, 0.0)
+        for index, (label, config, with_checks, with_drift) in enumerate(configs()):
+            ours = belief_values(config, with_checks, with_drift)
+            with np.load(Path(workdir) / f"{index}.npz") as theirs:
+                row = []
+                for column in COLUMNS:
+                    if column not in ours:
+                        row.append("-")
+                        continue
+                    gap = deviation(ours[column], theirs[column])
+                    worst[column] = max(worst[column], gap)
+                    row.append(f"{gap:.3e}")
+            print(label, *row, flush=True)
+        print("max", *(f"{worst[column]:.3e}" for column in COLUMNS))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("digests", help="belief-free digests, one line per config")
+    compare = sub.add_parser("deviations",
+                             help="belief deviations from another checkout")
+    compare.add_argument("other_src", type=Path,
+                         help="the other checkout's src/ directory")
+    inner = sub.add_parser("dump", help="write belief values as .npz files "
+                                        "(what deviations runs in the other checkout)")
+    inner.add_argument("directory", type=Path)
+    args = parser.parse_args()
+    if args.command == "deviations":
+        deviations(args.other_src)
+    elif args.command == "dump":
+        dump(args.directory)
+    else:
+        for label, config, with_checks, _ in configs():
+            print(label, *digests(config, with_checks), flush=True)
 
 
 if __name__ == "__main__":
