@@ -187,10 +187,9 @@ def pseudo_belief_evolution(trace: ExecutionTrace,
     out = np.empty((trace.iterations + 1,) + trace.initial_log_belief.shape,
                    dtype=np.float64)
     out[0] = trace.initial_log_belief
-    out[1:] = belief_recursion(
-        trace.initial_log_belief, trace.phase, trace.completed,
-        update_matrices(trace.completed, trace.quorum),
-        log_likelihood_rows(model, trace.signal))
+    out[1:] = belief_recursion(trace.initial_log_belief, trace.phase,
+                               trace.completed, trace.quorum,
+                               log_likelihood_rows(model, trace.signal))
     return out
 
 

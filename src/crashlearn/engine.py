@@ -34,7 +34,7 @@ schedule.
 The belief pass is belief_recursion, which the analysis replay shares. In
 log space an iteration applies a row-stochastic update matrix, adds the
 log-likelihoods and subtracts a per-row normalizer; a per-row constant
-passes unchanged through a row-stochastic matrix, so the normalizers can
+stays a per-row constant through the next matrix, so the normalizers can
 wait, and the unnormalized beliefs of a stretch of iterations are a prefix
 scan of affine maps. The pass cuts the run where the phase rows change,
 steps each crash iteration on its own (it may rewrite only part of a
@@ -346,16 +346,18 @@ BELIEF_CHUNK = 512
 
 
 def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
-                     matrices: np.ndarray, log_likelihood: np.ndarray,
+                     quorum: np.ndarray, log_likelihood: np.ndarray,
                      keep: np.ndarray | None = None) -> np.ndarray:
     """(T, n, m) log beliefs at the end of every iteration, from the (n, m)
     initial block, the (T, n) phase codes, a (T, n) mask of the agents that
-    update (a function of each iteration's phase row), their update matrices
-    and (T, n, m) log-likelihood rows. keep, if given, is a (T, n, m) mask
-    of entries that hold their previous value (the mid_update partial write).
+    update (a function of each iteration's phase row), their (T, n, q)
+    padded quorums and (T, n, m) log-likelihood rows. keep, if given, is a
+    (T, n, m) mask of entries that hold their previous value (the mid_update
+    partial write).
 
     A span is a run of iterations with equal phase rows, cut into chunks of
-    BELIEF_CHUNK iterations and solved with one scan each (see _scan). A
+    BELIEF_CHUNK iterations and solved with one scan each (see _scan), over
+    the chunk's update_matrices, so memory stays O(BELIEF_CHUNK n^2). A
     crashing agent's code differs from its code before and after, so every
     crash iteration is a single step. Rows that do not update copy their
     previous value exactly.
@@ -378,7 +380,8 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for a in range(lo, hi, BELIEF_CHUNK):
             b = min(a + BELIEF_CHUNK, hi)
-            out[a:b] = _scan(previous, matrices[a:b], drive[a:b], rows[a],
+            out[a:b] = _scan(previous, update_matrices(rows[a:b], quorum[a:b]),
+                             drive[a:b], rows[a],
                              None if keep is None else keep[a:b])
             previous = out[b - 1]
     return out
@@ -389,13 +392,14 @@ def _scan(previous: np.ndarray, matrices: np.ndarray, drive: np.ndarray,
     """Beliefs over one chunk whose updating rows are the same throughout.
 
     In log space an update is the affine map y -> A_t y + L_t followed by a
-    per-row shift (the normalizer), and a per-row shift passes unchanged
-    through a row-stochastic A_t. So the unnormalized beliefs are a prefix
+    per-row shift (the normalizer), and a per-row shift stays a per-row
+    shift through A_t. So the unnormalized beliefs are a prefix
     scan of the affine maps, here Hillis-Steele: after the step of offset k,
     entry t holds the composition of the maps t - 2k + 1 .. t. Each entry is
-    then applied to the chunk's starting beliefs and renormalized.
+    then applied to the chunk's starting beliefs and renormalized. The
+    matrices are overwritten.
     """
-    product, offset = matrices.copy(), drive.copy()
+    product, offset = matrices, drive.copy()
     k = 1
     while k < len(product):
         offset[k:] = product[k:] @ offset[:-k] + offset[k:]
@@ -689,8 +693,7 @@ def _belief_pass(config: SimulationConfig, phase: np.ndarray,
         if ev.partial_count is not None:
             keep[ev.iteration - 1, ev.agent - 1, ev.partial_count:] = True
     takes_quorum = _PHASE_TABLE[phase, 2]
-    log_belief = belief_recursion(initial, phase, takes_quorum,
-                                  update_matrices(takes_quorum, quorum),
+    log_belief = belief_recursion(initial, phase, takes_quorum, quorum,
                                   log_likelihood, keep)
     signal = np.where(takes_quorum, draws, -1).astype(np.int32)
     return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)
