@@ -22,14 +22,24 @@ quorum because they never transmit again.
 
 A run is computed as: schedule, then one belief pass. Quorums and crash
 points depend only on message delays and the crash plan, never on belief
-values, so a belief-free scheduler first fixes who hears whom in every
-iteration. Message delays come from per-sender substreams (uniform mode), a
-fixed table (fixed mode), or a worst-case scheduler (adversarial_latest)
-that withholds every message as long as possible, which collapses execution
-to synchronized rounds where each quorum is the lowest-labeled transmitting
-in-neighbors. Signals come from per-agent substreams consumed in iteration
-order, so the signal sequence of an agent does not depend on the delay
-schedule.
+values, so a belief-free schedule first fixes who hears whom in every
+iteration. It is a recursion over ready times. Every agent is ready for
+iteration 1 at time 0. In iteration t a transmitting agent j sends at its
+ready time r_j, and its message reaches an out-neighbor i at r_j + d_t(j, i).
+An agent that takes a quorum takes the len(in_neighbors) - f earliest
+messages of its transmitting in-neighbors, an arrival tie going to the
+lower sender label, and is ready for t + 1 at the later of r_i and its
+latest taken arrival. Delays come from per-sender substreams (uniform mode)
+or a fixed table (fixed mode). adversarial_latest is the worst-case
+scheduler that withholds every message as long as it can: nobody can run
+ahead, so execution is lockstep rounds, which is the recursion with every
+delay 0. Then every quorum is the lowest-labeled transmitting in-neighbors
+and depends on the iteration's phase row alone, so the rule runs once per
+span of equal phase rows. No agent waits forever: validate allows at most
+f crashes and f <= every in-degree, so in every iteration each agent keeps
+at least len(in_neighbors) - f transmitting in-neighbors. Signals come from
+per-agent substreams consumed in iteration order, so the signal sequence of
+an agent does not depend on the delay schedule.
 
 The belief pass is belief_recursion, which the analysis replay shares. In
 log space an iteration applies a row-stochastic update matrix, adds the
@@ -55,17 +65,16 @@ crash phase; validate_trace checks the records against each other.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
-from .graphs import ConfigError, DirectedGraph, config_integer
+from .graphs import ConfigError, DirectedGraph, config_float, config_integer
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -159,12 +168,13 @@ class AdversarySchedule:
             parsed = {}
             for key, value in fixed.items():
                 sender, _, receiver = key.partition("->")
-                parsed[(int(sender), int(receiver))] = float(value)
+                parsed[(int(sender), int(receiver))] = config_float(
+                    value, f"fixed delay {key}")
             fixed = parsed
         elif fixed is not None:
-            fixed = float(fixed)
+            fixed = config_float(fixed, "fixed_delays")
         return cls(mode=str(payload.get("mode", "uniform")),
-                   dmax=float(payload.get("dmax", 1.0)),
+                   dmax=config_float(payload.get("dmax", 1.0), "dmax"),
                    fixed_delays=fixed,
                    crash_plan=tuple(CrashEvent.from_dict(ev)
                                     for ev in payload.get("crash_plan", ())))
@@ -362,7 +372,6 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
     crash iteration is a single step. Rows that do not update copy their
     previous value exactly.
     """
-    T = phase.shape[0]
     # Shifting a row's log-likelihoods by a constant only shifts its
     # unnormalized beliefs, so each row drives with its top entry at 0,
     # which keeps them near the normalized ones (and a flat row exact). A
@@ -372,12 +381,9 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
     if keep is not None:
         shift = np.where(keep.any(axis=-1, keepdims=True), 0.0, shift)
     drive = np.where(rows[..., None], log_likelihood - shift, 0.0)
-    starts = np.ones(T, dtype=bool)
-    starts[1:] = (phase[1:] != phase[:-1]).any(axis=1)
-    bounds = np.flatnonzero(starts).tolist() + [T]
     out = np.empty(drive.shape, dtype=np.float64)
     previous = initial
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in _spans(phase):
         for a in range(lo, hi, BELIEF_CHUNK):
             b = min(a + BELIEF_CHUNK, hi)
             out[a:b] = _scan(previous, update_matrices(rows[a:b], quorum[a:b]),
@@ -385,6 +391,15 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
                              None if keep is None else keep[a:b])
             previous = out[b - 1]
     return out
+
+
+def _spans(phase: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the runs of equal rows of a (T, n) phase
+    array."""
+    starts = np.ones(len(phase), dtype=bool)
+    starts[1:] = (phase[1:] != phase[:-1]).any(axis=1)
+    bounds = np.flatnonzero(starts).tolist() + [len(phase)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _scan(previous: np.ndarray, matrices: np.ndarray, drive: np.ndarray,
@@ -533,12 +548,6 @@ def converged(trace: ExecutionTrace, threshold: float) -> bool:
 
 # -- execution ----------------------------------------------------------------
 
-def _rule(event: CrashEvent | None) -> tuple[int, bool, bool, bool]:
-    """(phase code, transmits, takes_quorum, completes) of a crash event."""
-    phase = None if event is None else event.phase
-    return (_PHASE_NAMES.index(phase), *_PHASE_RULES[phase])
-
-
 def _rng(seed: int, stream: int, agent: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, agent]))
 
@@ -546,10 +555,7 @@ def _rng(seed: int, stream: int, agent: int) -> np.random.Generator:
 def run_execution(config: SimulationConfig) -> ExecutionTrace:
     """Simulate one run to completion; deterministic in (config, seed)."""
     config.validate()
-    if config.adversary.mode == "adversarial_latest":
-        phase, quorum = _round_schedule(config)
-    else:
-        phase, quorum = _event_schedule(config)
+    phase, quorum = _schedule(config)
     return _belief_pass(config, phase, quorum)
 
 
@@ -561,122 +567,90 @@ def _blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
             np.full((T, g.n, width), -1, dtype=np.int32))
 
 
-def _event_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Message-passing scheduler for uniform and fixed delays: every agent's
-    quorum is the first messages of its current iteration to be delivered."""
-    g, T = config.graph, config.iterations
-    adversary = config.adversary
-    need = {i: len(g.in_neighbors[i]) - config.f for i in g.nodes}
-    crash_at = {(ev.agent, ev.iteration): ev for ev in adversary.crash_plan}
-    delay_rngs = {i: _rng(config.seed, DELAY_STREAM, i) for i in g.nodes}
-    uniform_mode = adversary.mode == "uniform"
-    phase, quorums = _blank_schedule(config)
-
-    cur_iter = dict.fromkeys(g.nodes, 1)
-    ready_time = dict.fromkeys(g.nodes, 0.0)
-    buffers: dict[int, dict[int, list[tuple[float, int]]]] = {i: {} for i in g.nodes}
-    running = set(g.nodes)      # neither dead nor done
-    heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-
-    def begin_iteration(i: int, t: int, now: float) -> None:
-        """Transmit for iteration t unless a crash intercepts; an agent that
-        takes no quorum at t dies here."""
-        nonlocal seq
-        event = crash_at.get((i, t))
-        phase[t - 1, i - 1], transmits, takes_quorum, _ = _rule(event)
-        if transmits:
-            for j in sorted(g.out_neighbors[i]):
-                if uniform_mode:
-                    delay = float(delay_rngs[i].uniform(0.0, adversary.dmax))
-                else:
-                    delay = adversary.delay_for(i, j)
-                heapq.heappush(heap, (now + delay, i, j, seq, t))
-                seq += 1
-        if not takes_quorum:
-            running.discard(i)
-
-    def try_advance(i: int) -> None:
-        while i in running:
-            t = cur_iter[i]
-            buffered = buffers[i].get(t, ())
-            if len(buffered) < need[i]:
-                return
-            taken = buffered[:need[i]]    # delivery order, ties already by label
-            quorums[t - 1, i - 1, :need[i]] = sorted(sender for _, sender in taken)
-            if (i, t) in crash_at or t == T:
-                running.discard(i)
-            else:
-                cur_iter[i] = t + 1
-                ready_time[i] = max([ready_time[i]] + [dt for dt, _ in taken])
-                begin_iteration(i, t + 1, ready_time[i])
-
-    for i in sorted(g.nodes):
-        begin_iteration(i, 1, 0.0)
-    for i in sorted(g.nodes):
-        try_advance(i)
-
-    while heap:
-        when, sender, receiver, _, tag = heapq.heappop(heap)
-        if receiver not in running or tag < cur_iter[receiver]:
-            continue
-        buffers[receiver].setdefault(tag, []).append((when, sender))
-        if tag == cur_iter[receiver]:
-            try_advance(receiver)
-
-    if running:
-        detail = {i: (cur_iter[i], len(buffers[i].get(cur_iter[i], ())))
-                  for i in sorted(running)}
-        raise DeadlockError(f"agents stuck as (iteration, buffered): {detail}")
-    return phase, quorums
-
-
-def _round_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Worst-case scheduler: lock-step rounds, quorums take the lowest labels.
-
-    Withholding every message until the receiver's deadline means nobody can
-    run ahead, and the adversary serves each agent exactly the messages of
-    the lowest-labeled transmitting in-neighbors. So a round only differs
-    from the one before when some agent crashes: the rounds strictly between
-    two crash iterations are filled as one block.
-    """
-    T = config.iterations
+def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The phase and quorum arrays of a run: the ready-time recursion of the
+    module docstring, one _quorums call per iteration. Under
+    adversarial_latest every delay is 0, so a quorum depends on its phase
+    row alone and each span of equal phase rows takes one call."""
+    g, adversary = config.graph, config.adversary
     phase, quorum = _blank_schedule(config)
-    crash_iterations = sorted({ev.iteration for ev in config.adversary.crash_plan})
-    alive = set(config.graph.nodes)
-    start = 1
-    for stop in crash_iterations + [T + 1]:
-        if start < stop:
-            _round(config, alive, start, phase[start - 1:stop - 1],
-                   quorum[start - 1:stop - 1])
-        if stop <= T:
-            alive -= _round(config, alive, stop, phase[stop - 1:stop],
-                            quorum[stop - 1:stop])
-        start = stop + 1
+    # Code 0 until an agent's crash iteration, its phase's code there, -1 after.
+    phase[:] = 0
+    for ev in adversary.crash_plan:
+        phase[ev.iteration - 1, ev.agent - 1] = _PHASE_NAMES.index(ev.phase)
+        phase[ev.iteration:, ev.agent - 1] = -1
+    need = np.array([len(g.in_neighbors[i]) - config.f for i in range(1, g.n + 1)])
+    width = quorum.shape[2]
+    if adversary.mode == "adversarial_latest":
+        arrival = _link_table(g, lambda j, i: 0.0)
+        for lo, hi in _spans(phase):
+            quorum[lo:hi] = _labels(_quorums(arrival, phase[lo], need)[0], width)
+        return phase, quorum
+    taken = np.empty((config.iterations, g.n, g.n), dtype=bool)
+    ready = np.zeros(g.n)
+    for t, delay in enumerate(_delays(config)):
+        taken[t], latest = _quorums(ready + delay, phase[t], need)
+        ready = np.maximum(ready, latest)
+    quorum[:] = _labels(taken, width)
     return phase, quorum
 
 
-def _round(config: SimulationConfig, alive: set[int], t: int,
-           phase: np.ndarray, quorum: np.ndarray) -> set[int]:
-    """Fill the phase and quorum rows of lock-step round t into every row of
-    the given blocks; returns the agents that crash in it."""
-    g = config.graph
-    crash_at = {ev.agent: ev for ev in config.adversary.crash_plan
-                if ev.iteration == t}
-    transmitters = {i for i in alive if _rule(crash_at.get(i))[1]}
-    for i in sorted(alive):
-        event = crash_at.get(i)
-        phase[:, i - 1], _, takes_quorum, _ = _rule(event)
-        if not takes_quorum:
-            continue
-        need = len(g.in_neighbors[i]) - config.f
-        available = sorted(j for j in g.in_neighbors[i] if j in transmitters)
-        if len(available) < need:
-            raise DeadlockError(f"agent {i} has {len(available)} live "
-                                f"in-neighbors at iteration {t}, "
-                                f"needs {need}")
-        quorum[:, i - 1, :need] = available[:need]
-    return set(crash_at)
+def _quorums(arrival: np.ndarray, row: np.ndarray,
+             need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quorum rule of one iteration. arrival[i - 1, j - 1] is when j's
+    message reaches i (inf off the edges), row the iteration's phase codes
+    and need each agent's quorum size. Every agent that takes a quorum
+    takes the need earliest messages of its transmitting in-neighbors, ties
+    going to the lower label.
+
+    Returns the (n, n) mask of the messages taken, [i - 1, j - 1] for j's
+    message to i, and each agent's latest taken arrival (-inf if none).
+    """
+    _, transmits, takes, _ = _PHASE_TABLE[row].T
+    times = np.where(transmits, arrival, np.inf)
+    rank = np.argsort(np.argsort(times, axis=1, kind="stable"), axis=1)
+    taken = rank < np.where(takes, need, 0)[:, None]
+    latest = np.maximum.reduce(np.where(taken, times, -np.inf), axis=1)
+    if (latest == np.inf).any():
+        stuck = np.flatnonzero(latest == np.inf) + 1
+        raise DeadlockError(f"agents {stuck.tolist()} have fewer transmitting "
+                            f"in-neighbors than their quorum size")
+    return taken, latest
+
+
+def _labels(taken: np.ndarray, width: int) -> np.ndarray:
+    """Quorum rows from (..., n, n) masks of taken messages: the senders'
+    labels in ascending order, padded with -1 to width."""
+    order = np.argsort(~taken, axis=-1, kind="stable")[..., :width]
+    return np.where(np.take_along_axis(taken, order, axis=-1), order + 1, -1)
+
+
+def _link_table(g: DirectedGraph, delay) -> np.ndarray:
+    """(n, n) table of delay(j, i) at [i - 1, j - 1] for every edge (j, i),
+    inf elsewhere."""
+    table = np.full((g.n, g.n), np.inf)
+    for j, i in g.edges:
+        table[i - 1, j - 1] = delay(j, i)
+    return table
+
+
+def _delays(config: SimulationConfig) -> Iterator[np.ndarray]:
+    """Every iteration's delay table, laid out as _link_table's. Uniform
+    delays come from each sender's own substream in iteration order, then
+    out-neighbor order, drawn BELIEF_CHUNK iterations at a time."""
+    g, T, adversary = config.graph, config.iterations, config.adversary
+    if adversary.mode == "fixed":
+        yield from repeat(_link_table(g, adversary.delay_for), T)
+        return
+    senders = range(1, g.n + 1)
+    rngs = [_rng(config.seed, DELAY_STREAM, j) for j in senders]
+    outs = [[i - 1 for i in sorted(g.out_neighbors[j])] for j in senders]
+    for lo in range(0, T, BELIEF_CHUNK):
+        block = np.full((min(BELIEF_CHUNK, T - lo), g.n, g.n), np.inf)
+        for j, (rng, out) in enumerate(zip(rngs, outs)):
+            block[:, out, j] = rng.uniform(0.0, adversary.dmax,
+                                           (len(block), len(out)))
+        yield from block
 
 
 def _belief_pass(config: SimulationConfig, phase: np.ndarray,

@@ -43,6 +43,17 @@ def config_integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def config_float(value, name: str) -> float:
+    """A config field that must be a number: an int or a float. Booleans,
+    strings and other values are rejected, not coerced."""
+    if isinstance(value, (numbers.Integral, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured candidate cap."""
 
@@ -147,78 +158,34 @@ class SourceDecomposition:
         return len(self.source_components) == 1
 
 
-def _tarjan_components(nodes: list[int], out: dict[int, list[int]]) -> list[frozenset[int]]:
-    # Iterative Tarjan; recursion depth would be unsafe for long chains.
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[frozenset[int]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index_of:
-            continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(out[root]))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index_of:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(out[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    return components
-
-
 def source_decomposition(nodes: Iterable[int],
                          edges: Iterable[tuple[int, int]]) -> SourceDecomposition:
-    """SCCs of an arbitrary node/edge set and the components with no inbound edge."""
+    """SCCs of an arbitrary node/edge set and the components with no inbound
+    edge, from the boolean transitive closure of its in-reach: a node's
+    component is the nodes it reaches and is reached by, and a component is
+    a source exactly when nothing outside it reaches in."""
     node_list = sorted(set(nodes))
-    node_set = set(node_list)
-    out: dict[int, list[int]] = {v: [] for v in node_list}
-    edge_list = []
+    index = {v: k for k, v in enumerate(node_list)}
+    reach = np.eye(len(node_list), dtype=bool)   # reach[a, b]: a path b -> a
     for j, i in edges:
-        if j not in node_set or i not in node_set:
+        if j not in index or i not in index:
             raise ValueError(f"edge ({j}, {i}) references a missing node")
-        out[j].append(i)
-        edge_list.append((j, i))
-    for v in node_list:
-        out[v].sort()
-    comps = _tarjan_components(node_list, out)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    has_inbound = [False] * len(comps)
-    for j, i in edge_list:
-        if comp_of[j] != comp_of[i]:
-            has_inbound[comp_of[i]] = True
-    ordered = sorted(comps, key=min)
-    sources = tuple(c for c in ordered if not has_inbound[comp_of[min(c)]])
-    return SourceDecomposition(components=tuple(ordered), source_components=sources)
+        reach[index[i], index[j]] = True
+    for k in range(len(node_list)):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    mutual = reach & reach.T
+    components, sources, seen = [], [], set()
+    # Ascending labels meet each component first at its smallest member.
+    for k, v in enumerate(node_list):
+        if v in seen:
+            continue
+        component = frozenset(itertools.compress(node_list, mutual[k].tolist()))
+        seen |= component
+        components.append(component)
+        if (reach[k] == mutual[k]).all():
+            sources.append(component)
+    return SourceDecomposition(components=tuple(components),
+                               source_components=tuple(sources))
 
 
 def strongly_connected_components(g: DirectedGraph) -> SourceDecomposition:

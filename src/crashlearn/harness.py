@@ -20,7 +20,7 @@ from .analysis import DEFAULT_CHECKS, run_checks
 from .engine import (ConfigError, ExecutionTrace, SimulationConfig,
                      min_final_posterior, run_execution, validate_trace,
                      write_trace, read_trace)
-from .graphs import config_integer
+from .graphs import config_float, config_integer
 from .observation import (IdentifiabilityPreconditionError,
                           check_assumption1)
 
@@ -61,8 +61,9 @@ class ExperimentBatch:
         checks = payload.get("checks")
         return cls(base_config=config,
                    seeds=tuple(config_integer(s, "seed") for s in payload["seeds"]),
-                   convergence_threshold=float(
-                       payload.get("convergence_threshold", 0.99)),
+                   convergence_threshold=config_float(
+                       payload.get("convergence_threshold", 0.99),
+                       "convergence_threshold"),
                    checks=DEFAULT_CHECKS if checks is None else tuple(checks))
 
 

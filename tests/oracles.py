@@ -7,11 +7,14 @@ expansion, and plain-float probability math. Small n only.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from crashlearn.engine import CRASH_PHASES, DELAY_STREAM
 
 
 def reach_sets(nodes, edges):
@@ -347,6 +350,78 @@ def drift_by_loops(matrices, psi, ratios, expected, t, rows):
     residual = max(abs(psi[t][i - 1] - (deviations[i - 1] + slln + drift))
                    for i in rows)
     return drift, slln, deviations, float(residual)
+
+
+# What an agent does in its crash iteration: (transmits, takes a quorum).
+CRASH_ACTIONS = {"before_transmit": (False, False), "after_transmit": (True, False),
+                 "mid_update": (True, True), "after_update": (True, True)}
+
+
+def heap_schedule(config):
+    """The phase and quorum arrays of a uniform- or fixed-delay run by
+    discrete-event simulation: a heap of messages in delivery order, a
+    buffer per receiver and iteration, and every agent's quorum the first
+    messages of its current iteration to be delivered. Messages delivered
+    at the same time are taken in processing order, so this agrees with
+    the engine only where delivery times do not tie."""
+    g, T, adversary = config.graph, config.iterations, config.adversary
+    need = {i: len(g.in_neighbors[i]) - config.f for i in g.nodes}
+    crash_at = {(ev.agent, ev.iteration): ev.phase for ev in adversary.crash_plan}
+    rngs = {i: np.random.default_rng(np.random.SeedSequence(
+        [config.seed, DELAY_STREAM, i])) for i in g.nodes}
+    phase = np.full((T, g.n), -1, dtype=np.int8)
+    quorum = np.full((T, g.n, max(need.values())), -1, dtype=np.int32)
+    cur_iter = dict.fromkeys(g.nodes, 1)
+    ready_time = dict.fromkeys(g.nodes, 0.0)
+    buffers = {i: {} for i in g.nodes}
+    running = set(g.nodes)      # neither dead nor done
+    heap = []
+    seq = 0
+
+    def begin_iteration(i, t, now):
+        nonlocal seq
+        crash = crash_at.get((i, t))
+        phase[t - 1, i - 1] = 0 if crash is None else CRASH_PHASES.index(crash) + 1
+        transmits, takes = (True, True) if crash is None else CRASH_ACTIONS[crash]
+        if transmits:
+            for j in sorted(g.out_neighbors[i]):
+                delay = (float(rngs[i].uniform(0.0, adversary.dmax))
+                         if adversary.mode == "uniform"
+                         else adversary.delay_for(i, j))
+                heapq.heappush(heap, (now + delay, i, j, seq, t))
+                seq += 1
+        if not takes:
+            running.discard(i)
+
+    def try_advance(i):
+        while i in running:
+            t = cur_iter[i]
+            buffered = buffers[i].get(t, ())
+            if len(buffered) < need[i]:
+                return
+            taken = buffered[:need[i]]
+            quorum[t - 1, i - 1, :need[i]] = sorted(sender for _, sender in taken)
+            if (i, t) in crash_at or t == T:
+                running.discard(i)
+            else:
+                cur_iter[i] = t + 1
+                ready_time[i] = max([ready_time[i]] + [at for at, _ in taken])
+                begin_iteration(i, t + 1, ready_time[i])
+
+    for i in sorted(g.nodes):
+        begin_iteration(i, 1, 0.0)
+    for i in sorted(g.nodes):
+        try_advance(i)
+    while heap:
+        when, sender, receiver, _, tag = heapq.heappop(heap)
+        if receiver not in running or tag < cur_iter[receiver]:
+            continue
+        buffers[receiver].setdefault(tag, []).append((when, sender))
+        if tag == cur_iter[receiver]:
+            try_advance(receiver)
+    if running:
+        raise RuntimeError(f"agents {sorted(running)} never assembled a quorum")
+    return phase, quorum
 
 
 def kl(p, q):

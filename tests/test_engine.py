@@ -16,7 +16,8 @@ import crashlearn
 from crashlearn.analysis import pseudo_belief_evolution
 from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
                                AdversarySchedule, ConfigError, CrashEvent,
-                               SimulationConfig, TraceInvariantError,
+                               DeadlockError, SimulationConfig,
+                               TraceInvariantError, _schedule,
                                combine_log_beliefs, converged,
                                log_normalizer, min_final_posterior,
                                normalize_log_belief, partial_update_belief,
@@ -26,7 +27,7 @@ from crashlearn.graphs import DirectedGraph
 from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
-from oracles import bayes_log_posterior
+from oracles import bayes_log_posterior, heap_schedule
 
 
 # -- belief arithmetic ----------------------------------------------------------------
@@ -178,21 +179,52 @@ def test_single_agent_matches_batch_bayes():
 
 # -- scheduling paths ----------------------------------------------------------------------
 
-def test_zero_delay_equals_adversarial_on_crash_free_complete_graph():
-    g = DirectedGraph.complete(4)
-    base = make_config(g, 1, iterations=60, seed=17,
-                       adversary=AdversarySchedule(mode="fixed",
-                                                   fixed_delays=0.0))
-    import dataclasses
+# On this graph the earliest-arrival tie at agent 4 in iteration 2 (agents 1
+# and 2, both at time 0) must go to agent 1, the lower label.
+TIE_WITNESS = DirectedGraph.from_edge_list(
+    4, [(1, 3), (1, 4), (2, 4), (3, 1), (3, 2), (4, 1)])
+ZERO_DELAY_RUNS = {
+    "crash-free-complete-4": (DirectedGraph.complete(4), ()),
+    "tie-witness": (TIE_WITNESS, ()),
+    **{f"tie-witness-{phase}": (TIE_WITNESS, (CrashEvent(
+        3, 2, phase, 1 if phase == "mid_update" else None),))
+       for phase in CRASH_PHASES},
+}
+
+
+@pytest.mark.parametrize("graph, plan", ZERO_DELAY_RUNS.values(),
+                         ids=ZERO_DELAY_RUNS)
+def test_zero_delay_equals_adversarial_latest(graph, plan):
+    base = make_config(graph, 1, iterations=60, seed=17,
+                       adversary=AdversarySchedule(mode="fixed", fixed_delays=0.0,
+                                                   crash_plan=plan))
     other = dataclasses.replace(
-        base, adversary=AdversarySchedule(mode="adversarial_latest"))
+        base, adversary=AdversarySchedule(mode="adversarial_latest",
+                                          crash_plan=plan))
     ta, tb = run_execution(base), run_execution(other)
+    for name in ("phase", "quorum", "signal", "log_belief"):
+        assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
+    # Lockstep: every quorum is the lowest-labeled transmitting in-neighbors.
     for t in range(1, 61):
-        for agent in range(1, 5):
-            ra, rb = ta.record(t, agent), tb.record(t, agent)
-            assert ra.quorum == rb.quorum
-            assert ra.signal == rb.signal
-            np.testing.assert_array_equal(ra.log_belief, rb.log_belief)
+        heard = sorted(ta.transmitters_at(t))
+        for agent, rec in ta.records[t - 1].items():
+            if rec.quorum is not None:
+                need = len(graph.in_neighbors[agent]) - 1
+                assert rec.quorum == tuple(
+                    j for j in heard if j in graph.in_neighbors[agent])[:need]
+
+
+@pytest.mark.parametrize("mode", ADVERSARY_MODES)
+def test_quorum_rule_guards_against_deadlock(mode):
+    # Two crashes exceed f=1, which validate rejects, so the schedule is
+    # called directly: in iteration 3 agent 3 hears no transmitter.
+    plan = (CrashEvent(1, 2, "before_transmit"), CrashEvent(2, 2, "after_update"))
+    config = make_config(DirectedGraph.complete(3), 1, iterations=5, seed=0,
+                         adversary=AdversarySchedule(mode=mode, crash_plan=plan))
+    with pytest.raises(ConfigError):
+        config.validate()
+    with pytest.raises(DeadlockError, match=r"agents \[3\] have fewer"):
+        _schedule(config)
 
 
 def test_uniform_delays_still_complete_every_iteration():
@@ -285,11 +317,12 @@ TABLES = {2: ([[0.3, 0.7], [0.7, 0.3]], [[0.5, 0.5], [0.5, 0.5]]),
 
 
 @st.composite
-def recursion_runs(draw):
+def recursion_runs(draw, modes=ADVERSARY_MODES, dmaxes=(3.0,)):
     """Configs on graphs of up to 7 agents whose in-degrees are all at
-    least f <= 2, with 2 or 3 hypotheses, any adversary mode and up to f
-    crashes in any phase. Half the runs are longer than two scan chunks,
-    their first crash one iteration before, at or after a chunk boundary."""
+    least f <= 2, with 2 or 3 hypotheses, one of the adversary modes and
+    delay bounds given, and up to f crashes in any phase. Half the runs are
+    longer than two scan chunks, their first crash one iteration before, at
+    or after a chunk boundary."""
     n = draw(st.integers(1, 7))
     f = draw(st.integers(0, min(2, n - 1)))
     edges = []
@@ -316,8 +349,9 @@ def recursion_runs(draw):
     return make_config(
         DirectedGraph.from_edge_list(n, edges), f, iterations=T,
         seed=draw(st.integers(0, 2 ** 16)), model=model,
-        adversary=AdversarySchedule(mode=draw(st.sampled_from(ADVERSARY_MODES)),
-                                    dmax=3.0, crash_plan=tuple(plan)))
+        adversary=AdversarySchedule(mode=draw(st.sampled_from(modes)),
+                                    dmax=draw(st.sampled_from(dmaxes)),
+                                    crash_plan=tuple(plan)))
 
 
 def assert_recursion_properties(trace) -> None:
@@ -334,6 +368,22 @@ def test_belief_recursion_matches_one_step_updates():
     @given(recursion_runs())
     def check(config):
         assert_recursion_properties(run_execution(config))
+
+    check()
+
+
+def test_schedule_matches_heap_simulation_on_uniform_delays():
+    # Uniform delays do not tie, so the discrete-event simulation and the
+    # ready-time recursion must take the same quorums; the long runs draw
+    # delays across a BELIEF_CHUNK boundary.
+    @settings(max_examples=40, deadline=None)
+    @given(recursion_runs(modes=("uniform",), dmaxes=(0.5, 3.0)))
+    def check(config):
+        trace = run_execution(config)
+        phase, quorum = heap_schedule(config)
+        for ours, theirs in ((trace.phase, phase), (trace.quorum, quorum)):
+            assert ((ours.dtype, ours.shape, ours.tobytes())
+                    == (theirs.dtype, theirs.shape, theirs.tobytes()))
 
     check()
 

@@ -271,6 +271,53 @@ def test_cli_batch_rejects_non_integer_seeds(config_dir, tmp_path, capsys, value
     assert "must be an integer" in err
 
 
+# Every float field of a simulation config, as a path into its dict with a
+# per-edge delay table in place, and values float() would turn into a float
+# or fail on with an error other than ConfigError.
+FLOAT_FIELDS = {"dmax": ("adversary", "dmax"),
+                "fixed-delays": ("adversary", "fixed_delays"),
+                "edge-delay": ("adversary", "fixed_delays", "1->2")}
+NOT_FLOATS = {"true": True, "false": False, "string": "3", "list": [3.0],
+              "huge": 10 ** 400}
+
+
+def with_edge_delays(config: dict) -> dict:
+    return dict(config, adversary={
+        "mode": "fixed", "fixed_delays": {f"{j}->{i}": 0.5 for j, i
+                                          in config["graph"]["edges"]}})
+
+
+@pytest.mark.parametrize("value", NOT_FLOATS.values(), ids=NOT_FLOATS)
+@pytest.mark.parametrize("path", FLOAT_FIELDS.values(), ids=FLOAT_FIELDS)
+def test_cli_simulate_rejects_non_float_fields(base_config, tmp_path, capsys,
+                                               path, value):
+    (tmp_path / "sim.json").write_text(json.dumps(
+        with_field(with_edge_delays(base_config.to_dict()), path, value)))
+    code, _, err = run_cli(["simulate", "--config", str(tmp_path / "sim.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert "must be a number" in err
+
+
+@pytest.mark.parametrize("value", NOT_FLOATS.values(), ids=NOT_FLOATS)
+def test_cli_batch_rejects_non_float_threshold(config_dir, tmp_path, capsys,
+                                               value):
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": str(config_dir / "sim.json"), "seeds": [21],
+         "convergence_threshold": value}))
+    code, _, err = run_cli(["batch", "--config", str(tmp_path / "batch.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert "must be a number" in err
+
+
+def test_float_fields_accept_integers():
+    adversary = AdversarySchedule.from_dict(
+        {"mode": "fixed", "dmax": 3, "fixed_delays": {"1->2": 0}})
+    assert adversary.dmax == 3.0 and adversary.fixed_delays == {(1, 2): 0.0}
+    assert AdversarySchedule.from_dict({"fixed_delays": 2}).fixed_delays == 2.0
+
+
 def test_cli_simulate_accepts_integral_floats(base_config, tmp_path, capsys):
     outputs = []
     for config in (base_config.to_dict(),
@@ -403,6 +450,16 @@ def test_cli_trace_header_rejects_non_integer_fields(stored_trace, path, value):
     code, err = analyze_lines(directory, [header] + lines[1:])
     assert code == 4 and err.startswith("invariant:"), err
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("value", NOT_FLOATS.values(), ids=NOT_FLOATS)
+def test_cli_trace_header_rejects_non_float_dmax(stored_trace, value):
+    directory, lines = stored_trace
+    header = edit_config(lines[0], lambda config: with_field(
+        config, FLOAT_FIELDS["dmax"], value))
+    code, err = analyze_lines(directory, [header] + lines[1:])
+    assert code == 4 and err.startswith("invariant:"), err
+    assert "must be a number" in err
 
 
 def test_read_trace_rejects_iteration_claim_before_reading_steps(stored_trace):

@@ -28,8 +28,16 @@ of each column.
 
 The configs are the test suite's suite_configs() (checked), simulation seeds
 1000-1063 of the benchmark's two simulation configs (seeds 1000-1003
-checked), and seeds 1000-1003 of complete-4, f=1, uniform delays up to 3,
-T=60, agent 4 crashing at t=10 in each crash phase (checked).
+checked), seeds 1000-1003 of complete-4, f=1, uniform delays up to 3,
+T=60, agent 4 crashing at t=10 in each crash phase (checked), and three
+groups on graphs that are not complete, f=1, T=60, seed 1000 (checked):
+  - tie-witness-fixed0: a 4-node graph under zero fixed delays, where
+    delivery times tie (agents 1 and 2 reach agent 4 at once in iteration
+    2, and the lower label must win);
+  - ring5-edge-delays: a 5-node ring with chords under per-edge fixed
+    delays of 0, 1 or 2, so arrival times tie too;
+  - ring5-uniform-<phase>: the same ring under uniform delays up to 3,
+    agent 3 crashing at t=10 in each crash phase.
 """
 
 from __future__ import annotations
@@ -76,6 +84,24 @@ def configs():
                 DirectedGraph.complete(4), 1, iterations=60, seed=seed,
                 adversary=AdversarySchedule(mode="uniform", dmax=3.0,
                                             crash_plan=(crash,))), True, False)
+    witness = DirectedGraph.from_edge_list(
+        4, [(1, 3), (1, 4), (2, 4), (3, 1), (3, 2), (4, 1)])
+    yield "tie-witness-fixed0", make_config(
+        witness, 1, iterations=60, seed=1000,
+        adversary=AdversarySchedule(mode="fixed", fixed_delays=0.0)), True, False
+    ring = DirectedGraph.from_edge_list(
+        5, [(j, j % 5 + 1) for j in range(1, 6)]
+        + [(j, (j + 1) % 5 + 1) for j in range(1, 6)])
+    yield "ring5-edge-delays", make_config(
+        ring, 1, iterations=60, seed=1000,
+        adversary=AdversarySchedule(mode="fixed", fixed_delays={
+            (j, i): float((j * i) % 3) for j, i in ring.edges})), True, False
+    for phase in CRASH_PHASES:
+        crash = CrashEvent(3, 10, phase, 1 if phase == "mid_update" else None)
+        yield f"ring5-uniform-{phase}", make_config(
+            ring, 1, iterations=60, seed=1000,
+            adversary=AdversarySchedule(mode="uniform", dmax=3.0,
+                                        crash_plan=(crash,))), True, False
 
 
 def _digest(payload) -> str:
