@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import (ExecutionTrace, belief_recursion, log_likelihood_rows,
                      update_matrices)
-from .graphs import (DEFAULT_ENUMERATION_CAP, DirectedGraph,
+from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
                      first_dominated_nodes, source_census)
 from .observation import (ROW_SUM_TOLERANCE, LikelihoodModel, _ordered_pairs,
                           compute_log_ratio_bound, expected_log_ratios)
@@ -618,15 +618,25 @@ _CHECK_FUNCTIONS = {
 }
 
 
+def check_names(checks: Iterable[str]) -> tuple[str, ...]:
+    """The check names as a tuple; ConfigError on an unknown or repeated
+    name."""
+    names = tuple(checks)
+    unknown = [name for name in names if name not in _CHECK_FUNCTIONS]
+    if unknown:
+        raise ConfigError(f"unknown checks {unknown}; "
+                          f"available: {sorted(_CHECK_FUNCTIONS)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"checks {repeated} named more than once")
+    return names
+
+
 def run_checks(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                checks: Sequence[str] | None = None) -> dict[str, dict]:
     """Run the named checks (all by default) sharing intermediate products;
     returns {name: {passed, worst_margin, witness}}."""
-    names = tuple(checks) if checks is not None else DEFAULT_CHECKS
-    unknown = [name for name in names if name not in _CHECK_FUNCTIONS]
-    if unknown:
-        raise ValueError(f"unknown checks {unknown}; "
-                         f"available: {sorted(_CHECK_FUNCTIONS)}")
+    names = check_names(DEFAULT_CHECKS if checks is None else checks)
     shared = _Shared(trace, model)
     return {name: _CHECK_FUNCTIONS[name](trace, shared.model,
                                          shared=shared).to_dict()

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 configuration or usage error, 3 convergence target
 missed, 4 protocol invariant or check violation, 5 identifiability gate
 refusal.
+
+Input files are parsed behind graphs.parse_config, by the harness loaders
+and read_trace: malformed input raises ConfigError (exit 2), or in a trace
+TraceInvariantError (exit 4). main catches only the package's own exceptions
+and OSError; any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -12,16 +17,16 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import DEFAULT_CHECKS
+from .analysis import DEFAULT_CHECKS, check_names
 from .engine import (ConfigError, DeadlockError, TraceInvariantError,
                      min_final_posterior, run_execution, validate_trace,
                      write_trace)
-from .graphs import BudgetExceededError, DirectedGraph, detectability_report
+from .graphs import (DEFAULT_ENUMERATION_CAP, BudgetExceededError,
+                     DirectedGraph, detectability_report)
 from .harness import (IdentifiabilityGateError, analyze_trace, load_batch,
-                      load_simulation_config, report_metrics, run_batch,
-                      write_trajectory_csv)
-from .observation import (IdentifiabilityPreconditionError, LikelihoodModel,
-                          check_assumption1)
+                      load_graph, load_model, load_simulation_config,
+                      report_metrics, run_batch, write_trajectory_csv)
+from .observation import IdentifiabilityPreconditionError, check_assumption1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,7 +45,7 @@ def _parse_checks(raw: str | None) -> tuple[str, ...] | None:
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
     if not names:
         raise ConfigError("empty check list")
-    return names
+    return check_names(names)
 
 
 def _cmd_simulate(args) -> int:
@@ -94,7 +99,7 @@ def _check_fault_budget(graph: DirectedGraph, f: int) -> None:
 
 
 def _cmd_detect(args) -> int:
-    graph = DirectedGraph.from_dict(json.loads(Path(args.graph).read_text()))
+    graph = load_graph(args.graph)
     _check_fault_budget(graph, args.f)
     report = detectability_report(graph, args.f,
                                   max_candidates=args.max_candidates)
@@ -103,8 +108,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    graph = DirectedGraph.from_dict(json.loads(Path(args.graph).read_text()))
-    model = LikelihoodModel.from_dict(json.loads(Path(args.model).read_text()))
+    graph = load_graph(args.graph)
+    model = load_model(args.model)
     _check_fault_budget(graph, args.f)
     report = check_assumption1(model, graph, args.f)
     _emit(report.to_dict())
@@ -149,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="crash-detectability report of a graph")
     det.add_argument("--graph", required=True, help="graph JSON file")
     det.add_argument("--f", type=int, required=True)
-    det.add_argument("--max-candidates", type=int, default=1_000_000)
+    det.add_argument("--max-candidates", type=int,
+                     default=DEFAULT_ENUMERATION_CAP)
     det.set_defaults(handler=_cmd_detect)
 
     ide = sub.add_parser("identify",
@@ -173,7 +179,7 @@ def main(argv=None) -> int:
         print(f"invariant: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ConfigError, IdentifiabilityPreconditionError, BudgetExceededError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            OSError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

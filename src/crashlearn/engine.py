@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,7 +75,8 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .graphs import ConfigError, DirectedGraph, config_float, config_integer
+from .graphs import (ConfigError, DirectedGraph, config_float, config_integer,
+                     parse_config)
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -198,6 +200,11 @@ class SimulationConfig:
             raise ConfigError(f"f={self.f} outside [0, min in-degree={g.min_in_degree}]")
         if self.iterations < 1:
             raise ConfigError(f"iterations={self.iterations} must be >= 1")
+        # A run holds (T, n, n) schedule and (T + 1, n, m) float64 belief
+        # arrays; past the address space numpy cannot even describe them.
+        if (self.iterations + 1) * g.n * (g.n + model.m) * 8 > sys.maxsize:
+            raise ConfigError(f"iterations={self.iterations} exceed the "
+                              f"address space of a run's arrays")
         if self.theta_star not in model.hypotheses:
             raise ConfigError(f"theta_star {self.theta_star!r} not a hypothesis")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -210,9 +217,12 @@ class SimulationConfig:
                 raise ConfigError(f"uniform mode needs dmax > 0, got {adv.dmax}")
         if adv.mode == "fixed" and adv.fixed_delays is not None:
             if isinstance(adv.fixed_delays, Mapping):
-                missing = [e for e in g.edges if e not in adv.fixed_delays]
+                missing = g.edges - adv.fixed_delays.keys()
                 if missing:
                     raise ConfigError(f"fixed_delays missing edges {sorted(missing)[:5]}")
+                extra = adv.fixed_delays.keys() - g.edges
+                if extra:
+                    raise ConfigError(f"fixed_delays names non-edges {sorted(extra)[:5]}")
                 bad = {e: d for e, d in adv.fixed_delays.items()
                        if not (math.isfinite(d) and d >= 0)}
                 if bad:
@@ -727,7 +737,7 @@ def _parse_record(line: str, lineno: int) -> dict:
         row = _DECODER.decode(line)
     except TraceInvariantError as exc:
         raise TraceInvariantError(f"line {lineno}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceInvariantError(f"line {lineno}: not JSON ({exc})") from None
     if not isinstance(row, dict):
         raise TraceInvariantError(f"line {lineno}: not a JSON object")
@@ -795,27 +805,29 @@ def _parse_step(line: str, lineno: int, config: SimulationConfig,
             config.model.signal_index(agent, signal))
 
 
+def _parse_header(header: dict) -> tuple[SimulationConfig, np.ndarray]:
+    config = SimulationConfig.from_dict(header["config"])
+    config.validate()
+    return config, np.asarray(header["initial_log_belief"], dtype=np.float64)
+
+
 def read_trace(path) -> ExecutionTrace:
     """Parse a trace file into the trace arrays, checking each step record's
     own fields on the way; validate_trace checks the rest."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise TraceInvariantError(f"trace file is not UTF-8 ({exc})") from None
     if not lines:
         raise TraceInvariantError("empty trace file")
     header = _parse_record(lines[0], 1)
     if header.get("kind") != "header":
         raise TraceInvariantError("first line is not a header record")
-    if not {"config", "initial_log_belief"} <= header.keys():
-        raise TraceInvariantError("header needs config and initial_log_belief")
     try:
-        config = SimulationConfig.from_dict(header["config"])
-        config.validate()
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise TraceInvariantError(f"header config malformed ({exc!r})") from None
-    try:
-        initial = np.asarray(header["initial_log_belief"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise TraceInvariantError(f"initial beliefs malformed ({exc})") from None
+        config, initial = parse_config("trace header", _parse_header, header)
+    except ConfigError as exc:
+        raise TraceInvariantError(f"line 1: {exc}") from None
     T, n = config.iterations, config.graph.n
     if initial.shape != (n, config.model.m):
         raise TraceInvariantError(f"initial beliefs have shape {initial.shape}")

@@ -19,13 +19,15 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 PARTITION_NODE_LIMIT = 12
 _SCAN_CHUNK = 1 << 15
+
+_Parsed = TypeVar("_Parsed")
 
 
 class ConfigError(ValueError):
@@ -52,6 +54,22 @@ def config_float(value, name: str) -> float:
         except OverflowError:
             pass
     raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def parse_config(what: str, parse: Callable[..., _Parsed], *args) -> _Parsed:
+    """parse(*args), with the errors a parser raises on a missing key, a
+    wrong type or an out-of-range value reported as a ConfigError naming
+    what was parsed. Every input from outside the program (config, batch,
+    graph and model files, a trace header) is parsed through here."""
+    try:
+        return parse(*args)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what} missing key {exc}") from None
+    except (AttributeError, IndexError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from None
 
 
 class BudgetExceededError(RuntimeError):
@@ -239,16 +257,6 @@ class ReducedGraph:
 
     def source_decomposition(self) -> SourceDecomposition:
         return source_decomposition(self.nodes, self.edges)
-
-    def adjacency(self) -> np.ndarray:
-        """0/1 matrix with H[i-1, j-1] = 1 iff j feeds i, including implicit self-loops."""
-        n = self.base.n
-        h = np.zeros((n, n), dtype=np.int64)
-        for v in self.nodes:
-            h[v - 1, v - 1] = 1
-        for j, i in self.edges:
-            h[i - 1, j - 1] = 1
-        return h
 
 
 _WORD = 64
@@ -695,8 +703,8 @@ def detectability_report(g: DirectedGraph, f: int,
     property of the input). Graphs that check_condition2 refuses are refused
     before the census.
     """
-    space = _link_removals(g, f, max_candidates)
     _refuse_partition_scan(g.n, PARTITION_NODE_LIMIT)
+    space = _link_removals(g, f, max_candidates)
     blocks = _census(space, f)
     literal_unique = True
     witness: object = None

@@ -5,6 +5,9 @@ learning under worst-case crashes, because every seed would then measure
 noise; the override flag exists precisely to demonstrate that failure mode.
 All outputs are deterministic functions of the batch description, so repeated
 runs produce byte-identical reports.
+
+The loaders at the end read JSON input files and parse them behind
+graphs.parse_config, so a malformed file or value raises ConfigError.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .analysis import DEFAULT_CHECKS, run_checks
+from .analysis import DEFAULT_CHECKS, check_names, run_checks
 from .engine import (ConfigError, ExecutionTrace, SimulationConfig,
                      min_final_posterior, run_execution, validate_trace,
                      write_trace, read_trace)
-from .graphs import config_float, config_integer
-from .observation import (IdentifiabilityPreconditionError,
+from .graphs import DirectedGraph, config_float, config_integer, parse_config
+from .observation import (IdentifiabilityPreconditionError, LikelihoodModel,
                           check_assumption1)
 
 
@@ -47,6 +50,7 @@ class ExperimentBatch:
         if not 0.0 < self.convergence_threshold <= 1.0:
             raise ConfigError(f"threshold {self.convergence_threshold} "
                               f"outside (0, 1]")
+        check_names(self.checks)
 
     def to_dict(self) -> dict:
         return {"config": self.base_config.to_dict(),
@@ -213,80 +217,78 @@ def report_metrics(summary: BatchSummary, out_dir) -> dict[str, str]:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     csv_path = directory / "seeds.csv"
-    check_names = list(summary.batch.checks)
+    names = list(summary.batch.checks)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "converged", "min_posterior"]
-                        + [f"check_{name}" for name in check_names])
+                        + [f"check_{name}" for name in names])
         for outcome in summary.outcomes:
             writer.writerow(
                 [outcome.seed, int(outcome.converged),
                  repr(outcome.min_posterior)]
-                + [int(outcome.checks[name]["passed"]) for name in check_names])
+                + [int(outcome.checks[name]["passed"]) for name in names])
     return {"summary": str(json_path), "seeds": str(csv_path)}
 
 
 # -- config loading ----------------------------------------------------------------
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path) -> Mapping:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return payload
 
 
-def _resolve_section(value, base_dir: Path | None):
-    """A config section may be inline or a path to a JSON file."""
-    if isinstance(value, str):
-        path = Path(value)
+def _payload(source, base_dir: Path | None, what: str,
+             ) -> tuple[Mapping, Path | None]:
+    """A config given inline (a mapping) or as the path of a JSON file,
+    relative to base_dir, as (payload, the directory that the payload's own
+    relative paths resolve against)."""
+    if isinstance(source, (str, Path)):
+        path = Path(source)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        return _load_json(path)
-    return value
+        return _load_json(path), path.parent
+    if isinstance(source, Mapping):
+        return source, base_dir
+    raise ConfigError(f"cannot load a {what} from {type(source)}")
+
+
+def _simulation_config(payload: Mapping, base_dir: Path | None,
+                       ) -> SimulationConfig:
+    sections = {key: _payload(payload[key], base_dir, key)[0]
+                for key in ("graph", "model")}
+    return SimulationConfig.from_dict({**payload, **sections})
 
 
 def load_simulation_config(source, base_dir: Path | None = None,
                            ) -> SimulationConfig:
     """Accepts a mapping, or a path to a JSON file; the graph and model
     sections may themselves be paths, resolved relative to the config file."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        payload = _load_json(path)
-        base_dir = path.parent
-    elif isinstance(source, Mapping):
-        payload = dict(source)
-    else:
-        raise ConfigError(f"cannot load a configuration from {type(source)}")
-    try:
-        payload = dict(payload)
-        payload["graph"] = _resolve_section(payload["graph"], base_dir)
-        payload["model"] = _resolve_section(payload["model"], base_dir)
-        config = SimulationConfig.from_dict(payload)
-    except KeyError as exc:
-        raise ConfigError(f"configuration missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed configuration: {exc}") from None
+    payload, base_dir = _payload(source, base_dir, "configuration")
+    config = parse_config("configuration", _simulation_config, payload,
+                          base_dir)
     config.validate()
     return config
 
 
 def load_batch(source) -> ExperimentBatch:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        payload = _load_json(path)
-        base_dir = path.parent
-    elif isinstance(source, Mapping):
-        payload = source
-        base_dir = None
-    else:
-        raise ConfigError(f"cannot load a batch from {type(source)}")
-    try:
-        return ExperimentBatch.from_dict(payload, base_dir=base_dir)
-    except KeyError as exc:
-        raise ConfigError(f"batch description missing key {exc}") from None
+    payload, base_dir = _payload(source, None, "batch description")
+    return parse_config("batch description", ExperimentBatch.from_dict,
+                        payload, base_dir)
+
+
+def load_graph(source) -> DirectedGraph:
+    return parse_config("graph", DirectedGraph.from_dict,
+                        _payload(source, None, "graph")[0])
+
+
+def load_model(source) -> LikelihoodModel:
+    return parse_config("model", LikelihoodModel.from_dict,
+                        _payload(source, None, "model")[0])

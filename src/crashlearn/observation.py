@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DEFAULT_ENUMERATION_CAP, DirectedGraph, source_census
+from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
+                     source_census)
 
 ZERO_TOLERANCE = 1e-12          # "nonzero" means strictly above this
 ROW_SUM_TOLERANCE = 1e-12       # direct construction
@@ -258,7 +259,7 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
     vacuous: C1 = +inf).
     """
     if g.n != model.n:
-        raise ValueError(f"graph has {g.n} nodes but model has {model.n} agents")
+        raise ConfigError(f"graph has {g.n} nodes but model has {model.n} agents")
     census = source_census(g, f, max_candidates)
     if census.witness is not None:
         decomp = census.witness.source_decomposition()

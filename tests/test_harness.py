@@ -311,6 +311,30 @@ def test_cli_batch_rejects_non_float_threshold(config_dir, tmp_path, capsys,
     assert "must be a number" in err
 
 
+# Per-edge delay tables whose keys are not exactly the graph's edges.
+NON_EDGE_DELAYS = {"absent-node": "1->9", "absent-link": "1->1",
+                   "reversed-sender": "0->2"}
+
+
+def with_extra_delay(config: dict, key: str) -> dict:
+    config = with_edge_delays(config)
+    config["adversary"]["fixed_delays"][key] = 1.0
+    return config
+
+
+@pytest.mark.parametrize("key", NON_EDGE_DELAYS.values(), ids=NON_EDGE_DELAYS)
+def test_cli_simulate_and_batch_reject_non_edge_delays(base_config, tmp_path,
+                                                       capsys, key):
+    config = with_extra_delay(base_config.to_dict(), key)
+    (tmp_path / "sim.json").write_text(json.dumps(config))
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": "sim.json", "seeds": [21]}))
+    for command, name in (("simulate", "sim.json"), ("batch", "batch.json")):
+        code, _, err = run_cli([command, "--config", str(tmp_path / name)],
+                               capsys)
+        assert code == 2 and "names non-edges" in err, (command, err)
+
+
 def test_float_fields_accept_integers():
     adversary = AdversarySchedule.from_dict(
         {"mode": "fixed", "dmax": 3, "fixed_delays": {"1->2": 0}})
@@ -462,6 +486,14 @@ def test_cli_trace_header_rejects_non_float_dmax(stored_trace, value):
     assert "must be a number" in err
 
 
+@pytest.mark.parametrize("key", NON_EDGE_DELAYS.values(), ids=NON_EDGE_DELAYS)
+def test_cli_trace_header_rejects_non_edge_delays(stored_trace, key):
+    directory, lines = stored_trace
+    header = edit_config(lines[0], lambda config: with_extra_delay(config, key))
+    code, err = analyze_lines(directory, [header] + lines[1:])
+    assert code == 4 and "names non-edges" in err, err
+
+
 def test_read_trace_rejects_iteration_claim_before_reading_steps(stored_trace):
     # a header may not claim more iterations than there are step records
     directory, lines = stored_trace
@@ -535,3 +567,199 @@ def test_cli_detect_and_identify(config_dir, capsys):
     code, _, _ = run_cli(["detect", "--graph",
                           str(config_dir / "graph.json"), "--f", "9"], capsys)
     assert code == 2
+
+
+# -- check names ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("checks", [["nope"], ["psi", "psi"], ["prop2", 5]],
+                         ids=["unknown", "repeated", "not-a-string"])
+def test_batch_refuses_bad_check_names_on_load(config_dir, checks):
+    batch = {"config": str(config_dir / "sim.json"), "seeds": [21],
+             "checks": checks}
+    with pytest.raises(ConfigError, match="checks"):
+        load_batch(batch)
+
+
+def test_repeated_check_names_are_refused_everywhere(config_dir, stored_trace,
+                                                     tmp_path, capsys):
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": str(config_dir / "sim.json"), "seeds": [21],
+         "checks": ["psi", "psi"]}))
+    code, _, err = run_cli(["batch", "--config", str(tmp_path / "batch.json"),
+                            "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2 and "more than once" in err, err
+    assert not (tmp_path / "out").exists()
+    directory, _ = stored_trace
+    code, _, err = run_cli(["analyze", "--trace", str(directory / "good.jsonl"),
+                            "--checks", "psi,prop2,psi"], capsys)
+    assert code == 2 and "more than once" in err, err
+    with pytest.raises(ConfigError, match="more than once"):
+        analyze_trace(directory / "good.jsonl", ["psi", "psi"])
+
+
+# -- malformed inputs ------------------------------------------------------------------
+#
+# Each input file of each command, and a mutation that deletes one entry or
+# replaces it with a value of another type or out of range.
+
+MUTANT_VALUES = [5, -1, 1.5, "x", [], {}, None, True, [[1]], 10 ** 400]
+
+
+def json_paths(value, prefix=()):
+    """Every path into a JSON value, the root () included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from json_paths(item, prefix + (index,))
+
+
+def without_field(config, path: tuple):
+    """A deep copy of a JSON value with the entry at path removed."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return config
+
+
+def mutated(payload, path: tuple, value, delete: bool):
+    if not path:
+        return value
+    if delete:
+        return without_field(payload, path)
+    return with_field(payload, path, value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(base_config, tmp_path_factory):
+    """(directory, {file name: payload}) of one small valid input per file
+    that a command reads; the simulation config covers every adversary
+    field, a per-edge delay table and the crash plan."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    config = dataclasses.replace(base_config, iterations=12).to_dict()
+    config["adversary"] = dict(with_edge_delays(config)["adversary"],
+                               dmax=2.0,
+                               crash_plan=config["adversary"]["crash_plan"])
+    payloads = {"sim.json": config,
+                "batch.json": {"config": config, "seeds": [21],
+                               "convergence_threshold": 0.9,
+                               "checks": ["prop2"]},
+                "graph.json": config["graph"], "model.json": config["model"]}
+    for name, payload in payloads.items():
+        (directory / name).write_text(json.dumps(payload))
+    return directory, payloads
+
+
+# The commands that read each input file, as argv builders from the file's
+# path and the directory of the valid inputs.
+COMMANDS = {
+    "sim.json": [lambda path, d: ["simulate", "--config", path]],
+    "batch.json": [lambda path, d: ["batch", "--config", path]],
+    "graph.json": [lambda path, d: ["detect", "--graph", path, "--f", "1"],
+                   lambda path, d: ["identify", "--graph", path, "--model",
+                                    d / "model.json", "--f", "1"]],
+    "model.json": [lambda path, d: ["identify", "--graph", d / "graph.json",
+                                    "--model", path, "--f", "1"]],
+    "trace.jsonl": [lambda path, d: ["analyze", "--trace", path,
+                                     "--checks", "prop2"]],
+}
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def with_header(lines, header_config) -> str:
+    """A stored trace with its header config replaced."""
+    header = edit_config(lines[0], lambda _: header_config)
+    return "\n".join([header] + lines[1:]) + "\n"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# Inputs that each ended in a traceback, as (file, its content made from the
+# valid input: a payload, or the lines of a stored trace, exit code).
+FORMER_TRACEBACKS = {
+    "batch-seeds-5": ("batch.json", lambda b: json.dumps(dict(b, seeds=5)), 2),
+    "batch-checks-5": ("batch.json", lambda b: json.dumps(dict(b, checks=5)), 2),
+    "batch-file-holds-list": ("batch.json", lambda b: json.dumps([b]), 2),
+    "simulate-edge-nested-list": ("sim.json", lambda c: json.dumps(
+        with_field(c, ("graph", "edges"), [[1]])), 2),
+    "simulate-crash-plan-5": ("sim.json", lambda c: json.dumps(
+        with_field(c, ("adversary", "crash_plan"), [5])), 2),
+    "simulate-adversary-5": ("sim.json", lambda c: json.dumps(
+        dict(c, adversary=5)), 2),
+    "simulate-deep-json": ("sim.json", lambda c: DEEP, 2),
+    "detect-edges-5": ("graph.json", lambda g: json.dumps({"n": 4, "edges": 5}), 2),
+    "detect-graph-holds-list": ("graph.json", lambda g: json.dumps([1]), 2),
+    "detect-n-beyond-memory": ("graph.json", lambda g: json.dumps(
+        dict(g, n=10 ** 400)), 2),
+    "identify-agents-5": ("model.json", lambda m: json.dumps(dict(m, agents=5)), 2),
+    "header-edge-1": ("trace.jsonl", lambda lines: with_header(
+        lines, with_field(json.loads(lines[0])["config"],
+                          ("graph", "edges", 0), [1])), 4),
+    "header-deep-json": ("trace.jsonl", lambda lines: "\n".join(
+        [DEEP] + lines[1:]), 4),
+    "trace-not-utf8": ("trace.jsonl", lambda lines: b"\xff" + "\n".join(
+        lines).encode(), 4),
+}
+
+
+@pytest.mark.parametrize("name, content, expected", FORMER_TRACEBACKS.values(),
+                         ids=FORMER_TRACEBACKS)
+def test_cli_malformed_input_exits_cleanly(fuzz_inputs, stored_trace, tmp_path,
+                                          name, content, expected):
+    directory, payloads = fuzz_inputs
+    data = content(stored_trace[1] if name == "trace.jsonl" else payloads[name])
+    path = tmp_path / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    code, err = run_quietly(COMMANDS[name][0](path, directory))
+    assert code == expected, err
+    assert err.startswith("config:" if expected == 2 else "invariant:"), err
+
+
+def test_cli_simulate_rejects_iterations_beyond_address_space(base_config,
+                                                              tmp_path, capsys):
+    (tmp_path / "sim.json").write_text(json.dumps(
+        dict(base_config.to_dict(), iterations=2 ** 62)))
+    code, _, err = run_cli(["simulate", "--config", str(tmp_path / "sim.json")],
+                           capsys)
+    assert code == 2 and "address space" in err, err
+
+
+def test_cli_mutated_inputs_exit_with_documented_codes(fuzz_inputs, stored_trace,
+                                                       tmp_path_factory):
+    """Every command on an input file with one entry deleted or replaced
+    exits with a documented code and no traceback; analyze, whose input is
+    a trace with a mutated header config, never reports a config error."""
+    directory, payloads = fuzz_inputs
+    lines = stored_trace[1]
+    targets = dict(payloads, **{"trace.jsonl": json.loads(lines[0])["config"]})
+    work = tmp_path_factory.mktemp("mutants")
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(targets)), data=st.data())
+    def check(name, data):
+        payload = targets[name]
+        path = data.draw(st.sampled_from(list(json_paths(payload))))
+        delete = bool(path) and data.draw(st.booleans())
+        value = data.draw(st.sampled_from(MUTANT_VALUES))
+        command = data.draw(st.sampled_from(COMMANDS[name]))
+        content = mutated(payload, path, value, delete)
+        (work / name).write_text(with_header(lines, content)
+                                 if name == "trace.jsonl" else json.dumps(content))
+        code, err = run_quietly(command(work / name, directory))
+        assert code in (0, 2, 3, 4, 5), err
+        assert name != "trace.jsonl" or code != 2, err
+
+    check()
