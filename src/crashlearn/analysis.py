@@ -8,11 +8,18 @@ vectors, and every convergence statement about the protocol is a statement
 about backward products of these matrices.
 
 trace_matrices returns a run's matrices as one (T, n, n) array, row t - 1
-for iteration t. Every product comes from one of two folds: the forward fold
-gives the product over [lo, t] for every t as M_t @ (M_{t-1} ... M_lo), the
-backward fold the product over [r, hi] for every r as (M_hi ... M_{r+1}) @
-M_r. Each quantity is always formed by the same fold, in the same order, so
-every report is bitwise reproducible.
+for iteration t. Every product comes from _fold_ranges, which steps many
+ranges [lo, hi] in lockstep: at step k each range still open takes its next
+matrix, and all of them are multiplied in one stacked matmul. A forward
+range starts from lo and multiplies on the left, M_t @ (M_{t-1} ... M_lo);
+a backward range starts from hi and multiplies on the right,
+(M_hi ... M_{r+1}) @ M_r. It returns the products, or the whole folds: every
+prefix of a forward range, every suffix of a backward one. Each quantity is
+always formed in the same direction and order, whichever ranges share the
+call, so every report is bitwise reproducible. Within run_checks a per-trace
+memo holds the forward folds over [lo, T] and the backward folds over
+[1, hi]; thm2, prop2, the pi estimates of horizon T, lemma1 and psi read
+them, so a fold two checks need is stepped once.
 
 Each check_* function verifies one such statement on a concrete trace and
 returns a CheckResult; run_checks bundles them. Checks never loosen a bound
@@ -85,24 +92,70 @@ def trace_matrices(trace: ExecutionTrace) -> np.ndarray:
     return update_matrices(trace.completed, trace.quorum)
 
 
-def _forward_fold(matrices: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Entry k is the product over iterations [lo, lo + k - 1], formed as
-    M_t @ (M_{t-1} ... M_lo); entry 0 is the identity."""
-    out = np.empty((hi - lo + 2,) + matrices.shape[1:], dtype=np.float64)
-    out[0] = product = np.eye(matrices.shape[1])
-    for k, matrix in enumerate(matrices[lo - 1:hi], start=1):
-        out[k] = product = matrix @ product
-    return out
+# Steps of a fold whose factors are gathered by one np.take.
+_FACTOR_BLOCK = 64
 
 
-def _backward_fold(matrices: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Entry k is the product over iterations [lo + k, hi], formed as
-    (M_hi ... M_{r+1}) @ M_r; the last entry is the identity."""
-    out = np.empty((hi - lo + 2,) + matrices.shape[1:], dtype=np.float64)
-    out[-1] = product = np.eye(matrices.shape[1])
-    for k in range(hi - lo, -1, -1):
-        out[k] = product = product @ matrices[lo - 1 + k]
-    return out
+def _fold_ranges(matrices: np.ndarray, lo, hi, backward: bool = False,
+                 keep: bool = False) -> np.ndarray | list[np.ndarray]:
+    """Products of the iteration matrices over the ranges [lo[j], hi[j]],
+    stepped together; the empty range lo = hi + 1 gives the identity.
+
+    At step k every range still open takes its next factor, and all of them
+    are multiplied in one stacked matmul. A forward range starts from lo
+    and multiplies each new matrix on the left, M_t @ (M_{t-1} ... M_lo); a
+    backward range starts from hi and multiplies on the right,
+    (M_hi ... M_{r+1}) @ M_r. Each product is formed in the same order
+    whatever else is in the call, so it equals the one-range loop bit for
+    bit.
+
+    Returns the (R, n, n) products or, with keep, one fold per range, of
+    hi - lo + 2 entries: entry k of a forward fold is the product over
+    [lo, lo + k - 1], entry k of a backward fold the product over
+    [lo + k, hi].
+    """
+    lo = np.asarray(lo, dtype=np.intp)
+    hi = np.asarray(hi, dtype=np.intp)
+    T, n = matrices.shape[0], matrices.shape[-1]
+    lengths = hi - lo + 1
+    bad = (lengths < 0) | ((lengths > 0) & ((lo < 1) | (hi > T)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"product range [{lo[j]}, {hi[j]}] is not within "
+                         f"1..{T} with start at most end + 1")
+    order = np.argsort(-lengths, kind="stable")     # open ranges: a prefix
+    place = np.argsort(order)
+    first = (hi if backward else lo)[order] - 1      # index of the first factor
+    step = -1 if backward else 1
+    # levels[k] holds the open ranges' products after k steps; without keep
+    # two levels alternate, and a closed range's product stays in the level
+    # of its length's parity
+    levels = np.empty((int(lengths.max(initial=0)) + 1 if keep else 2,
+                       len(lengths), n, n))
+    levels[0] = np.eye(n)
+    k = 0
+    for end in sorted(set(lengths.tolist()) - {0}):     # steps [k, end): c open
+        c = int(np.count_nonzero(lengths >= end))
+        rows = levels[:, :c]
+        while k < end:
+            stop = min(end, k + _FACTOR_BLOCK)
+            ks = np.arange(k, stop)[:, None]
+            for factor in np.take(matrices, first[:c] + step * ks, axis=0):
+                src, dst = ((rows[k], rows[k + 1]) if keep
+                            else (rows[k % 2], rows[1 - k % 2]))
+                if backward:
+                    np.matmul(src, factor, out=dst)
+                else:
+                    np.matmul(factor, src, out=dst)
+                k += 1
+    if not keep:
+        return levels[lengths % 2, place]
+    levels.flags.writeable = False      # folds are views that checks share
+    if backward:
+        return [levels[length::-1, j] for length, j in zip(lengths.tolist(),
+                                                           place.tolist())]
+    return [levels[:length + 1, j] for length, j in zip(lengths.tolist(),
+                                                        place.tolist())]
 
 
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -119,9 +172,7 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
 def backward_product(matrices: np.ndarray, t_hi: int, t_lo: int) -> np.ndarray:
     """Product of the iteration matrices from t_hi down to t_lo; the empty
     range t_lo = t_hi + 1 gives the identity."""
-    if t_lo > t_hi + 1:
-        raise ValueError(f"empty product range start {t_lo} > {t_hi + 1}")
-    return _forward_fold(matrices, t_lo, t_hi)[-1]
+    return _fold_ranges(matrices, [t_lo], [t_hi])[0]
 
 
 def ergodic_coefficients(matrices: np.ndarray, rows: Iterable[int] | np.ndarray,
@@ -253,14 +304,24 @@ def estimate_pi(trace: ExecutionTrace, r: int, horizon: int | None = None,
     if not 1 <= r <= T:
         raise ValueError(f"r={r} outside 1..{T}")
     if horizon is None:
-        horizon = min(T, r + structure.window * (config.f + 30))
+        horizon = _pi_horizon(trace, r, structure)
     if not r <= horizon <= T:
         raise ValueError(f"horizon {horizon} outside {r}..{T}")
-    product = backward_product(matrices, horizon, r)
+    return _pi_estimate(trace, r, horizon, backward_product(matrices, horizon, r),
+                        structure)
+
+
+def _pi_horizon(trace: ExecutionTrace, r: int, structure: StructureConstants) -> int:
+    return min(trace.iterations, r + structure.window * (trace.config.f + 30))
+
+
+def _pi_estimate(trace: ExecutionTrace, r: int, horizon: int, product: np.ndarray,
+                 structure: StructureConstants) -> PiEstimate:
+    """The estimate read from the product over [r, horizon]."""
     rows = trace.alive_at_start(horizon + 1)
     reference = min(rows)
     residual, _ = ergodic_coefficients(product, rows)
-    bound = theorem2_bound(horizon, r, structure, config.f)
+    bound = theorem2_bound(horizon, r, structure, trace.config.f)
     zeros_ok = not product[reference - 1][~trace.alive[r - 1]].any()
     return PiEstimate(r=r, horizon=horizon, reference_row=reference,
                       pi=product[reference - 1].copy(), residual=residual,
@@ -296,6 +357,21 @@ class _Shared:
     def __init__(self, trace: ExecutionTrace, model: LikelihoodModel | None):
         self.trace = trace
         self.model = model or trace.config.model
+        # forward folds over [lo, T] by lo, backward folds over [1, hi] by hi
+        self._folds: dict[bool, dict[int, np.ndarray]] = {False: {}, True: {}}
+
+    def folds(self, keys: Sequence[int], backward: bool = False) -> list[np.ndarray]:
+        """The forward fold over [key, T], or the backward fold over
+        [1, key], for each key; the ones not yet memoized are stepped
+        together in one call."""
+        memo = self._folds[backward]
+        missing = sorted(set(keys) - memo.keys())
+        if missing:
+            ends = [1 if backward else self.trace.iterations] * len(missing)
+            lo, hi = (ends, missing) if backward else (missing, ends)
+            memo.update(zip(missing, _fold_ranges(self.matrices, lo, hi,
+                                                  backward, keep=True)))
+        return [memo[key] for key in keys]
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -311,9 +387,20 @@ class _Shared:
 
     @cached_property
     def pi_samples(self) -> list[PiEstimate]:
-        return [estimate_pi(self.trace, r, matrices=self.matrices,
-                            structure=self.structure)
-                for r in _pi_sample_points(self.trace)]
+        """Estimates at the sample points: a horizon of T takes the last
+        entry of the memoized forward fold, shorter horizons are stepped
+        together in one call."""
+        trace, T = self.trace, self.trace.iterations
+        points = _pi_sample_points(trace)
+        horizons = [_pi_horizon(trace, r, self.structure) for r in points]
+        tails = [r for r, horizon in zip(points, horizons) if horizon == T]
+        products = {r: fold[-1] for r, fold in zip(tails, self.folds(tails))}
+        inner = [(r, horizon) for r, horizon in zip(points, horizons) if horizon < T]
+        if inner:
+            starts, ends = zip(*inner)
+            products.update(zip(starts, _fold_ranges(self.matrices, starts, ends)))
+        return [_pi_estimate(trace, r, horizon, products[r], self.structure)
+                for r, horizon in zip(points, horizons)]
 
 
 # -- individual checks ------------------------------------------------------------
@@ -326,8 +413,8 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     influence floor raised to that length."""
     shared = shared or _Shared(trace, model)
     matrices, structure = shared.matrices, shared.structure
-    T, n = trace.iterations, trace.n
-    suffixes = _backward_fold(matrices, 1, T)[:-1]     # product over [t, T]
+    T = trace.iterations
+    suffixes = shared.folds([T], backward=True)[0][:-1]    # product over [t, T]
     d_late, e_late = ergodic_coefficients(suffixes, trace.alive)
     d_full, e_full = ergodic_coefficients(suffixes, trace.alive[0])
     per_t = np.stack([(1.0 - e_late) - d_late, (1.0 - e_full) - d_full,
@@ -340,8 +427,7 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     starts = np.array([start for start in range(1, T - window + 2, window)
                        if not crash_iterations.intersection(
                            range(start, start + window))], dtype=np.int64)
-    blocks = np.array([backward_product(matrices, start + window - 1, start)
-                       for start in starts.tolist()]).reshape(-1, n, n)
+    blocks = _fold_ranges(matrices, starts, starts + window - 1)
     _, etas = ergodic_coefficients(blocks, trace.alive[starts - 1])
 
     margins = np.concatenate([per_t.ravel(), etas - floor + ANALYTIC_SLACK])
@@ -381,10 +467,11 @@ def check_lemma2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
             triples.append((t0, t1, t2))
     if not triples:
         return CheckResult("lemma2", True, math.inf, None)
-    early = np.array([backward_product(matrices, t1, t0) for t0, t1, _ in triples])
-    late = np.array([backward_product(matrices, t2, t1 + 1)
-                     for _, t1, t2 in triples])
-    rows = trace.alive[[t1 for _, t1, _ in triples]]    # alive at start of t1 + 1
+    t0s, t1s, t2s = np.array(triples).T
+    products = _fold_ranges(matrices, np.concatenate([t0s, t1s + 1]),
+                            np.concatenate([t1s, t2s]))
+    early, late = products[:len(triples)], products[len(triples):]
+    rows = trace.alive[t1s]                             # alive at start of t1 + 1
     d_full, _ = ergodic_coefficients(np.matmul(late, early), rows)
     d_early, _ = ergodic_coefficients(early, rows)
     _, e_late = ergodic_coefficients(late, rows)
@@ -403,16 +490,16 @@ def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     """Products over [r, t] have disagreement within the window-counting
     contraction bound at every strided t for several anchors r."""
     shared = shared or _Shared(trace, model)
-    matrices, structure = shared.matrices, shared.structure
+    structure = shared.structure
     T, f = trace.iterations, trace.config.f
     survivors = np.vstack([trace.alive[1:], trace.phase[-1:] == 0])  # start of t + 1
     anchors = sorted({1, max(1, T // 4), max(1, T // 2)})
     stride = max(1, T // 100)
     points, deltas, bounds = [], [], []
-    for r in anchors:
+    for r, fold in zip(anchors, shared.folds(anchors)):
         ts = np.arange(r, T + 1)
         ts = ts[((ts - r) % stride == 0) | (ts == T)]
-        products = _forward_fold(matrices, r, T)[ts - r + 1]      # over [r, t]
+        products = fold[ts - r + 1]                                # over [r, t]
         deltas.append(ergodic_coefficients(products, survivors[ts - 1])[0])
         bounds.extend(theorem2_bound(t, r, structure, f) for t in ts.tolist())
         points.extend((r, t) for t in ts.tolist())
@@ -471,15 +558,14 @@ def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     agents dead at r exactly zero and rows of agents alive at r summing to
     one within rounding."""
     shared = shared or _Shared(trace, model)
-    matrices = shared.matrices
     T = trace.iterations
     changes = (trace.alive[1:] != trace.alive[:-1]).any(axis=1)
     boundaries = [1] + (np.flatnonzero(changes) + 2).tolist()
     points, gaps = [], []
-    for r in boundaries:
+    for r, fold in zip(boundaries, shared.folds(boundaries)):
         alive_idx = np.flatnonzero(trace.alive[r - 1])
         dead_idx = np.flatnonzero(~trace.alive[r - 1])
-        products = _forward_fold(matrices, r, T)[1:][:, alive_idx]  # over [r, tau]
+        products = fold[1:][:, alive_idx]                          # over [r, tau]
         leaks = np.flatnonzero((products[:, :, dead_idx] != 0.0).any(axis=(1, 2)))
         if leaks.size:
             block = products[leaks[0]][:, dead_idx]
@@ -578,7 +664,7 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                      gap=identity_gap))]
 
     checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
-    suffixes = {t: _backward_fold(matrices, 1, t) for t in checkpoints}
+    suffixes = dict(zip(checkpoints, shared.folds(checkpoints, backward=True)))
     for theta, theta_star in _ordered_pairs(model):
         psi = psi_series(trace, model, theta, theta_star, pseudo=pseudo)
         ratios = log_ratio_vectors(trace, model, theta, theta_star)
@@ -709,14 +795,16 @@ def decompose_log_ratio_drift(trace: ExecutionTrace,
     tail = geometric_tail_constant_float(structure.xi, n, structure.chi, cfg.f)
     fluct_bound = n * tail * C0 if math.isfinite(tail) else math.inf
 
-    results = []
     for t in checkpoints:
         if not 1 <= t <= T:
             raise ValueError(f"checkpoint {t} outside 1..{T}")
+    folds = _fold_ranges(matrices, [1] * len(checkpoints), checkpoints,
+                         backward=True, keep=True)
+    results = []
+    for t, later in zip(checkpoints, folds):
         rows = np.array(sorted(trace.alive_at_start(t + 1))) - 1
         # the product over [r + 1, t] is later[r]; the terms of r are
         # summed from r = t down to 1
-        later = _backward_fold(matrices, 1, t)
         pi_rows = later[1:, rows[0], None]
         drift = float(_sum_in_order(_apply(pi_rows, expected[:t])[::-1, 0]))
         slln = float(_sum_in_order(

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -96,6 +95,11 @@ SIGNAL_STREAM = 0
 DELAY_STREAM = 1
 
 BELIEF_NORMALIZATION_TOLERANCE = 1e-9
+
+# The most array cells, iterations * n * (n + m), that one run may hold. A
+# run keeps (T, n, n) update matrices and (T, n, m) beliefs, so at the
+# ceiling each of its float64 arrays stays under 800 MB.
+MAX_RUN_CELLS = 10 ** 8
 
 
 class DeadlockError(RuntimeError):
@@ -170,8 +174,13 @@ class AdversarySchedule:
             parsed = {}
             for key, value in fixed.items():
                 sender, _, receiver = key.partition("->")
-                parsed[(int(sender), int(receiver))] = config_float(
-                    value, f"fixed delay {key}")
+                edge = (int(sender), int(receiver))
+                # int() also reads " 1", "01" and "1_0": such a key would
+                # alias another and the later one would silently win
+                if _delay_key(*edge) != key:
+                    raise ConfigError(f"fixed_delays key {key!r} is not written "
+                                      f"as {_delay_key(*edge)!r}")
+                parsed[edge] = config_float(value, f"fixed delay {key}")
             fixed = parsed
         elif fixed is not None:
             fixed = config_float(fixed, "fixed_delays")
@@ -200,11 +209,12 @@ class SimulationConfig:
             raise ConfigError(f"f={self.f} outside [0, min in-degree={g.min_in_degree}]")
         if self.iterations < 1:
             raise ConfigError(f"iterations={self.iterations} must be >= 1")
-        # A run holds (T, n, n) schedule and (T + 1, n, m) float64 belief
-        # arrays; past the address space numpy cannot even describe them.
-        if (self.iterations + 1) * g.n * (g.n + model.m) * 8 > sys.maxsize:
-            raise ConfigError(f"iterations={self.iterations} exceed the "
-                              f"address space of a run's arrays")
+        cells = self.iterations * g.n * (g.n + model.m)
+        if cells > MAX_RUN_CELLS:
+            raise ConfigError(f"iterations={self.iterations} make T*n*(n + m) = "
+                              f"{cells} array cells, above the ceiling of "
+                              f"{MAX_RUN_CELLS}; such a run would exhaust "
+                              f"memory, or even the address space")
         if self.theta_star not in model.hypotheses:
             raise ConfigError(f"theta_star {self.theta_star!r} not a hypothesis")
         if not isinstance(self.seed, int) or self.seed < 0:

@@ -193,6 +193,15 @@ def product_by_loop(matrices, t_hi, t_lo):
     return product
 
 
+def backward_product_by_loop(matrices, t_hi, t_lo):
+    """M_{t_hi} @ ... @ M_{t_lo}, each factor multiplied on the right, from
+    t_hi down to t_lo."""
+    product = np.eye(matrices.shape[1])
+    for tau in range(t_hi, t_lo - 1, -1):
+        product = product @ matrices[tau - 1]
+    return product
+
+
 def _first_min(items):
     """(margin, witness) of the first smallest margin, by strict updates."""
     worst, witness = math.inf, None

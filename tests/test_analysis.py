@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from crashlearn.analysis import (ANALYTIC_SLACK, DEFAULT_CHECKS,
                                  PSEUDO_IDENTITY_TOLERANCE,
-                                 PSI_RESIDUAL_TOLERANCE, backward_product,
+                                 PSI_RESIDUAL_TOLERANCE, _fold_ranges,
+                                 backward_product,
                                  check_prop1, decompose_log_ratio_drift,
                                  ergodic_coefficients, estimate_pi,
                                  expected_ratio_vectors,
@@ -27,10 +28,11 @@ from crashlearn.observation import (ROW_SUM_TOLERANCE, check_assumption1,
                                     kl_divergence)
 
 from conftest import make_config
-from oracles import (drift_by_loops, ergodic_by_pairs,
-                     first_dominated_reduction, geometric_tail_sum_direct,
-                     lemma1_by_loops, lemma2_by_loops, prop1_by_search,
-                     prop2_by_loops, psi_by_loops, thm2_by_loops)
+from oracles import (backward_product_by_loop, drift_by_loops,
+                     ergodic_by_pairs, first_dominated_reduction,
+                     geometric_tail_sum_direct, lemma1_by_loops,
+                     lemma2_by_loops, prop1_by_search, prop2_by_loops,
+                     product_by_loop, psi_by_loops, thm2_by_loops)
 
 
 # -- update matrices --------------------------------------------------------------------
@@ -79,6 +81,55 @@ def test_backward_product_conventions(suite_traces):
 
 
 # -- ergodic coefficients ------------------------------------------------------------------
+
+@st.composite
+def fold_cases(draw):
+    """A row-stochastic (T, n, n) stack with exact zeros, and product ranges
+    in a drawn order: random ones plus an empty range, a one-step range, the
+    whole run and a repeat."""
+    n, T = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.random((T, n, n)) * (rng.random((T, n, n)) < 0.6)
+    weights[:, range(n), range(n)] += rng.random((T, n)) + 0.01
+    matrices = weights / weights.sum(axis=2, keepdims=True)
+    starts = st.integers(1, T + 1)
+    ranges = draw(st.lists(starts.flatmap(lambda lo: st.tuples(
+        st.just(lo), st.integers(lo - 1, T))), max_size=8))
+    empty, one = draw(starts), draw(st.integers(1, T))
+    ranges += [(empty, empty - 1), (one, one), (1, T)]
+    ranges.append(ranges[draw(st.integers(0, len(ranges) - 1))])
+    return matrices, draw(st.permutations(ranges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fold_cases())
+def test_fold_ranges_match_one_range_loops_bitwise(case):
+    # stepping ranges together forms each product in the order of its own
+    # loop, so every product and every fold entry is equal bit for bit
+    matrices, ranges = case
+    lo, hi = (np.array(ends) for ends in zip(*ranges))
+    for backward, loop in ((False, product_by_loop),
+                           (True, backward_product_by_loop)):
+        products = _fold_ranges(matrices, lo, hi, backward=backward)
+        folds = _fold_ranges(matrices, lo, hi, backward=backward, keep=True)
+        assert products.shape == (len(ranges),) + matrices.shape[1:]
+        for (a, b), product, fold in zip(ranges, products, folds):
+            np.testing.assert_array_equal(product, loop(matrices, b, a))
+            assert len(fold) == b - a + 2
+            for k, entry in enumerate(fold):
+                expected = (loop(matrices, b, a + k) if backward
+                            else loop(matrices, a + k - 1, a))
+                np.testing.assert_array_equal(entry, expected)
+
+
+def test_fold_ranges_refuse_ranges_outside_the_run(suite_traces):
+    ms = trace_matrices(suite_traces["ring"][1])
+    T = len(ms)
+    for lo, hi in ((0, 3), (2, T + 1), (5, 3)):
+        with pytest.raises(ValueError, match="product range"):
+            _fold_ranges(ms, [1, lo], [T, hi])
+    assert _fold_ranges(ms, [T + 1, 1], [T, 0]).shape == (2, 3, 3)
+
 
 def test_ergodic_coefficients_hand_values():
     matrix = np.array([[0.5, 0.5, 0.0],
@@ -406,6 +457,23 @@ def test_checks_match_loop_references(suite_traces):
         for name, (worst, witness) in expected.items():
             assert report[name] == {"passed": worst >= 0.0, "worst_margin": worst,
                                     "witness": witness}, name
+
+
+def test_each_check_alone_reports_as_in_the_full_run(suite_traces):
+    # checks share memoized folds, so a report must not depend on which
+    # checks ran before it: alone, in the default order or reversed
+    _, ring = suite_traces["ring"]
+    _, crash = suite_traces["crash_pre"]
+    phase, quorum = ring.phase.copy(), crash.quorum.copy()
+    phase[:-1] = CRASH_PHASES.index("after_transmit") + 1
+    quorum[20 - 1, 1 - 1, :2] = [2, 4]
+    traces = [trace for _, trace in suite_traces.values()]
+    traces += [_retraced(ring, phase=phase), _retraced(crash, quorum=quorum)]
+    for trace in traces:
+        full = run_checks(trace)
+        assert run_checks(trace, checks=DEFAULT_CHECKS[::-1]) == full
+        for name in DEFAULT_CHECKS:
+            assert run_checks(trace, checks=(name,)) == {name: full[name]}, name
 
 
 def test_checks_report_margins(suite_traces):

@@ -8,10 +8,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crashlearn import cli, harness
 from crashlearn.cli import main
-from crashlearn.engine import (AdversarySchedule, ConfigError, CrashEvent,
-                               TraceInvariantError, read_trace, run_execution,
-                               write_trace)
+from crashlearn.engine import (MAX_RUN_CELLS, AdversarySchedule, ConfigError,
+                               CrashEvent, TraceInvariantError, read_trace,
+                               run_execution, write_trace)
 from crashlearn.graphs import DirectedGraph
 from crashlearn.harness import (ExperimentBatch, IdentifiabilityGateError,
                                 analyze_trace, identifiability_gate,
@@ -333,6 +334,69 @@ def test_cli_simulate_and_batch_reject_non_edge_delays(base_config, tmp_path,
         code, _, err = run_cli([command, "--config", str(tmp_path / name)],
                                capsys)
         assert code == 2 and "names non-edges" in err, (command, err)
+
+
+# Per-edge delay keys that int() reads as the edge (1, 2) but that are not
+# written "1->2"; each would alias that edge's own entry.
+ALIASED_DELAYS = {"leading-zero": "01->2", "space": " 1->2", "plus": "+1->2",
+                  "underscore": "1->0_2", "trailing-space": "1->2 "}
+
+
+def with_aliased_delay(config: dict, key: str) -> dict:
+    config = with_edge_delays(config)
+    config["adversary"]["fixed_delays"][key] = 7.0
+    return config
+
+
+@pytest.mark.parametrize("key", ALIASED_DELAYS.values(), ids=ALIASED_DELAYS)
+def test_cli_simulate_and_batch_reject_aliased_delay_keys(base_config, tmp_path,
+                                                          capsys, key):
+    (tmp_path / "sim.json").write_text(json.dumps(
+        with_aliased_delay(base_config.to_dict(), key)))
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": "sim.json", "seeds": [21]}))
+    for command, name in (("simulate", "sim.json"), ("batch", "batch.json")):
+        code, _, err = run_cli([command, "--config", str(tmp_path / name)],
+                               capsys)
+        assert code == 2 and "is not written as '1->2'" in err, (command, err)
+
+
+@pytest.mark.parametrize("key", ALIASED_DELAYS.values(), ids=ALIASED_DELAYS)
+def test_cli_trace_header_rejects_aliased_delay_keys(stored_trace, key):
+    directory, lines = stored_trace
+    header = edit_config(lines[0], lambda config: with_aliased_delay(config, key))
+    code, err = analyze_lines(directory, [header] + lines[1:])
+    assert code == 4 and "is not written as '1->2'" in err, err
+
+
+def test_validate_ceiling_on_run_cells(base_config):
+    n, m = base_config.graph.n, base_config.model.m
+    most = MAX_RUN_CELLS // (n * (n + m))
+    dataclasses.replace(base_config, iterations=most).validate()
+    with pytest.raises(ConfigError, match="above the ceiling"):
+        dataclasses.replace(base_config, iterations=most + 1).validate()
+
+
+def test_cli_refuses_iterations_above_ceiling(base_config, tmp_path, capsys,
+                                              stored_trace, monkeypatch):
+    # 10**12 iterations fit the address space but not memory; validate must
+    # refuse them before a run allocates anything
+    def refuse(config):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "run_execution", refuse)
+    monkeypatch.setattr(harness, "run_execution", refuse)
+    (tmp_path / "sim.json").write_text(json.dumps(
+        dict(base_config.to_dict(), iterations=10 ** 12)))
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": "sim.json", "seeds": [21]}))
+    for command, name in (("simulate", "sim.json"), ("batch", "batch.json")):
+        code, _, err = run_cli([command, "--config", str(tmp_path / name)],
+                               capsys)
+        assert code == 2 and "above the ceiling" in err, (command, err)
+    directory, lines = stored_trace
+    header = edit_config(lines[0], lambda c: {**c, "iterations": 10 ** 12})
+    code, err = analyze_lines(directory, [header] + lines[1:])
+    assert code == 4 and "above the ceiling" in err, err
 
 
 def test_float_fields_accept_integers():

@@ -1,0 +1,147 @@
+"""Time the trace checks of two checkouts of crashlearn against each other.
+
+    python3 tools/time_checks.py OTHER/src OUT.json
+
+Runs PAIRS pairs of measuring subprocesses, one with OTHER/src (the base)
+and one with this checkout's src/ on the path, alternating which of the two
+runs first. Each subprocess builds the traces of simulation seeds 1000-1003
+of the benchmark's two simulation configs (perfbench/workloads.py: complete-4,
+f=1, agent 4 crashing mid_update at t=10; "latest" is adversarial_latest
+with T=5000, "async" uniform delays up to 3 with T=1000), calls run_checks
+once on each to warm up, and then times, in-process with perf_counter, the
+full run_checks and run_checks of each check alone, REPEATS times per seed.
+A figure is the median of those repeats summed over the four seeds, in
+seconds; `<config>/peak_mb` is the peak tracemalloc size of one run_checks
+call on seed 1000.
+
+OUT.json gets, per figure, the median, quartiles and interquartile range of
+each side over the pairs, the ratio of the medians (base over this tree),
+and the pairs this tree won (a strictly smaller value; ties count for
+neither side), plus every raw value.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1000, 1004)
+PAIRS = 10
+REPEATS = 3
+
+
+def traces():
+    """(config label, seed, trace) for every timed run."""
+    sys.path[:0] = [str(ROOT / "perfbench")]
+    from workloads import CONFIGS, simulation_payload
+
+    from crashlearn.engine import SimulationConfig, run_execution
+    for label, (mode, iterations) in CONFIGS.items():
+        for seed in SEEDS:
+            payload = simulation_payload(mode, iterations, seed)
+            yield label, seed, run_execution(SimulationConfig.from_dict(payload))
+
+
+def measure() -> dict[str, float]:
+    """Every figure of the crashlearn on this process's path."""
+    from crashlearn.analysis import DEFAULT_CHECKS, run_checks
+    targets = {"run_checks": None} | {name: (name,) for name in DEFAULT_CHECKS}
+    figures: dict[str, float] = {}
+    for label, seed, trace in traces():
+        run_checks(trace)
+        for target, checks in targets.items():
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                run_checks(trace, checks=checks)
+                times.append(time.perf_counter() - start)
+            key = f"{label}/{target}"
+            figures[key] = figures.get(key, 0.0) + statistics.median(times)
+        if seed == SEEDS[0]:
+            tracemalloc.start()
+            run_checks(trace)
+            figures[f"{label}/peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+    return figures
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def commit(src: Path) -> str | None:
+    """`git describe --always --dirty` of the checkout holding src."""
+    try:
+        return subprocess.run(["git", "-C", str(src), "describe", "--always",
+                               "--dirty"], check=True, capture_output=True,
+                              text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def compare(base_src: Path, out: Path) -> None:
+    sides = {"base": str(base_src.resolve()), "this": str(ROOT / "src")}
+    runs: dict[str, list[dict[str, float]]] = {"base": [], "this": []}
+    for pair in range(PAIRS):
+        order = ("base", "this") if pair % 2 == 0 else ("this", "base")
+        for side in order:
+            env = dict(os.environ, PYTHONPATH=sides[side])
+            result = subprocess.run([sys.executable, __file__, "measure"],
+                                    env=env, check=True, capture_output=True,
+                                    text=True)
+            runs[side].append(json.loads(result.stdout))
+        print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr, flush=True)
+    figures = {}
+    for key in runs["base"][0]:
+        base = [run[key] for run in runs["base"]]
+        this = [run[key] for run in runs["this"]]
+        figures[key] = {
+            "unit": "MB" if key.endswith("peak_mb") else "s",
+            "base": spread(base), "this": spread(this),
+            "base_over_this": statistics.median(base) / statistics.median(this),
+            "pairs_won": sum(b > t for b, t in zip(base, this)),
+            "pairs": PAIRS, "base_runs": base, "this_runs": this}
+    report = {"what": __doc__.split("\n\n")[2].replace("\n", " "),
+              "base_commit": commit(base_src), "this_commit": commit(ROOT),
+              "seeds": list(SEEDS),
+              "pairs": PAIRS, "repeats": REPEATS,
+              "host": {"cpus": os.cpu_count(), "cpu": cpu_model(),
+                       "python": platform.python_version(),
+                       "numpy": np.__version__},
+              "figures": figures}
+    out.write_text(json.dumps(report, indent=1) + "\n")
+
+
+def main() -> None:
+    if sys.argv[1:] == ["measure"]:
+        print(json.dumps(measure()))
+    elif len(sys.argv) == 3:
+        compare(Path(sys.argv[1]), Path(sys.argv[2]))
+    else:
+        sys.exit(__doc__.split("\n\n")[1])
+
+
+if __name__ == "__main__":
+    main()
