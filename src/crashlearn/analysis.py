@@ -137,17 +137,20 @@ def _fold_ranges(matrices: np.ndarray, lo, hi, backward: bool = False,
     for end in sorted(set(lengths.tolist()) - {0}):     # steps [k, end): c open
         c = int(np.count_nonzero(lengths >= end))
         rows = levels[:, :c]
+        both = rows[0], rows[1]
         while k < end:
             stop = min(end, k + _FACTOR_BLOCK)
-            ks = np.arange(k, stop)[:, None]
-            for factor in np.take(matrices, first[:c] + step * ks, axis=0):
-                src, dst = ((rows[k], rows[k + 1]) if keep
-                            else (rows[k % 2], rows[1 - k % 2]))
-                if backward:
-                    np.matmul(src, factor, out=dst)
-                else:
-                    np.matmul(factor, src, out=dst)
-                k += 1
+            factors = np.take(matrices, first[:c] + step * np.arange(k, stop)[:, None],
+                              axis=0)
+            if keep:
+                srcs, dsts = rows[k:stop], rows[k + 1:stop + 1]
+            else:
+                srcs = [both[j % 2] for j in range(k, stop)]
+                dsts = [both[1 - j % 2] for j in range(k, stop)]
+            lefts, rights = (srcs, factors) if backward else (factors, srcs)
+            for left, right, dst in zip(lefts, rights, dsts):
+                np.matmul(left, right, dst)
+            k = stop
     if not keep:
         return levels[lengths % 2, place]
     levels.flags.writeable = False      # folds are views that checks share

@@ -80,8 +80,6 @@ def test_backward_product_conventions(suite_traces):
                                rtol=0, atol=1e-12)
 
 
-# -- ergodic coefficients ------------------------------------------------------------------
-
 @st.composite
 def fold_cases(draw):
     """A row-stochastic (T, n, n) stack with exact zeros, and product ranges
@@ -130,6 +128,8 @@ def test_fold_ranges_refuse_ranges_outside_the_run(suite_traces):
             _fold_ranges(ms, [1, lo], [T, hi])
     assert _fold_ranges(ms, [T + 1, 1], [T, 0]).shape == (2, 3, 3)
 
+
+# -- ergodic coefficients ------------------------------------------------------------------
 
 def test_ergodic_coefficients_hand_values():
     matrix = np.array([[0.5, 0.5, 0.0],
