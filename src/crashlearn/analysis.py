@@ -389,21 +389,58 @@ class _Shared:
         return pseudo_belief_evolution(self.trace, self.model)
 
     @cached_property
+    def pi_horizons(self) -> dict[int, int]:
+        """The horizon of the estimate at each sample point."""
+        return {r: _pi_horizon(self.trace, r, self.structure)
+                for r in _pi_sample_points(self.trace)}
+
+    @cached_property
     def pi_samples(self) -> list[PiEstimate]:
         """Estimates at the sample points: a horizon of T takes the last
         entry of the memoized forward fold, shorter horizons are stepped
         together in one call."""
         trace, T = self.trace, self.trace.iterations
-        points = _pi_sample_points(trace)
-        horizons = [_pi_horizon(trace, r, self.structure) for r in points]
-        tails = [r for r, horizon in zip(points, horizons) if horizon == T]
+        tails = _pi_tails(self)
         products = {r: fold[-1] for r, fold in zip(tails, self.folds(tails))}
-        inner = [(r, horizon) for r, horizon in zip(points, horizons) if horizon < T]
+        inner = [(r, horizon) for r, horizon in self.pi_horizons.items() if horizon < T]
         if inner:
             starts, ends = zip(*inner)
             products.update(zip(starts, _fold_ranges(self.matrices, starts, ends)))
         return [_pi_estimate(trace, r, horizon, products[r], self.structure)
-                for r, horizon in zip(points, horizons)]
+                for r, horizon in self.pi_horizons.items()]
+
+
+def _pi_tails(shared: _Shared) -> list[int]:
+    """The sample points whose estimate reads the product over [r, T]."""
+    T = shared.trace.iterations
+    return [r for r, horizon in shared.pi_horizons.items() if horizon == T]
+
+
+def _thm2_anchors(trace: ExecutionTrace) -> list[int]:
+    T = trace.iterations
+    return sorted({1, max(1, T // 4), max(1, T // 2)})
+
+
+def _alive_boundaries(trace: ExecutionTrace) -> list[int]:
+    """1 and every iteration whose alive set differs from the one before."""
+    changes = (trace.alive[1:] != trace.alive[:-1]).any(axis=1)
+    return [1] + (np.flatnonzero(changes) + 2).tolist()
+
+
+def _psi_checkpoints(trace: ExecutionTrace) -> list[int]:
+    T = trace.iterations
+    return sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
+
+
+# The memoized folds each check reads, as (forward keys, backward keys).
+_FOLD_KEYS = {
+    "lemma1": lambda shared: ([], [shared.trace.iterations]),
+    "thm2": lambda shared: (_thm2_anchors(shared.trace), []),
+    "prop2": lambda shared: (_alive_boundaries(shared.trace), []),
+    "prop3": lambda shared: (_pi_tails(shared), []),
+    "lemma4": lambda shared: (_pi_tails(shared), []),
+    "psi": lambda shared: ([], _psi_checkpoints(shared.trace)),
+}
 
 
 # -- individual checks ------------------------------------------------------------
@@ -496,7 +533,7 @@ def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     structure = shared.structure
     T, f = trace.iterations, trace.config.f
     survivors = np.vstack([trace.alive[1:], trace.phase[-1:] == 0])  # start of t + 1
-    anchors = sorted({1, max(1, T // 4), max(1, T // 2)})
+    anchors = _thm2_anchors(trace)
     stride = max(1, T // 100)
     points, deltas, bounds = [], [], []
     for r, fold in zip(anchors, shared.folds(anchors)):
@@ -561,10 +598,8 @@ def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     agents dead at r exactly zero and rows of agents alive at r summing to
     one within rounding."""
     shared = shared or _Shared(trace, model)
-    T = trace.iterations
-    changes = (trace.alive[1:] != trace.alive[:-1]).any(axis=1)
-    boundaries = [1] + (np.flatnonzero(changes) + 2).tolist()
-    points, gaps = [], []
+    boundaries = _alive_boundaries(trace)
+    gaps = []
     for r, fold in zip(boundaries, shared.folds(boundaries)):
         alive_idx = np.flatnonzero(trace.alive[r - 1])
         dead_idx = np.flatnonzero(~trace.alive[r - 1])
@@ -579,13 +614,17 @@ def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                  "j": int(dead_idx[where[1]]) + 1,
                  "value": float(block[tuple(where)])})
         gaps.append(np.abs(products.sum(axis=2) - 1.0).max(axis=1))
-        points.extend((r, tau) for tau in range(r, T + 1))
+    # gaps[j][offset] is the gap of the product over [r, r + offset], r the
+    # j-th boundary
+    starts = np.cumsum([0] + [len(gap) for gap in gaps])
     gaps = np.concatenate(gaps)
     margins = ROW_SUM_TOLERANCE - gaps
     k = int(np.argmin(margins))
-    (r, tau), worst = points[k], float(margins[k])
+    j = int(np.searchsorted(starts, k, side="right")) - 1
+    worst = float(margins[k])
     return CheckResult("prop2", worst >= 0.0, worst,
-                       {"r": r, "tau": tau, "max_row_sum_gap": float(gaps[k])})
+                       {"r": boundaries[j], "tau": boundaries[j] + k - int(starts[j]),
+                        "max_row_sum_gap": float(gaps[k])})
 
 
 def check_prop3(trace: ExecutionTrace, model: LikelihoodModel | None = None,
@@ -666,7 +705,7 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                 dict(identity_witness or {}, part="pseudo_identity",
                      gap=identity_gap))]
 
-    checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
+    checkpoints = _psi_checkpoints(trace)
     suffixes = dict(zip(checkpoints, shared.folds(checkpoints, backward=True)))
     for theta, theta_star in _ordered_pairs(model):
         psi = psi_series(trace, model, theta, theta_star, pseudo=pseudo)
@@ -727,6 +766,10 @@ def run_checks(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     returns {name: {passed, worst_margin, witness}}."""
     names = check_names(DEFAULT_CHECKS if checks is None else checks)
     shared = _Shared(trace, model)
+    # every memoized fold the checks read, stepped in one call per direction
+    for backward in (False, True):
+        shared.folds(sorted({key for name in names if name in _FOLD_KEYS
+                             for key in _FOLD_KEYS[name](shared)[backward]}), backward)
     return {name: _CHECK_FUNCTIONS[name](trace, shared.model,
                                          shared=shared).to_dict()
             for name in names}

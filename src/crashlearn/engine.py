@@ -61,6 +61,20 @@ t - 1 for iteration t: phase (T, n) int8 (-1: not alive at the start of t,
 (beliefs at the end of t; a dead agent's stays frozen). read_trace rejects
 a record whose own fields are malformed or contradict the config or its
 crash phase; validate_trace checks the records against each other.
+
+A trace file is JSON lines, keys sorted: a header with the config and the
+initial beliefs, then one step record per (iteration, alive agent) in (t,
+agent) order. write_trace formats the records from the arrays
+BELIEF_CHUNK iterations at a time into exactly the text json.dumps would
+give each one: a prefix per (agent, phase code), a quorum-and-signal middle
+per distinct (agent, signal, quorum) row, and the beliefs by str, which is
+json's spelling of a finite float; a record holding a non-finite belief and
+every signal name are spelled by json.dumps. read_trace decodes every line
+with a decoder that refuses duplicate keys, then checks the decoded fields
+column by column: types, ranges, phase against completed, quorum members,
+signal names and repeated (t, agent) cells. The first faulty line goes
+through the scalar _parse_step, so every message, and the line it names,
+is the one a record-by-record reader gives.
 """
 
 from __future__ import annotations
@@ -70,7 +84,8 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -711,25 +726,84 @@ def log_likelihood_rows(model: LikelihoodModel, signal: np.ndarray) -> np.ndarra
 # -- persistence --------------------------------------------------------------
 
 def write_trace(trace: ExecutionTrace, path) -> None:
-    """One JSON object per line: a header record, then one record per
-    (iteration, alive agent) in (t, agent) order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in iter_trace_lines(trace))
+    """One JSON object per line, keys sorted: a header record, then one
+    record per (iteration, alive agent) in (t, agent) order.
 
-
-def iter_trace_lines(trace: ExecutionTrace) -> Iterator[str]:
-    header = {"kind": "header", "config": trace.config.to_dict(),
+    Step records are formatted from the arrays BELIEF_CHUNK iterations at a
+    time, as the text json.dumps(row, sort_keys=True) gives: one prefix per
+    (agent, phase code), one quorum-and-signal middle per distinct (agent,
+    signal, quorum) of the chunk, and the beliefs by str, which is json's
+    spelling of a finite float. A record holding a non-finite belief takes
+    json.dumps's spelling of its beliefs (NaN, Infinity, -Infinity).
+    """
+    config, n, m = trace.config, trace.n, trace.config.model.m
+    codes = len(_PHASE_NAMES)
+    prefixes = np.array([_step_prefix(agent, code) for agent in range(1, n + 1)
+                         for code in range(codes)], dtype=object)
+    spaces = [config.model.signals(agent) for agent in range(1, n + 1)]
+    record = "%s" + ", ".join(["%s"] * m) + "%s%d}\n"
+    header = {"kind": "header", "config": config.to_dict(),
               "initial_log_belief": trace.initial_log_belief.tolist()}
-    yield json.dumps(header, sort_keys=True)
-    for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
-        row = {"kind": "step", "t": t, "agent": agent, "alive": True,
-               "completed": completed, "quorum": quorum, "signal": signal,
-               "log_belief": belief, "crash_phase": phase}
-        yield json.dumps(row, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for lo in range(0, trace.iterations, BELIEF_CHUNK):
+            ts, agents = np.nonzero(trace.alive[lo:lo + BELIEF_CHUNK])
+            ts += lo
+            code = trace.phase[ts, agents]
+            takes = _PHASE_TABLE[code, 2]
+            keys = np.column_stack([agents, trace.signal[ts, agents], takes,
+                                    np.where(takes[:, None], trace.quorum[ts, agents],
+                                             -1)])
+            distinct, inverse = _distinct_rows(keys)
+            middles = np.array([_step_middle(
+                [j for j in quorum if j >= 0] if took else None,
+                spaces[a][k] if k >= 0 else None)
+                for a, k, took, *quorum in distinct.tolist()], dtype=object)
+            beliefs = trace.log_belief[ts, agents]
+            cells = np.empty((len(ts), m + 3), dtype=object)
+            cells[:, 0] = prefixes[agents * codes + code]
+            cells[:, 1:-2] = beliefs
+            odd = np.flatnonzero(~np.isfinite(beliefs).all(axis=1))
+            if odd.size:
+                cells[odd, 1:-2] = [[json.dumps(v) for v in row]
+                                    for row in beliefs[odd].tolist()]
+            cells[:, -2] = middles[inverse]
+            cells[:, -1] = ts + 1
+            fh.write(record * len(ts) % tuple(cells.ravel().tolist()))
+
+
+def _step_prefix(agent: int, code: int) -> str:
+    """A step record's text up to its beliefs, keys in sorted order."""
+    phase = _PHASE_NAMES[code]
+    return (f'{{"agent": {agent}, "alive": true, "completed": '
+            f'{json.dumps(_PHASE_RULES[phase][2])}, "crash_phase": '
+            f'{json.dumps(phase)}, "kind": "step", "log_belief": [')
+
+
+def _step_middle(quorum: list[int] | None, signal: str | None) -> str:
+    """A step record's text from the end of its beliefs up to its t."""
+    return (f'], "quorum": {json.dumps(quorum)}, "signal": {json.dumps(signal)}, '
+            f'"t": ')
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array and, for each row, the
+    index of its distinct row."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 _STEP_FIELDS = frozenset({"kind", "t", "agent", "alive", "completed", "quorum",
                           "signal", "log_belief", "crash_phase"})
+_step_values = itemgetter("kind", "t", "agent", "alive", "completed", "quorum",
+                          "signal", "log_belief", "crash_phase")
+_NOT_A_STEP = (None,) * 9
+_PHASE_CODES = {phase: code for code, phase in enumerate(_PHASE_NAMES)}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -821,9 +895,80 @@ def _parse_header(header: dict) -> tuple[SimulationConfig, np.ndarray]:
     return config, np.asarray(header["initial_log_belief"], dtype=np.float64)
 
 
+def _label_column(values: Sequence, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per value, whether it is an int in 1..top (a bool is not), and the
+    values as an array with 0 for every other."""
+    if set(map(type, values)) == {int} and 1 <= min(values) and max(values) <= top:
+        return np.ones(len(values), dtype=bool), np.array(values, dtype=np.intp)
+    inside = [type(v) is int and 1 <= v <= top for v in values]
+    return (np.array(inside, dtype=bool),
+            np.array([v if ok else 0 for v, ok in zip(values, inside)], dtype=np.intp))
+
+
+def _check_steps(rows: list, config: SimulationConfig, width: int) -> tuple:
+    """The checks _parse_step makes of one record, made column by column on
+    decoded step lines. Returns the index of the first record _parse_step
+    would reject (len(rows) if none) and, for the records before it, the
+    0-based iterations and agents, phase codes, quorums padded to width,
+    signal indices and log beliefs."""
+    T, n, m = config.iterations, config.graph.n, config.model.m
+    fields = [_step_values(row) if type(row) is dict and row.keys() == _STEP_FIELDS
+              else _NOT_A_STEP for row in rows]
+    kind, t, agent, alive, completed, quorum, signal, belief, phase = (
+        zip(*fields) if fields else [()] * len(_NOT_A_STEP))
+    t_ok, t = _label_column(t, T)
+    agent_ok, agent = _label_column(agent, n)
+    code = np.array([_PHASE_CODES.get(p, -1) if p is None or type(p) is str else -1
+                     for p in phase], dtype=np.int8)
+    _, _, takes, completes = _PHASE_TABLE[code].T
+    done = np.array([1 if v is True else 0 if v is False else 2 for v in completed])
+    # every quorum list's members in one column; outside counts, per record,
+    # the members that are not agent labels
+    lists = [type(q) is list for q in quorum]
+    sizes = np.array([len(q) if listed else 0 for q, listed in zip(quorum, lists)],
+                     dtype=np.intp)
+    member_ok, members = _label_column(list(chain.from_iterable(compress(quorum, lists))), n)
+    strays = np.zeros(len(members) + 1, dtype=np.intp)
+    np.cumsum(~member_ok, out=strays[1:])
+    ends = np.cumsum(sizes)
+    outside = strays[ends] - strays[ends - sizes]
+    spaces = [{s: k for k, s in enumerate(config.model.signals(a))}
+              for a in range(1, n + 1)]
+    # (an agent that is not a label reads 0, and its record is faulty anyway)
+    k = np.array([spaces[a - 1].get(s, -1) if type(s) is str else -1
+                  for a, s in zip(agent.tolist(), signal)], dtype=np.int32)
+    shaped = np.array([type(b) is list and len(b) == m for b in belief], dtype=bool)
+    values = list(chain.from_iterable(compress(belief, shaped)))
+    numeric = (np.ones(len(values), dtype=bool) if set(map(type, values)) <= {int, float}
+               else np.array([type(v) in (int, float) for v in values], dtype=bool))
+    numbers = np.zeros(len(rows), dtype=bool)
+    numbers[shaped] = numeric.reshape(-1, m).all(axis=1)
+    ok = (t_ok & agent_ok & (code >= 0) & (done == completes) & numbers
+          & np.array([v == "step" for v in kind], dtype=bool)
+          & np.array([v is True for v in alive], dtype=bool)
+          & np.where(takes, np.array(lists, dtype=bool) & (sizes <= width)
+                     & (outside == 0), np.array([q is None for q in quorum], dtype=bool))
+          & np.where(takes, k >= 0, np.array([s is None for s in signal], dtype=bool)))
+    first = len(rows) if ok.all() else int(np.argmin(ok))
+    count = sizes[:first]
+    total = int(count.sum())
+    padded = np.full((first, width), -1, dtype=np.int32)
+    padded[np.repeat(np.arange(first), count),
+           np.arange(total) - np.repeat(ends[:first] - count, count)] = members[:total]
+    return (first, t[:first] - 1, agent[:first] - 1, code[:first], padded, k[:first],
+            belief[:first])
+
+
 def read_trace(path) -> ExecutionTrace:
     """Parse a trace file into the trace arrays, checking each step record's
-    own fields on the way; validate_trace checks the rest."""
+    own fields on the way; validate_trace checks the rest.
+
+    Step lines are read in blocks of BELIEF_CHUNK * n: every line of a block
+    is decoded, its records are checked column by column (_check_steps), and
+    the first faulty one goes through the scalar _parse_step, so each fault
+    is reported, with its line, as a record-by-record reader reports it. A
+    duplicate record is caught in the same order; a belief beyond float
+    range is reported after every line has been checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
@@ -849,23 +994,43 @@ def read_trace(path) -> ExecutionTrace:
             f"{len(lines) - 1} step records")
     phase, quorum = _blank_schedule(config)
     signal = np.full((T, n), -1, dtype=np.int32)
-    cells, beliefs = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        row, code, members, k = _parse_step(line, lineno, config, quorum.shape[2])
-        t, a = row["t"] - 1, row["agent"] - 1
-        if phase[t, a] >= 0:
-            raise TraceInvariantError(f"duplicate record for t={t + 1} "
-                                      f"agent={a + 1}")
-        phase[t, a], quorum[t, a], signal[t, a] = code, members, k
-        cells.append((t + 1, a))
-        beliefs.append(row["log_belief"])
     # Row 0 is the initial belief; a dead agent reads its last record's row.
     stacked = np.empty((T + 1, n, config.model.m), dtype=np.float64)
     stacked[0] = initial
-    try:
-        stacked[tuple(np.array(cells).T)] = beliefs
-    except OverflowError as exc:
-        raise TraceInvariantError(f"malformed log beliefs ({exc})") from None
+    overflow = None
+    size = BELIEF_CHUNK * n
+    for start in range(1, len(lines), size):
+        block = lines[start:start + size]
+        rows = []
+        try:
+            for line in block:
+                rows.append(_DECODER.decode(line))
+        except (TraceInvariantError, ValueError, RecursionError):
+            pass        # the line at len(rows) is faulty; _parse_step says how
+        first, ts, agents, codes, members, k, beliefs = _check_steps(
+            rows, config, quorum.shape[2])
+        # records before the first faulty one whose cell came earlier, in
+        # this block or in an earlier one
+        cells = ts * n + agents
+        again = phase.ravel()[cells] >= 0
+        order = np.argsort(cells, kind="stable")
+        again[order[1:][np.diff(cells[order]) == 0]] = True
+        if again.any():
+            d = int(np.argmax(again))
+            raise TraceInvariantError(f"duplicate record for t={ts[d] + 1} "
+                                      f"agent={agents[d] + 1}")
+        if first < len(block):
+            _parse_step(block[first], start + first + 1, config, quorum.shape[2])
+            raise RuntimeError(f"line {start + first + 1}: the column checks "
+                               f"reject a record _parse_step accepts")
+        phase[ts, agents], quorum[ts, agents], signal[ts, agents] = codes, members, k
+        if overflow is None:
+            try:
+                stacked[ts + 1, agents] = beliefs
+            except OverflowError as exc:
+                overflow = exc
+    if overflow is not None:
+        raise TraceInvariantError(f"malformed log beliefs ({overflow})")
     source = np.where(phase >= 0, np.arange(1, T + 1)[:, None], 0)
     log_belief = stacked[np.maximum.accumulate(source), np.arange(n)]
     return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)

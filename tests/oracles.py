@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from crashlearn.engine import CRASH_PHASES, DELAY_STREAM
+from crashlearn.engine import (CRASH_PHASES, DELAY_STREAM, ConfigError,
+                               ExecutionTrace, TraceInvariantError,
+                               _blank_schedule, _parse_header, _parse_record,
+                               _parse_step)
+from crashlearn.graphs import parse_config
 
 
 def reach_sets(nodes, edges):
@@ -431,6 +436,68 @@ def heap_schedule(config):
     if running:
         raise RuntimeError(f"agents {sorted(running)} never assembled a quorum")
     return phase, quorum
+
+
+def write_trace_by_dumps(trace, path):
+    """The trace file written one json.dumps(row, sort_keys=True) per
+    record, the writer that write_trace's formatting must reproduce."""
+    header = {"kind": "header", "config": trace.config.to_dict(),
+              "initial_log_belief": trace.initial_log_belief.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
+            row = {"kind": "step", "t": t, "agent": agent, "alive": True,
+                   "completed": completed, "quorum": quorum, "signal": signal,
+                   "log_belief": belief, "crash_phase": phase}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def read_trace_by_lines(path):
+    """The trace file read one record at a time, each through _parse_step
+    and then the duplicate check: the reader whose messages, and the lines
+    they name, read_trace must reproduce."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise TraceInvariantError(f"trace file is not UTF-8 ({exc})") from None
+    if not lines:
+        raise TraceInvariantError("empty trace file")
+    header = _parse_record(lines[0], 1)
+    if header.get("kind") != "header":
+        raise TraceInvariantError("first line is not a header record")
+    try:
+        config, initial = parse_config("trace header", _parse_header, header)
+    except ConfigError as exc:
+        raise TraceInvariantError(f"line 1: {exc}") from None
+    T, n = config.iterations, config.graph.n
+    if initial.shape != (n, config.model.m):
+        raise TraceInvariantError(f"initial beliefs have shape {initial.shape}")
+    if len(lines) - 1 < T * (n - config.f):
+        raise TraceInvariantError(
+            f"header claims {T} iterations but the trace has "
+            f"{len(lines) - 1} step records")
+    phase, quorum = _blank_schedule(config)
+    signal = np.full((T, n), -1, dtype=np.int32)
+    cells, beliefs = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        row, code, members, k = _parse_step(line, lineno, config, quorum.shape[2])
+        t, a = row["t"] - 1, row["agent"] - 1
+        if phase[t, a] >= 0:
+            raise TraceInvariantError(f"duplicate record for t={t + 1} "
+                                      f"agent={a + 1}")
+        phase[t, a], quorum[t, a], signal[t, a] = code, members, k
+        cells.append((t + 1, a))
+        beliefs.append(row["log_belief"])
+    stacked = np.empty((T + 1, n, config.model.m), dtype=np.float64)
+    stacked[0] = initial
+    try:
+        stacked[tuple(np.array(cells).T)] = beliefs
+    except OverflowError as exc:
+        raise TraceInvariantError(f"malformed log beliefs ({exc})") from None
+    source = np.where(phase >= 0, np.arange(1, T + 1)[:, None], 0)
+    log_belief = stacked[np.maximum.accumulate(source), np.arange(n)]
+    return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)
 
 
 def kl(p, q):

@@ -16,8 +16,8 @@ import crashlearn
 from crashlearn.analysis import pseudo_belief_evolution
 from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
                                AdversarySchedule, ConfigError, CrashEvent,
-                               DeadlockError, SimulationConfig,
-                               TraceInvariantError, _schedule,
+                               DeadlockError, ExecutionTrace,
+                               SimulationConfig, TraceInvariantError, _schedule,
                                combine_log_beliefs, converged,
                                log_normalizer, min_final_posterior,
                                normalize_log_belief, partial_update_belief,
@@ -27,7 +27,8 @@ from crashlearn.graphs import DirectedGraph
 from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
-from oracles import bayes_log_posterior, heap_schedule
+from oracles import (bayes_log_posterior, heap_schedule, read_trace_by_lines,
+                     write_trace_by_dumps)
 
 
 # -- belief arithmetic ----------------------------------------------------------------
@@ -678,6 +679,205 @@ def test_read_trace_bounds_iterations_by_step_records(tmp_path):
                        match=r"^header claims 240 iterations but the trace "
                              r"has 300 step records$"):
         read_trace(path)
+
+
+# -- trace file format: the fast writer and reader against the per-record ones ----
+
+# Signal names json.dumps escapes: a quote, a backslash, a control character
+# and non-ASCII text.
+ESCAPED_SIGNALS = ('say "a"', "back\\slash", "bell\x07", "naïve", "雨",
+                   "a", "b")
+
+
+@st.composite
+def escaped_runs(draw):
+    """recursion_runs, every agent's two signals renamed from ESCAPED_SIGNALS."""
+    config = draw(recursion_runs())
+    payload = config.model.to_dict()
+    for agent in payload["agents"]:
+        agent["signals"] = draw(st.lists(st.sampled_from(ESCAPED_SIGNALS),
+                                         min_size=2, max_size=2, unique=True))
+    return dataclasses.replace(config, model=LikelihoodModel.from_dict(payload))
+
+
+def test_write_trace_matches_json_dumps_per_record(tmp_path):
+    # Every adversary mode, crash phase and run length of recursion_runs,
+    # the long runs across BELIEF_CHUNK boundaries.
+    fast, slow = tmp_path / "fast.jsonl", tmp_path / "dumps.jsonl"
+
+    @settings(max_examples=40, deadline=None)
+    @given(escaped_runs())
+    def check(config):
+        trace = run_execution(config)
+        write_trace(trace, fast)
+        write_trace_by_dumps(trace, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    check()
+
+
+def test_write_trace_spells_non_finite_beliefs_as_json(tmp_path):
+    trace = run_execution(dataclasses.replace(suite_configs()["crash_mid"],
+                                              iterations=12))
+    beliefs = trace.log_belief.copy()
+    beliefs[2, 0] = [-np.inf, -0.0]
+    beliefs[3, 1] = [np.nan, -0.5]
+    beliefs[9, 3] = [np.inf, -np.inf]       # agent 4's mid_update record
+    odd = ExecutionTrace(trace.config, trace.initial_log_belief, trace.phase,
+                         trace.quorum, trace.signal, beliefs)
+    write_trace(odd, tmp_path / "fast.jsonl")
+    write_trace_by_dumps(odd, tmp_path / "dumps.jsonl")
+    text = (tmp_path / "fast.jsonl").read_text()
+    assert text == (tmp_path / "dumps.jsonl").read_text()
+    for spelled in ("[-Infinity, -0.0]", "[NaN, -0.5]", "[Infinity, -Infinity]"):
+        assert f'"log_belief": {spelled}' in text
+
+
+def reader_outcome(reader, path):
+    """What a reader makes of a file: the exception's type and message, or
+    the trace arrays."""
+    try:
+        trace = reader(path)
+    except Exception as exc:        # compared, whatever it is
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (
+        trace.initial_log_belief, trace.phase, trace.quorum, trace.signal,
+        trace.log_belief)]
+
+
+# Values put in place of a field: wrong types, bools where ints belong,
+# labels and iterations out of range, and some values a record may hold.
+REPLACEMENTS = ("5", 5.0, True, False, None, [], [2], [1, True], [2, 10 ** 30],
+                {"a": 1}, 0, -1, 3, 10 ** 30, [-0.5, 10 ** 400], ["x", "y"],
+                "a", "zzz", "mid_update", "after_update", "step")
+FIELDS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",
+          "log_belief", "crash_phase")
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """lines with one to three of: a step field deleted, duplicated or
+    replaced; a record duplicated; two lines swapped; a line truncated; a
+    belief of 10**400; a bool for an int."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        action = draw(st.sampled_from(["delete", "duplicate", "replace", "copy",
+                                       "swap", "truncate", "huge", "bool"]))
+        if action == "copy":
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+            continue
+        if action == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            continue
+        if action == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, max(0, len(lines[i]) - 1)))]
+            continue
+        try:
+            row = json.loads(lines[i])
+        except ValueError:
+            continue        # an earlier truncation put this line here
+        if not isinstance(row, dict) or row.get("kind") != "step" or not all(
+                field in row for field in FIELDS):
+            continue        # an earlier mutation or swap put this line here
+        field = draw(st.sampled_from(FIELDS))
+        if action == "delete":
+            del row[field]
+        elif action == "duplicate":
+            text = json.dumps(row, sort_keys=True)
+            lines[i] = f"{{{json.dumps(field)}: {json.dumps(row[field])}, {text[1:]}"
+            continue
+        elif action == "replace":
+            row[field] = draw(st.sampled_from(REPLACEMENTS))
+        elif action == "huge":
+            if type(row["log_belief"]) is not list or not row["log_belief"]:
+                continue
+            row["log_belief"][draw(st.integers(0, len(row["log_belief"]) - 1))] = (
+                draw(st.sampled_from([10 ** 400, -10 ** 400])))
+        else:
+            target, value = draw(st.sampled_from(["t", "agent", "quorum"])), draw(
+                st.booleans())
+            if target != "quorum":
+                row[target] = value
+            elif type(row["quorum"]) is list and row["quorum"]:
+                row["quorum"][0] = value
+        lines[i] = json.dumps(row, sort_keys=True)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def written_traces(tmp_path_factory):
+    """The lines of three stored traces: two short ones, "mid" and "pre",
+    and "long", whose step lines span two of read_trace's blocks."""
+    directory = tmp_path_factory.mktemp("written")
+    configs = suite_configs()
+    long = dataclasses.replace(
+        configs["crash_pre"], iterations=BELIEF_CHUNK + 20,
+        adversary=AdversarySchedule(mode="uniform", dmax=3.0, crash_plan=(
+            CrashEvent(4, BELIEF_CHUNK + 2, "after_transmit"),)))
+    out = {}
+    for name, config in (
+            ("mid", dataclasses.replace(configs["crash_mid"], iterations=30)),
+            ("pre", dataclasses.replace(configs["crash_pre"], iterations=30)),
+            ("long", long)):
+        write_trace(run_execution(config), directory / f"{name}.jsonl")
+        out[name] = (directory / f"{name}.jsonl").read_text().splitlines()
+    return out
+
+
+def test_read_trace_reports_as_the_per_record_reader(written_traces, tmp_path):
+    path = tmp_path / "mutated.jsonl"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        lines = written_traces[data.draw(st.sampled_from(["mid", "pre"]))]
+        path.write_text("\n".join(data.draw(mutated_lines(lines))) + "\n")
+        assert reader_outcome(read_trace, path) == reader_outcome(
+            read_trace_by_lines, path)
+
+    check()
+
+
+def test_read_trace_orders_faults_across_blocks(written_traces, tmp_path):
+    # The long trace's step lines span two blocks: a fault in the second
+    # block must still beat a belief beyond float range in the first, and a
+    # record in the second block may repeat one of the first.
+    lines = written_traces["long"]
+    last = len(lines) - 1
+    assert last > BELIEF_CHUNK * 4 + 1
+
+    def outcome(edits):
+        mutated = list(lines)
+        for index, edit in edits.items():
+            row = json.loads(lines[index])
+            edit(row)
+            mutated[index] = json.dumps(row, sort_keys=True)
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join(mutated) + "\n")
+        ours = reader_outcome(read_trace, path)
+        assert ours == reader_outcome(read_trace_by_lines, path)
+        return ours
+
+    def huge(row):
+        row["log_belief"][0] = 10 ** 400
+
+    def retype_t(row):
+        row["t"] = "late"
+
+    def repeat_line_2(row):
+        first = json.loads(lines[1])
+        row["t"], row["agent"] = first["t"], first["agent"]
+
+    assert outcome({5: huge}) == (
+        TraceInvariantError, "malformed log beliefs (int too large to convert to float)")
+    assert outcome({5: huge, last: retype_t}) == (
+        TraceInvariantError, f"line {last + 1}: malformed fields ['t']")
+    assert outcome({last: repeat_line_2}) == (
+        TraceInvariantError, "duplicate record for t=1 agent=1")
+    assert outcome({last - 1: repeat_line_2, last: retype_t}) == (
+        TraceInvariantError, "duplicate record for t=1 agent=1")
 
 
 def test_convergence_helpers():

@@ -1,4 +1,5 @@
-"""Time the trace checks of two checkouts of crashlearn against each other.
+"""Time the trace checks and trace I/O of two checkouts of crashlearn
+against each other.
 
     python3 tools/time_checks.py OTHER/src OUT.json
 
@@ -9,10 +10,11 @@ of the benchmark's two simulation configs (perfbench/workloads.py: complete-4,
 f=1, agent 4 crashing mid_update at t=10; "latest" is adversarial_latest
 with T=5000, "async" uniform delays up to 3 with T=1000), calls run_checks
 once on each to warm up, and then times, in-process with perf_counter, the
-full run_checks and run_checks of each check alone, REPEATS times per seed.
-A figure is the median of those repeats summed over the four seeds, in
-seconds; `<config>/peak_mb` is the peak tracemalloc size of one run_checks
-call on seed 1000.
+full run_checks and run_checks of each check alone, then write_trace of
+the trace to a temporary file and read_trace of that file, REPEATS times
+per seed. A figure is the median of those repeats summed over the four
+seeds, in seconds; `<config>/peak_mb` is the peak tracemalloc size of one
+run_checks call on seed 1000.
 
 OUT.json gets, per figure, the median, quartiles and interquartile range of
 each side over the pairs, the ratio of the medians (base over this tree),
@@ -28,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -52,26 +55,40 @@ def traces():
             yield label, seed, run_execution(SimulationConfig.from_dict(payload))
 
 
+def median_time(call) -> float:
+    """The median wall time of REPEATS calls."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def measure() -> dict[str, float]:
     """Every figure of the crashlearn on this process's path."""
     from crashlearn.analysis import DEFAULT_CHECKS, run_checks
+    from crashlearn.engine import read_trace, write_trace
     targets = {"run_checks": None} | {name: (name,) for name in DEFAULT_CHECKS}
     figures: dict[str, float] = {}
-    for label, seed, trace in traces():
-        run_checks(trace)
-        for target, checks in targets.items():
-            times = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                run_checks(trace, checks=checks)
-                times.append(time.perf_counter() - start)
-            key = f"{label}/{target}"
-            figures[key] = figures.get(key, 0.0) + statistics.median(times)
-        if seed == SEEDS[0]:
-            tracemalloc.start()
+
+    def add(key: str, seconds: float) -> None:
+        figures[key] = figures.get(key, 0.0) + seconds
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.jsonl"
+        for label, seed, trace in traces():
             run_checks(trace)
-            figures[f"{label}/peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-            tracemalloc.stop()
+            for target, checks in targets.items():
+                add(f"{label}/{target}",
+                    median_time(lambda: run_checks(trace, checks=checks)))
+            add(f"{label}/write_trace", median_time(lambda: write_trace(trace, path)))
+            add(f"{label}/read_trace", median_time(lambda: read_trace(path)))
+            if seed == SEEDS[0]:
+                tracemalloc.start()
+                run_checks(trace)
+                figures[f"{label}/peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+                tracemalloc.stop()
     return figures
 
 
