@@ -427,19 +427,12 @@ def _alive_boundaries(trace: ExecutionTrace) -> list[int]:
     return [1] + (np.flatnonzero(changes) + 2).tolist()
 
 
-def _psi_checkpoints(trace: ExecutionTrace) -> list[int]:
-    T = trace.iterations
-    return sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
-
-
-# The memoized folds each check reads, as (forward keys, backward keys).
-_FOLD_KEYS = {
-    "lemma1": lambda shared: ([], [shared.trace.iterations]),
-    "thm2": lambda shared: (_thm2_anchors(shared.trace), []),
-    "prop2": lambda shared: (_alive_boundaries(shared.trace), []),
-    "prop3": lambda shared: (_pi_tails(shared), []),
-    "lemma4": lambda shared: (_pi_tails(shared), []),
-    "psi": lambda shared: ([], _psi_checkpoints(shared.trace)),
+# The memoized forward folds each check reads, by the keys of the folds.
+_FORWARD_KEYS = {
+    "thm2": lambda shared: _thm2_anchors(shared.trace),
+    "prop2": lambda shared: _alive_boundaries(shared.trace),
+    "prop3": _pi_tails,
+    "lemma4": _pi_tails,
 }
 
 
@@ -705,7 +698,7 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                 dict(identity_witness or {}, part="pseudo_identity",
                      gap=identity_gap))]
 
-    checkpoints = _psi_checkpoints(trace)
+    checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
     suffixes = dict(zip(checkpoints, shared.folds(checkpoints, backward=True)))
     for theta, theta_star in _ordered_pairs(model):
         psi = psi_series(trace, model, theta, theta_star, pseudo=pseudo)
@@ -766,10 +759,9 @@ def run_checks(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     returns {name: {passed, worst_margin, witness}}."""
     names = check_names(DEFAULT_CHECKS if checks is None else checks)
     shared = _Shared(trace, model)
-    # every memoized fold the checks read, stepped in one call per direction
-    for backward in (False, True):
-        shared.folds(sorted({key for name in names if name in _FOLD_KEYS
-                             for key in _FOLD_KEYS[name](shared)[backward]}), backward)
+    # every forward fold the checks read, stepped in one call
+    shared.folds(sorted({key for name in names if name in _FORWARD_KEYS
+                         for key in _FORWARD_KEYS[name](shared)}))
     return {name: _CHECK_FUNCTIONS[name](trace, shared.model,
                                          shared=shared).to_dict()
             for name in names}

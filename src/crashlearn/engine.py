@@ -81,11 +81,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -800,9 +800,9 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _STEP_FIELDS = frozenset({"kind", "t", "agent", "alive", "completed", "quorum",
                           "signal", "log_belief", "crash_phase"})
-_step_values = itemgetter("kind", "t", "agent", "alive", "completed", "quorum",
-                          "signal", "log_belief", "crash_phase")
-_NOT_A_STEP = (None,) * 9
+_STEP_KEYS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",
+              "log_belief", "crash_phase")
+_step_values = operator.itemgetter(*_STEP_KEYS)
 _PHASE_CODES = {phase: code for code, phase in enumerate(_PHASE_NAMES)}
 
 
@@ -895,12 +895,21 @@ def _parse_header(header: dict) -> tuple[SimulationConfig, np.ndarray]:
     return config, np.asarray(header["initial_log_belief"], dtype=np.float64)
 
 
+def _typed(values: Sequence, *kinds: type) -> np.ndarray:
+    """Per value, whether its type is one of kinds (so a bool is not an
+    int); one pass over the types when they all are."""
+    if set(map(type, values)) <= set(kinds):
+        return np.ones(len(values), dtype=bool)
+    return np.array([type(v) in kinds for v in values], dtype=bool)
+
+
 def _label_column(values: Sequence, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per value, whether it is an int in 1..top (a bool is not), and the
-    values as an array with 0 for every other."""
-    if set(map(type, values)) == {int} and 1 <= min(values) and max(values) <= top:
-        return np.ones(len(values), dtype=bool), np.array(values, dtype=np.intp)
-    inside = [type(v) is int and 1 <= v <= top for v in values]
+    """Per value, whether it is an int in 1..top, and the values as an
+    array with 0 for every other."""
+    ints = _typed(values, int)
+    if ints.all() and (not values or (1 <= min(values) and max(values) <= top)):
+        return ints, np.array(values, dtype=np.intp)
+    inside = [ok and 1 <= v <= top for v, ok in zip(values, ints.tolist())]
     return (np.array(inside, dtype=bool),
             np.array([v if ok else 0 for v, ok in zip(values, inside)], dtype=np.intp))
 
@@ -912,43 +921,54 @@ def _check_steps(rows: list, config: SimulationConfig, width: int) -> tuple:
     0-based iterations and agents, phase codes, quorums padded to width,
     signal indices and log beliefs."""
     T, n, m = config.iterations, config.graph.n, config.model.m
-    fields = [_step_values(row) if type(row) is dict and row.keys() == _STEP_FIELDS
-              else _NOT_A_STEP for row in rows]
-    kind, t, agent, alive, completed, quorum, signal, belief, phase = (
-        zip(*fields) if fields else [()] * len(_NOT_A_STEP))
+    try:        # every row an object holding every step field
+        columns = [list(map(operator.itemgetter(key), rows)) for key in _STEP_KEYS]
+        exact = np.fromiter(map(len, rows), np.intp, len(rows)) == len(_STEP_KEYS)
+    except (KeyError, TypeError):
+        fields = [_step_values(row) if type(row) is dict and row.keys() == _STEP_FIELDS
+                  else (None,) * len(_STEP_KEYS) for row in rows]
+        columns = list(zip(*fields)) if fields else [()] * len(_STEP_KEYS)
+        exact = np.ones(len(rows), dtype=bool)
+    kind, t, agent, alive, completed, quorum, signal, belief, phase = columns
+
+    def each(test, values, value) -> np.ndarray:
+        return np.fromiter(map(test, values, repeat(value)), bool, len(rows))
+
     t_ok, t = _label_column(t, T)
     agent_ok, agent = _label_column(agent, n)
-    code = np.array([_PHASE_CODES.get(p, -1) if p is None or type(p) is str else -1
-                     for p in phase], dtype=np.int8)
+    named = _typed(phase, str, type(None))
+    code = np.full(len(rows), -1, dtype=np.int8)
+    code[named] = list(map(_PHASE_CODES.get, compress(phase, named), repeat(-1)))
     _, _, takes, completes = _PHASE_TABLE[code].T
-    done = np.array([1 if v is True else 0 if v is False else 2 for v in completed])
     # every quorum list's members in one column; outside counts, per record,
     # the members that are not agent labels
-    lists = [type(q) is list for q in quorum]
-    sizes = np.array([len(q) if listed else 0 for q, listed in zip(quorum, lists)],
-                     dtype=np.intp)
+    lists = _typed(quorum, list)
+    sizes = np.zeros(len(rows), dtype=np.intp)
+    sizes[lists] = list(map(len, compress(quorum, lists)))
     member_ok, members = _label_column(list(chain.from_iterable(compress(quorum, lists))), n)
     strays = np.zeros(len(members) + 1, dtype=np.intp)
     np.cumsum(~member_ok, out=strays[1:])
     ends = np.cumsum(sizes)
     outside = strays[ends] - strays[ends - sizes]
+    # each record's signal looked up in its agent's space (a record whose
+    # agent is not a label reads the last space, and is faulty anyway)
     spaces = [{s: k for k, s in enumerate(config.model.signals(a))}
               for a in range(1, n + 1)]
-    # (an agent that is not a label reads 0, and its record is faulty anyway)
-    k = np.array([spaces[a - 1].get(s, -1) if type(s) is str else -1
-                  for a, s in zip(agent.tolist(), signal)], dtype=np.int32)
-    shaped = np.array([type(b) is list and len(b) == m for b in belief], dtype=bool)
-    values = list(chain.from_iterable(compress(belief, shaped)))
-    numeric = (np.ones(len(values), dtype=bool) if set(map(type, values)) <= {int, float}
-               else np.array([type(v) in (int, float) for v in values], dtype=bool))
+    texts = _typed(signal, str)
+    k = np.full(len(rows), -1, dtype=np.int32)
+    k[texts] = list(map(dict.get, compress(map(spaces.__getitem__, (agent - 1).tolist()),
+                                           texts), compress(signal, texts), repeat(-1)))
+    shaped = _typed(belief, list)
+    shaped[shaped] = np.fromiter(map(len, compress(belief, shaped)), np.intp) == m
     numbers = np.zeros(len(rows), dtype=bool)
-    numbers[shaped] = numeric.reshape(-1, m).all(axis=1)
-    ok = (t_ok & agent_ok & (code >= 0) & (done == completes) & numbers
-          & np.array([v == "step" for v in kind], dtype=bool)
-          & np.array([v is True for v in alive], dtype=bool)
-          & np.where(takes, np.array(lists, dtype=bool) & (sizes <= width)
-                     & (outside == 0), np.array([q is None for q in quorum], dtype=bool))
-          & np.where(takes, k >= 0, np.array([s is None for s in signal], dtype=bool)))
+    numbers[shaped] = _typed(list(chain.from_iterable(compress(belief, shaped))),
+                             int, float).reshape(-1, m).all(axis=1)
+    ok = (exact & t_ok & agent_ok & (code >= 0) & numbers
+          & _typed(completed, bool) & (each(operator.is_, completed, True) == completes)
+          & each(operator.eq, kind, "step") & each(operator.is_, alive, True)
+          & np.where(takes, lists & (sizes <= width) & (outside == 0),
+                     each(operator.is_, quorum, None))
+          & np.where(takes, k >= 0, each(operator.is_, signal, None)))
     first = len(rows) if ok.all() else int(np.argmin(ok))
     count = sizes[:first]
     total = int(count.sum())
