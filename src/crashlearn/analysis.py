@@ -389,31 +389,21 @@ class _Shared:
         return pseudo_belief_evolution(self.trace, self.model)
 
     @cached_property
-    def pi_horizons(self) -> dict[int, int]:
-        """The horizon of the estimate at each sample point."""
-        return {r: _pi_horizon(self.trace, r, self.structure)
-                for r in _pi_sample_points(self.trace)}
-
-    @cached_property
     def pi_samples(self) -> list[PiEstimate]:
         """Estimates at the sample points: a horizon of T takes the last
         entry of the memoized forward fold, shorter horizons are stepped
         together in one call."""
         trace, T = self.trace, self.trace.iterations
-        tails = _pi_tails(self)
+        points = _pi_sample_points(trace)
+        horizons = [_pi_horizon(trace, r, self.structure) for r in points]
+        tails = [r for r, horizon in zip(points, horizons) if horizon == T]
         products = {r: fold[-1] for r, fold in zip(tails, self.folds(tails))}
-        inner = [(r, horizon) for r, horizon in self.pi_horizons.items() if horizon < T]
+        inner = [(r, horizon) for r, horizon in zip(points, horizons) if horizon < T]
         if inner:
             starts, ends = zip(*inner)
             products.update(zip(starts, _fold_ranges(self.matrices, starts, ends)))
         return [_pi_estimate(trace, r, horizon, products[r], self.structure)
-                for r, horizon in self.pi_horizons.items()]
-
-
-def _pi_tails(shared: _Shared) -> list[int]:
-    """The sample points whose estimate reads the product over [r, T]."""
-    T = shared.trace.iterations
-    return [r for r, horizon in shared.pi_horizons.items() if horizon == T]
+                for r, horizon in zip(points, horizons)]
 
 
 def _thm2_anchors(trace: ExecutionTrace) -> list[int]:
@@ -427,12 +417,14 @@ def _alive_boundaries(trace: ExecutionTrace) -> list[int]:
     return [1] + (np.flatnonzero(changes) + 2).tolist()
 
 
-# The memoized forward folds each check reads, by the keys of the folds.
+# The keys of the forward folds over [key, T] that thm2 and prop2 read;
+# run_checks steps them together in one call. The pi estimates' tails
+# (prop3, lemma4) keep their own call: the one tail that is neither an
+# anchor nor a boundary, 3T/4, would be padded to T entries in this call,
+# and that memory costs more than its T/4 steps.
 _FORWARD_KEYS = {
-    "thm2": lambda shared: _thm2_anchors(shared.trace),
-    "prop2": lambda shared: _alive_boundaries(shared.trace),
-    "prop3": _pi_tails,
-    "lemma4": _pi_tails,
+    "thm2": _thm2_anchors,
+    "prop2": _alive_boundaries,
 }
 
 
@@ -759,9 +751,8 @@ def run_checks(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     returns {name: {passed, worst_margin, witness}}."""
     names = check_names(DEFAULT_CHECKS if checks is None else checks)
     shared = _Shared(trace, model)
-    # every forward fold the checks read, stepped in one call
     shared.folds(sorted({key for name in names if name in _FORWARD_KEYS
-                         for key in _FORWARD_KEYS[name](shared)}))
+                         for key in _FORWARD_KEYS[name](trace)}))
     return {name: _CHECK_FUNCTIONS[name](trace, shared.model,
                                          shared=shared).to_dict()
             for name in names}
