@@ -17,9 +17,9 @@ import numpy as np
 
 from crashlearn.engine import (CRASH_PHASES, DELAY_STREAM, ConfigError,
                                ExecutionTrace, TraceInvariantError,
-                               _blank_schedule, _parse_header, _parse_record,
-                               _parse_step)
+                               _blank_schedule)
 from crashlearn.graphs import parse_config
+from crashlearn.tracefile import _parse_header, _parse_record, _parse_step
 
 
 def reach_sets(nodes, edges):
