@@ -98,10 +98,9 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse
 
 
-_STEP_FIELDS = frozenset({"kind", "t", "agent", "alive", "completed", "quorum",
-                          "signal", "log_belief", "crash_phase"})
 _STEP_KEYS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",
               "log_belief", "crash_phase")
+_STEP_FIELDS = frozenset(_STEP_KEYS)
 _step_values = operator.itemgetter(*_STEP_KEYS)
 _PHASE_CODES = {phase: code for code, phase in enumerate(_PHASE_NAMES)}
 
