@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive and written without reference to the
 package internals: literal set-based enumeration, reachability by repeated
-expansion, and plain-float probability math. Small n only.
+expansion, and plain-float probability math. Small n only. The trace file's
+references are the exception: the per-record writer and reader that the
+array-speed ones must match, the reader calling the package's own
+per-record check so that its messages are the package's.
 """
 
 from __future__ import annotations
