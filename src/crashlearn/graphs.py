@@ -260,7 +260,6 @@ class ReducedGraph:
 
 
 _WORD = 64
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _packed(nodes: Iterable[int], words: int) -> np.ndarray:
@@ -288,11 +287,6 @@ def _close_in_reach(reach: np.ndarray) -> None:
         word, bit = divmod(k, _WORD)
         into = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
         reach |= reach[:, k:k + 1, :] * into[:, :, None]
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits per mask over the last (word) axis."""
-    return _BYTE_POPCOUNT[masks.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
 class _RemovalSpace:
@@ -515,7 +509,7 @@ def source_census(g: DirectedGraph, f: int,
         chi += keys.size
         live = [v - 1 for v in sorted(g.nodes - sinks)]
         for part, reach in _closed_reach(space, sinks, keys):
-            gamma = min(gamma, int(_popcount(reach).min()))
+            gamma = min(gamma, int(np.bitwise_count(reach).sum(axis=-1).min()))
             unique = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
             if witness is None and not unique.all():
                 row = part.start + int(np.argmin(unique))
@@ -713,7 +707,7 @@ def detectability_report(g: DirectedGraph, f: int,
         unique = np.empty(keys.size, dtype=bool)
         for part, reach in _closed_reach(space, sinks, keys):
             unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
-            gamma = min(gamma, int(_popcount(reach).min()))
+            gamma = min(gamma, int(np.bitwise_count(reach).sum(axis=-1).min()))
         if literal_unique and not unique.all():
             literal_unique = False
             failing = np.flatnonzero(~unique)

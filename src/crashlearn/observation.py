@@ -40,8 +40,7 @@ class LikelihoodModel:
 
     def __init__(self, hypotheses: Sequence[str],
                  signal_spaces: Sequence[Sequence[str]],
-                 tables: Sequence[np.ndarray],
-                 _row_tolerance: float = ROW_SUM_TOLERANCE):
+                 tables: Sequence[np.ndarray]):
         hyp = tuple(str(h) for h in hypotheses)
         if not hyp:
             raise ValueError("need at least one hypothesis")
@@ -64,9 +63,9 @@ class LikelihoodModel:
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise ValueError(f"agent {idx}: entries must be finite and > 0")
             gap = np.abs(arr.sum(axis=1) - 1.0).max()
-            if gap > _row_tolerance:
+            if gap > ROW_SUM_TOLERANCE:
                 raise ValueError(f"agent {idx}: row sums off by {gap:.3e} "
-                                 f"(tolerance {_row_tolerance:.0e})")
+                                 f"(tolerance {ROW_SUM_TOLERANCE:.0e})")
             arr = arr.copy()
             arr.setflags(write=False)
             spaces.append(labels)

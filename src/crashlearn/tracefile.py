@@ -8,11 +8,13 @@ give each one: a prefix per (agent, phase code), a quorum-and-signal middle
 per distinct (agent, signal, quorum) row, and the beliefs by str, which is
 json's spelling of a finite float; a record holding a non-finite belief and
 every signal name are spelled by json.dumps. read_trace decodes every line
-with a decoder that refuses duplicate keys, then checks the decoded fields
-column by column: types, ranges, phase against completed, quorum members,
-signal names and repeated (t, agent) cells. The first faulty line goes
-through the scalar _parse_step, so every message, and the line it names,
-is the one a record-by-record reader gives.
+with a decoder that refuses duplicate keys, then tests the decoded records
+against an ordered table of rules, one boolean column per rule: an object,
+its kind, its field set, each field's type, the t and agent ranges, the
+belief length, completed against the phase, quorum and signal against the
+phase, and the quorum's width, its members and the signal name. The first
+faulty record is reported with the message of the first rule it breaks,
+unless a repeated (t, agent) cell comes before it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .engine import (_PHASE_NAMES, _PHASE_RULES, _PHASE_TABLE, BELIEF_CHUNK,
-                     CRASH_PHASES, ExecutionTrace, SimulationConfig,
+                     ExecutionTrace, SimulationConfig,
                      TraceInvariantError, _blank_schedule)
 from .graphs import ConfigError, parse_config
 
@@ -127,67 +129,6 @@ def _parse_record(line: str, lineno: int) -> dict:
     return row
 
 
-def _parse_step(line: str, lineno: int, config: SimulationConfig,
-                width: int) -> tuple[dict, int, list[int], int]:
-    """One step line as (row, phase code, quorum padded to width, signal
-    index). Every field must be present, alone and of its written type, and
-    agree with the config on its own."""
-    row = _parse_record(line, lineno)
-    if row.get("kind") != "step":
-        raise TraceInvariantError(f"unexpected record kind {row.get('kind')!r}")
-    if row.keys() != _STEP_FIELDS:
-        raise TraceInvariantError(
-            f"line {lineno}: step fields missing {sorted(_STEP_FIELDS - row.keys())}, "
-            f"unexpected {sorted(row.keys() - _STEP_FIELDS)}")
-    t, agent, quorum, signal = row["t"], row["agent"], row["quorum"], row["signal"]
-    phase, belief = row["crash_phase"], row["log_belief"]
-    wrong = [name for name, ok in (
-        ("t", type(t) is int),
-        ("agent", type(agent) is int),
-        ("alive", row["alive"] is True),
-        ("completed", type(row["completed"]) is bool),
-        ("quorum", quorum is None
-         or (type(quorum) is list and all(type(j) is int for j in quorum))),
-        ("signal", signal is None or type(signal) is str),
-        ("log_belief", type(belief) is list
-         and all(type(v) in (int, float) for v in belief)),
-        ("crash_phase", phase is None or phase in CRASH_PHASES)) if not ok]
-    if wrong:
-        raise TraceInvariantError(f"line {lineno}: malformed fields {wrong}")
-    if not 1 <= t <= config.iterations:
-        raise TraceInvariantError(f"step iteration {t} out of range")
-    where = f"t={t} agent={agent}"
-    if not 1 <= agent <= config.graph.n:
-        raise TraceInvariantError(f"{where}: unknown agent")
-    if len(belief) != config.model.m:
-        raise TraceInvariantError(f"{where}: malformed log beliefs")
-    _, takes_quorum, completes = _PHASE_RULES[phase]
-    if row["completed"] and not completes:
-        raise TraceInvariantError(f"{where}: completed record with phase {phase}")
-    if completes and not row["completed"]:
-        raise TraceInvariantError(f"{where}: incomplete record needs a crash "
-                                  f"phase, got {phase}")
-    if not takes_quorum:
-        if quorum is not None or signal is not None:
-            raise TraceInvariantError(f"{where}: {phase} record must not carry "
-                                      f"quorum or signal")
-        return row, _PHASE_NAMES.index(phase), [-1] * width, -1
-    if quorum is None or signal is None:
-        raise TraceInvariantError(f"{where}: missing quorum or signal")
-    # A quorum the arrays cannot hold gets validate_trace's message here.
-    if len(quorum) > width:
-        need = len(config.graph.in_neighbors[agent]) - config.f
-        raise TraceInvariantError(f"{where}: quorum size {len(quorum)} != {need}")
-    bad = sorted({j for j in quorum if not 1 <= j <= config.graph.n})
-    if bad:
-        raise TraceInvariantError(f"{where}: quorum members {bad} are not "
-                                  f"in-neighbors")
-    if signal not in config.model.signals(agent):
-        raise TraceInvariantError(f"{where}: unknown signal {signal!r}")
-    return (row, _PHASE_NAMES.index(phase), quorum + [-1] * (width - len(quorum)),
-            config.model.signal_index(agent, signal))
-
-
 def _parse_header(header: dict) -> tuple[SimulationConfig, np.ndarray]:
     config = SimulationConfig.from_dict(header["config"])
     config.validate()
@@ -202,80 +143,144 @@ def _typed(values: Sequence, *kinds: type) -> np.ndarray:
     return np.array([type(v) in kinds for v in values], dtype=bool)
 
 
-def _label_column(values: Sequence, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per value, whether it is an int in 1..top, and the values as an
-    array with 0 for every other."""
+def _label_column(values: Sequence, top: int) -> tuple[np.ndarray, np.ndarray,
+                                                        np.ndarray]:
+    """Per value, whether it is an int and whether it is an int in 1..top,
+    and the values as an array with 0 for every value outside."""
     ints = _typed(values, int)
     if ints.all() and (not values or (1 <= min(values) and max(values) <= top)):
-        return ints, np.array(values, dtype=np.intp)
+        return ints, ints, np.array(values, dtype=np.intp)
     inside = [ok and 1 <= v <= top for v, ok in zip(values, ints.tolist())]
-    return (np.array(inside, dtype=bool),
+    return (ints, np.array(inside, dtype=bool),
             np.array([v if ok else 0 for v, ok in zip(values, inside)], dtype=np.intp))
 
 
-def _check_steps(rows: list, config: SimulationConfig, width: int) -> tuple:
-    """The checks _parse_step makes of one record, made column by column on
-    decoded step lines. Returns the index of the first record _parse_step
-    would reject (len(rows) if none) and, for the records before it, the
+def _list_column(values: Sequence) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per value, whether it is a list and its length (0 if it is not), and
+    the values of every list laid end to end."""
+    lists = _typed(values, list)
+    sizes = np.zeros(len(values), dtype=np.intp)
+    sizes[lists] = list(map(len, compress(values, lists)))
+    return lists, sizes, list(chain.from_iterable(compress(values, lists)))
+
+
+def _all_per_list(ok: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per list, of the given sizes and laid end to end in ok, whether ok
+    holds for every one of its values."""
+    if ok.all():
+        return np.ones(len(sizes), dtype=bool)
+    faults = np.zeros(len(ok) + 1, dtype=np.intp)
+    np.cumsum(~ok, out=faults[1:])
+    ends = np.cumsum(sizes)
+    return faults[ends] == faults[ends - sizes]
+
+
+def _check_steps(rows: list, lineno: int, config: SimulationConfig,
+                 width: int) -> tuple:
+    """The rules of a step record, tested column by column on decoded step
+    lines, the first of them on line lineno. Returns the index of the first
+    record that breaks a rule (len(rows) if none), the message of the first
+    rule it breaks (None if none) and, for the records before it, the
     0-based iterations and agents, phase codes, quorums padded to width,
     signal indices and log beliefs."""
     T, n, m = config.iterations, config.graph.n, config.model.m
+    R = len(rows)
     try:        # every row an object holding every step field
         columns = [list(map(operator.itemgetter(key), rows)) for key in _STEP_KEYS]
-        exact = np.fromiter(map(len, rows), np.intp, len(rows)) == len(_STEP_KEYS)
+        objects = np.ones(R, dtype=bool)
+        exact = np.fromiter(map(len, rows), np.intp, R) == len(_STEP_KEYS)
     except (KeyError, TypeError):
-        fields = [_step_values(row) if type(row) is dict and row.keys() == _STEP_FIELDS
-                  else (None,) * len(_STEP_KEYS) for row in rows]
-        columns = list(zip(*fields)) if fields else [()] * len(_STEP_KEYS)
-        exact = np.ones(len(rows), dtype=bool)
+        objects = [type(row) is dict for row in rows]
+        exact = [ok and row.keys() == _STEP_FIELDS for ok, row in zip(objects, rows)]
+        columns = list(zip(*[_step_values(row) if ok else (None,) * len(_STEP_KEYS)
+                             for ok, row in zip(exact, rows)]))
+        columns[0] = [row.get("kind") if ok else None for ok, row in zip(objects, rows)]
+        objects, exact = np.array(objects, dtype=bool), np.array(exact, dtype=bool)
     kind, t, agent, alive, completed, quorum, signal, belief, phase = columns
 
     def each(test, values, value) -> np.ndarray:
-        return np.fromiter(map(test, values, repeat(value)), bool, len(rows))
+        return np.fromiter(map(test, values, repeat(value)), bool, R)
 
-    t_ok, t = _label_column(t, T)
-    agent_ok, agent = _label_column(agent, n)
+    t_int, t_in, t = _label_column(t, T)
+    agent_int, agent_in, agent = _label_column(agent, n)
     named = _typed(phase, str, type(None))
-    code = np.full(len(rows), -1, dtype=np.int8)
+    code = np.full(R, -1, dtype=np.int8)
     code[named] = list(map(_PHASE_CODES.get, compress(phase, named), repeat(-1)))
     _, _, takes, completes = _PHASE_TABLE[code].T
-    # every quorum list's members in one column; outside counts, per record,
-    # the members that are not agent labels
-    lists = _typed(quorum, list)
-    sizes = np.zeros(len(rows), dtype=np.intp)
-    sizes[lists] = list(map(len, compress(quorum, lists)))
-    member_ok, members = _label_column(list(chain.from_iterable(compress(quorum, lists))), n)
-    strays = np.zeros(len(members) + 1, dtype=np.intp)
-    np.cumsum(~member_ok, out=strays[1:])
-    ends = np.cumsum(sizes)
-    outside = strays[ends] - strays[ends - sizes]
+    said = each(operator.is_, completed, True)
+    lists, sizes, flat = _list_column(quorum)
+    member_int, member_in, members = _label_column(flat, n)
+    vectors, lengths, flat = _list_column(belief)
+    numbers = _typed(flat, int, float)
+    no_quorum = each(operator.is_, quorum, None)
+    no_signal = each(operator.is_, signal, None)
     # each record's signal looked up in its agent's space (a record whose
-    # agent is not a label reads the last space, and is faulty anyway)
+    # agent is not a label reads the last space, and breaks a rule anyway)
     spaces = [{s: k for k, s in enumerate(config.model.signals(a))}
               for a in range(1, n + 1)]
     texts = _typed(signal, str)
-    k = np.full(len(rows), -1, dtype=np.int32)
+    k = np.full(R, -1, dtype=np.int32)
     k[texts] = list(map(dict.get, compress(map(spaces.__getitem__, (agent - 1).tolist()),
                                            texts), compress(signal, texts), repeat(-1)))
-    shaped = _typed(belief, list)
-    shaped[shaped] = np.fromiter(map(len, compress(belief, shaped)), np.intp) == m
-    numbers = np.zeros(len(rows), dtype=bool)
-    numbers[shaped] = _typed(list(chain.from_iterable(compress(belief, shaped))),
-                             int, float).reshape(-1, m).all(axis=1)
-    ok = (exact & t_ok & agent_ok & (code >= 0) & numbers
-          & _typed(completed, bool) & (each(operator.is_, completed, True) == completes)
-          & each(operator.eq, kind, "step") & each(operator.is_, alive, True)
-          & np.where(takes, lists & (sizes <= width) & (outside == 0),
-                     each(operator.is_, quorum, None))
-          & np.where(takes, k >= 0, each(operator.is_, signal, None)))
-    first = len(rows) if ok.all() else int(np.argmin(ok))
+    malformed = {
+        "t": ~t_int,
+        "agent": ~agent_int,
+        "alive": ~each(operator.is_, alive, True),
+        "completed": ~_typed(completed, bool),
+        "quorum": ~(no_quorum | (lists & _all_per_list(member_int, sizes))),
+        "signal": ~(no_signal | texts),
+        "log_belief": ~(vectors & _all_per_list(numbers, lengths)),
+        "crash_phase": code < 0}
+
+    def where(r: int) -> str:
+        return f"t={rows[r]['t']} agent={rows[r]['agent']}"
+
+    # Each rule as a column of the records that break it, with its message,
+    # in the order a record's rules are reported.
+    rules = (
+        (~objects, lambda r: f"line {lineno + r}: not a JSON object"),
+        (each(operator.ne, kind, "step"),
+         lambda r: f"unexpected record kind {kind[r]!r}"),
+        (~exact, lambda r: f"line {lineno + r}: step fields missing "
+                           f"{sorted(_STEP_FIELDS - rows[r].keys())}, unexpected "
+                           f"{sorted(rows[r].keys() - _STEP_FIELDS)}"),
+        (np.logical_or.reduce(list(malformed.values())),
+         lambda r: f"line {lineno + r}: malformed fields "
+                   f"{[name for name, broken in malformed.items() if broken[r]]}"),
+        (~t_in, lambda r: f"step iteration {rows[r]['t']} out of range"),
+        (~agent_in, lambda r: f"{where(r)}: unknown agent"),
+        (lengths != m, lambda r: f"{where(r)}: malformed log beliefs"),
+        (said & ~completes,
+         lambda r: f"{where(r)}: completed record with phase {phase[r]}"),
+        (completes & ~said,
+         lambda r: f"{where(r)}: incomplete record needs a crash phase, got {phase[r]}"),
+        (~takes & ~(no_quorum & no_signal),
+         lambda r: f"{where(r)}: {phase[r]} record must not carry quorum or signal"),
+        (takes & (no_quorum | no_signal),
+         lambda r: f"{where(r)}: missing quorum or signal"),
+        # a quorum the arrays cannot hold gets validate_trace's message
+        (takes & (sizes > width),
+         lambda r: f"{where(r)}: quorum size {len(quorum[r])} != "
+                   f"{len(config.graph.in_neighbors[rows[r]['agent']]) - config.f}"),
+        (takes & ~_all_per_list(member_in, sizes),
+         lambda r: f"{where(r)}: quorum members "
+                   f"{sorted({j for j in quorum[r] if not 1 <= j <= n})} are not "
+                   f"in-neighbors"),
+        (takes & (k < 0), lambda r: f"{where(r)}: unknown signal {signal[r]!r}"),
+    )
+    hits = np.flatnonzero(np.stack([broken for broken, _ in rules], axis=1))
+    first, fault = R, None
+    if hits.size:
+        first, rule = divmod(int(hits[0]), len(rules))
+        fault = rules[rule][1](first)
     count = sizes[:first]
     total = int(count.sum())
+    ends = np.cumsum(count)
     padded = np.full((first, width), -1, dtype=np.int32)
     padded[np.repeat(np.arange(first), count),
-           np.arange(total) - np.repeat(ends[:first] - count, count)] = members[:total]
-    return (first, t[:first] - 1, agent[:first] - 1, code[:first], padded, k[:first],
-            belief[:first])
+           np.arange(total) - np.repeat(ends - count, count)] = members[:total]
+    return (first, fault, t[:first] - 1, agent[:first] - 1, code[:first], padded,
+            k[:first], belief[:first])
 
 
 def read_trace(path) -> ExecutionTrace:
@@ -283,11 +288,11 @@ def read_trace(path) -> ExecutionTrace:
     own fields on the way; validate_trace checks the rest.
 
     Step lines are read in blocks of BELIEF_CHUNK * n: every line of a block
-    is decoded, its records are checked column by column (_check_steps), and
-    the first faulty one goes through the scalar _parse_step, so each fault
-    is reported, with its line, as a record-by-record reader reports it. A
-    duplicate record is caught in the same order; a belief beyond float
-    range is reported after every line has been checked."""
+    is decoded and its records are tested rule by rule, column by column
+    (_check_steps). The first record of the file that breaks a rule, or the
+    first line that does not decode, is reported as a record-by-record reader
+    reports it, unless a duplicate record comes earlier; a belief beyond
+    float range is reported after every line has been checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
@@ -325,9 +330,9 @@ def read_trace(path) -> ExecutionTrace:
             for line in block:
                 rows.append(_DECODER.decode(line))
         except (TraceInvariantError, ValueError, RecursionError):
-            pass        # the line at len(rows) is faulty; _parse_step says how
-        first, ts, agents, codes, members, k, beliefs = _check_steps(
-            rows, config, quorum.shape[2])
+            pass        # the line at len(rows) does not decode
+        first, fault, ts, agents, codes, members, k, beliefs = _check_steps(
+            rows, start + 1, config, quorum.shape[2])
         # records before the first faulty one whose cell came earlier, in
         # this block or in an earlier one
         cells = ts * n + agents
@@ -338,10 +343,10 @@ def read_trace(path) -> ExecutionTrace:
             d = int(np.argmax(again))
             raise TraceInvariantError(f"duplicate record for t={ts[d] + 1} "
                                       f"agent={agents[d] + 1}")
-        if first < len(block):
-            _parse_step(block[first], start + first + 1, config, quorum.shape[2])
-            raise RuntimeError(f"line {start + first + 1}: the column checks "
-                               f"reject a record _parse_step accepts")
+        if fault is not None:
+            raise TraceInvariantError(fault)
+        if len(rows) < len(block):      # _parse_record raises, saying why
+            _parse_record(block[len(rows)], start + len(rows) + 1)
         phase[ts, agents], quorum[ts, agents], signal[ts, agents] = codes, members, k
         if overflow is None:
             try:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and written without reference to the
 package internals: literal set-based enumeration, reachability by repeated
 expansion, and plain-float probability math. Small n only. The trace file's
-references are the exception: the per-record writer and reader that the
-array-speed ones must match, the reader calling the package's own
-per-record check so that its messages are the package's.
+references, the per-record writer and reader that the array-speed ones must
+match, share the package's header parsing and line decoding (_parse_header,
+_parse_record) and its phase table; the reader checks each step record's
+rules itself, one record at a time, in _parse_step.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from crashlearn.engine import (CRASH_PHASES, DELAY_STREAM, ConfigError,
-                               ExecutionTrace, TraceInvariantError,
+from crashlearn.engine import (_PHASE_NAMES, _PHASE_RULES, CRASH_PHASES,
+                               DELAY_STREAM, ConfigError, ExecutionTrace,
+                               SimulationConfig, TraceInvariantError,
                                _blank_schedule)
 from crashlearn.graphs import parse_config
-from crashlearn.tracefile import _parse_header, _parse_record, _parse_step
+from crashlearn.tracefile import _parse_header, _parse_record
 
 
 def reach_sets(nodes, edges):
@@ -453,6 +455,71 @@ def write_trace_by_dumps(trace, path):
                    "completed": completed, "quorum": quorum, "signal": signal,
                    "log_belief": belief, "crash_phase": phase}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+_STEP_FIELDS = frozenset(("kind", "t", "agent", "alive", "completed", "quorum",
+                          "signal", "log_belief", "crash_phase"))
+
+
+def _parse_step(line: str, lineno: int, config: SimulationConfig,
+                width: int) -> tuple[dict, int, list[int], int]:
+    """One step line as (row, phase code, quorum padded to width, signal
+    index). Every field must be present, alone and of its written type, and
+    agree with the config on its own."""
+    row = _parse_record(line, lineno)
+    if row.get("kind") != "step":
+        raise TraceInvariantError(f"unexpected record kind {row.get('kind')!r}")
+    if row.keys() != _STEP_FIELDS:
+        raise TraceInvariantError(
+            f"line {lineno}: step fields missing {sorted(_STEP_FIELDS - row.keys())}, "
+            f"unexpected {sorted(row.keys() - _STEP_FIELDS)}")
+    t, agent, quorum, signal = row["t"], row["agent"], row["quorum"], row["signal"]
+    phase, belief = row["crash_phase"], row["log_belief"]
+    wrong = [name for name, ok in (
+        ("t", type(t) is int),
+        ("agent", type(agent) is int),
+        ("alive", row["alive"] is True),
+        ("completed", type(row["completed"]) is bool),
+        ("quorum", quorum is None
+         or (type(quorum) is list and all(type(j) is int for j in quorum))),
+        ("signal", signal is None or type(signal) is str),
+        ("log_belief", type(belief) is list
+         and all(type(v) in (int, float) for v in belief)),
+        ("crash_phase", phase is None or phase in CRASH_PHASES)) if not ok]
+    if wrong:
+        raise TraceInvariantError(f"line {lineno}: malformed fields {wrong}")
+    if not 1 <= t <= config.iterations:
+        raise TraceInvariantError(f"step iteration {t} out of range")
+    where = f"t={t} agent={agent}"
+    if not 1 <= agent <= config.graph.n:
+        raise TraceInvariantError(f"{where}: unknown agent")
+    if len(belief) != config.model.m:
+        raise TraceInvariantError(f"{where}: malformed log beliefs")
+    _, takes_quorum, completes = _PHASE_RULES[phase]
+    if row["completed"] and not completes:
+        raise TraceInvariantError(f"{where}: completed record with phase {phase}")
+    if completes and not row["completed"]:
+        raise TraceInvariantError(f"{where}: incomplete record needs a crash "
+                                  f"phase, got {phase}")
+    if not takes_quorum:
+        if quorum is not None or signal is not None:
+            raise TraceInvariantError(f"{where}: {phase} record must not carry "
+                                      f"quorum or signal")
+        return row, _PHASE_NAMES.index(phase), [-1] * width, -1
+    if quorum is None or signal is None:
+        raise TraceInvariantError(f"{where}: missing quorum or signal")
+    # A quorum the arrays cannot hold gets validate_trace's message here.
+    if len(quorum) > width:
+        need = len(config.graph.in_neighbors[agent]) - config.f
+        raise TraceInvariantError(f"{where}: quorum size {len(quorum)} != {need}")
+    bad = sorted({j for j in quorum if not 1 <= j <= config.graph.n})
+    if bad:
+        raise TraceInvariantError(f"{where}: quorum members {bad} are not "
+                                  f"in-neighbors")
+    if signal not in config.model.signals(agent):
+        raise TraceInvariantError(f"{where}: unknown signal {signal!r}")
+    return (row, _PHASE_NAMES.index(phase), quorum + [-1] * (width - len(quorum)),
+            config.model.signal_index(agent, signal))
 
 
 def read_trace_by_lines(path):
