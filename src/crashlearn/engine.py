@@ -29,13 +29,17 @@ ready time r_j, and its message reaches an out-neighbor i at r_j + d_t(j, i).
 An agent that takes a quorum takes the len(in_neighbors) - f earliest
 messages of its transmitting in-neighbors, an arrival tie going to the
 lower sender label, and is ready for t + 1 at the later of r_i and its
-latest taken arrival. Delays come from per-sender substreams (uniform mode)
-or a fixed table (fixed mode). adversarial_latest is the worst-case
-scheduler that withholds every message as long as it can: nobody can run
-ahead, so execution is lockstep rounds, which is the recursion with every
-delay 0. Then every quorum is the lowest-labeled transmitting in-neighbors
-and depends on the iteration's phase row alone, so the rule runs once per
-span of equal phase rows. No agent waits forever: validate allows at most
+latest taken arrival. Only that latest arrival's value carries from one
+iteration to the next, and a tie does not change it, so the recursion runs
+in blocks of BELIEF_CHUNK iterations: a loop carries the order statistic
+and stores the ready times, then every quorum of the block is taken at
+once. Delays come from per-sender substreams (uniform mode) or a fixed
+table (fixed mode). adversarial_latest is the worst-case scheduler that
+withholds every message as long as it can: nobody can run ahead, so
+execution is lockstep rounds, which is the recursion with every delay 0.
+Then every quorum is the lowest-labeled transmitting in-neighbors and
+depends on the iteration's phase row alone, so the rule runs once per span
+of equal phase rows. No agent waits forever: validate allows at most
 f crashes and f <= every in-degree, so in every iteration each agent keeps
 at least len(in_neighbors) - f transmitting in-neighbors. Signals come from
 per-agent substreams consumed in iteration order, so the signal sequence of
@@ -72,7 +76,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 
 import numpy as np
 
@@ -590,9 +594,12 @@ def _blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """The phase and quorum arrays of a run: the ready-time recursion of the
-    module docstring, one _quorums call per iteration. Under
-    adversarial_latest every delay is 0, so a quorum depends on its phase
-    row alone and each span of equal phase rows takes one call."""
+    module docstring. Under adversarial_latest every delay is 0, so a quorum
+    depends on its phase row alone and each span of equal phase rows is
+    taken once. Otherwise, per block of BELIEF_CHUNK iterations, a loop
+    carries each agent's need-th earliest arrival into its ready time, the
+    one value the recursion needs from an iteration, and then every quorum
+    of the block is taken at once from the ready times the loop stored."""
     g, adversary = config.graph, config.adversary
     phase, quorum = _blank_schedule(config)
     # Code 0 until an agent's crash iteration, its phase's code there, -1 after.
@@ -602,41 +609,60 @@ def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         phase[ev.iteration:, ev.agent - 1] = -1
     need = np.array([len(g.in_neighbors[i]) - config.f for i in range(1, g.n + 1)])
     width = quorum.shape[2]
+
+    def rules(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Who transmits, and how many messages each agent takes (0 if it
+        takes no quorum), in each of some phase rows."""
+        _, transmits, takes, _ = np.moveaxis(_PHASE_TABLE[rows], -1, 0)
+        return transmits, np.where(takes, need, 0)
+
     if adversary.mode == "adversarial_latest":
-        arrival = _link_table(g, lambda j, i: 0.0)
-        for lo, hi in _spans(phase):
-            quorum[lo:hi] = _labels(_quorums(arrival, phase[lo], need)[0], width)
+        spans = _spans(phase)
+        transmits, counts = rules(phase[[lo for lo, _ in spans]])
+        offset = np.where(transmits[:, None, :],
+                          _link_table(g, lambda j, i: 0.0), np.inf)
+        for (lo, hi), rows in zip(spans, _labels(_take(offset, counts), width)):
+            quorum[lo:hi] = rows
         return phase, quorum
-    taken = np.empty((config.iterations, g.n, g.n), dtype=bool)
+    # Each agent's need-th earliest arrival in the sorted table, read through
+    # a flat view of it.
+    arrival = np.empty((g.n, g.n))
+    flat = arrival.reshape(-1)
+    pick = np.arange(g.n) * g.n + np.maximum(need - 1, 0)
     ready = np.zeros(g.n)
-    for t, delay in enumerate(_delays(config)):
-        taken[t], latest = _quorums(ready + delay, phase[t], need)
-        ready = np.maximum(ready, latest)
-    quorum[:] = _labels(taken, width)
+    for lo, delay in zip(range(0, config.iterations, BELIEF_CHUNK), _delays(config)):
+        hi = lo + len(delay)
+        transmits, counts = rules(phase[lo:hi])
+        offset = np.where(transmits[:, None, :], delay, np.inf)
+        # nan rows for agents that take nothing: fmax ignores them, and
+        # unlike -inf they stay quiet next to a stuck agent's inf ready time.
+        gate = np.where(counts[:, :, None] > 0, offset, np.nan)
+        readies = np.empty((hi - lo, g.n))
+        for s, row in enumerate(gate):
+            readies[s] = ready
+            np.add(ready, row, out=arrival)
+            arrival.sort(axis=1)
+            np.fmax(ready, flat[pick], out=ready)
+        quorum[lo:hi] = _labels(_take(readies[:, None, :] + offset, counts), width)
     return phase, quorum
 
 
-def _quorums(arrival: np.ndarray, row: np.ndarray,
-             need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The quorum rule of one iteration. arrival[i - 1, j - 1] is when j's
-    message reaches i (inf off the edges), row the iteration's phase codes
-    and need each agent's quorum size. Every agent that takes a quorum
-    takes the need earliest messages of its transmitting in-neighbors, ties
-    going to the lower label.
-
-    Returns the (n, n) mask of the messages taken, [i - 1, j - 1] for j's
-    message to i, and each agent's latest taken arrival (-inf if none).
+def _take(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The quorum rule over a stack of iterations. times[s, i - 1, j - 1] is
+    when j's message reaches i (inf if j sends i none) and counts[s, i - 1]
+    how many messages i takes. Every agent takes its count earliest
+    messages, ties going to the lower label. Returns the (S, n, n) mask of
+    the messages taken; raises DeadlockError, naming the agents of the first
+    iteration where one would take a message that never arrives.
     """
-    _, transmits, takes, _ = _PHASE_TABLE[row].T
-    times = np.where(transmits, arrival, np.inf)
-    rank = np.argsort(np.argsort(times, axis=1, kind="stable"), axis=1)
-    taken = rank < np.where(takes, need, 0)[:, None]
-    latest = np.maximum.reduce(np.where(taken, times, -np.inf), axis=1)
-    if (latest == np.inf).any():
-        stuck = np.flatnonzero(latest == np.inf) + 1
-        raise DeadlockError(f"agents {stuck.tolist()} have fewer transmitting "
-                            f"in-neighbors than their quorum size")
-    return taken, latest
+    rank = np.argsort(np.argsort(times, axis=-1, kind="stable"), axis=-1)
+    taken = rank < counts[..., None]
+    stuck = (taken & (times == np.inf)).any(axis=-1)
+    if stuck.any():
+        first = stuck[np.argmax(stuck.any(axis=-1))]
+        raise DeadlockError(f"agents {(np.flatnonzero(first) + 1).tolist()} have "
+                            f"fewer transmitting in-neighbors than their quorum size")
+    return taken
 
 
 def _labels(taken: np.ndarray, width: int) -> np.ndarray:
@@ -656,22 +682,24 @@ def _link_table(g: DirectedGraph, delay) -> np.ndarray:
 
 
 def _delays(config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Every iteration's delay table, laid out as _link_table's. Uniform
-    delays come from each sender's own substream in iteration order, then
-    out-neighbor order, drawn BELIEF_CHUNK iterations at a time."""
+    """Every iteration's delay table, laid out as _link_table's, in blocks of
+    BELIEF_CHUNK iterations. Uniform delays come from each sender's own
+    substream in iteration order, then out-neighbor order, drawn a block at
+    a time."""
     g, T, adversary = config.graph, config.iterations, config.adversary
+    blocks = (min(BELIEF_CHUNK, T - lo) for lo in range(0, T, BELIEF_CHUNK))
     if adversary.mode == "fixed":
-        yield from repeat(_link_table(g, adversary.delay_for), T)
+        table = _link_table(g, adversary.delay_for)
+        yield from (np.broadcast_to(table, (size, g.n, g.n)) for size in blocks)
         return
     senders = range(1, g.n + 1)
     rngs = [_rng(config.seed, DELAY_STREAM, j) for j in senders]
     outs = [[i - 1 for i in sorted(g.out_neighbors[j])] for j in senders]
-    for lo in range(0, T, BELIEF_CHUNK):
-        block = np.full((min(BELIEF_CHUNK, T - lo), g.n, g.n), np.inf)
+    for size in blocks:
+        block = np.full((size, g.n, g.n), np.inf)
         for j, (rng, out) in enumerate(zip(rngs, outs)):
-            block[:, out, j] = rng.uniform(0.0, adversary.dmax,
-                                           (len(block), len(out)))
-        yield from block
+            block[:, out, j] = rng.uniform(0.0, adversary.dmax, (size, len(out)))
+        yield block
 
 
 def _belief_pass(config: SimulationConfig, phase: np.ndarray,

@@ -90,6 +90,9 @@ class DirectedGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
+        # Any iterable of pairs is stored as a frozenset, so the graph stays
+        # hashable for the caches keyed on it.
+        object.__setattr__(self, "edges", frozenset((j, i) for j, i in self.edges))
         for j, i in self.edges:
             if not (1 <= j <= self.n and 1 <= i <= self.n):
                 raise ValueError(f"edge ({j}, {i}) outside 1..{self.n}")
@@ -98,7 +101,7 @@ class DirectedGraph:
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
-        return cls(n=n, edges=frozenset((int(j), int(i)) for j, i in edges))
+        return cls(n=n, edges=((int(j), int(i)) for j, i in edges))
 
     @classmethod
     def complete(cls, n: int) -> DirectedGraph:
@@ -121,7 +124,7 @@ class DirectedGraph:
             if (j, i) in seen:
                 raise ValueError(f"duplicate edge ({j}, {i})")
             seen.add((j, i))
-        return cls(n=n, edges=frozenset(seen))
+        return cls(n=n, edges=seen)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}

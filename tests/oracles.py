@@ -6,7 +6,9 @@ expansion, and plain-float probability math. Small n only. The trace file's
 references, the per-record writer and reader that the array-speed ones must
 match, share the package's header parsing and line decoding (_parse_header,
 _parse_record) and its phase table; the reader checks each step record's
-rules itself, one record at a time, in _parse_step.
+rules itself, one record at a time, in _parse_step. Of the two schedule
+references, heap_schedule draws its own delays, and stepwise_schedule, which
+pins the tie rule, takes its delay tables from the package's _delays.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from crashlearn.engine import (_PHASE_NAMES, _PHASE_RULES, CRASH_PHASES,
-                               DELAY_STREAM, ConfigError, ExecutionTrace,
-                               SimulationConfig, TraceInvariantError,
-                               _blank_schedule)
+                               DELAY_STREAM, ConfigError, DeadlockError,
+                               ExecutionTrace, SimulationConfig,
+                               TraceInvariantError, _blank_schedule, _delays)
 from crashlearn.graphs import parse_config
 from crashlearn.tracefile import _parse_header, _parse_record
 
@@ -440,6 +442,50 @@ def heap_schedule(config):
             try_advance(receiver)
     if running:
         raise RuntimeError(f"agents {sorted(running)} never assembled a quorum")
+    return phase, quorum
+
+
+def stepwise_schedule(config):
+    """The phase and quorum arrays of any run by the ready-time recursion,
+    one iteration at a time: every agent that takes a quorum ranks the
+    arrivals of its transmitting in-neighbors with a stable sort, so a tie
+    goes to the lower label, takes the need earliest, and is ready for the
+    next iteration at the later of its ready time and its latest taken
+    arrival. adversarial_latest is the case of zero delays. The delay tables
+    are the package's _delays, which heap_schedule checks on its own draws
+    where delivery times do not tie."""
+    g, T, adversary = config.graph, config.iterations, config.adversary
+    phase, quorum = _blank_schedule(config)
+    phase[:] = 0
+    for ev in adversary.crash_plan:
+        phase[ev.iteration - 1, ev.agent - 1] = CRASH_PHASES.index(ev.phase) + 1
+        phase[ev.iteration:, ev.agent - 1] = -1
+    need = np.array([len(g.in_neighbors[i]) - config.f for i in range(1, g.n + 1)])
+    if adversary.mode == "adversarial_latest":
+        zero = np.full((g.n, g.n), np.inf)
+        for j, i in g.edges:
+            zero[i - 1, j - 1] = 0.0
+        delays = itertools.repeat(zero, T)
+    else:
+        delays = (table for block in _delays(config) for table in block)
+    ready = np.zeros(g.n)
+    for t, delay in enumerate(delays):
+        rules = [_PHASE_RULES[_PHASE_NAMES[code]] if code >= 0 else (False, False)
+                 for code in phase[t].tolist()]
+        transmits = np.array([rule[0] for rule in rules])
+        takes = np.array([rule[1] for rule in rules])
+        times = np.where(transmits, ready + delay, np.inf)
+        rank = np.argsort(np.argsort(times, axis=1, kind="stable"), axis=1)
+        taken = rank < np.where(takes, need, 0)[:, None]
+        latest = np.max(np.where(taken, times, -np.inf), axis=1)
+        if (latest == np.inf).any():
+            stuck = np.flatnonzero(latest == np.inf) + 1
+            raise DeadlockError(f"agents {stuck.tolist()} have fewer transmitting "
+                                f"in-neighbors than their quorum size")
+        ready = np.maximum(ready, latest)
+        for i in range(g.n):
+            members = [j + 1 for j in range(g.n) if taken[i, j]]
+            quorum[t, i, :len(members)] = members
     return phase, quorum
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
 from oracles import (bayes_log_posterior, heap_schedule, read_trace_by_lines,
-                     write_trace_by_dumps)
+                     stepwise_schedule, write_trace_by_dumps)
 
 
 # -- belief arithmetic ----------------------------------------------------------------
@@ -215,17 +216,32 @@ def test_zero_delay_equals_adversarial_latest(graph, plan):
                     j for j in heard if j in graph.in_neighbors[agent])[:need]
 
 
+# Agent 3 hears only agents 1 and 2, and agent 4 hears agents 1 and 3.
+LATE_STUCK_GRAPH = DirectedGraph.from_edge_list(
+    4, [(1, 3), (2, 3), (1, 4), (3, 4), (3, 1), (3, 2)])
+
+
 @pytest.mark.parametrize("mode", ADVERSARY_MODES)
 def test_quorum_rule_guards_against_deadlock(mode):
     # Two crashes exceed f=1, which validate rejects, so the schedule is
-    # called directly: in iteration 3 agent 3 hears no transmitter.
-    plan = (CrashEvent(1, 2, "before_transmit"), CrashEvent(2, 2, "after_update"))
-    config = make_config(DirectedGraph.complete(3), 1, iterations=5, seed=0,
-                         adversary=AdversarySchedule(mode=mode, crash_plan=plan))
-    with pytest.raises(ConfigError):
-        config.validate()
-    with pytest.raises(DeadlockError, match=r"agents \[3\] have fewer"):
-        _schedule(config)
+    # called directly: from iteration stuck_at on, agent 3 hears no
+    # transmitter. At 700 the first stuck iteration lies inside the second
+    # BELIEF_CHUNK block. There agent 3's ready time stays infinite, so from
+    # the next iteration on agent 4, which needs agent 3's message, would be
+    # stuck too: only the first stuck iteration reads "agents [3]".
+    for graph, stuck_at, iterations in ((DirectedGraph.complete(3), 3, 5),
+                                        (LATE_STUCK_GRAPH, 700, 1000)):
+        plan = (CrashEvent(1, stuck_at - 1, "before_transmit"),
+                CrashEvent(2, stuck_at - 1, "after_update"))
+        config = make_config(graph, 1, iterations=iterations, seed=0,
+                             adversary=AdversarySchedule(mode=mode,
+                                                         crash_plan=plan))
+        with pytest.raises(ConfigError):
+            config.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeadlockError, match=r"agents \[3\] have fewer"):
+                _schedule(config)
 
 
 def test_uniform_delays_still_complete_every_iteration():
@@ -383,6 +399,32 @@ def test_schedule_matches_heap_simulation_on_uniform_delays():
         trace = run_execution(config)
         phase, quorum = heap_schedule(config)
         for ours, theirs in ((trace.phase, phase), (trace.quorum, quorum)):
+            assert ((ours.dtype, ours.shape, ours.tobytes())
+                    == (theirs.dtype, theirs.shape, theirs.tobytes()))
+
+    check()
+
+
+@st.composite
+def tied_runs(draw):
+    """recursion_runs in every adversary mode, fixed mode with a delay of 0,
+    1 or 2 on each edge, so that delivery times tie often."""
+    config = draw(recursion_runs())
+    if config.adversary.mode != "fixed":
+        return config
+    delays = {edge: float(draw(st.integers(0, 2)))
+              for edge in sorted(config.graph.edges)}
+    return dataclasses.replace(config, adversary=dataclasses.replace(
+        config.adversary, fixed_delays=delays))
+
+
+def test_schedule_matches_stepwise_recursion_with_ties():
+    # The heap simulation cannot order tied deliveries by label; the
+    # one-iteration-at-a-time recursion pins the tie rule in every mode.
+    @settings(max_examples=40, deadline=None)
+    @given(tied_runs())
+    def check(config):
+        for ours, theirs in zip(_schedule(config), stepwise_schedule(config)):
             assert ((ours.dtype, ours.shape, ours.tobytes())
                     == (theirs.dtype, theirs.shape, theirs.tobytes()))
 
@@ -754,16 +796,35 @@ FIELDS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",
           "log_belief", "crash_phase")
 
 
+def out_of_range(header: dict) -> list:
+    """(field, values) pairs of values of a label field's own type that break
+    a range rule for the stored trace's T and n: an iteration outside 1..T,
+    an agent outside 1..n, a quorum of one label outside 1..n, and a quorum
+    of n labels, more than any quorum holds."""
+    config = header["config"]
+    T, n = config["iterations"], config["graph"]["n"]
+    labels = st.sampled_from([-1, 0, n + 1])
+    return [("t", st.sampled_from([-1, 0, T + 1])), ("agent", labels),
+            ("quorum", st.lists(labels, min_size=1, max_size=1)),
+            ("quorum", st.lists(st.integers(1, n), min_size=n, max_size=n))]
+
+
+# A range fault is its record's only fault, and a fault on an earlier line
+# or a duplicate record hides it, so "range" is drawn twice as often.
+ACTIONS = ("delete", "duplicate", "replace", "range", "range", "copy", "swap",
+           "truncate", "huge", "bool")
+
+
 @st.composite
 def mutated_lines(draw, lines):
     """lines with one to three of: a step field deleted, duplicated or
-    replaced; a record duplicated; two lines swapped; a line truncated; a
-    belief of 10**400; a bool for an int."""
+    replaced; a label field put out of range; a record duplicated; two lines
+    swapped; a line truncated; a belief of 10**400; a bool for an int."""
     lines = list(lines)
+    ranged = out_of_range(json.loads(lines[0]))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(1, len(lines) - 1))
-        action = draw(st.sampled_from(["delete", "duplicate", "replace", "copy",
-                                       "swap", "truncate", "huge", "bool"]))
+        action = draw(st.sampled_from(ACTIONS))
         if action == "copy":
             lines.insert(draw(st.integers(1, len(lines))), lines[i])
             continue
@@ -790,6 +851,9 @@ def mutated_lines(draw, lines):
             continue
         elif action == "replace":
             row[field] = draw(st.sampled_from(REPLACEMENTS))
+        elif action == "range":
+            field, values = draw(st.sampled_from(ranged))
+            row[field] = draw(values)
         elif action == "huge":
             if type(row["log_belief"]) is not list or not row["log_belief"]:
                 continue

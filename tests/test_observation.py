@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crashlearn.graphs import DirectedGraph
+from crashlearn.graphs import DirectedGraph, detectability_report
 from crashlearn.observation import (IdentifiabilityPreconditionError,
                                     LikelihoodModel, bernoulli_agent,
                                     check_assumption1,
@@ -183,6 +183,17 @@ def test_assumption_fails_when_informative_agent_is_cuttable():
     assert {a, b} == {"theta1", "theta2"}
     assert source == frozenset({2, 3})
     assert rep.C1 == 0.0
+
+
+def test_graph_built_from_an_edge_list_is_hashable():
+    # The census behind check_assumption1 is cached on the graph, so a graph
+    # given its edges as a list must hash like the one from_edge_list builds.
+    edges = [(j, i) for i in range(1, 7) for j in range(1, 7) if i != j]
+    listed, built = DirectedGraph(6, edges), DirectedGraph.complete(6)
+    m = model_of([bernoulli_agent(0.3, 0.7) for _ in range(6)])
+    assert check_assumption1(m, listed, 1) == check_assumption1(m, built, 1)
+    assert detectability_report(listed, 1) == detectability_report(built, 1)
+    assert listed == built and hash(listed) == hash(built)
 
 
 def test_assumption_precondition_requires_detectability():

@@ -1,5 +1,5 @@
-"""Time the trace checks and trace I/O of two checkouts of crashlearn
-against each other.
+"""Time the engine, the trace checks and trace I/O of two checkouts of
+crashlearn against each other.
 
     python3 tools/time_checks.py OTHER/src OUT.json
 
@@ -8,13 +8,14 @@ and one with this checkout's src/ on the path, alternating which of the two
 runs first. Each subprocess builds the traces of simulation seeds 1000-1003
 of the benchmark's two simulation configs (perfbench/workloads.py: complete-4,
 f=1, agent 4 crashing mid_update at t=10; "latest" is adversarial_latest
-with T=5000, "async" uniform delays up to 3 with T=1000), calls run_checks
-once on each to warm up, and then times, in-process with perf_counter, the
-full run_checks and run_checks of each check alone, then write_trace of
-the trace to a temporary file and read_trace of that file, REPEATS times
-per seed. A figure is the median of those repeats summed over the four
-seeds, in seconds; `<config>/peak_mb` is the peak tracemalloc size of one
-run_checks call on seed 1000.
+with T=5000, "async" uniform delays up to 3 with T=1000). It then times,
+in-process with perf_counter, REPEATS times per seed: run_execution of the
+config, the schedule alone (engine._schedule) and validate_trace of the
+trace; then, after one warm-up run_checks call, the full run_checks and
+run_checks of each check alone, write_trace of the trace to a temporary
+file and read_trace of that file. A figure is the median of those repeats
+summed over the four seeds, in seconds; `<config>/peak_mb` is the peak
+tracemalloc size of one run_checks call on seed 1000.
 
 OUT.json gets, per figure, the median, quartiles and interquartile range of
 each side over the pairs, the ratio of the medians (base over this tree),
@@ -68,7 +69,8 @@ def median_time(call) -> float:
 def measure() -> dict[str, float]:
     """Every figure of the crashlearn on this process's path."""
     from crashlearn.analysis import DEFAULT_CHECKS, run_checks
-    from crashlearn.engine import read_trace, write_trace
+    from crashlearn.engine import (_schedule, read_trace, run_execution,
+                                   validate_trace, write_trace)
     targets = {"run_checks": None} | {name: (name,) for name in DEFAULT_CHECKS}
     figures: dict[str, float] = {}
 
@@ -78,6 +80,10 @@ def measure() -> dict[str, float]:
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "trace.jsonl"
         for label, seed, trace in traces():
+            config = trace.config
+            add(f"{label}/run_execution", median_time(lambda: run_execution(config)))
+            add(f"{label}/schedule", median_time(lambda: _schedule(config)))
+            add(f"{label}/validate_trace", median_time(lambda: validate_trace(trace)))
             run_checks(trace)
             for target, checks in targets.items():
                 add(f"{label}/{target}",
