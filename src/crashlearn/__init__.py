@@ -1,25 +1,23 @@
 """Crash-tolerant distributed hypothesis testing: simulator and analysis."""
 
 from .analysis import (CheckResult, DEFAULT_CHECKS, DriftCheckpoint,
-                       DriftDecomposition, PiEstimate, StructureConstants,
-                       backward_product, decompose_log_ratio_drift,
-                       ergodic_coefficients, estimate_pi, expected_ratio_vectors,
+                       DriftDecomposition, PiEstimate, backward_product,
+                       decompose_log_ratio_drift, ergodic_coefficients,
+                       estimate_pi, expected_ratio_vectors,
                        geometric_tail_constant, geometric_tail_constant_float,
                        log_ratio_vectors, pseudo_belief_evolution, psi_series,
                        run_checks, structure_constants, theorem2_bound,
                        trace_matrices)
 from .engine import (AdversarySchedule, AgentRecord, ConfigError, CrashEvent,
                      DeadlockError, ExecutionTrace, SimulationConfig,
-                     TraceInvariantError, combine_log_beliefs, converged,
+                     TraceInvariantError, combine_log_beliefs,
                      min_final_posterior, normalize_log_belief,
                      partial_update_belief, read_trace, run_execution,
                      update_belief, validate_trace, write_trace)
 from .graphs import (BudgetExceededError, DetectabilityReport, DirectedGraph,
-                     EquivalenceViolationError, ReducedGraph,
+                     EquivalenceViolationError, SourceCensus,
                      SourceDecomposition, check_condition1, check_condition2,
-                     detectability_report, enumerate_reduced_graphs,
-                     random_link_removal_subgraph,
-                     strongly_connected_components)
+                     detectability_report, random_link_removal_subgraph)
 from .harness import (BatchSummary, ExperimentBatch, IdentifiabilityGateError,
                       SeedOutcome, analyze_trace, identifiability_gate,
                       load_batch, load_simulation_config, report_metrics,
@@ -28,8 +26,7 @@ from .observation import (IdentifiabilityPreconditionError,
                           IdentifiabilityReport, LikelihoodModel,
                           bernoulli_agent, check_assumption1,
                           check_failure_free_identifiability,
-                          compute_log_ratio_bound,
-                          compute_source_divergence_floor, expected_log_ratios,
+                          compute_log_ratio_bound, expected_log_ratios,
                           kl_divergence)
 
 __version__ = "0.1.0"
@@ -41,15 +38,13 @@ __all__ = [
     "DriftDecomposition", "EquivalenceViolationError", "ExecutionTrace",
     "ExperimentBatch", "IdentifiabilityGateError",
     "IdentifiabilityPreconditionError", "IdentifiabilityReport",
-    "LikelihoodModel", "PiEstimate", "ReducedGraph", "SeedOutcome",
-    "SimulationConfig", "SourceDecomposition", "StructureConstants",
-    "TraceInvariantError", "analyze_trace", "backward_product",
-    "bernoulli_agent", "check_assumption1", "check_condition1",
-    "check_condition2", "check_failure_free_identifiability",
-    "combine_log_beliefs", "converged",
-    "compute_log_ratio_bound", "compute_source_divergence_floor",
-    "decompose_log_ratio_drift", "detectability_report",
-    "enumerate_reduced_graphs", "ergodic_coefficients", "estimate_pi",
+    "LikelihoodModel", "PiEstimate", "SeedOutcome", "SimulationConfig",
+    "SourceCensus", "SourceDecomposition", "TraceInvariantError",
+    "analyze_trace", "backward_product", "bernoulli_agent",
+    "check_assumption1", "check_condition1", "check_condition2",
+    "check_failure_free_identifiability", "combine_log_beliefs",
+    "compute_log_ratio_bound", "decompose_log_ratio_drift",
+    "detectability_report", "ergodic_coefficients", "estimate_pi",
     "expected_log_ratios", "expected_ratio_vectors",
     "geometric_tail_constant", "geometric_tail_constant_float",
     "identifiability_gate", "kl_divergence", "load_batch",
@@ -57,7 +52,6 @@ __all__ = [
     "normalize_log_belief", "partial_update_belief", "pseudo_belief_evolution",
     "psi_series", "random_link_removal_subgraph", "read_trace",
     "report_metrics", "run_batch", "run_checks", "run_execution",
-    "strongly_connected_components",
     "structure_constants", "theorem2_bound", "trace_matrices",
     "update_belief", "validate_trace", "write_trace", "write_trajectory_csv",
 ]

@@ -41,7 +41,7 @@ import numpy as np
 from .engine import (ExecutionTrace, belief_recursion, log_likelihood_rows,
                      update_matrices)
 from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
-                     first_dominated_nodes, source_census)
+                     SourceCensus, first_dominated_nodes, source_census)
 from .observation import (ROW_SUM_TOLERANCE, LikelihoodModel, _ordered_pairs,
                           compute_log_ratio_bound, expected_log_ratios)
 
@@ -55,33 +55,11 @@ DEFAULT_CHECKS = ("lemma1", "lemma2", "thm2", "prop1", "prop2", "prop3",
 
 # -- structural constants -----------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Reduced-graph census of (graph, f) used by the convergence bounds."""
-
-    sources: tuple[frozenset[int], ...]     # deduplicated source components
-    chi: int                                # number of distinct reduced graphs
-    gamma: int                              # smallest source component size
-    xi: Fraction                            # influence floor of the base graph
-    window: int                             # graph size times chi
-
-    def xi_window_exact(self) -> Fraction:
-        return self.xi ** self.window
-
-    def xi_window_float(self) -> float:
-        try:
-            return float(self.xi_window_exact())
-        except OverflowError:
-            return 0.0
-
-
 def structure_constants(graph: DirectedGraph, f: int,
                         max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                        ) -> StructureConstants:
-    census = source_census(graph, f, max_candidates)
-    return StructureConstants(sources=census.sources, chi=census.chi,
-                              gamma=census.gamma, xi=graph.influence_floor(),
-                              window=graph.n * census.chi)
+                        ) -> SourceCensus:
+    """The cached census of (graph, f) that the convergence bounds read."""
+    return source_census(graph, f, max_candidates)
 
 
 # -- matrices and products ----------------------------------------------------
@@ -206,12 +184,12 @@ def ergodic_coefficients(matrices: np.ndarray, rows: Iterable[int] | np.ndarray,
     return delta, eta
 
 
-def theorem2_bound(t: int, r: int, structure: StructureConstants, f: int) -> float:
+def theorem2_bound(t: int, r: int, structure: SourceCensus, f: int) -> float:
     """Contraction bound on the disagreement of the product over [r, t]."""
     exponent = (t - r + 1) // structure.window - f
     if exponent <= 0:
         return 1.0
-    base = 1.0 - structure.xi_window_float()
+    base = 1.0 - structure.xi_window_float
     return min(1.0, base ** exponent)
 
 
@@ -295,14 +273,9 @@ class PiEstimate:
     dead_columns_zero: bool
 
 
-def estimate_pi(trace: ExecutionTrace, r: int, horizon: int | None = None,
-                matrices: np.ndarray | None = None,
-                structure: StructureConstants | None = None) -> PiEstimate:
-    config = trace.config
-    if structure is None:
-        structure = structure_constants(config.graph, config.f)
-    if matrices is None:
-        matrices = trace_matrices(trace)
+def estimate_pi(trace: ExecutionTrace, r: int,
+                horizon: int | None = None) -> PiEstimate:
+    structure = structure_constants(trace.config.graph, trace.config.f)
     T = trace.iterations
     if not 1 <= r <= T:
         raise ValueError(f"r={r} outside 1..{T}")
@@ -310,16 +283,17 @@ def estimate_pi(trace: ExecutionTrace, r: int, horizon: int | None = None,
         horizon = _pi_horizon(trace, r, structure)
     if not r <= horizon <= T:
         raise ValueError(f"horizon {horizon} outside {r}..{T}")
-    return _pi_estimate(trace, r, horizon, backward_product(matrices, horizon, r),
+    return _pi_estimate(trace, r, horizon,
+                        backward_product(trace_matrices(trace), horizon, r),
                         structure)
 
 
-def _pi_horizon(trace: ExecutionTrace, r: int, structure: StructureConstants) -> int:
+def _pi_horizon(trace: ExecutionTrace, r: int, structure: SourceCensus) -> int:
     return min(trace.iterations, r + structure.window * (trace.config.f + 30))
 
 
 def _pi_estimate(trace: ExecutionTrace, r: int, horizon: int, product: np.ndarray,
-                 structure: StructureConstants) -> PiEstimate:
+                 structure: SourceCensus) -> PiEstimate:
     """The estimate read from the product over [r, horizon]."""
     rows = trace.alive_at_start(horizon + 1)
     reference = min(rows)
@@ -381,7 +355,7 @@ class _Shared:
         return trace_matrices(self.trace)
 
     @cached_property
-    def structure(self) -> StructureConstants:
+    def structure(self) -> SourceCensus:
         return structure_constants(self.trace.config.graph, self.trace.config.f)
 
     @cached_property
@@ -435,7 +409,11 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     """Disagreement of any backward product is at most one minus its overlap,
     and restricting to later (smaller) alive sets never hurts either side.
     Crash-free windows of the structural length have overlap at least the
-    influence floor raised to that length."""
+    influence floor raised to that length, compared in log space: the floor
+    underflows to 0.0 as a float (4^-1040 on complete-4 with f=1), and an
+    overlap of exactly 0 must still fail. A window's margin is
+    log(eta) - window * log(xi), -inf at an overlap of 0; its witness
+    reports the float floor."""
     shared = shared or _Shared(trace, model)
     matrices, structure = shared.matrices, shared.structure
     T = trace.iterations
@@ -448,14 +426,16 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
 
     crash_iterations = {ev.iteration for ev in trace.config.adversary.crash_plan}
     window = structure.window
-    floor = structure.xi_window_float()
+    floor = structure.xi_window_float
     starts = np.array([start for start in range(1, T - window + 2, window)
                        if not crash_iterations.intersection(
                            range(start, start + window))], dtype=np.int64)
     blocks = _fold_ranges(matrices, starts, starts + window - 1)
     _, etas = ergodic_coefficients(blocks, trace.alive[starts - 1])
 
-    margins = np.concatenate([per_t.ravel(), etas - floor + ANALYTIC_SLACK])
+    with np.errstate(divide="ignore"):
+        above_floor = np.log(etas) - window * math.log(structure.xi)
+    margins = np.concatenate([per_t.ravel(), above_floor + ANALYTIC_SLACK])
     k = int(np.argmin(margins))
     if k < per_t.size:
         t, part = T - k // 3, k % 3
@@ -640,7 +620,7 @@ def check_lemma4(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     (compared as exact rationals), and its size is at least gamma."""
     shared = shared or _Shared(trace, model)
     structure = shared.structure
-    threshold = structure.xi_window_exact()
+    threshold = structure.xi_window_exact
     worst = math.inf
     witness = None
     for est in shared.pi_samples:
@@ -820,7 +800,7 @@ def decompose_log_ratio_drift(trace: ExecutionTrace,
     ratios = log_ratio_vectors(trace, model, theta, theta_star)
     expected = expected_ratio_vectors(trace, model, theta, theta_star)
     C0 = compute_log_ratio_bound(model)
-    xi_pow = structure.xi_window_float()
+    xi_pow = structure.xi_window_float
     tail = geometric_tail_constant_float(structure.xi, n, structure.chi, cfg.f)
     fluct_bound = n * tail * C0 if math.isfinite(tail) else math.inf
 

@@ -567,10 +567,6 @@ def min_final_posterior(trace: ExecutionTrace) -> float:
     return min(math.exp(v) for v in trace.log_belief[-1, rows, star].tolist())
 
 
-def converged(trace: ExecutionTrace, threshold: float) -> bool:
-    return min_final_posterior(trace) >= threshold
-
-
 # -- execution ----------------------------------------------------------------
 
 def _rng(seed: int, stream: int, agent: int) -> np.random.Generator:

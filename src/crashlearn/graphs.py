@@ -209,10 +209,6 @@ def source_decomposition(nodes: Iterable[int],
                                source_components=tuple(sources))
 
 
-def strongly_connected_components(g: DirectedGraph) -> SourceDecomposition:
-    return source_decomposition(g.nodes, g.edges)
-
-
 @dataclass(frozen=True)
 class ReducedGraph:
     """Survivor of dropping <=f in-links per node, then <=f sinks of the result.
@@ -227,32 +223,6 @@ class ReducedGraph:
     removed_sinks: frozenset[int]
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
-
-    @classmethod
-    def build(cls, base: DirectedGraph, f: int,
-              removed_in_links: Mapping[int, Iterable[int]],
-              removed_sinks: Iterable[int] = ()) -> ReducedGraph:
-        removal = {i: frozenset(removed_in_links.get(i, ())) for i in base.nodes}
-        for i, dropped in removal.items():
-            if not dropped <= base.in_neighbors[i]:
-                raise ValueError(f"node {i} cannot drop non-in-links {sorted(dropped)}")
-            if len(dropped) > f:
-                raise ValueError(f"node {i} drops {len(dropped)} in-links, budget is {f}")
-        kept = frozenset((j, i) for j, i in base.edges if j not in removal[i])
-        has_out = {j for j, _ in kept}
-        sinks = base.nodes - has_out
-        removed = frozenset(int(v) for v in removed_sinks)
-        if not removed <= sinks:
-            raise ValueError(f"{sorted(removed - sinks)} are not sinks after link removal")
-        if len(removed) > f:
-            raise ValueError(f"removing {len(removed)} sinks, budget is {f}")
-        if removed == base.nodes:
-            raise ValueError("sink removal may not delete every node")
-        nodes = base.nodes - removed
-        edges = frozenset((j, i) for j, i in kept if j in nodes and i in nodes)
-        return cls(base=base, f=f,
-                   removed_in_links=tuple(sorted((i, removal[i]) for i in removal)),
-                   removed_sinks=removed, nodes=nodes, edges=edges)
 
     @property
     def key(self) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
@@ -482,14 +452,39 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
     return tuple(reduced)
 
 
+def _first_failing(space: _RemovalSpace, f: int, sinks: frozenset[int],
+                   keys: np.ndarray, firsts: np.ndarray,
+                   unique: np.ndarray) -> ReducedGraph:
+    """The first reduced graph of census rows (sinks, keys), in
+    enumerate_reduced_graphs order, whose unique flag is False; only those
+    rows are ranked."""
+    failing = np.flatnonzero(~unique)
+    first = failing[_enumeration_rank(space, sinks, keys[failing])[:1]]
+    witness, = _materialize(space, f, sinks, keys[first], firsts[first])
+    return witness
+
+
 @dataclass(frozen=True)
 class SourceCensus:
-    """Source structure over every reduced graph of (g, f)."""
+    """Source structure over every reduced graph of (g, f), with the constants
+    the convergence bounds read from it."""
 
     chi: int                                # number of distinct reduced graphs
     gamma: int                              # smallest source component size
     sources: tuple[frozenset[int], ...]     # distinct source components
     witness: ReducedGraph | None            # first graph without a unique source
+    xi: Fraction                            # influence floor of the base graph
+    window: int                             # graph size times chi
+
+    @cached_property
+    def xi_window_exact(self) -> Fraction:
+        """xi ** window, Theorem 2's per-window overlap floor."""
+        return self.xi ** self.window
+
+    @cached_property
+    def xi_window_float(self) -> float:
+        """xi ** window as a float: 0.0 once it underflows."""
+        return float(self.xi_window_exact)
 
 
 @lru_cache(maxsize=64)
@@ -497,7 +492,8 @@ def source_census(g: DirectedGraph, f: int,
                   max_candidates: int = DEFAULT_ENUMERATION_CAP) -> SourceCensus:
     """chi, gamma, every distinct source component in the order it first
     appears in enumerate_reduced_graphs (a graph's own sources by smallest
-    node), and the first reduced graph in that order without a unique source.
+    node), the first reduced graph in that order without a unique source,
+    and xi and the window n * chi.
 
     The source components of a reduced graph are its minimal in-reach sets:
     node v lies in one exactly when every node that reaches v is reached by v.
@@ -511,13 +507,10 @@ def source_census(g: DirectedGraph, f: int,
         keys, firsts = keys[order], firsts[order]
         chi += keys.size
         live = [v - 1 for v in sorted(g.nodes - sinks)]
+        unique = np.empty(keys.size, dtype=bool)
         for part, reach in _closed_reach(space, sinks, keys):
             gamma = min(gamma, int(np.bitwise_count(reach).sum(axis=-1).min()))
-            unique = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
-            if witness is None and not unique.all():
-                row = part.start + int(np.argmin(unique))
-                witness, = _materialize(space, f, sinks, keys[row:row + 1],
-                                        firsts[row:row + 1])
+            unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
             member = np.unpackbits(reach.view(np.uint8), axis=-1,
                                    bitorder="little")[:, :, live].astype(bool)
             in_source = (~member | member.transpose(0, 2, 1)).all(axis=2)
@@ -525,8 +518,11 @@ def source_census(g: DirectedGraph, f: int,
             _, first = np.unique(masks, axis=0, return_index=True)
             for k in np.sort(first):
                 sources.setdefault(frozenset(_unpacked(masks[k])))
+        if witness is None and not unique.all():
+            witness = _first_failing(space, f, sinks, keys, firsts, unique)
     return SourceCensus(chi=chi, gamma=gamma, sources=tuple(sources),
-                        witness=witness)
+                        witness=witness, xi=g.influence_floor(),
+                        window=g.n * chi)
 
 
 def first_dominated_nodes(g: DirectedGraph, f: int,
@@ -555,60 +551,52 @@ def first_dominated_nodes(g: DirectedGraph, f: int,
     return None if best is None else frozenset(best)
 
 
-def _maximal_removal_scan(g: DirectedGraph, f: int,
-                          max_candidates: int) -> tuple[bool, ReducedGraph | None]:
-    """Unique-source test over all maximal link-removal patterns (vectorized).
+def check_condition1(g: DirectedGraph, f: int,
+                     max_candidates: int = DEFAULT_ENUMERATION_CAP,
+                     ) -> tuple[bool, ReducedGraph | None]:
+    """True iff every reduced graph has exactly one source component.
 
     Source-component uniqueness is monotone in the edge set and insensitive to
-    sink removal, so scanning the edge-minimal patterns decides the property
-    for every reduced graph.
+    sink removal, so scanning the maximal link-removal patterns (every node
+    drops min(f, in-degree) in-links) decides the property for every reduced
+    graph. On failure the witness is the first such pattern, in per-node
+    itertools.product order, with two or more source components (no sinks
+    removed).
     """
+    if f < 0:
+        raise ValueError("f must be nonnegative")
     space = _RemovalSpace(g, lambda d: (min(f, d),), max_candidates,
                           "maximal-removal")
     self_bits = space.self_bits(g.nodes)
     for c in space.chunks():
         reach = space.in_masks(space.digits(c)) | self_bits
         _close_in_reach(reach)
-        bad = np.flatnonzero(~np.bitwise_and.reduce(reach, axis=1).any(axis=1))
+        bad = c[~np.bitwise_and.reduce(reach, axis=1).any(axis=1)]
         if bad.size:
-            picks = space.digits(c[bad[:1]])[0].tolist()
-            removal = dict(map(operator.getitem, space.removals, picks))
-            return False, ReducedGraph.build(g, f, removal)
+            witness, = _materialize(space, f, frozenset(), bad[:1], bad[:1])
+            return False, witness
     return True, None
 
 
-def check_condition1(g: DirectedGraph, f: int,
-                     max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                     ) -> tuple[bool, ReducedGraph | None]:
-    """True iff every reduced graph has exactly one source component.
-
-    On failure the witness is a reduced graph with two or more source
-    components (no sinks removed; sink removal cannot affect uniqueness).
-    """
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    return _maximal_removal_scan(g, f, max_candidates)
-
-
-def _refuse_partition_scan(n: int, node_limit: int) -> None:
-    if n > node_limit:
+def _refuse_partition_scan(n: int) -> None:
+    if n > PARTITION_NODE_LIMIT:
         raise BudgetExceededError(
-            f"partition scan is 3^{n}; limit is {node_limit} nodes")
+            f"partition scan is 3^{n}; limit is {PARTITION_NODE_LIMIT} nodes")
 
 
 def check_condition2(g: DirectedGraph, f: int,
-                     node_limit: int = PARTITION_NODE_LIMIT,
                      ) -> tuple[bool, tuple[frozenset[int], frozenset[int], frozenset[int]] | None]:
     """Partition route: every two-sided split is bridged by f+1 outside in-links.
 
     For each partition of the nodes into nonempty L, R and a rest C, some node
     in L must have at least f+1 in-links from R union C, or some node in R at
     least f+1 from L union C. Returns a violating (L, R, C) as witness.
+    Graphs above PARTITION_NODE_LIMIT nodes are refused.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
     n = g.n
-    _refuse_partition_scan(n, node_limit)
+    _refuse_partition_scan(n)
     in_mask = [0] * (n + 1)
     for i in range(1, n + 1):
         m = 0
@@ -668,16 +656,13 @@ class DetectabilityReport:
     chi: int                       # number of distinct reduced graphs
     gamma: int                     # minimum source-component size
     xi: Fraction                   # influence floor 1/(1 + max in-degree)
-    witness: object = None
+    witness: ReducedGraph | None = None
 
     def to_dict(self) -> dict:
         witness = self.witness
-        if isinstance(witness, ReducedGraph):
+        if witness is not None:
             witness = {"nodes": sorted(witness.nodes),
                        "edges": [list(e) for e in sorted(witness.edges)]}
-        elif isinstance(witness, tuple):
-            witness = {"L": sorted(witness[0]), "R": sorted(witness[1]),
-                       "C": sorted(witness[2])}
         return {
             "n": self.n, "f": self.f,
             "condition1_holds": self.condition1_holds,
@@ -700,30 +685,25 @@ def detectability_report(g: DirectedGraph, f: int,
     property of the input). Graphs that check_condition2 refuses are refused
     before the census.
     """
-    _refuse_partition_scan(g.n, PARTITION_NODE_LIMIT)
+    _refuse_partition_scan(g.n)
     space = _link_removals(g, f, max_candidates)
     blocks = _census(space, f)
-    literal_unique = True
-    witness: object = None
+    witness = None
     gamma = g.n
     for sinks, keys, firsts in blocks:
         unique = np.empty(keys.size, dtype=bool)
         for part, reach in _closed_reach(space, sinks, keys):
             unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
             gamma = min(gamma, int(np.bitwise_count(reach).sum(axis=-1).min()))
-        if literal_unique and not unique.all():
-            literal_unique = False
-            failing = np.flatnonzero(~unique)
-            first = failing[_enumeration_rank(space, sinks, keys[failing])[:1]]
-            witness, = _materialize(space, f, sinks, keys[first], firsts[first])
-    fast_holds, fast_witness = check_condition1(g, f, max_candidates=max_candidates)
-    c2_holds, c2_witness = check_condition2(g, f)
+        if witness is None and not unique.all():
+            witness = _first_failing(space, f, sinks, keys, firsts, unique)
+    literal_unique = witness is None
+    fast_holds, _ = check_condition1(g, f, max_candidates=max_candidates)
+    c2_holds, _ = check_condition2(g, f)
     if not (literal_unique == fast_holds == c2_holds):
         raise EquivalenceViolationError(
             f"detectability routes disagree: literal={literal_unique} "
             f"maximal-scan={fast_holds} partition={c2_holds}")
-    if witness is None:
-        witness = fast_witness if fast_witness is not None else c2_witness
     return DetectabilityReport(
         n=g.n, f=f,
         condition1_holds=literal_unique,

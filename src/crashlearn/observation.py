@@ -215,12 +215,11 @@ def compute_log_ratio_bound(model: LikelihoodModel) -> float:
 
 
 def check_failure_free_identifiability(model: LikelihoodModel,
-                                       tolerance: float = ZERO_TOLERANCE,
                                        ) -> tuple[bool, tuple[str, str] | None]:
     """True iff for every ordered pair the network-wide KL sum is nonzero."""
     for a, b in _ordered_pairs(model):
         total = sum(kl_divergence(model, i, a, b) for i in model.agents())
-        if total <= tolerance:
+        if total <= ZERO_TOLERANCE:
             return False, (a, b)
     return True, None
 
@@ -248,7 +247,6 @@ class IdentifiabilityReport:
 
 def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
                       max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                      tolerance: float = ZERO_TOLERANCE,
                       ) -> IdentifiabilityReport:
     """Every reduced-graph source component must distinguish every ordered pair.
 
@@ -267,7 +265,7 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
             f"{len(decomp.source_components)} source components")
 
     c0 = compute_log_ratio_bound(model)
-    ff_ok, _ = check_failure_free_identifiability(model, tolerance=tolerance)
+    ff_ok, _ = check_failure_free_identifiability(model)
     pairs = _ordered_pairs(model)
     if not pairs:
         return IdentifiabilityReport(failure_free_ok=True, assumption1_ok=True,
@@ -284,18 +282,11 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
             if total < worst_value:
                 worst_value = total
                 worst_witness = (a, b, src)
-    ok = worst_value > tolerance
+    ok = worst_value > ZERO_TOLERANCE
     c1 = float(worst_value) if ok else 0.0
     return IdentifiabilityReport(failure_free_ok=ff_ok, assumption1_ok=ok,
                                  worst_pair_and_source=worst_witness,
                                  C0=c0, C1=c1)
-
-
-def compute_source_divergence_floor(model: LikelihoodModel, g: DirectedGraph, f: int,
-                                    max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                                    ) -> float:
-    """C1: minimum over reduced-graph sources and ordered pairs of the KL sum."""
-    return check_assumption1(model, g, f, max_candidates=max_candidates).C1
 
 
 def signal_indices_from_uniforms(model: LikelihoodModel, agent: int,

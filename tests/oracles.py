@@ -223,8 +223,9 @@ def _first_min(items):
     return worst, witness
 
 
-def lemma1_by_loops(trace, matrices, window, floor, slack):
-    """check_lemma1's margin and witness, one suffix product at a time."""
+def lemma1_by_loops(trace, matrices, window, xi, slack):
+    """check_lemma1's margin and witness, one suffix product at a time; a
+    window's overlap is compared with xi ** window in log space."""
     T, n = matrices.shape[:2]
     items = []
     product = np.eye(n)
@@ -239,6 +240,7 @@ def lemma1_by_loops(trace, matrices, window, floor, slack):
         items.append((min(d_full - d_late, e_late - e_full) + slack,
                       {"t": t, "rows": "monotonicity", "delta": (d_late, d_full),
                        "eta": (e_late, e_full)}))
+    floor = float(xi ** window)
     crashes = {ev.iteration for ev in trace.config.adversary.crash_plan}
     checked = 0
     for start in range(1, T - window + 2, window):
@@ -247,7 +249,9 @@ def lemma1_by_loops(trace, matrices, window, floor, slack):
         block = product_by_loop(matrices, start + window - 1, start)
         _, eta = ergodic_by_pairs(block, trace.alive_at_start(start))
         checked += 1
-        items.append((eta - floor + slack,
+        with np.errstate(divide="ignore"):
+            above_floor = float(np.log(eta)) - window * math.log(xi)
+        items.append((above_floor + slack,
                       {"t": start, "rows": "window", "eta": eta, "floor": floor}))
     worst, witness = _first_min(items)
     return worst, dict(witness, windows_checked=checked)

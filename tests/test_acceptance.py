@@ -248,7 +248,7 @@ def test_criterion_11_learning_at_scale():
     structure = structure_constants(base.graph, base.f)
     # the exact drift threshold -C1 xi^(n chi) / 2 is ~ -1e-626; evaluate the
     # inequality in exact rational arithmetic, never in floats
-    threshold = -Fraction(gate.C1) * structure.xi_window_exact() / 2
+    threshold = -Fraction(gate.C1) * structure.xi_window_exact / 2
     T = 5000
     converged_seeds = 0
     drift_seeds = 0

@@ -195,7 +195,7 @@ def test_ergodic_coefficients_of_a_stack_match_each_matrix(seed):
 def test_theorem2_bound_on_ring():
     structure = structure_constants(DirectedGraph.cycle(3), 0)
     assert structure.window == 3
-    assert structure.xi_window_exact() == Fraction(1, 8)
+    assert structure.xi_window_exact == Fraction(1, 8)
     # below one full window the bound is vacuous
     assert theorem2_bound(3, 2, structure, 0) == 1.0
     assert theorem2_bound(5, 1, structure, 0) == pytest.approx(7 / 8)
@@ -281,7 +281,7 @@ def test_estimate_pi_uniform_on_ring(suite_traces):
     assert est.pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert est.residual <= est.bound
     assert est.dead_columns_zero
-    threshold = structure_constants(trace.config.graph, 0).xi_window_exact()
+    threshold = structure_constants(trace.config.graph, 0).xi_window_exact
     assert all(Fraction(float(v)) >= threshold for v in est.pi)
 
 
@@ -423,6 +423,27 @@ def test_checks_fail_on_engineered_traces(suite_traces):
     assert psi["witness"]["gap"] == pytest.approx(1e-6, rel=1e-9)
 
 
+def test_lemma1_fails_on_an_idle_window():
+    # complete-4 with f=1: the window is 4 * 260 = 1040 iterations and its
+    # floor 4^-1040 is 0.0 as a float. Agents 1-3 (agent 4 crashed at t=10)
+    # transmit but never update over the window [2081, 3120], so its product
+    # is the identity and its overlap exactly 0, below the true floor.
+    config = make_config(
+        DirectedGraph.complete(4), 1, iterations=5000, seed=1000,
+        adversary=AdversarySchedule(
+            mode="adversarial_latest",
+            crash_plan=(CrashEvent(4, 10, "mid_update", 1),)))
+    trace = run_execution(config)
+    assert run_checks(trace, checks=("lemma1",))["lemma1"]["passed"]
+    phase = trace.phase.copy()
+    phase[2081 - 1:3120, :3] = CRASH_PHASES.index("after_transmit") + 1
+    lemma1 = run_checks(_retraced(trace, phase=phase),
+                        checks=("lemma1",))["lemma1"]
+    assert lemma1["passed"] is False
+    assert lemma1["witness"] == {"t": 2081, "rows": "window", "eta": 0.0,
+                                 "floor": 0.0, "windows_checked": 3}
+
+
 def test_checks_match_loop_references(suite_traces):
     # every check that multiplies matrices reports, bit for bit, what the
     # loops forming one product at a time report, on passing and failing
@@ -442,7 +463,7 @@ def test_checks_match_loop_references(suite_traces):
                  for a, b in itertools.permutations(model.hypotheses, 2)]
         expected = {
             "lemma1": lemma1_by_loops(trace, matrices, structure.window,
-                                      structure.xi_window_float(), ANALYTIC_SLACK),
+                                      structure.xi, ANALYTIC_SLACK),
             "lemma2": lemma2_by_loops(trace, matrices, ANALYTIC_SLACK),
             "thm2": thm2_by_loops(
                 trace, matrices,

@@ -19,7 +19,7 @@ from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
                                AdversarySchedule, ConfigError, CrashEvent,
                                DeadlockError, ExecutionTrace,
                                SimulationConfig, TraceInvariantError, _schedule,
-                               combine_log_beliefs, converged,
+                               combine_log_beliefs,
                                log_normalizer, min_final_posterior,
                                normalize_log_belief, partial_update_belief,
                                read_trace, run_execution, update_belief,
@@ -950,5 +950,3 @@ def test_convergence_helpers():
     trace = run_execution(config)
     value = min_final_posterior(trace)
     assert 0.0 < value < 1.0      # short horizon: not yet saturated
-    assert converged(trace, value)
-    assert not converged(trace, min(1.0, value + 1e-9))

@@ -15,7 +15,7 @@ from crashlearn.graphs import (BudgetExceededError, DirectedGraph,
                                check_condition1, check_condition2,
                                detectability_report, enumerate_reduced_graphs,
                                random_link_removal_subgraph,
-                               strongly_connected_components)
+                               source_decomposition)
 from crashlearn.observation import (IdentifiabilityPreconditionError,
                                     check_assumption1)
 
@@ -67,7 +67,7 @@ def test_degree_accessors():
 def test_source_decomposition_condensation():
     g = DirectedGraph.from_edge_list(5, [(1, 2), (2, 1), (2, 3), (3, 4),
                                          (4, 3), (4, 5)])
-    dec = strongly_connected_components(g)
+    dec = source_decomposition(g.nodes, g.edges)
     assert sorted(sorted(c) for c in dec.components) == [[1, 2], [3, 4], [5]]
     assert dec.source_components == (frozenset({1, 2}),)
     assert not dec.unique_source or len(dec.source_components) == 1
@@ -150,6 +150,37 @@ def test_gamma_matches_brute_force():
         g = DirectedGraph.from_edge_list(n, edges)
         rep = detectability_report(g, f)
         assert rep.gamma == brute_gamma(n, edges, f)
+
+
+# HAND_CASES index -> condition 1's witness: its kept edges and the in-links
+# each node drops (no sinks are removed)
+CONDITION1_WITNESSES = {
+    1: ([], {1: {3}, 2: {1}, 3: {2}}),
+    4: ([], {1: set(), 2: {1}, 3: {2}}),
+    5: ([(1, 2), (2, 1), (3, 4), (4, 3)], {1: set(), 2: set(), 3: set(), 4: set()}),
+    6: ([(3, 1), (4, 1)], {1: {2}, 2: set(), 3: set(), 4: set()}),
+    7: ([(2, 3), (3, 4)], {1: {4}, 2: {1}, 3: {1}, 4: {2}}),
+}
+
+
+@pytest.mark.parametrize("k", range(len(HAND_CASES)))
+def test_condition1_witness(k):
+    # the first maximal removal pattern, in per-node itertools.product
+    # order, without a unique source
+    n, edges, f = HAND_CASES[k]
+    g = DirectedGraph.from_edge_list(n, edges)
+    if k == 1:
+        assert g == DirectedGraph.cycle(3)
+    holds, witness = check_condition1(g, f)
+    if k not in CONDITION1_WITNESSES:
+        assert holds and witness is None
+        return
+    kept, dropped = CONDITION1_WITNESSES[k]
+    assert not holds
+    assert witness == graphs.ReducedGraph(
+        base=g, f=f,
+        removed_in_links=tuple((i, frozenset(dropped[i])) for i in sorted(dropped)),
+        removed_sinks=frozenset(), nodes=g.nodes, edges=frozenset(kept))
 
 
 @pytest.mark.parametrize("n,edges,f,witness,dropped,sinks", [

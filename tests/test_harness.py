@@ -158,6 +158,38 @@ def test_trajectory_csv_row_count(base_config, tmp_path):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_trajectory_csv_bytes(tmp_path):
+    # every field format at once: a signal that needs CSV quoting, empty
+    # crash-phase, signal and quorum fields, |-joined quorums and posteriors
+    # as repr(math.exp(v))
+    model = two_hypothesis_model([bernoulli_agent(0.3, 0.7, ('a,"b"', "c"))] * 5)
+    config = make_config(
+        DirectedGraph.complete(5), 2, iterations=3, seed=7, model=model,
+        adversary=AdversarySchedule(crash_plan=(
+            CrashEvent(agent=4, iteration=2, phase="before_transmit"),
+            CrashEvent(agent=5, iteration=2, phase="mid_update",
+                       partial_count=1))))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(run_execution(config), path)
+    assert path.read_bytes().decode() == "".join(line + "\r\n" for line in [
+        "t,agent,completed,crash_phase,signal,quorum,posterior_theta1,"
+        "posterior_theta2",
+        "1,1,1,,c,3|5,0.7,0.30000000000000004",
+        '1,2,1,,"a,""b""",3|5,0.30000000000000004,0.7',
+        "1,3,1,,c,4|5,0.7,0.30000000000000004",
+        "1,4,1,,c,1|3,0.7,0.30000000000000004",
+        "1,5,1,,c,3|4,0.7,0.30000000000000004",
+        "2,1,1,,c,2|5,0.7557891567991835,0.2442108432008165",
+        '2,2,1,,"a,""b""",1|3,0.3624224860614226,0.6375775139385774',
+        "2,3,1,,c,2|5,0.7557891567991835,0.2442108432008165",
+        "2,4,0,before_transmit,,,0.7,0.30000000000000004",
+        '2,5,0,mid_update,"a,""b""",1|3,0.41176470588235287,0.5882352941176472',
+        "3,1,1,,c,2|3,0.804106897225131,0.19589310277486907",
+        "3,2,1,,c,1|3,0.804106897225131,0.19589310277486907",
+        "3,3,1,,c,1|2,0.804106897225131,0.19589310277486907",
+    ])
+
+
 # -- config loading -------------------------------------------------------------------
 
 def test_load_simulation_config_with_path_refs(config_dir, base_config):

@@ -13,7 +13,6 @@ from crashlearn.observation import (IdentifiabilityPreconditionError,
                                     check_assumption1,
                                     check_failure_free_identifiability,
                                     compute_log_ratio_bound,
-                                    compute_source_divergence_floor,
                                     expected_log_ratios, kl_divergence,
                                     signal_indices_from_uniforms)
 
@@ -169,7 +168,6 @@ def test_assumption_holds_on_complete_graph():
     per_agent = kl_divergence(m, 1, "theta1", "theta2")
     assert rep.C1 == pytest.approx(2 * per_agent, rel=1e-12)
     assert rep.C0 == pytest.approx(math.log(0.7 / 0.3), abs=1e-15)
-    assert compute_source_divergence_floor(m, g, 1) == rep.C1
 
 
 def test_assumption_fails_when_informative_agent_is_cuttable():

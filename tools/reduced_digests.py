@@ -1,15 +1,16 @@
 """SHA-256 digests of the reduced-graph census, for comparing the graph layer
 across versions.
 
-One line per (graph, f): its label, then four digests. The first covers
+One line per (graph, f): its label, then five digests. The first covers
 enumerate_reduced_graphs' ordered output (each reduced graph's nodes, edges,
 removed_in_links and removed_sinks), the second
 detectability_report(...).to_dict(), the third structure_constants' chi,
-gamma and ordered sources, and the fourth check_assumption1's to_dict(), or
+gamma and ordered sources, the fourth check_assumption1's to_dict(), or
 its precondition message, on a model where every agent is Bernoulli(0.3)
-against Bernoulli(0.7). Identical agents tie, so the reported source shows
-the order of the sources. A pair the enumeration cap refuses prints the error
-message instead. The pairs are
+against Bernoulli(0.7), and the fifth check_condition1's verdict and witness
+(the same fields as the first). Identical agents tie, so the reported source
+shows the order of the sources. A pair the enumeration cap refuses prints
+the error message instead. The pairs are
 the test suite's HAND_CASES and FROZEN, complete graphs K3-K6 with f=1, K5
 with f=2, and 40 seeded random digraphs. Run it once per checkout, each time
 with that checkout's src/ on the path, and diff:
@@ -59,9 +60,17 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _fields(rg) -> list:
+    """A reduced graph's nodes, edges, removed_in_links and removed_sinks."""
+    return [sorted(rg.nodes), sorted(rg.edges),
+            [[i, sorted(dropped)] for i, dropped in rg.removed_in_links],
+            sorted(rg.removed_sinks)]
+
+
 def digests(g, f) -> tuple[str, ...]:
     from crashlearn.analysis import structure_constants
-    from crashlearn.graphs import (BudgetExceededError, detectability_report,
+    from crashlearn.graphs import (BudgetExceededError, check_condition1,
+                                   detectability_report,
                                    enumerate_reduced_graphs)
     from crashlearn.observation import (IdentifiabilityPreconditionError,
                                         LikelihoodModel, bernoulli_agent,
@@ -70,6 +79,7 @@ def digests(g, f) -> tuple[str, ...]:
         reduced = enumerate_reduced_graphs(g, f)
         report = detectability_report(g, f)
         structure = structure_constants(g, f)
+        holds, witness = check_condition1(g, f)
     except BudgetExceededError as exc:
         return ("refused:", str(exc))
     model = LikelihoodModel(("theta1", "theta2"),
@@ -80,14 +90,12 @@ def digests(g, f) -> tuple[str, ...]:
         identify = str(exc)
     census = hashlib.sha256()
     for rg in reduced:
-        row = [sorted(rg.nodes), sorted(rg.edges),
-               [[i, sorted(dropped)] for i, dropped in rg.removed_in_links],
-               sorted(rg.removed_sinks)]
-        census.update(json.dumps(row).encode())
+        census.update(json.dumps(_fields(rg)).encode())
         census.update(b"\n")
     sources = [sorted(source) for source in structure.sources]
     return (census.hexdigest(), _digest(report.to_dict()),
-            _digest([structure.chi, structure.gamma, sources]), _digest(identify))
+            _digest([structure.chi, structure.gamma, sources]), _digest(identify),
+            _digest([holds, witness and _fields(witness)]))
 
 
 def main() -> None:

@@ -1,5 +1,5 @@
-"""Time the engine, the trace checks and trace I/O of two checkouts of
-crashlearn against each other.
+"""Time the engine, the trace checks, trace I/O and the graph layer of two
+checkouts of crashlearn against each other.
 
     python3 tools/time_checks.py OTHER/src OUT.json
 
@@ -15,7 +15,11 @@ trace; then, after one warm-up run_checks call, the full run_checks and
 run_checks of each check alone, write_trace of the trace to a temporary
 file and read_trace of that file. A figure is the median of those repeats
 summed over the four seeds, in seconds; `<config>/peak_mb` is the peak
-tracemalloc size of one run_checks call on seed 1000.
+tracemalloc size of one run_checks call on seed 1000. The graph layer is
+timed REPEATS times on the complete graph K6 with f=1: `graph/detect`
+(detectability_report), `graph/census` (source_census, its cache cleared
+before each call), `graph/condition1` and `graph/condition2`, each the
+median of its repeats.
 
 OUT.json gets, per figure, the median, quartiles and interquartile range of
 each side over the pairs, the ratio of the medians (base over this tree),
@@ -42,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1000, 1004)
 PAIRS = 10
 REPEATS = 3
+GRAPH_N, GRAPH_F = 6, 1
 
 
 def traces():
@@ -71,6 +76,9 @@ def measure() -> dict[str, float]:
     from crashlearn.analysis import DEFAULT_CHECKS, run_checks
     from crashlearn.engine import (_schedule, read_trace, run_execution,
                                    validate_trace, write_trace)
+    from crashlearn.graphs import (DirectedGraph, check_condition1,
+                                   check_condition2, detectability_report,
+                                   source_census)
     targets = {"run_checks": None} | {name: (name,) for name in DEFAULT_CHECKS}
     figures: dict[str, float] = {}
 
@@ -95,6 +103,17 @@ def measure() -> dict[str, float]:
                 run_checks(trace)
                 figures[f"{label}/peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
                 tracemalloc.stop()
+
+    g, f = DirectedGraph.complete(GRAPH_N), GRAPH_F
+
+    def census() -> None:
+        source_census.cache_clear()
+        source_census(g, f)
+
+    add("graph/detect", median_time(lambda: detectability_report(g, f)))
+    add("graph/census", median_time(census))
+    add("graph/condition1", median_time(lambda: check_condition1(g, f)))
+    add("graph/condition2", median_time(lambda: check_condition2(g, f)))
     return figures
 
 
