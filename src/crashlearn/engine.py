@@ -53,7 +53,11 @@ wait, and the unnormalized beliefs of a stretch of iterations are a prefix
 scan of affine maps. The pass cuts the run where the phase rows change,
 steps each crash iteration on its own (it may rewrite only part of a
 belief), scans the rest in chunks of BELIEF_CHUNK iterations and normalizes
-every row of a chunk at once. Beliefs agree with one update_belief or
+every row of a chunk at once. Under lockstep rounds every iteration of a
+crash-free stretch applies the same matrix, so such a chunk's products are
+powers of one matrix: they are built once and reused by the chunks that
+follow, which then only combine the log-likelihoods, bit for bit as a
+full scan would. Beliefs agree with one update_belief or
 partial_update_belief call per record within 1e-12 (relative above
 magnitude 1, absolute below); rows that do not update are copied exactly.
 
@@ -312,15 +316,31 @@ def log_normalizer(rows: np.ndarray) -> np.ndarray:
     The largest entry and its ties are split off the shifted sum, the
     formula scipy.special.logsumexp uses, so the two agree bit for bit on
     finite input: log1p(sum(exp(row - top), ties excluded) / c) + log(c)
-    + top, with c the number of ties.
+    + top, with c the number of ties. The last axis is short (one entry per
+    hypothesis), so the top and the tie count are taken one column at a
+    time over all rows; both are exact in any order. The shifted sum is
+    rounded, so it stays a reduction along the last axis, as scipy's is.
     """
-    top = np.maximum.reduce(rows, axis=-1, keepdims=True)
-    ties = rows == top
+    top = _fold_columns(np.maximum, rows)
+    count = np.zeros(top.shape + (1,))
+    for column in np.moveaxis(rows, -1, 0):
+        count[..., 0] += column == top
+    top = top[..., None]
     shifted = np.exp(rows - top)
-    shifted[ties] = 0.0
-    count = np.add.reduce(ties, axis=-1, keepdims=True, dtype=np.float64)
+    np.putmask(shifted, rows == top, 0.0)
     return (np.log1p(np.add.reduce(shifted, axis=-1, keepdims=True) / count)
             + np.log(count) + top)
+
+
+def _fold_columns(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc folded over the last axis one column at a time, elementwise
+    over all rows, with that axis dropped: numpy's own reduction along a
+    short last axis costs several times more."""
+    columns = np.moveaxis(rows, -1, 0)
+    out = columns[0]
+    for column in columns[1:]:
+        out = ufunc(out, column)
+    return out
 
 
 def normalize_log_belief(unnormalized: np.ndarray) -> np.ndarray:
@@ -391,28 +411,46 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
     partial write).
 
     A span is a run of iterations with equal phase rows, cut into chunks of
-    BELIEF_CHUNK iterations and solved with one scan each (see _scan), over
-    the chunk's update_matrices, so memory stays O(BELIEF_CHUNK n^2). A
-    crashing agent's code differs from its code before and after, so every
-    crash iteration is a single step. Rows that do not update copy their
-    previous value exactly.
+    BELIEF_CHUNK iterations and solved with one scan each (see _scan), so
+    memory stays O(BELIEF_CHUNK n^2). A crashing agent's code differs from
+    its code before and after, so every crash iteration is a single step.
+    A chunk is steady when all its quorum rows are equal, as in every chunk
+    of a crash-free adversarial_latest span: it applies one update matrix A
+    throughout, and its scan's products are the powers A^1 .. A^L (see
+    _powers). The powers of the last steady chunk are kept with their
+    (update row, quorum row) key, and a later steady chunk with that key and
+    no more iterations reuses them; every other chunk builds its own
+    update_matrices. The key is read from the arrays, never from the span,
+    since one span may hold steady stretches with different quorums. Rows
+    that do not update copy their previous value exactly.
     """
     # Shifting a row's log-likelihoods by a constant only shifts its
     # unnormalized beliefs, so each row drives with its top entry at 0,
     # which keeps them near the normalized ones (and a flat row exact). A
     # partial write mixes the update with unshifted previous values, so
     # those rows keep their log-likelihoods as they are.
-    shift = np.maximum.reduce(log_likelihood, axis=-1, keepdims=True)
+    shift = _fold_columns(np.maximum, log_likelihood)[..., None]
     if keep is not None:
-        shift = np.where(keep.any(axis=-1, keepdims=True), 0.0, shift)
+        shift = np.where(_fold_columns(np.logical_or, keep)[..., None], 0.0, shift)
     drive = np.where(rows[..., None], log_likelihood - shift, 0.0)
     out = np.empty(drive.shape, dtype=np.float64)
     previous = initial
+    # ((update row, quorum row), powers) of the last steady chunk
+    memo = None
     for lo, hi in _spans(phase):
         for a in range(lo, hi, BELIEF_CHUNK):
             b = min(a + BELIEF_CHUNK, hi)
-            out[a:b] = _scan(previous, update_matrices(rows[a:b], quorum[a:b]),
-                             drive[a:b], rows[a],
+            if (quorum[a + 1:b] == quorum[a]).all():
+                key = (rows[a].tobytes(), quorum[a].tobytes())
+                if memo is None or memo[0] != key or len(memo[1]) < b - a:
+                    matrix = update_matrices(rows[a:a + 1], quorum[a:a + 1])[0]
+                    memo = key, _powers(matrix, b - a)
+                prefix = memo[1][:b - a]
+                strides = ((k, prefix[k - 1]) for k in _doublings(b - a))
+            else:
+                prefix = update_matrices(rows[a:b], quorum[a:b])
+                strides = _stacked_strides(prefix)
+            out[a:b] = _scan(previous, prefix, strides, drive[a:b], rows[a],
                              None if keep is None else keep[a:b])
             previous = out[b - 1]
     return out
@@ -427,25 +465,53 @@ def _spans(phase: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _scan(previous: np.ndarray, matrices: np.ndarray, drive: np.ndarray,
+def _doublings(length: int) -> Iterator[int]:
+    """The strides 1, 2, 4, ... below length of a Hillis-Steele scan."""
+    return (1 << s for s in range((length - 1).bit_length()))
+
+
+def _stacked_strides(product: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, product[k:]) for each stride k of the scan over a (L, n, n) stack
+    of matrices: entry t of the stack applied at stride k composes the maps
+    t - k + 1 .. t. After each item the stack is updated in place, so once
+    the iterator is exhausted entry t is the prefix product of maps 0 .. t."""
+    for k in _doublings(len(product)):
+        yield k, product[k:]
+        product[k:] = product[k:] @ product[:-k]
+
+
+def _powers(matrix: np.ndarray, length: int) -> np.ndarray:
+    """The prefix products that _stacked_strides leaves over a stack of
+    length copies of one matrix, bit for bit, built in O(length) products.
+    There, the stack applied at stride k holds the prefix product of maps
+    0 .. k - 1 in every entry t >= k - 1, and the step at stride k sets
+    entries k .. 2k - 1 to that entry times entries 0 .. k - 1."""
+    powers = np.empty((length,) + matrix.shape)
+    powers[0] = matrix
+    for k in _doublings(length):
+        powers[k:2 * k] = powers[k - 1] @ powers[:min(k, length - k)]
+    return powers
+
+
+def _scan(previous: np.ndarray, prefix: np.ndarray,
+          strides: Iterator[tuple[int, np.ndarray]], drive: np.ndarray,
           rows: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
     """Beliefs over one chunk whose updating rows are the same throughout.
 
     In log space an update is the affine map y -> A_t y + L_t followed by a
     per-row shift (the normalizer), and a per-row shift stays a per-row
-    shift through A_t. So the unnormalized beliefs are a prefix
-    scan of the affine maps, here Hillis-Steele: after the step of offset k,
-    entry t holds the composition of the maps t - 2k + 1 .. t. Each entry is
-    then applied to the chunk's starting beliefs and renormalized. The
-    matrices are overwritten.
+    shift through A_t. So the unnormalized beliefs are a prefix scan of the
+    affine maps, here Hillis-Steele: strides gives, for k = 1, 2, 4, ...,
+    the product the step of offset k applies (one matrix for every entry
+    of a steady chunk, a stack otherwise), and after that step entry t of
+    the offsets holds the composition of the maps t - 2k + 1 .. t. The
+    prefix products, read once strides is exhausted, are then applied to
+    the chunk's starting beliefs, and every entry is renormalized.
     """
-    product, offset = matrices, drive.copy()
-    k = 1
-    while k < len(product):
-        offset[k:] = product[k:] @ offset[:-k] + offset[k:]
-        product[k:] = product[k:] @ product[:-k]
-        k *= 2
-    unnormalized = product @ previous + offset
+    offset = drive.copy()
+    for k, product in strides:
+        offset[k:] = product @ offset[:-k] + offset[k:]
+    unnormalized = prefix @ previous + offset
     if keep is not None:
         unnormalized = np.where(keep, previous, unnormalized)
     return np.where(rows[:, None], normalize_log_belief(unnormalized), previous)

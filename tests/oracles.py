@@ -8,7 +8,10 @@ match, share the package's header parsing and line decoding (_parse_header,
 _parse_record) and its phase table; the reader checks each step record's
 rules itself, one record at a time, in _parse_step. Of the two schedule
 references, heap_schedule draws its own delays, and stepwise_schedule, which
-pins the tie rule, takes its delay tables from the package's _delays.
+pins the tie rule, takes its delay tables from the package's _delays. The
+belief recursion's reference, belief_recursion_by_chunks, pins how chunks
+are scanned and takes its two arithmetic kernels, update_matrices and
+normalize_log_belief, from the package, since it must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from crashlearn.engine import (_PHASE_NAMES, _PHASE_RULES, CRASH_PHASES,
-                               DELAY_STREAM, ConfigError, DeadlockError,
-                               ExecutionTrace, SimulationConfig,
-                               TraceInvariantError, _blank_schedule, _delays)
+from crashlearn.engine import (_PHASE_NAMES, _PHASE_RULES, BELIEF_CHUNK,
+                               CRASH_PHASES, DELAY_STREAM, ConfigError,
+                               DeadlockError, ExecutionTrace, SimulationConfig,
+                               TraceInvariantError, _blank_schedule, _delays,
+                               normalize_log_belief, update_matrices)
 from crashlearn.graphs import parse_config
 from crashlearn.tracefile import _parse_header, _parse_record
 
@@ -491,6 +495,41 @@ def stepwise_schedule(config):
             members = [j + 1 for j in range(g.n) if taken[i, j]]
             quorum[t, i, :len(members)] = members
     return phase, quorum
+
+
+def belief_recursion_by_chunks(initial, phase, rows, quorum, log_likelihood,
+                               keep=None):
+    """belief_recursion as one full Hillis-Steele scan per chunk: every
+    chunk of BELIEF_CHUNK iterations of a run of equal phase rows builds its
+    own update_matrices, composes them at strides 1, 2, 4, ... and applies
+    the prefix products and offsets to the chunk's starting beliefs, which
+    normalize_log_belief then renormalizes. The package's steady chunks must
+    agree with it bit for bit, so it shares their two arithmetic kernels."""
+    shift = np.max(log_likelihood, axis=-1, keepdims=True)
+    if keep is not None:
+        shift = np.where(keep.any(axis=-1, keepdims=True), 0.0, shift)
+    drive = np.where(rows[..., None], log_likelihood - shift, 0.0)
+    out = np.empty(drive.shape)
+    starts = [0] + [t for t in range(1, len(phase))
+                    if (phase[t] != phase[t - 1]).any()]
+    previous = initial
+    for lo, hi in zip(starts, starts[1:] + [len(phase)]):
+        for a in range(lo, hi, BELIEF_CHUNK):
+            b = min(a + BELIEF_CHUNK, hi)
+            product = update_matrices(rows[a:b], quorum[a:b])
+            offset = drive[a:b].copy()
+            k = 1
+            while k < b - a:
+                offset[k:] = product[k:] @ offset[:-k] + offset[k:]
+                product[k:] = product[k:] @ product[:-k]
+                k *= 2
+            unnormalized = product @ previous + offset
+            if keep is not None:
+                unnormalized = np.where(keep[a:b], previous, unnormalized)
+            out[a:b] = np.where(rows[a][:, None],
+                                normalize_log_belief(unnormalized), previous)
+            previous = out[b - 1]
+    return out
 
 
 def write_trace_by_dumps(trace, path):

@@ -19,8 +19,9 @@ from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
                                AdversarySchedule, ConfigError, CrashEvent,
                                DeadlockError, ExecutionTrace,
                                SimulationConfig, TraceInvariantError, _schedule,
-                               combine_log_beliefs,
-                               log_normalizer, min_final_posterior,
+                               belief_recursion, combine_log_beliefs,
+                               log_likelihood_rows, log_normalizer,
+                               min_final_posterior,
                                normalize_log_belief, partial_update_belief,
                                read_trace, run_execution, update_belief,
                                validate_trace, write_trace)
@@ -28,8 +29,9 @@ from crashlearn.graphs import DirectedGraph
 from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
-from oracles import (bayes_log_posterior, heap_schedule, read_trace_by_lines,
-                     stepwise_schedule, write_trace_by_dumps)
+from oracles import (bayes_log_posterior, belief_recursion_by_chunks,
+                     heap_schedule, read_trace_by_lines, stepwise_schedule,
+                     write_trace_by_dumps)
 
 
 # -- belief arithmetic ----------------------------------------------------------------
@@ -107,6 +109,20 @@ def test_log_normalizer_matches_scipy_bitwise():
             assert normalize_log_belief(row).tobytes() == out.tobytes()
 
     check()
+
+
+@pytest.mark.parametrize("m", [9, 12])
+def test_log_normalizer_matches_scipy_on_wide_rows(m):
+    # From 8 entries on, numpy's last-axis sum adds in eight interleaved
+    # partial sums, so on these rows a left-to-right sum over the columns
+    # rounds differently and would break the bitwise agreement.
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
+    rows = np.random.default_rng(m).normal(0.0, 3.0, (64, m))
+    top = rows.max(axis=1, keepdims=True)
+    shifted = np.where(rows == top, 0.0, np.exp(rows - top))
+    assert (sum(shifted.T) != np.add.reduce(shifted, axis=-1)).any()
+    want = np.array([logsumexp(row) for row in rows])
+    assert log_normalizer(rows)[:, 0].tobytes() == want.tobytes()
 
 
 # -- configuration validation -----------------------------------------------------------
@@ -443,6 +459,62 @@ def test_belief_recursion_across_chunk_boundaries(mode, crash_at):
     assert_recursion_properties(run_execution(make_config(
         DirectedGraph.complete(4), 1, iterations=2 * BELIEF_CHUNK + 20, seed=7,
         adversary=AdversarySchedule(mode=mode, crash_plan=(crash,)))))
+
+
+def test_belief_recursion_matches_chunk_scans():
+    # Byte for byte against one full scan per chunk: the engine's beliefs,
+    # the analysis replay's, and the engine's arrays with every chunk
+    # holding one quorum row of the run throughout, the first that differs
+    # from the row the chunk before held, which puts steady chunks with
+    # different quorums into one span.
+    @settings(max_examples=100, deadline=None)
+    @given(recursion_runs())
+    def check(config):
+        trace = run_execution(config)
+        log_likelihood = log_likelihood_rows(config.model, trace.signal)
+        keep = np.zeros(log_likelihood.shape, dtype=bool)
+        for ev in config.adversary.crash_plan:
+            if ev.partial_count is not None:
+                keep[ev.iteration - 1, ev.agent - 1, ev.partial_count:] = True
+
+        def reference(rows, quorum, keep):
+            return belief_recursion_by_chunks(
+                trace.initial_log_belief, trace.phase, rows, quorum,
+                log_likelihood, keep).tobytes()
+
+        assert (trace.log_belief.tobytes()
+                == reference(trace.takes_quorum, trace.quorum, keep))
+        assert (pseudo_belief_evolution(trace)[1:].tobytes()
+                == reference(trace.completed, trace.quorum, None))
+        held, row = trace.quorum.copy(), trace.quorum[0]
+        cuts = np.flatnonzero((trace.phase[1:] != trace.phase[:-1]).any(axis=1)) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, trace.iterations]):
+            for a in range(lo, hi, BELIEF_CHUNK):
+                row = trace.quorum[np.argmax((trace.quorum != row).any(axis=(1, 2)))]
+                held[a:min(a + BELIEF_CHUNK, hi)] = row
+        assert (belief_recursion(trace.initial_log_belief, trace.phase,
+                                 trace.takes_quorum, held, log_likelihood,
+                                 keep).tobytes()
+                == reference(trace.takes_quorum, held, keep))
+
+    check()
+
+
+def test_belief_recursion_rebuilds_powers_for_a_new_quorum():
+    # One span on complete-4 with f=1: the first chunk takes quorum q1
+    # throughout, the second alternates q1 and q2, and the third chunk and
+    # the five-iteration tail take q2. The third chunk is steady again but
+    # must not reuse q1's powers; the tail reuses q2's.
+    T = 3 * BELIEF_CHUNK + 5
+    q1 = [[2, 3], [1, 3], [1, 2], [1, 2]]
+    q2 = [[3, 4], [3, 4], [2, 4], [2, 3]]
+    quorum = np.array([q1] * BELIEF_CHUNK + [q1, q2] * (BELIEF_CHUNK // 2)
+                      + [q2] * (BELIEF_CHUNK + 5), dtype=np.int32)
+    args = (np.full((4, 2), -math.log(2)), np.zeros((T, 4), dtype=np.int8),
+            np.ones((T, 4), dtype=bool), quorum,
+            np.log(np.random.default_rng(16).dirichlet([1.0, 1.0], (T, 4))))
+    assert (belief_recursion(*args).tobytes()
+            == belief_recursion_by_chunks(*args).tobytes())
 
 
 def test_no_scipy_at_run_time(tmp_path):

@@ -10,16 +10,22 @@ of the benchmark's two simulation configs (perfbench/workloads.py: complete-4,
 f=1, agent 4 crashing mid_update at t=10; "latest" is adversarial_latest
 with T=5000, "async" uniform delays up to 3 with T=1000). It then times,
 in-process with perf_counter, REPEATS times per seed: run_execution of the
-config, the schedule alone (engine._schedule) and validate_trace of the
-trace; then, after one warm-up run_checks call, the full run_checks and
+config, the schedule alone (engine._schedule), the belief pass alone on
+the trace's stored schedule (`<config>/belief_recursion`: engine._belief_pass,
+which draws the signals and runs belief_recursion) and validate_trace of
+the trace; then, after one warm-up run_checks call, the full run_checks and
 run_checks of each check alone, write_trace of the trace to a temporary
-file and read_trace of that file. A figure is the median of those repeats
+file, read_trace of that file and write_trajectory_csv of the trace
+(`simulate --csv`). A figure is the median of those repeats
 summed over the four seeds, in seconds; `<config>/peak_mb` is the peak
-tracemalloc size of one run_checks call on seed 1000. The graph layer is
-timed REPEATS times on the complete graph K6 with f=1: `graph/detect`
-(detectability_report), `graph/census` (source_census, its cache cleared
-before each call), `graph/condition1` and `graph/condition2`, each the
-median of its repeats.
+tracemalloc size of one run_checks call on seed 1000. The same configs on
+the complete graph of LARGE_N agents with T=2000, seed 1000 ("n32-latest"
+and "n32-async"), give `<config>/run_execution`, the median of REPEATS
+runs, and `<config>/peak_mb`, the peak tracemalloc size of one run. The
+graph layer is timed REPEATS times on the complete graph K6 with f=1:
+`graph/detect` (detectability_report), `graph/census` (source_census, its
+cache cleared before each call), `graph/condition1` and `graph/condition2`,
+each the median of its repeats.
 
 OUT.json gets, per figure, the median, quartiles and interquartile range of
 each side over the pairs, the ratio of the medians (base over this tree),
@@ -47,11 +53,11 @@ SEEDS = range(1000, 1004)
 PAIRS = 10
 REPEATS = 3
 GRAPH_N, GRAPH_F = 6, 1
+LARGE_N, LARGE_ITERATIONS = 32, 2000
 
 
 def traces():
     """(config label, seed, trace) for every timed run."""
-    sys.path[:0] = [str(ROOT / "perfbench")]
     from workloads import CONFIGS, simulation_payload
 
     from crashlearn.engine import SimulationConfig, run_execution
@@ -59,6 +65,28 @@ def traces():
         for seed in SEEDS:
             payload = simulation_payload(mode, iterations, seed)
             yield label, seed, run_execution(SimulationConfig.from_dict(payload))
+
+
+def large_configs():
+    """(label, config) of the two simulation configs on the complete graph
+    of LARGE_N agents, T=LARGE_ITERATIONS, seed 1000."""
+    from workloads import CONFIGS, complete_edges, simulation_payload
+
+    from crashlearn.engine import SimulationConfig
+    for label, (mode, _) in CONFIGS.items():
+        payload = simulation_payload(mode, LARGE_ITERATIONS, SEEDS[0])
+        payload["graph"] = {"n": LARGE_N, "edges": complete_edges(LARGE_N)}
+        payload["model"]["agents"] = payload["model"]["agents"][:1] * LARGE_N
+        yield f"n{LARGE_N}-{label}", SimulationConfig.from_dict(payload)
+
+
+def peak_mb(call) -> float:
+    """The peak tracemalloc size of one call, in MB."""
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 1e6
 
 
 def median_time(call) -> float:
@@ -73,12 +101,14 @@ def median_time(call) -> float:
 
 def measure() -> dict[str, float]:
     """Every figure of the crashlearn on this process's path."""
+    sys.path[:0] = [str(ROOT / "perfbench")]
     from crashlearn.analysis import DEFAULT_CHECKS, run_checks
-    from crashlearn.engine import (_schedule, read_trace, run_execution,
-                                   validate_trace, write_trace)
+    from crashlearn.engine import (_belief_pass, _schedule, read_trace,
+                                   run_execution, validate_trace, write_trace)
     from crashlearn.graphs import (DirectedGraph, check_condition1,
                                    check_condition2, detectability_report,
                                    source_census)
+    from crashlearn.harness import write_trajectory_csv
     targets = {"run_checks": None} | {name: (name,) for name in DEFAULT_CHECKS}
     figures: dict[str, float] = {}
 
@@ -87,10 +117,13 @@ def measure() -> dict[str, float]:
 
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "trace.jsonl"
+        csv_path = Path(scratch) / "trajectory.csv"
         for label, seed, trace in traces():
             config = trace.config
             add(f"{label}/run_execution", median_time(lambda: run_execution(config)))
             add(f"{label}/schedule", median_time(lambda: _schedule(config)))
+            add(f"{label}/belief_recursion", median_time(
+                lambda: _belief_pass(config, trace.phase, trace.quorum)))
             add(f"{label}/validate_trace", median_time(lambda: validate_trace(trace)))
             run_checks(trace)
             for target, checks in targets.items():
@@ -98,11 +131,14 @@ def measure() -> dict[str, float]:
                     median_time(lambda: run_checks(trace, checks=checks)))
             add(f"{label}/write_trace", median_time(lambda: write_trace(trace, path)))
             add(f"{label}/read_trace", median_time(lambda: read_trace(path)))
+            add(f"{label}/write_trajectory_csv",
+                median_time(lambda: write_trajectory_csv(trace, csv_path)))
             if seed == SEEDS[0]:
-                tracemalloc.start()
-                run_checks(trace)
-                figures[f"{label}/peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-                tracemalloc.stop()
+                figures[f"{label}/peak_mb"] = peak_mb(lambda: run_checks(trace))
+
+    for label, config in large_configs():
+        add(f"{label}/run_execution", median_time(lambda: run_execution(config)))
+        figures[f"{label}/peak_mb"] = peak_mb(lambda: run_execution(config))
 
     g, f = DirectedGraph.complete(GRAPH_N), GRAPH_F
 
