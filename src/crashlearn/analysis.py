@@ -617,7 +617,9 @@ def check_lemma4(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                  shared: _Shared | None = None) -> CheckResult:
     """At every sampled r some reduced-graph source component has estimated
     influence at least xi to the structural window power on every member
-    (compared as exact rationals), and its size is at least gamma."""
+    (compared as exact rationals), and its size is at least gamma. The
+    source read is the one of largest mass among those that clear the
+    threshold, ties going to the first in source_census's canonical order."""
     shared = shared or _Shared(trace, model)
     structure = shared.structure
     threshold = structure.xi_window_exact

@@ -6,7 +6,8 @@ object is the *reduced graph*: what survives after every node drops up to f
 of its in-links and up to f sinks of the resulting graph are deleted. A
 topology tolerates f crashes exactly when every reduced graph keeps a single
 source component, and that structural test is equivalent to a quantifier over
-two-sided partitions; both routes are implemented and cross-asserted.
+two-sided partitions; both routes are implemented and cross-asserted. The
+detectability report and the checks all read one cached source_census.
 """
 
 from __future__ import annotations
@@ -250,6 +251,18 @@ def _unpacked(mask: np.ndarray) -> set[int]:
     return {v + 1 for v in range(m.bit_length()) if (m >> v) & 1}
 
 
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array and, for each row, the
+    index of its distinct row."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _close_in_reach(reach: np.ndarray) -> None:
     """Transitive closure in place, one Warshall pass over intermediate nodes.
 
@@ -364,27 +377,6 @@ def _census(space: _RemovalSpace, f: int,
     return blocks
 
 
-def _closed_reach(space: _RemovalSpace, sinks: frozenset[int], keys: np.ndarray,
-                  ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Closed in-reach sets of census rows (sinks, keys), chunk by chunk.
-
-    Yields (rows, reach) with reach of shape (rows, live nodes, words): after
-    closure, live node v's row is every node with a path into v, v included.
-    A row's smallest such set is its smallest source component, and its
-    source is unique exactly when some node reaches every live node, that
-    is, when the AND of its live rows is nonzero.
-    """
-    self_bits = space.self_bits(space.g.nodes - sinks)
-    live = [v - 1 for v in sorted(space.g.nodes - sinks)]
-    dead = [v - 1 for v in sinks]
-    for start in range(0, keys.size, _SCAN_CHUNK):
-        reach = space.in_masks(space.digits(keys[start:start + _SCAN_CHUNK]))
-        reach[:, dead] = 0      # a zeroed key digit keeps every in-link
-        reach |= self_bits
-        _close_in_reach(reach)
-        yield slice(start, start + _SCAN_CHUNK), reach[:, live]
-
-
 def _enumeration_rank(space: _RemovalSpace, sinks: frozenset[int],
                       keys: np.ndarray) -> np.ndarray:
     """The permutation that puts census rows of block sinks in
@@ -452,18 +444,6 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
     return tuple(reduced)
 
 
-def _first_failing(space: _RemovalSpace, f: int, sinks: frozenset[int],
-                   keys: np.ndarray, firsts: np.ndarray,
-                   unique: np.ndarray) -> ReducedGraph:
-    """The first reduced graph of census rows (sinks, keys), in
-    enumerate_reduced_graphs order, whose unique flag is False; only those
-    rows are ranked."""
-    failing = np.flatnonzero(~unique)
-    first = failing[_enumeration_rank(space, sinks, keys[failing])[:1]]
-    witness, = _materialize(space, f, sinks, keys[first], firsts[first])
-    return witness
-
-
 @dataclass(frozen=True)
 class SourceCensus:
     """Source structure over every reduced graph of (g, f), with the constants
@@ -471,7 +451,7 @@ class SourceCensus:
 
     chi: int                                # number of distinct reduced graphs
     gamma: int                              # smallest source component size
-    sources: tuple[frozenset[int], ...]     # distinct source components
+    sources: tuple[frozenset[int], ...]     # distinct, by size then members
     witness: ReducedGraph | None            # first graph without a unique source
     xi: Fraction                            # influence floor of the base graph
     window: int                             # graph size times chi
@@ -487,40 +467,67 @@ class SourceCensus:
         return float(self.xi_window_exact)
 
 
-@lru_cache(maxsize=64)
 def source_census(g: DirectedGraph, f: int,
                   max_candidates: int = DEFAULT_ENUMERATION_CAP) -> SourceCensus:
-    """chi, gamma, every distinct source component in the order it first
-    appears in enumerate_reduced_graphs (a graph's own sources by smallest
-    node), the first reduced graph in that order without a unique source,
-    and xi and the window n * chi.
+    """chi, gamma, every distinct source component in canonical order (by
+    size, then by sorted members), the first reduced graph in
+    enumerate_reduced_graphs order without a unique source, and xi and the
+    window n * chi. The cap is checked on every call, but the census is
+    cached on (g, f) alone, whatever cap let it through."""
+    _link_removals(g, f, max_candidates)
+    return _source_census(g, f)
 
-    The source components of a reduced graph are its minimal in-reach sets:
-    node v lies in one exactly when every node that reaches v is reached by v.
+
+def _row_sources(reach: np.ndarray, live: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of reach have a unique source, and the distinct source masks
+    of all rows, a zero mask among them when some row has several sources.
+
+    reach has shape (rows, live nodes, words), each live node's row the
+    nodes with a path into it, itself included. A row's source is unique
+    exactly when some node reaches every live node, that is, when the AND of
+    its live rows is nonzero, and that AND is then the source. Otherwise its
+    sources are its minimal in-reach sets: node v lies in one exactly when
+    every node that reaches v is reached by v.
     """
-    space = _link_removals(g, f, max_candidates)
-    chi, gamma = 0, g.n
-    sources: dict[frozenset[int], None] = {}
+    common = np.bitwise_and.reduce(reach, axis=1)
+    one = common.any(axis=1)
+    several = reach[~one]
+    member = np.unpackbits(several.view(np.uint8), axis=-1,
+                           bitorder="little")[:, :, live].astype(bool)
+    in_source = (~member | member.transpose(0, 2, 1)).all(axis=2)
+    masks = np.concatenate([common, several[in_source]])
+    # neighbouring rows mostly share their sources: sort only the changes
+    fresh = np.r_[True, (masks[1:] != masks[:-1]).any(axis=1)]
+    return one, _distinct_rows(masks[fresh])[0]
+
+
+@lru_cache(maxsize=64)
+def _source_census(g: DirectedGraph, f: int) -> SourceCensus:
+    """source_census without the cap."""
+    space = _link_removals(g, f, math.inf)
+    chi = 0
+    sources: set[frozenset[int]] = set()
     witness = None
     for sinks, keys, firsts in _census(space, f):
-        order = _enumeration_rank(space, sinks, keys)
-        keys, firsts = keys[order], firsts[order]
         chi += keys.size
+        self_bits = space.self_bits(g.nodes - sinks)
         live = [v - 1 for v in sorted(g.nodes - sinks)]
+        dead = [v - 1 for v in sinks]
         unique = np.empty(keys.size, dtype=bool)
-        for part, reach in _closed_reach(space, sinks, keys):
-            gamma = min(gamma, int(np.bitwise_count(reach).sum(axis=-1).min()))
-            unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
-            member = np.unpackbits(reach.view(np.uint8), axis=-1,
-                                   bitorder="little")[:, :, live].astype(bool)
-            in_source = (~member | member.transpose(0, 2, 1)).all(axis=2)
-            masks = reach[in_source]            # row by row, nodes ascending
-            _, first = np.unique(masks, axis=0, return_index=True)
-            for k in np.sort(first):
-                sources.setdefault(frozenset(_unpacked(masks[k])))
+        for start in range(0, keys.size, _SCAN_CHUNK):
+            rows = slice(start, start + _SCAN_CHUNK)
+            reach = space.in_masks(space.digits(keys[rows]))
+            reach[:, dead] = 0      # a zeroed key digit keeps every in-link
+            reach |= self_bits
+            _close_in_reach(reach)
+            unique[rows], masks = _row_sources(reach[:, live], live)
+            sources.update(frozenset(_unpacked(m)) for m in masks if m.any())
         if witness is None and not unique.all():
-            witness = _first_failing(space, f, sinks, keys, firsts, unique)
-    return SourceCensus(chi=chi, gamma=gamma, sources=tuple(sources),
+            failing = np.flatnonzero(~unique)   # only these rows are ranked
+            first = failing[_enumeration_rank(space, sinks, keys[failing])[:1]]
+            witness, = _materialize(space, f, sinks, keys[first], firsts[first])
+    ordered = tuple(sorted(sources, key=lambda s: (len(s), sorted(s))))
+    return SourceCensus(chi=chi, gamma=len(ordered[0]), sources=ordered,
                         witness=witness, xi=g.influence_floor(),
                         window=g.n * chi)
 
@@ -678,26 +685,16 @@ def detectability_report(g: DirectedGraph, f: int,
                          ) -> DetectabilityReport:
     """Reduced-graph census plus both condition checks, cross-asserted.
 
-    chi, gamma and the literal unique-source verdict come from the census of
-    every reduced graph; on failure the witness is the first failing reduced
-    graph in enumerate_reduced_graphs order. Raises EquivalenceViolationError
-    if any two routes disagree (that would be an implementation defect, not a
+    chi, gamma, xi and the literal unique-source verdict are source_census's;
+    on failure the witness is its first failing reduced graph in
+    enumerate_reduced_graphs order. Raises EquivalenceViolationError if any
+    two routes disagree (that would be an implementation defect, not a
     property of the input). Graphs that check_condition2 refuses are refused
     before the census.
     """
     _refuse_partition_scan(g.n)
-    space = _link_removals(g, f, max_candidates)
-    blocks = _census(space, f)
-    witness = None
-    gamma = g.n
-    for sinks, keys, firsts in blocks:
-        unique = np.empty(keys.size, dtype=bool)
-        for part, reach in _closed_reach(space, sinks, keys):
-            unique[part] = np.bitwise_and.reduce(reach, axis=1).any(axis=1)
-            gamma = min(gamma, int(np.bitwise_count(reach).sum(axis=-1).min()))
-        if witness is None and not unique.all():
-            witness = _first_failing(space, f, sinks, keys, firsts, unique)
-    literal_unique = witness is None
+    census = source_census(g, f, max_candidates)
+    literal_unique = census.witness is None
     fast_holds, _ = check_condition1(g, f, max_candidates=max_candidates)
     c2_holds, _ = check_condition2(g, f)
     if not (literal_unique == fast_holds == c2_holds):
@@ -708,6 +705,5 @@ def detectability_report(g: DirectedGraph, f: int,
         n=g.n, f=f,
         condition1_holds=literal_unique,
         condition2_holds=c2_holds,
-        chi=sum(keys.size for _, keys, _ in blocks), gamma=gamma,
-        xi=g.influence_floor(),
-        witness=witness)
+        chi=census.chi, gamma=census.gamma, xi=census.xi,
+        witness=census.witness)

@@ -26,10 +26,10 @@ from .analysis import DEFAULT_CHECKS, check_names, run_checks
 from .engine import (_PHASE_NAMES, _PHASE_TABLE, BELIEF_CHUNK, ConfigError,
                      ExecutionTrace, SimulationConfig, min_final_posterior,
                      run_execution, validate_trace, write_trace, read_trace)
-from .graphs import DirectedGraph, config_float, config_integer, parse_config
+from .graphs import (DirectedGraph, _distinct_rows, config_float, config_integer,
+                     parse_config)
 from .observation import (IdentifiabilityPreconditionError, LikelihoodModel,
                           check_assumption1)
-from .tracefile import _distinct_rows
 
 
 class IdentifiabilityGateError(RuntimeError):

@@ -253,7 +253,8 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
     Raises IdentifiabilityPreconditionError if some reduced graph lacks a
     unique source component. C1 is the smallest source KL sum over reduced
     graphs and ordered pairs, clamped to 0.0 when the check fails (m == 1 is
-    vacuous: C1 = +inf).
+    vacuous: C1 = +inf). The reported source has the smallest KL sum, ties
+    going to the first in source_census's canonical order.
     """
     if g.n != model.n:
         raise ConfigError(f"graph has {g.n} nodes but model has {model.n} agents")

@@ -29,7 +29,7 @@ import numpy as np
 from .engine import (_PHASE_NAMES, _PHASE_RULES, _PHASE_TABLE, BELIEF_CHUNK,
                      ExecutionTrace, SimulationConfig,
                      TraceInvariantError, _blank_schedule)
-from .graphs import ConfigError, parse_config
+from .graphs import ConfigError, _distinct_rows, parse_config
 
 
 def write_trace(trace: ExecutionTrace, path) -> None:
@@ -86,18 +86,6 @@ def _step_middle(quorum: list[int] | None, signal: str | None) -> str:
     """A step record's text from the end of its beliefs up to its t."""
     return (f'], "quorum": {json.dumps(quorum)}, "signal": {json.dumps(signal)}, '
             f'"t": ')
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D integer array and, for each row, the
-    index of its distinct row."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
 
 
 _STEP_KEYS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",

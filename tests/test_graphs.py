@@ -217,8 +217,10 @@ def test_report_matches_literal_route(data):
             for r in reduced} == brute_first_removals(n, edges, f)
     decomps = [r.source_decomposition() for r in reduced]
     failing = [(r, d) for r, d in zip(reduced, decomps) if not d.unique_source]
-    sources = list(dict.fromkeys(c for d in decomps for c in d.source_components))
-    gamma = min(len(c) for c in sources)
+    # canonical order: by size, then by sorted members
+    sources = sorted({c for d in decomps for c in d.source_components},
+                     key=lambda c: (len(c), sorted(c)))
+    gamma = len(sources[0])
     rep = detectability_report(g, f)
     assert rep.chi == len(reduced) == len(brute_reduced_graphs(n, edges, f))
     assert rep.gamma == brute_gamma(n, edges, f) == gamma
@@ -235,9 +237,21 @@ def test_report_matches_literal_route(data):
                 f"{len(decomp.source_components)} source components")):
             check_assumption1(model, g, f)
     else:
-        # identical agents: the first smallest source is the worst
-        assert check_assumption1(model, g, f).worst_pair_and_source[2] == min(
-            sources, key=len)
+        # identical agents tie on every smallest source; the first in
+        # canonical order is reported
+        assert check_assumption1(model, g, f).worst_pair_and_source[2] == sources[0]
+
+
+def test_census_lists_sources_only_found_beside_others():
+    # the path 1 -> 2 -> 3 with f=1: node 3 is a source only where it has
+    # dropped its in-link and so stands beside another source
+    n, edges, f = HAND_CASES[4]
+    g = DirectedGraph.from_edge_list(n, edges)
+    decomps = [r.source_decomposition() for r in enumerate_reduced_graphs(g, f)]
+    alone = {d.source_components[0] for d in decomps if d.unique_source}
+    beside = {c for d in decomps for c in d.source_components} - alone
+    assert alone and beside == {frozenset({3})}
+    assert set(graphs.source_census(g, f).sources) == alone | beside
 
 
 def test_random_instances_match_oracle():
@@ -293,6 +307,23 @@ def test_enumeration_budget_raises():
                                  max_candidates=1000)
     with pytest.raises(BudgetExceededError):
         detectability_report(DirectedGraph.complete(5), 2, max_candidates=1000)
+
+
+def test_census_cache_ignores_how_the_cap_is_spelled():
+    g = DirectedGraph.complete(4)
+    census = graphs.source_census(g, 1)
+    assert graphs.source_census(g, 1, graphs.DEFAULT_ENUMERATION_CAP) is census
+    assert graphs.source_census(
+        g, 1, max_candidates=graphs.DEFAULT_ENUMERATION_CAP) is census
+
+
+def test_cached_census_still_refuses_above_the_cap():
+    g = DirectedGraph.complete(5)
+    graphs.source_census(g, 2)
+    with pytest.raises(BudgetExceededError):
+        detectability_report(g, 2, max_candidates=1000)
+    with pytest.raises(BudgetExceededError):
+        check_assumption1(standard_model(5), g, 2, max_candidates=1000)
 
 
 def test_report_refuses_partition_scan_before_census(monkeypatch):

@@ -1,16 +1,18 @@
 """SHA-256 digests of the reduced-graph census, for comparing the graph layer
 across versions.
 
-One line per (graph, f): its label, then five digests. The first covers
+One line per (graph, f): its label, then six digests. The first covers
 enumerate_reduced_graphs' ordered output (each reduced graph's nodes, edges,
 removed_in_links and removed_sinks), the second
 detectability_report(...).to_dict(), the third structure_constants' chi,
-gamma and ordered sources, the fourth check_assumption1's to_dict(), or
-its precondition message, on a model where every agent is Bernoulli(0.3)
-against Bernoulli(0.7), and the fifth check_condition1's verdict and witness
-(the same fields as the first). Identical agents tie, so the reported source
-shows the order of the sources. A pair the enumeration cap refuses prints
-the error message instead. The pairs are
+gamma and ordered sources, the fourth the same with the sources sorted, so
+that a change of order alone shows in the third and not the fourth, the
+fifth check_assumption1's to_dict(), or its precondition message, on a
+model where every agent is Bernoulli(0.3) against Bernoulli(0.7), and the
+sixth check_condition1's verdict and witness (the same fields as the
+first). Identical agents tie, so the reported source shows the order of the
+sources. A pair the enumeration cap refuses prints the error message
+instead. The pairs are
 the test suite's HAND_CASES and FROZEN, complete graphs K3-K6 with f=1, K5
 with f=2, and 40 seeded random digraphs. Run it once per checkout, each time
 with that checkout's src/ on the path, and diff:
@@ -94,7 +96,9 @@ def digests(g, f) -> tuple[str, ...]:
         census.update(b"\n")
     sources = [sorted(source) for source in structure.sources]
     return (census.hexdigest(), _digest(report.to_dict()),
-            _digest([structure.chi, structure.gamma, sources]), _digest(identify),
+            _digest([structure.chi, structure.gamma, sources]),
+            _digest([structure.chi, structure.gamma, sorted(sources)]),
+            _digest(identify),
             _digest([holds, witness and _fields(witness)]))
 
 

@@ -23,9 +23,11 @@ the complete graph of LARGE_N agents with T=2000, seed 1000 ("n32-latest"
 and "n32-async"), give `<config>/run_execution`, the median of REPEATS
 runs, and `<config>/peak_mb`, the peak tracemalloc size of one run. The
 graph layer is timed REPEATS times on the complete graph K6 with f=1:
-`graph/detect` (detectability_report), `graph/census` (source_census, its
-cache cleared before each call), `graph/condition1` and `graph/condition2`,
-each the median of its repeats.
+`graph/detect` (detectability_report), `graph/census` (source_census),
+`graph/condition1` and `graph/condition2`, each the median of its repeats;
+`graph7/detect` and `graph7/census` time the first two on K7 with f=1.
+Every cache of the graph layer is cleared before each detect and census
+call, so each one builds its census.
 
 OUT.json gets, per figure, the median, quartiles and interquartile range of
 each side over the pairs, the ratio of the medians (base over this tree),
@@ -53,6 +55,7 @@ SEEDS = range(1000, 1004)
 PAIRS = 10
 REPEATS = 3
 GRAPH_N, GRAPH_F = 6, 1
+LARGE_GRAPH_N = 7
 LARGE_N, LARGE_ITERATIONS = 32, 2000
 
 
@@ -105,6 +108,7 @@ def measure() -> dict[str, float]:
     from crashlearn.analysis import DEFAULT_CHECKS, run_checks
     from crashlearn.engine import (_belief_pass, _schedule, read_trace,
                                    run_execution, validate_trace, write_trace)
+    from crashlearn import graphs
     from crashlearn.graphs import (DirectedGraph, check_condition1,
                                    check_condition2, detectability_report,
                                    source_census)
@@ -140,16 +144,22 @@ def measure() -> dict[str, float]:
         add(f"{label}/run_execution", median_time(lambda: run_execution(config)))
         figures[f"{label}/peak_mb"] = peak_mb(lambda: run_execution(config))
 
+    def uncached(call):
+        """call, after emptying every lru_cache of the graph layer."""
+        def run() -> None:
+            for cached in vars(graphs).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+            call()
+        return run
+
     g, f = DirectedGraph.complete(GRAPH_N), GRAPH_F
-
-    def census() -> None:
-        source_census.cache_clear()
-        source_census(g, f)
-
-    add("graph/detect", median_time(lambda: detectability_report(g, f)))
-    add("graph/census", median_time(census))
     add("graph/condition1", median_time(lambda: check_condition1(g, f)))
     add("graph/condition2", median_time(lambda: check_condition2(g, f)))
+    for label, n in (("graph", GRAPH_N), ("graph7", LARGE_GRAPH_N)):
+        g = DirectedGraph.complete(n)
+        add(f"{label}/detect", median_time(uncached(lambda: detectability_report(g, f))))
+        add(f"{label}/census", median_time(uncached(lambda: source_census(g, f))))
     return figures
 
 
