@@ -42,8 +42,8 @@ from .engine import (ExecutionTrace, belief_recursion, log_likelihood_rows,
                      update_matrices)
 from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
                      SourceCensus, first_dominated_nodes, source_census)
-from .observation import (ROW_SUM_TOLERANCE, LikelihoodModel, _ordered_pairs,
-                          compute_log_ratio_bound, expected_log_ratios)
+from .observation import (ROW_SUM_TOLERANCE, _ordered_pairs, compute_log_ratio_bound,
+                          expected_log_ratios)
 
 ANALYTIC_SLACK = 1e-12          # rounding slack on exact inequalities
 PSEUDO_IDENTITY_TOLERANCE = 1e-9
@@ -210,48 +210,45 @@ def geometric_tail_constant_float(xi: Fraction, n: int, chi: int, f: int) -> flo
 
 # -- pseudo-beliefs and log ratios ---------------------------------------------
 
-def pseudo_belief_evolution(trace: ExecutionTrace,
-                            model: LikelihoodModel | None = None) -> np.ndarray:
+def pseudo_belief_evolution(trace: ExecutionTrace) -> np.ndarray:
     """(T + 1, n, m) log array: completers apply the engine's belief
     recursion, all other agents carry their previous value forward
     unchanged."""
-    model = model or trace.config.model
     out = np.empty((trace.iterations + 1,) + trace.initial_log_belief.shape,
                    dtype=np.float64)
     out[0] = trace.initial_log_belief
     out[1:] = belief_recursion(trace.initial_log_belief, trace.phase,
                                trace.completed, trace.quorum,
-                               log_likelihood_rows(model, trace.signal))
+                               log_likelihood_rows(trace.config.model,
+                                                   trace.signal))
     return out
 
 
-def log_ratio_vectors(trace: ExecutionTrace, model: LikelihoodModel | None,
-                      theta: str, theta_star: str) -> np.ndarray:
+def log_ratio_vectors(trace: ExecutionTrace, theta: str,
+                      theta_star: str) -> np.ndarray:
     """(T, n) array of per-iteration log-likelihood-ratio inputs; zero for
     agents that did not complete the iteration."""
-    model = model or trace.config.model
+    model = trace.config.model
     a = model.hypothesis_index(theta)
     b = model.hypothesis_index(theta_star)
     rows = log_likelihood_rows(model, trace.signal)
     return np.where(trace.completed, rows[..., a] - rows[..., b], 0.0)
 
 
-def expected_ratio_vectors(trace: ExecutionTrace, model: LikelihoodModel | None,
-                           theta: str, theta_star: str) -> np.ndarray:
+def expected_ratio_vectors(trace: ExecutionTrace, theta: str,
+                           theta_star: str) -> np.ndarray:
     """(T, n) expectations of the log-ratio inputs under the true hypothesis:
     minus the agent KL divergence, masked to completers."""
-    model = model or trace.config.model
-    return np.where(trace.completed,
-                    expected_log_ratios(model, theta, theta_star), 0.0)
+    return np.where(trace.completed, expected_log_ratios(
+        trace.config.model, theta, theta_star), 0.0)
 
 
-def psi_series(trace: ExecutionTrace, model: LikelihoodModel | None,
-               theta: str, theta_star: str,
+def psi_series(trace: ExecutionTrace, theta: str, theta_star: str,
                pseudo: np.ndarray | None = None) -> np.ndarray:
     """(T + 1, n) log pseudo-belief ratios theta over theta_star."""
-    model = model or trace.config.model
+    model = trace.config.model
     if pseudo is None:
-        pseudo = pseudo_belief_evolution(trace, model)
+        pseudo = pseudo_belief_evolution(trace)
     a = model.hypothesis_index(theta)
     b = model.hypothesis_index(theta_star)
     return pseudo[:, :, a] - pseudo[:, :, b]
@@ -331,9 +328,8 @@ class CheckResult:
 class _Shared:
     """Lazily computed objects reused across checks on one trace."""
 
-    def __init__(self, trace: ExecutionTrace, model: LikelihoodModel | None):
+    def __init__(self, trace: ExecutionTrace):
         self.trace = trace
-        self.model = model or trace.config.model
         # forward folds over [lo, T] by lo, backward folds over [1, hi] by hi
         self._folds: dict[bool, dict[int, np.ndarray]] = {False: {}, True: {}}
 
@@ -360,7 +356,7 @@ class _Shared:
 
     @cached_property
     def pseudo(self) -> np.ndarray:
-        return pseudo_belief_evolution(self.trace, self.model)
+        return pseudo_belief_evolution(self.trace)
 
     @cached_property
     def pi_samples(self) -> list[PiEstimate]:
@@ -404,8 +400,7 @@ _FORWARD_KEYS = {
 
 # -- individual checks ------------------------------------------------------------
 
-def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-                 shared: _Shared | None = None) -> CheckResult:
+def check_lemma1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """Disagreement of any backward product is at most one minus its overlap,
     and restricting to later (smaller) alive sets never hurts either side.
     Crash-free windows of the structural length have overlap at least the
@@ -414,7 +409,7 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     overlap of exactly 0 must still fail. A window's margin is
     log(eta) - window * log(xi), -inf at an overlap of 0; its witness
     reports the float floor."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     matrices, structure = shared.matrices, shared.structure
     T = trace.iterations
     suffixes = shared.folds([T], backward=True)[0][:-1]    # product over [t, T]
@@ -453,13 +448,12 @@ def check_lemma1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     return CheckResult("lemma1", worst >= 0.0, worst, witness)
 
 
-def check_lemma2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-                 shared: _Shared | None = None, n_triples: int = 50,
-                 seed: int = 0) -> CheckResult:
+def check_lemma2(trace: ExecutionTrace, shared: _Shared | None = None,
+                 n_triples: int = 50, seed: int = 0) -> CheckResult:
     """Splitting a product at any interior point contracts disagreement by at
     least the overlap of the later factor, rows restricted to survivors of
     the split point."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     matrices = shared.matrices
     T = trace.iterations
     if T < 2:
@@ -490,11 +484,10 @@ def check_lemma2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                         "rhs": float(rhs[k])})
 
 
-def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-               shared: _Shared | None = None) -> CheckResult:
+def check_thm2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """Products over [r, t] have disagreement within the window-counting
     contraction bound at every strided t for several anchors r."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     structure = shared.structure
     T, f = trace.iterations, trace.config.f
     survivors = np.vstack([trace.alive[1:], trace.phase[-1:] == 0])  # start of t + 1
@@ -517,15 +510,14 @@ def check_thm2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                         "bound": bounds[k]})
 
 
-def check_prop1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-                shared: _Shared | None = None) -> CheckResult:
+def check_prop1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """Every iteration matrix dominates xi times the adjacency of some
     reduced graph: support inclusion picks the first such graph in
     enumeration order, then every required entry is at least xi as an exact
     rational. A completer's quorum entries carry its diagonal weight, so the
     graph's nodes give every required value. The matrix depends only on the
     completers and their quorums, so each such pattern is checked once."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     xi = shared.structure.xi
     graph, f = trace.config.graph, trace.config.f
     completed, T = trace.completed, trace.iterations
@@ -557,12 +549,11 @@ def check_prop1(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     return CheckResult("prop1", True, float(worst_slack), None)
 
 
-def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-                shared: _Shared | None = None) -> CheckResult:
+def check_prop2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """From every alive-set boundary r: products over [r, tau] keep columns of
     agents dead at r exactly zero and rows of agents alive at r summing to
     one within rounding."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     boundaries = _alive_boundaries(trace)
     gaps = []
     for r, fold in zip(boundaries, shared.folds(boundaries)):
@@ -592,12 +583,11 @@ def check_prop2(trace: ExecutionTrace, model: LikelihoodModel | None = None,
                         "max_row_sum_gap": float(gaps[k])})
 
 
-def check_prop3(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-                shared: _Shared | None = None) -> CheckResult:
+def check_prop3(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """Estimated influence rows: the surviving rows of the estimating product
     agree within the contraction bound, and agents already dead at r carry
     exactly zero estimated influence."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     worst = math.inf
     witness = None
     for est in shared.pi_samples:
@@ -613,14 +603,13 @@ def check_prop3(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     return CheckResult("prop3", worst >= 0.0, float(worst), witness)
 
 
-def check_lemma4(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-                 shared: _Shared | None = None) -> CheckResult:
+def check_lemma4(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """At every sampled r some reduced-graph source component has estimated
     influence at least xi to the structural window power on every member
     (compared as exact rationals), and its size is at least gamma. The
     source read is the one of largest mass among those that clear the
     threshold, ties going to the first in source_census's canonical order."""
-    shared = shared or _Shared(trace, model)
+    shared = shared or _Shared(trace)
     structure = shared.structure
     threshold = structure.xi_window_exact
     worst = math.inf
@@ -651,13 +640,11 @@ def check_lemma4(trace: ExecutionTrace, model: LikelihoodModel | None = None,
     return CheckResult("lemma4", worst >= 0.0, float(worst), witness)
 
 
-def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
-              shared: _Shared | None = None) -> CheckResult:
+def check_psi(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """Pseudo-beliefs replayed from the trace match recorded beliefs on every
     completer; log ratios satisfy the one-step matrix recursion and the full
     backward-product expansion."""
-    shared = shared or _Shared(trace, model)
-    model = shared.model
+    shared = shared or _Shared(trace)
     matrices, pseudo = shared.matrices, shared.pseudo
     T, n = trace.iterations, trace.n
 
@@ -674,9 +661,9 @@ def check_psi(trace: ExecutionTrace, model: LikelihoodModel | None = None,
 
     checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
     suffixes = dict(zip(checkpoints, shared.folds(checkpoints, backward=True)))
-    for theta, theta_star in _ordered_pairs(model):
-        psi = psi_series(trace, model, theta, theta_star, pseudo=pseudo)
-        ratios = log_ratio_vectors(trace, model, theta, theta_star)
+    for theta, theta_star in _ordered_pairs(trace.config.model):
+        psi = psi_series(trace, theta, theta_star, pseudo=pseudo)
+        ratios = log_ratio_vectors(trace, theta, theta_star)
         steps = np.abs(psi[1:] - (_apply(matrices, psi[:-1]) + ratios)).max(axis=1)
         recursion_gap = float(steps.max())
         recursion_witness = None
@@ -727,16 +714,15 @@ def check_names(checks: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def run_checks(trace: ExecutionTrace, model: LikelihoodModel | None = None,
+def run_checks(trace: ExecutionTrace,
                checks: Sequence[str] | None = None) -> dict[str, dict]:
     """Run the named checks (all by default) sharing intermediate products;
     returns {name: {passed, worst_margin, witness}}."""
     names = check_names(DEFAULT_CHECKS if checks is None else checks)
-    shared = _Shared(trace, model)
+    shared = _Shared(trace)
     shared.folds(sorted({key for name in names if name in _FORWARD_KEYS
                          for key in _FORWARD_KEYS[name](trace)}))
-    return {name: _CHECK_FUNCTIONS[name](trace, shared.model,
-                                         shared=shared).to_dict()
+    return {name: _CHECK_FUNCTIONS[name](trace, shared=shared).to_dict()
             for name in names}
 
 
@@ -779,9 +765,8 @@ class DriftDecomposition:
         return all(cp.passed for cp in self.checkpoints)
 
 
-def decompose_log_ratio_drift(trace: ExecutionTrace,
-                              model: LikelihoodModel | None,
-                              theta: str, theta_star: str, C1: float,
+def decompose_log_ratio_drift(trace: ExecutionTrace, theta: str,
+                              theta_star: str, C1: float,
                               checkpoints: Sequence[int] | None = None,
                               ) -> DriftDecomposition:
     """At each checkpoint t, write the log-ratio of the reference agent as
@@ -790,7 +775,6 @@ def decompose_log_ratio_drift(trace: ExecutionTrace,
     C1 is passed in (it needs the identifiability report) so callers control
     whether the gate already ran.
     """
-    model = model or trace.config.model
     cfg = trace.config
     structure = structure_constants(cfg.graph, cfg.f)
     matrices = trace_matrices(trace)
@@ -798,10 +782,10 @@ def decompose_log_ratio_drift(trace: ExecutionTrace,
     if checkpoints is None:
         checkpoints = sorted({max(2, T // 4), max(2, T // 2),
                               max(2, (3 * T) // 4)})
-    psi = psi_series(trace, model, theta, theta_star)
-    ratios = log_ratio_vectors(trace, model, theta, theta_star)
-    expected = expected_ratio_vectors(trace, model, theta, theta_star)
-    C0 = compute_log_ratio_bound(model)
+    psi = psi_series(trace, theta, theta_star)
+    ratios = log_ratio_vectors(trace, theta, theta_star)
+    expected = expected_ratio_vectors(trace, theta, theta_star)
+    C0 = compute_log_ratio_bound(cfg.model)
     xi_pow = structure.xi_window_float
     tail = geometric_tail_constant_float(structure.xi, n, structure.chi, cfg.f)
     fluct_bound = n * tail * C0 if math.isfinite(tail) else math.inf

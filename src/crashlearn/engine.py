@@ -71,7 +71,10 @@ a record whose own fields are malformed or contradict the config or its
 crash phase; validate_trace checks the records against each other.
 
 write_trace and read_trace, the trace file's writer and reader, live in
-the tracefile module and are part of this module's interface.
+the tracefile module and are part of this module's interface. A trace's
+step records, one per (iteration, alive agent), come one at a time as
+plain values from step_rows, and a block of BELIEF_CHUNK iterations at a
+time from step_blocks, which both writers format.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ from itertools import compress
 
 import numpy as np
 
-from .graphs import ConfigError, DirectedGraph, config_float, config_integer
+from .graphs import (ConfigError, DirectedGraph, _distinct_rows, config_float,
+                     config_integer)
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -617,6 +621,29 @@ class ExecutionTrace:
             yield (t + 1, a + 1, completed, _PHASE_NAMES[code],
                    spaces[a][k] if k >= 0 else None,
                    [j for j in quorum if j >= 0] if takes_quorum else None, belief)
+
+    def step_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple],
+                                            np.ndarray, np.ndarray]]:
+        """The records of step_rows, BELIEF_CHUNK iterations at a time, as
+        (t, agent, fields, index, log_belief): the records' t and agent
+        labels, the block's distinct (agent, crash_phase, completed, signal,
+        quorum) fields as step_rows spells them, each record's index into
+        fields, and the records' (R, m) log beliefs."""
+        rules = _PHASE_TABLE.tolist()
+        spaces = [self.config.model.signals(a) for a in range(1, self.n + 1)]
+        for lo in range(0, self.iterations, BELIEF_CHUNK):
+            ts, agents = np.nonzero(self.alive[lo:lo + BELIEF_CHUNK])
+            ts += lo
+            code = self.phase[ts, agents]
+            takes = _PHASE_TABLE[code, 2]
+            distinct, index = _distinct_rows(np.column_stack(
+                [agents, code, self.signal[ts, agents],
+                 np.where(takes[:, None], self.quorum[ts, agents], -1)]))
+            fields = [(a + 1, _PHASE_NAMES[c], rules[c][3],
+                       spaces[a][k] if k >= 0 else None,
+                       [j for j in quorum if j >= 0] if rules[c][2] else None)
+                      for a, c, k, *quorum in distinct.tolist()]
+            yield ts + 1, agents + 1, fields, index, self.log_belief[ts, agents]
 
 
 def _agents(mask: np.ndarray) -> frozenset[int]:

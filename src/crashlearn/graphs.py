@@ -27,6 +27,9 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 1_000_000
 PARTITION_NODE_LIMIT = 12
 _SCAN_CHUNK = 1 << 15
+# Assignments per block of check_condition2's scan: about 9 MB traced at
+# PARTITION_NODE_LIMIT nodes.
+_PARTITION_CHUNK = 1 << 13
 
 _Parsed = TypeVar("_Parsed")
 
@@ -275,6 +278,19 @@ def _close_in_reach(reach: np.ndarray) -> None:
         reach |= reach[:, k:k + 1, :] * into[:, :, None]
 
 
+def _removal_counts(g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
+                    cap: int, what: str) -> list[int]:
+    """Per node, its number of ways to drop sizes(in-degree) in-links;
+    BudgetExceededError when their product, the candidate count, exceeds
+    cap."""
+    degrees = [len(g.in_neighbors[i]) for i in range(1, g.n + 1)]
+    counts = [sum(math.comb(d, k) for k in sizes(d)) for d in degrees]
+    total = math.prod(counts)
+    if total > cap:
+        raise BudgetExceededError(f"{total} {what} candidates exceed the cap {cap}")
+    return counts
+
+
 class _RemovalSpace:
     """Every way for each node to drop some of its in-links, as one index.
 
@@ -287,20 +303,16 @@ class _RemovalSpace:
 
     def __init__(self, g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
                  cap: int, what: str) -> None:
-        degrees = [len(g.in_neighbors[i]) for i in range(1, g.n + 1)]
-        counts = [sum(math.comb(d, k) for k in sizes(d)) for d in degrees]
+        counts = _removal_counts(g, sizes, cap, what)
         self.total = math.prod(counts)
-        if self.total > cap:
-            raise BudgetExceededError(
-                f"{self.total} {what} candidates exceed the cap {cap}")
         self.g = g
         self.words = -(-g.n // _WORD)
         self.removals: list[list[tuple[int, frozenset[int]]]] = []
         self.kept_edges: list[list[tuple[tuple[int, int], ...]]] = []
         self.kept: list[np.ndarray] = []
-        for i, d in zip(range(1, g.n + 1), degrees):
+        for i in range(1, g.n + 1):
             nbrs = sorted(g.in_neighbors[i])
-            removals = [(i, frozenset(c)) for k in sizes(d)
+            removals = [(i, frozenset(c)) for k in sizes(len(nbrs))
                         for c in itertools.combinations(nbrs, k)]
             keeps = [[j for j in nbrs if j not in r] for _, r in removals]
             self.removals.append(removals)
@@ -332,12 +344,16 @@ class _RemovalSpace:
         return bits
 
 
-def _link_removals(g: DirectedGraph, f: int, max_candidates: int) -> _RemovalSpace:
-    """Every way to drop at most f in-links per node; refused above the cap."""
+def _link_sizes(f: int) -> Callable[[int], range]:
+    """The removal sizes 0..min(f, d) of a node of in-degree d."""
     if f < 0:
         raise ValueError("f must be nonnegative")
-    return _RemovalSpace(g, lambda d: range(min(f, d) + 1), max_candidates,
-                         "link-removal")
+    return lambda d: range(min(f, d) + 1)
+
+
+def _link_removals(g: DirectedGraph, f: int, max_candidates: int) -> _RemovalSpace:
+    """Every way to drop at most f in-links per node; refused above the cap."""
+    return _RemovalSpace(g, _link_sizes(f), max_candidates, "link-removal")
 
 
 def _census(space: _RemovalSpace, f: int,
@@ -474,7 +490,7 @@ def source_census(g: DirectedGraph, f: int,
     enumerate_reduced_graphs order without a unique source, and xi and the
     window n * chi. The cap is checked on every call, but the census is
     cached on (g, f) alone, whatever cap let it through."""
-    _link_removals(g, f, max_candidates)
+    _removal_counts(g, _link_sizes(f), max_candidates, "link-removal")
     return _source_census(g, f)
 
 
@@ -604,39 +620,28 @@ def check_condition2(g: DirectedGraph, f: int,
         raise ValueError("f must be nonnegative")
     n = g.n
     _refuse_partition_scan(n)
-    in_mask = [0] * (n + 1)
+    links = np.zeros((n, n))          # links[j - 1, i - 1]: the link j -> i
     for i in range(1, n + 1):
-        m = 0
-        for j in g.in_neighbors[i]:
-            m |= 1 << (j - 1)
-        in_mask[i] = m
-    need = f + 1
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        left = right = rest = 0
-        for i, a in enumerate(assign):
-            if a == 0:
-                left |= 1 << i
-            elif a == 1:
-                right |= 1 << i
-            else:
-                rest |= 1 << i
-        if left == 0 or right == 0:
-            continue
-        ok = False
-        opp = right | rest
-        for i in range(1, n + 1):
-            if (left >> (i - 1)) & 1 and (in_mask[i] & opp).bit_count() >= need:
-                ok = True
-                break
-        if not ok:
-            opp = left | rest
-            for i in range(1, n + 1):
-                if (right >> (i - 1)) & 1 and (in_mask[i] & opp).bit_count() >= need:
-                    ok = True
-                    break
-        if not ok:
-            to_set = lambda m: frozenset(i + 1 for i in range(n) if (m >> i) & 1)
-            return False, (to_set(left), to_set(right), to_set(rest))
+        links[[j - 1 for j in g.in_neighbors[i]], i - 1] = 1.0
+    degrees = links.sum(axis=0)
+    place = 3 ** np.arange(n - 1, -1, -1)
+    total = 3 ** n
+    # the assignments in itertools.product order, node 1 the most significant
+    # digit, each node's side 0 for L, 1 for R and 2 for C
+    for start in range(0, total, _PARTITION_CHUNK):
+        assignments = np.arange(start, min(start + _PARTITION_CHUNK, total))
+        side = assignments[:, None] // place % 3
+        member = side[:, None, :] == np.arange(3)[:, None]
+        # each node's in-links from each side, then from its own side
+        per_side = member.astype(np.float64) @ links
+        own = np.take_along_axis(per_side, side[:, None, :], axis=1)[:, 0]
+        bridged = ((side < 2) & (degrees - own > f)).any(axis=1)
+        bad = np.flatnonzero(member[:, 0].any(axis=1) & member[:, 1].any(axis=1)
+                             & ~bridged)
+        if bad.size:
+            sides = side[bad[0]]
+            return False, tuple(frozenset((np.flatnonzero(sides == s) + 1).tolist())
+                                for s in range(3))
     return True, None
 
 

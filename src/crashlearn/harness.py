@@ -23,11 +23,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import DEFAULT_CHECKS, check_names, run_checks
-from .engine import (_PHASE_NAMES, _PHASE_TABLE, BELIEF_CHUNK, ConfigError,
-                     ExecutionTrace, SimulationConfig, min_final_posterior,
-                     run_execution, validate_trace, write_trace, read_trace)
-from .graphs import (DirectedGraph, _distinct_rows, config_float, config_integer,
-                     parse_config)
+from .engine import (ConfigError, ExecutionTrace, SimulationConfig,
+                     min_final_posterior, run_execution, validate_trace,
+                     write_trace, read_trace)
+from .graphs import DirectedGraph, config_float, config_integer, parse_config
 from .observation import (IdentifiabilityPreconditionError, LikelihoodModel,
                           check_assumption1)
 
@@ -172,8 +171,7 @@ def run_batch(batch: ExperimentBatch, override_gate: bool = False,
         if directory is not None:
             path = str(directory / f"trace_{seed}.jsonl")
             write_trace(trace, path)
-        checks = run_checks(trace, config.model, batch.checks) \
-            if batch.checks else {}
+        checks = run_checks(trace, batch.checks) if batch.checks else {}
         posterior = min_final_posterior(trace)
         outcomes.append(SeedOutcome(
             seed=seed, converged=posterior >= batch.convergence_threshold,
@@ -186,7 +184,7 @@ def analyze_trace(path, checks: Sequence[str] | None = None) -> dict:
     """Load, validate, and check one persisted trace."""
     trace = read_trace(path)
     validate_trace(trace)
-    report = run_checks(trace, trace.config.model, checks)
+    report = run_checks(trace, checks)
     return {"trace": str(path),
             "iterations": trace.iterations,
             "final_alive": sorted(trace.final_alive),
@@ -200,39 +198,30 @@ def analyze_trace(path, checks: Sequence[str] | None = None) -> dict:
 def write_trajectory_csv(trace: ExecutionTrace, path) -> None:
     """One row per (iteration, agent alive at its start), posteriors expanded
     into one column per hypothesis, in the text csv.writer gives. Rows are
-    formatted from the arrays one chunk of BELIEF_CHUNK iterations at a
-    time: the completed, crash-phase, signal and quorum fields once per
-    distinct (agent, phase code, signal, quorum) row, quoted by csv, and
-    every posterior as repr(math.exp(v))."""
+    formatted from trace.step_blocks(), one block of BELIEF_CHUNK iterations
+    at a time: the completed, crash-phase, signal and quorum fields once per
+    distinct fields of the block, quoted by csv, and every posterior as
+    repr(math.exp(v))."""
     m = trace.config.model.m
-    spaces = [trace.config.model.signals(agent) for agent in range(1, trace.n + 1)]
     record = "%d,%d,%s" + ",%r" * m + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(
             ["t", "agent", "completed", "crash_phase", "signal", "quorum"]
             + [f"posterior_{h}" for h in trace.config.model.hypotheses])
-        for lo in range(0, trace.iterations, BELIEF_CHUNK):
-            ts, agents = np.nonzero(trace.alive[lo:lo + BELIEF_CHUNK])
-            ts += lo
-            code = trace.phase[ts, agents]
-            takes = _PHASE_TABLE[code, 2]
-            distinct, inverse = _distinct_rows(np.column_stack(
-                [agents, code, trace.signal[ts, agents],
-                 np.where(takes[:, None], trace.quorum[ts, agents], -1)]))
+        for ts, agents, fields, index, beliefs in trace.step_blocks():
             middles = []
-            for a, c, k, *quorum in distinct.tolist():
-                fields = io.StringIO()
-                csv.writer(fields).writerow(
-                    [int(_PHASE_TABLE[c, 3]), _PHASE_NAMES[c] or "",
-                     spaces[a][k] if k >= 0 else "",
-                     "|".join(str(j) for j in quorum if j >= 0)])
-                middles.append(fields.getvalue()[:-2])
+            for _, phase, completed, signal, quorum in fields:
+                text = io.StringIO()
+                csv.writer(text).writerow(
+                    [int(completed), phase or "", signal or "",
+                     "|".join(str(j) for j in quorum or ())])
+                middles.append(text.getvalue()[:-2])
             cells = np.empty((len(ts), m + 3), dtype=object)
-            cells[:, 0] = ts + 1
-            cells[:, 1] = agents + 1
-            cells[:, 2] = np.array(middles, dtype=object)[inverse]
+            cells[:, 0] = ts
+            cells[:, 1] = agents
+            cells[:, 2] = np.array(middles, dtype=object)[index]
             cells[:, 3:] = np.reshape(list(map(
-                math.exp, trace.log_belief[ts, agents].ravel().tolist())), (-1, m))
+                math.exp, beliefs.ravel().tolist())), (-1, m))
             fh.write(record * len(ts) % tuple(cells.ravel().tolist()))
 
 

@@ -2,19 +2,20 @@
 
 A trace file is JSON lines, keys sorted: a header with the config and the
 initial beliefs, then one step record per (iteration, alive agent) in (t,
-agent) order. write_trace formats the records from the arrays
-BELIEF_CHUNK iterations at a time into exactly the text json.dumps would
-give each one: a prefix per (agent, phase code), a quorum-and-signal middle
-per distinct (agent, signal, quorum) row, and the beliefs by str, which is
-json's spelling of a finite float; a record holding a non-finite belief and
-every signal name are spelled by json.dumps. read_trace decodes every line
-with a decoder that refuses duplicate keys, then tests the decoded records
-against an ordered table of rules, one boolean column per rule: an object,
-its kind, its field set, each field's type, the t and agent ranges, the
-belief length, completed against the phase, quorum and signal against the
-phase, and the quorum's width, its members and the signal name. The first
-faulty record is reported with the message of the first rule it breaks,
-unless a repeated (t, agent) cell comes before it.
+agent) order. write_trace formats the records of
+ExecutionTrace.step_blocks, BELIEF_CHUNK iterations at a time, into exactly
+the text json.dumps would give each one: once per distinct fields of a
+block, the text up to the beliefs (agent, completed, crash phase) and the
+text from the beliefs up to t (quorum, signal), and the beliefs by str,
+which is json's spelling of a finite float; a record holding a non-finite
+belief and every signal name are spelled by json.dumps. read_trace decodes
+every line with a decoder that refuses duplicate keys, then tests the
+decoded records against an ordered table of rules, one boolean column per
+rule: an object, its kind, its field set, each field's type, the t and
+agent ranges, the belief length, completed against the phase, quorum and
+signal against the phase, and the quorum's width, its members and the
+signal name. The first faulty record is reported with the message of the
+first rule it breaks, unless a repeated (t, agent) cell comes before it.
 """
 
 from __future__ import annotations
@@ -26,66 +27,45 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .engine import (_PHASE_NAMES, _PHASE_RULES, _PHASE_TABLE, BELIEF_CHUNK,
-                     ExecutionTrace, SimulationConfig,
-                     TraceInvariantError, _blank_schedule)
-from .graphs import ConfigError, _distinct_rows, parse_config
+from .engine import (_PHASE_NAMES, _PHASE_TABLE, BELIEF_CHUNK, ExecutionTrace,
+                     SimulationConfig, TraceInvariantError, _blank_schedule)
+from .graphs import ConfigError, parse_config
 
 
 def write_trace(trace: ExecutionTrace, path) -> None:
     """One JSON object per line, keys sorted: a header record, then one
     record per (iteration, alive agent) in (t, agent) order, each the text
-    json.dumps(row, sort_keys=True) gives. Records are formatted from the
-    arrays by template (see the module docstring) and written one chunk of
-    BELIEF_CHUNK iterations at a time."""
-    config, n, m = trace.config, trace.n, trace.config.model.m
-    codes = len(_PHASE_NAMES)
-    prefixes = np.array([_step_prefix(agent, code) for agent in range(1, n + 1)
-                         for code in range(codes)], dtype=object)
-    spaces = [config.model.signals(agent) for agent in range(1, n + 1)]
+    json.dumps(row, sort_keys=True) gives. Records are formatted by template
+    from trace.step_blocks(), one block of BELIEF_CHUNK iterations at a
+    time (see the module docstring)."""
+    config, m = trace.config, trace.config.model.m
     record = "%s" + ", ".join(["%s"] * m) + "%s%d}\n"
     header = {"kind": "header", "config": config.to_dict(),
               "initial_log_belief": trace.initial_log_belief.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for lo in range(0, trace.iterations, BELIEF_CHUNK):
-            ts, agents = np.nonzero(trace.alive[lo:lo + BELIEF_CHUNK])
-            ts += lo
-            code = trace.phase[ts, agents]
-            takes = _PHASE_TABLE[code, 2]
-            keys = np.column_stack([agents, trace.signal[ts, agents], takes,
-                                    np.where(takes[:, None], trace.quorum[ts, agents],
-                                             -1)])
-            distinct, inverse = _distinct_rows(keys)
-            middles = np.array([_step_middle(
-                [j for j in quorum if j >= 0] if took else None,
-                spaces[a][k] if k >= 0 else None)
-                for a, k, took, *quorum in distinct.tolist()], dtype=object)
-            beliefs = trace.log_belief[ts, agents]
+        for ts, _, fields, index, beliefs in trace.step_blocks():
+            # each distinct record's text up to its beliefs, and from the end
+            # of its beliefs up to its t, keys in sorted order
+            prefixes = np.array([
+                f'{{"agent": {agent}, "alive": true, "completed": '
+                f'{json.dumps(completed)}, "crash_phase": {json.dumps(phase)}, '
+                f'"kind": "step", "log_belief": ['
+                for agent, phase, completed, _, _ in fields], dtype=object)
+            middles = np.array([
+                f'], "quorum": {json.dumps(quorum)}, "signal": '
+                f'{json.dumps(signal)}, "t": '
+                for _, _, _, signal, quorum in fields], dtype=object)
             cells = np.empty((len(ts), m + 3), dtype=object)
-            cells[:, 0] = prefixes[agents * codes + code]
+            cells[:, 0] = prefixes[index]
             cells[:, 1:-2] = beliefs
             odd = np.flatnonzero(~np.isfinite(beliefs).all(axis=1))
             if odd.size:
                 cells[odd, 1:-2] = [[json.dumps(v) for v in row]
                                     for row in beliefs[odd].tolist()]
-            cells[:, -2] = middles[inverse]
-            cells[:, -1] = ts + 1
+            cells[:, -2] = middles[index]
+            cells[:, -1] = ts
             fh.write(record * len(ts) % tuple(cells.ravel().tolist()))
-
-
-def _step_prefix(agent: int, code: int) -> str:
-    """A step record's text up to its beliefs, keys in sorted order."""
-    phase = _PHASE_NAMES[code]
-    return (f'{{"agent": {agent}, "alive": true, "completed": '
-            f'{json.dumps(_PHASE_RULES[phase][2])}, "crash_phase": '
-            f'{json.dumps(phase)}, "kind": "step", "log_belief": [')
-
-
-def _step_middle(quorum: list[int] | None, signal: str | None) -> str:
-    """A step record's text from the end of its beliefs up to its t."""
-    return (f'], "quorum": {json.dumps(quorum)}, "signal": {json.dumps(signal)}, '
-            f'"t": ')
 
 
 _STEP_KEYS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",

@@ -6,16 +6,19 @@ expansion, and plain-float probability math. Small n only. The trace file's
 references, the per-record writer and reader that the array-speed ones must
 match, share the package's header parsing and line decoding (_parse_header,
 _parse_record) and its phase table; the reader checks each step record's
-rules itself, one record at a time, in _parse_step. Of the two schedule
-references, heap_schedule draws its own delays, and stepwise_schedule, which
-pins the tie rule, takes its delay tables from the package's _delays. The
-belief recursion's reference, belief_recursion_by_chunks, pins how chunks
-are scanned and takes its two arithmetic kernels, update_matrices and
-normalize_log_belief, from the package, since it must agree bit for bit.
+rules itself, one record at a time, in _parse_step. The trajectory CSV's
+reference, write_trajectory_csv_by_rows, writes one csv.writer row per
+record of step_rows. Of the two schedule references, heap_schedule draws its
+own delays, and stepwise_schedule, which pins the tie rule, takes its delay
+tables from the package's _delays. The belief recursion's reference,
+belief_recursion_by_chunks, pins how chunks are scanned and takes its two
+arithmetic kernels, update_matrices and normalize_log_belief, from the
+package, since it must agree bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import json
@@ -544,6 +547,21 @@ def write_trace_by_dumps(trace, path):
                    "completed": completed, "quorum": quorum, "signal": signal,
                    "log_belief": belief, "crash_phase": phase}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def write_trajectory_csv_by_rows(trace, path):
+    """The trajectory CSV written one csv.writer row per record, the writer
+    that write_trajectory_csv's formatting must reproduce."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "agent", "completed", "crash_phase", "signal",
+                         "quorum"]
+                        + [f"posterior_{h}" for h in trace.config.model.hypotheses])
+        for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
+            writer.writerow(
+                [t, agent, int(completed), phase or "", signal or "",
+                 "|".join(str(j) for j in quorum or ())]
+                + [repr(math.exp(v)) for v in belief])
 
 
 _STEP_FIELDS = frozenset(("kind", "t", "agent", "alive", "completed", "quorum",

@@ -200,8 +200,8 @@ def test_criterion_09_pseudo_belief_identity(suite_traces):
                                     - trace.record(t, agent).log_belief))
                 worst_identity = max(worst_identity, float(gap))
         matrices = trace_matrices(trace)
-        psi = psi_series(trace, None, "theta2", "theta1", pseudo=pseudo)
-        ratios = log_ratio_vectors(trace, None, "theta2", "theta1")
+        psi = psi_series(trace, "theta2", "theta1", pseudo=pseudo)
+        ratios = log_ratio_vectors(trace, "theta2", "theta1")
         for t in range(1, trace.iterations + 1):
             predicted = matrices[t - 1] @ psi[t - 1] + ratios[t - 1]
             gap = np.max(np.abs(psi[t] - predicted))

@@ -252,8 +252,8 @@ def test_pseudo_beliefs_carry_non_completers(suite_traces):
 
 def test_log_ratio_vectors_shapes_and_zeros(suite_traces):
     _, trace = suite_traces["crash_pre"]
-    ratios = log_ratio_vectors(trace, None, "theta2", "theta1")
-    expected = expected_ratio_vectors(trace, None, "theta2", "theta1")
+    ratios = log_ratio_vectors(trace, "theta2", "theta1")
+    expected = expected_ratio_vectors(trace, "theta2", "theta1")
     assert ratios.shape == expected.shape == (240, 4)
     # the crashed agent contributes nothing after its final iteration
     assert np.all(ratios[7:, 3] == 0.0)
@@ -266,7 +266,7 @@ def test_log_ratio_vectors_shapes_and_zeros(suite_traces):
 def test_psi_series_is_ratio_of_pseudo(suite_traces):
     _, trace = suite_traces["pair"]
     pseudo = pseudo_belief_evolution(trace)
-    psi = psi_series(trace, None, "theta2", "theta1", pseudo=pseudo)
+    psi = psi_series(trace, "theta2", "theta1", pseudo=pseudo)
     np.testing.assert_array_equal(psi, pseudo[:, :, 1] - pseudo[:, :, 0])
     assert np.all(psi[-1] < 0.0)      # wrong hypothesis loses
 
@@ -458,8 +458,8 @@ def test_checks_match_loop_references(suite_traces):
     for trace in traces:
         matrices, model = trace_matrices(trace), trace.config.model
         structure = structure_constants(trace.config.graph, trace.config.f)
-        pairs = [(a, b, psi_series(trace, None, a, b),
-                  log_ratio_vectors(trace, None, a, b))
+        pairs = [(a, b, psi_series(trace, a, b),
+                  log_ratio_vectors(trace, a, b))
                  for a, b in itertools.permutations(model.hypotheses, 2)]
         expected = {
             "lemma1": lemma1_by_loops(trace, matrices, structure.window,
@@ -511,7 +511,7 @@ def test_checks_report_margins(suite_traces):
 def test_drift_decomposition_on_crash_trace(suite_traces):
     config, trace = suite_traces["crash_mid"]
     rep = check_assumption1(config.model, config.graph, config.f)
-    dec = decompose_log_ratio_drift(trace, None, "theta2", "theta1", rep.C1)
+    dec = decompose_log_ratio_drift(trace, "theta2", "theta1", rep.C1)
     assert dec.passed
     assert len(dec.checkpoints) == 3
     for cp in dec.checkpoints:
@@ -526,7 +526,7 @@ def test_drift_decomposition_on_crash_trace(suite_traces):
 def test_drift_decomposition_solo_agent_is_exact(suite_traces):
     config, trace = suite_traces["solo"]
     kl = kl_divergence(config.model, 1, "theta1", "theta2")
-    dec = decompose_log_ratio_drift(trace, None, "theta2", "theta1", kl,
+    dec = decompose_log_ratio_drift(trace, "theta2", "theta1", kl,
                                     checkpoints=(100, 200))
     for cp in dec.checkpoints:
         # no averaging: drift is exactly -KL * t and nothing else deviates
@@ -537,7 +537,7 @@ def test_drift_decomposition_solo_agent_is_exact(suite_traces):
 
 def test_drift_decomposition_matches_loop_reference(suite_traces):
     for name, (config, trace) in suite_traces.items():
-        args = (trace, None, "theta2", "theta1")
+        args = (trace, "theta2", "theta1")
         dec = decompose_log_ratio_drift(*args, 1.0)
         for cp in dec.checkpoints:
             rows = sorted(trace.alive_at_start(cp.t + 1))
@@ -553,5 +553,5 @@ def test_drift_decomposition_matches_loop_reference(suite_traces):
 def test_drift_checkpoint_validation(suite_traces):
     _, trace = suite_traces["solo"]
     with pytest.raises(ValueError):
-        decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0,
+        decompose_log_ratio_drift(trace, "theta2", "theta1", 1.0,
                                   checkpoints=(0,))

@@ -26,12 +26,13 @@ from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
                                read_trace, run_execution, update_belief,
                                validate_trace, write_trace)
 from crashlearn.graphs import DirectedGraph
+from crashlearn.harness import write_trajectory_csv
 from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
 from oracles import (bayes_log_posterior, belief_recursion_by_chunks,
                      heap_schedule, read_trace_by_lines, stepwise_schedule,
-                     write_trace_by_dumps)
+                     write_trace_by_dumps, write_trajectory_csv_by_rows)
 
 
 # -- belief arithmetic ----------------------------------------------------------------
@@ -825,6 +826,22 @@ def test_write_trace_matches_json_dumps_per_record(tmp_path):
         trace = run_execution(config)
         write_trace(trace, fast)
         write_trace_by_dumps(trace, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    check()
+
+
+def test_write_trajectory_csv_matches_csv_writer_per_record(tmp_path):
+    # The same runs as the trace writer's property, signal names that need
+    # CSV quoting among them.
+    fast, slow = tmp_path / "fast.csv", tmp_path / "rows.csv"
+
+    @settings(max_examples=40, deadline=None)
+    @given(escaped_runs())
+    def check(config):
+        trace = run_execution(config)
+        write_trajectory_csv(trace, fast)
+        write_trajectory_csv_by_rows(trace, slow)
         assert fast.read_bytes() == slow.read_bytes()
 
     check()

@@ -22,7 +22,7 @@ deviation of each belief-dependent quantity as |a - b| / max(1, |a|, |b|),
 so a value at most tol means math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 holds for every entry: the trace's log beliefs, pseudo_belief_evolution's
 output, the run_checks margins (checked configs) and every number of
-decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0) (the test
+decompose_log_ratio_drift(trace, "theta2", "theta1", 1.0) (the test
 suite's configs); "-" where a config has none. The last line is the largest
 of each column.
 
@@ -136,7 +136,7 @@ def belief_values(config, with_checks: bool, with_drift: bool) -> dict:
                                       for name in DEFAULT_CHECKS])
     if with_drift:
         drift = dataclasses.asdict(
-            decompose_log_ratio_drift(trace, None, "theta2", "theta1", 1.0))
+            decompose_log_ratio_drift(trace, "theta2", "theta1", 1.0))
         values["drift"] = np.array(
             [drift["C0"], drift["C1"]]
             + [value for checkpoint in drift["checkpoints"]

@@ -1,16 +1,17 @@
 """SHA-256 digests of the reduced-graph census, for comparing the graph layer
 across versions.
 
-One line per (graph, f): its label, then six digests. The first covers
+One line per (graph, f): its label, then seven digests. The first covers
 enumerate_reduced_graphs' ordered output (each reduced graph's nodes, edges,
 removed_in_links and removed_sinks), the second
 detectability_report(...).to_dict(), the third structure_constants' chi,
 gamma and ordered sources, the fourth the same with the sources sorted, so
 that a change of order alone shows in the third and not the fourth, the
 fifth check_assumption1's to_dict(), or its precondition message, on a
-model where every agent is Bernoulli(0.3) against Bernoulli(0.7), and the
+model where every agent is Bernoulli(0.3) against Bernoulli(0.7), the
 sixth check_condition1's verdict and witness (the same fields as the
-first). Identical agents tie, so the reported source shows the order of the
+first), and the seventh check_condition2's verdict and (L, R, C) witness.
+Identical agents tie, so the reported source shows the order of the
 sources. A pair the enumeration cap refuses prints the error message
 instead. The pairs are
 the test suite's HAND_CASES and FROZEN, complete graphs K3-K6 with f=1, K5
@@ -72,7 +73,7 @@ def _fields(rg) -> list:
 def digests(g, f) -> tuple[str, ...]:
     from crashlearn.analysis import structure_constants
     from crashlearn.graphs import (BudgetExceededError, check_condition1,
-                                   detectability_report,
+                                   check_condition2, detectability_report,
                                    enumerate_reduced_graphs)
     from crashlearn.observation import (IdentifiabilityPreconditionError,
                                         LikelihoodModel, bernoulli_agent,
@@ -82,6 +83,7 @@ def digests(g, f) -> tuple[str, ...]:
         report = detectability_report(g, f)
         structure = structure_constants(g, f)
         holds, witness = check_condition1(g, f)
+        split_holds, split = check_condition2(g, f)
     except BudgetExceededError as exc:
         return ("refused:", str(exc))
     model = LikelihoodModel(("theta1", "theta2"),
@@ -99,7 +101,8 @@ def digests(g, f) -> tuple[str, ...]:
             _digest([structure.chi, structure.gamma, sources]),
             _digest([structure.chi, structure.gamma, sorted(sources)]),
             _digest(identify),
-            _digest([holds, witness and _fields(witness)]))
+            _digest([holds, witness and _fields(witness)]),
+            _digest([split_holds, split and [sorted(side) for side in split]]))
 
 
 def main() -> None:
