@@ -18,8 +18,8 @@ prefix of a forward range, every suffix of a backward one. Each quantity is
 always formed in the same direction and order, whichever ranges share the
 call, so every report is bitwise reproducible. Within run_checks a per-trace
 memo holds the forward folds over [lo, T] and the backward folds over
-[1, hi]; thm2, prop2, the pi estimates of horizon T, lemma1 and psi read
-them, so a fold two checks need is stepped once.
+[1, hi]; thm2, prop2, the pi estimates (each at its horizon's entry),
+lemma1 and psi read them, so a fold two checks need is stepped once.
 
 Each check_* function verifies one such statement on a concrete trace and
 returns a CheckResult; run_checks bundles them. Checks never loosen a bound
@@ -41,8 +41,9 @@ import numpy as np
 from .engine import (ExecutionTrace, belief_recursion, log_likelihood_rows,
                      update_matrices)
 from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
-                     SourceCensus, first_dominated_nodes, source_census)
-from .observation import (ROW_SUM_TOLERANCE, _ordered_pairs, compute_log_ratio_bound,
+                     SourceCensus, distinct_rows, first_dominated_nodes,
+                     source_census)
+from .observation import (ROW_SUM_TOLERANCE, compute_log_ratio_bound,
                           expected_log_ratios)
 
 ANALYTIC_SLACK = 1e-12          # rounding slack on exact inequalities
@@ -292,8 +293,8 @@ def _pi_horizon(trace: ExecutionTrace, r: int, structure: SourceCensus) -> int:
 def _pi_estimate(trace: ExecutionTrace, r: int, horizon: int, product: np.ndarray,
                  structure: SourceCensus) -> PiEstimate:
     """The estimate read from the product over [r, horizon]."""
-    rows = trace.alive_at_start(horizon + 1)
-    reference = min(rows)
+    rows = trace.alive_after[horizon - 1]       # alive at the start of horizon + 1
+    reference = int(np.flatnonzero(rows)[0]) + 1
     residual, _ = ergodic_coefficients(product, rows)
     bound = theorem2_bound(horizon, r, structure, trace.config.f)
     zeros_ok = not product[reference - 1][~trace.alive[r - 1]].any()
@@ -360,20 +361,17 @@ class _Shared:
 
     @cached_property
     def pi_samples(self) -> list[PiEstimate]:
-        """Estimates at the sample points: a horizon of T takes the last
-        entry of the memoized forward fold, shorter horizons are stepped
-        together in one call."""
-        trace, T = self.trace, self.trace.iterations
+        """Estimates at the sample points r, each product over [r, horizon]
+        read at entry horizon - r + 1 of the memoized forward fold over
+        [r, T]."""
+        trace = self.trace
         points = _pi_sample_points(trace)
-        horizons = [_pi_horizon(trace, r, self.structure) for r in points]
-        tails = [r for r, horizon in zip(points, horizons) if horizon == T]
-        products = {r: fold[-1] for r, fold in zip(tails, self.folds(tails))}
-        inner = [(r, horizon) for r, horizon in zip(points, horizons) if horizon < T]
-        if inner:
-            starts, ends = zip(*inner)
-            products.update(zip(starts, _fold_ranges(self.matrices, starts, ends)))
-        return [_pi_estimate(trace, r, horizon, products[r], self.structure)
-                for r, horizon in zip(points, horizons)]
+        estimates = []
+        for r, fold in zip(points, self.folds(points)):
+            horizon = _pi_horizon(trace, r, self.structure)
+            estimates.append(_pi_estimate(trace, r, horizon, fold[horizon - r + 1],
+                                          self.structure))
+        return estimates
 
 
 def _thm2_anchors(trace: ExecutionTrace) -> list[int]:
@@ -490,7 +488,6 @@ def check_thm2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRes
     shared = shared or _Shared(trace)
     structure = shared.structure
     T, f = trace.iterations, trace.config.f
-    survivors = np.vstack([trace.alive[1:], trace.phase[-1:] == 0])  # start of t + 1
     anchors = _thm2_anchors(trace)
     stride = max(1, T // 100)
     points, deltas, bounds = [], [], []
@@ -498,7 +495,7 @@ def check_thm2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRes
         ts = np.arange(r, T + 1)
         ts = ts[((ts - r) % stride == 0) | (ts == T)]
         products = fold[ts - r + 1]                                # over [r, t]
-        deltas.append(ergodic_coefficients(products, survivors[ts - 1])[0])
+        deltas.append(ergodic_coefficients(products, trace.alive_after[ts - 1])[0])
         bounds.extend(theorem2_bound(t, r, structure, f) for t in ts.tolist())
         points.extend((r, t) for t in ts.tolist())
     deltas = np.concatenate(deltas)
@@ -524,8 +521,9 @@ def check_prop1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
     patterns = np.concatenate(
         [completed, np.where(completed[..., None], trace.quorum, -1).reshape(T, -1)],
         axis=1)
-    _, firsts, inverse = np.unique(patterns, axis=0, return_index=True,
-                                   return_inverse=True)
+    distinct, inverse = distinct_rows(patterns)
+    firsts = np.full(len(distinct), T)      # each pattern's first iteration
+    np.minimum.at(firsts, inverse, np.arange(T))
     failed = np.zeros(len(firsts), dtype=bool)
     worst_slack = math.inf
     for p, t in enumerate(firsts.tolist()):
@@ -541,7 +539,7 @@ def check_prop1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
             continue
         worst_slack = min([worst_slack]
                           + [float(weight - xi) for weight in required])
-    failures = np.flatnonzero(failed[inverse.ravel()]) + 1
+    failures = np.flatnonzero(failed[inverse]) + 1
     if failures.size:
         return CheckResult("prop1", False, -1.0,
                            {"iterations_without_dominated_reduction":
@@ -661,7 +659,7 @@ def check_psi(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResu
 
     checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
     suffixes = dict(zip(checkpoints, shared.folds(checkpoints, backward=True)))
-    for theta, theta_star in _ordered_pairs(trace.config.model):
+    for theta, theta_star in trace.config.model.ordered_pairs:
         psi = psi_series(trace, theta, theta_star, pseudo=pseudo)
         ratios = log_ratio_vectors(trace, theta, theta_star)
         steps = np.abs(psi[1:] - (_apply(matrices, psi[:-1]) + ratios)).max(axis=1)
@@ -797,7 +795,7 @@ def decompose_log_ratio_drift(trace: ExecutionTrace, theta: str,
                          backward=True, keep=True)
     results = []
     for t, later in zip(checkpoints, folds):
-        rows = np.array(sorted(trace.alive_at_start(t + 1))) - 1
+        rows = np.flatnonzero(trace.alive_after[t - 1])
         # the product over [r + 1, t] is later[r]; the terms of r are
         # summed from r = t down to 1
         pi_rows = later[1:, rows[0], None]

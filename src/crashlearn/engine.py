@@ -66,9 +66,11 @@ t - 1 for iteration t: phase (T, n) int8 (-1: not alive at the start of t,
 0: a normal iteration, k: the k-th entry of CRASH_PHASES), quorum (T, n, q)
 (1-based labels padded with -1, q the largest in-degree minus f), signal
 (T, n) (index into model.signals(agent), or -1) and log_belief (T, n, m)
-(beliefs at the end of t; a dead agent's stays frozen). read_trace rejects
-a record whose own fields are malformed or contradict the config or its
-crash phase; validate_trace checks the records against each other.
+(beliefs at the end of t; a dead agent's stays frozen). Its alive_after
+(T, n) mask holds, in row t - 1, the agents that begin iteration t + 1.
+read_trace rejects a record whose own fields are malformed or contradict
+the config or its crash phase; validate_trace checks the records against
+each other.
 
 write_trace and read_trace, the trace file's writer and reader, live in
 the tracefile module and are part of this module's interface. A trace's
@@ -87,8 +89,8 @@ from itertools import compress
 
 import numpy as np
 
-from .graphs import (ConfigError, DirectedGraph, _distinct_rows, config_float,
-                     config_integer)
+from .graphs import (ConfigError, DirectedGraph, config_float, config_integer,
+                     distinct_rows)
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -339,10 +341,14 @@ def log_normalizer(rows: np.ndarray) -> np.ndarray:
 def _fold_columns(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
     """ufunc folded over the last axis one column at a time, elementwise
     over all rows, with that axis dropped: numpy's own reduction along a
-    short last axis costs several times more."""
+    short last axis costs several times more. It starts from ufunc's
+    identity if it has one (an empty axis gives that), else the first column."""
     columns = np.moveaxis(rows, -1, 0)
-    out = columns[0]
-    for column in columns[1:]:
+    if ufunc.identity is None:
+        out, columns = columns[0], columns[1:]
+    else:
+        out = np.full(rows.shape[:-1], ufunc.identity)
+    for column in columns:
         out = ufunc(out, column)
     return out
 
@@ -351,24 +357,12 @@ def normalize_log_belief(unnormalized: np.ndarray) -> np.ndarray:
     return unnormalized - log_normalizer(unnormalized)
 
 
-def _updated(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
-             quorum_size: int, log_likelihood: np.ndarray,
-             keep: np.ndarray | None = None) -> np.ndarray:
-    """The belief kernel: combine, then normalize. Entries where keep is
-    True hold their current value instead (the mid_update partial write)."""
-    unnormalized = combine_log_beliefs(current, neighbor_logs, quorum_size,
-                                       log_likelihood)
-    if keep is not None:
-        unnormalized = np.where(keep, current, unnormalized)
-    return normalize_log_belief(unnormalized)
-
-
 def update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
                   signal: str, model: LikelihoodModel, agent: int,
                   quorum_size: int) -> np.ndarray:
     """One full belief update in log space; returns a normalized vector."""
-    return _updated(current, neighbor_logs, quorum_size,
-                    model.log_likelihoods(agent, signal))
+    return normalize_log_belief(combine_log_beliefs(
+        current, neighbor_logs, quorum_size, model.log_likelihoods(agent, signal)))
 
 
 def partial_update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarray],
@@ -376,9 +370,10 @@ def partial_update_belief(current: np.ndarray, neighbor_logs: Sequence[np.ndarra
                           quorum_size: int, partial_count: int) -> np.ndarray:
     """Crash artifact of mid_update: only the first partial_count entries get
     the unnormalized update values before the whole vector is renormalized."""
-    return _updated(current, neighbor_logs, quorum_size,
-                    model.log_likelihoods(agent, signal),
-                    keep=np.arange(current.shape[-1]) >= partial_count)
+    unnormalized = combine_log_beliefs(current, neighbor_logs, quorum_size,
+                                       model.log_likelihoods(agent, signal))
+    keep = np.arange(current.shape[-1]) >= partial_count
+    return normalize_log_belief(np.where(keep, current, unnormalized))
 
 
 def update_matrices(rows: np.ndarray, quorum: np.ndarray) -> np.ndarray:
@@ -525,7 +520,9 @@ def _scan(previous: np.ndarray, prefix: np.ndarray,
 
 # _PHASE_TABLE[code] is (alive, transmits, takes_quorum, completes) for a
 # trace phase code; code -1 reads the last row, the all-False one.
+# _PHASE_NAMES[code] is the crash phase of a code, _PHASE_CODES its inverse.
 _PHASE_NAMES = tuple(_PHASE_RULES)
+_PHASE_CODES = {phase: code for code, phase in enumerate(_PHASE_NAMES)}
 _PHASE_TABLE = np.array([(True, *rules) for rules in _PHASE_RULES.values()]
                         + [(False, False, False, False)], dtype=bool)
 
@@ -558,7 +555,9 @@ class ExecutionTrace:
         self.signal, self.log_belief = signal, log_belief
         (self.alive, self.transmitted, self.takes_quorum,
          self.completed) = np.moveaxis(_PHASE_TABLE[phase], -1, 0)
-        self.final_alive = _agents(phase[-1] == 0)
+        # row t - 1: who begins iteration t + 1 (the survivors in the last row)
+        self.alive_after = np.concatenate([self.alive[1:], phase[-1:] == 0])
+        self.final_alive = _agents(self.alive_after[-1])
 
     @property
     def iterations(self) -> int:
@@ -583,7 +582,7 @@ class ExecutionTrace:
 
     def alive_at_start(self, t: int) -> frozenset[int]:
         """Agents that began iteration t; t = iterations + 1 gives survivors."""
-        return self.final_alive if t == self.iterations + 1 else _agents(self.alive[t - 1])
+        return _agents(self.alive_after[t - 2] if t > 1 else self.alive[0])
 
     def completed_at(self, t: int) -> frozenset[int]:
         return _agents(self.completed[t - 1])
@@ -636,7 +635,7 @@ class ExecutionTrace:
             ts += lo
             code = self.phase[ts, agents]
             takes = _PHASE_TABLE[code, 2]
-            distinct, index = _distinct_rows(np.column_stack(
+            distinct, index = distinct_rows(np.column_stack(
                 [agents, code, self.signal[ts, agents],
                  np.where(takes[:, None], self.quorum[ts, agents], -1)]))
             fields = [(a + 1, _PHASE_NAMES[c], rules[c][3],
@@ -654,8 +653,8 @@ def _agents(mask: np.ndarray) -> frozenset[int]:
 def min_final_posterior(trace: ExecutionTrace) -> float:
     """Smallest posterior on the true hypothesis among surviving agents."""
     star = trace.config.model.hypothesis_index(trace.config.theta_star)
-    rows = [agent - 1 for agent in sorted(trace.final_alive)]
-    if not rows:
+    rows = np.flatnonzero(trace.alive_after[-1])
+    if not rows.size:
         raise ValueError("no surviving agents")
     return min(math.exp(v) for v in trace.log_belief[-1, rows, star].tolist())
 
@@ -676,7 +675,7 @@ def run_execution(config: SimulationConfig) -> ExecutionTrace:
 def _blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """phase and quorum arrays with no agent alive anywhere."""
     g, T = config.graph, config.iterations
-    width = max(len(g.in_neighbors[i]) for i in g.nodes) - config.f
+    width = g.max_in_degree - config.f
     return (np.full((T, g.n), -1, dtype=np.int8),
             np.full((T, g.n, width), -1, dtype=np.int32))
 
@@ -694,9 +693,9 @@ def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     # Code 0 until an agent's crash iteration, its phase's code there, -1 after.
     phase[:] = 0
     for ev in adversary.crash_plan:
-        phase[ev.iteration - 1, ev.agent - 1] = _PHASE_NAMES.index(ev.phase)
+        phase[ev.iteration - 1, ev.agent - 1] = _PHASE_CODES[ev.phase]
         phase[ev.iteration:, ev.agent - 1] = -1
-    need = np.array([len(g.in_neighbors[i]) - config.f for i in range(1, g.n + 1)])
+    need = g.in_degree - config.f
     width = quorum.shape[2]
 
     def rules(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -708,8 +707,7 @@ def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     if adversary.mode == "adversarial_latest":
         spans = _spans(phase)
         transmits, counts = rules(phase[[lo for lo, _ in spans]])
-        offset = np.where(transmits[:, None, :],
-                          _link_table(g, lambda j, i: 0.0), np.inf)
+        offset = np.where(transmits[:, None, :] & g.in_links, 0.0, np.inf)
         for (lo, hi), rows in zip(spans, _labels(_take(offset, counts), width)):
             quorum[lo:hi] = rows
         return phase, quorum
@@ -761,24 +759,17 @@ def _labels(taken: np.ndarray, width: int) -> np.ndarray:
     return np.where(np.take_along_axis(taken, order, axis=-1), order + 1, -1)
 
 
-def _link_table(g: DirectedGraph, delay) -> np.ndarray:
-    """(n, n) table of delay(j, i) at [i - 1, j - 1] for every edge (j, i),
-    inf elsewhere."""
-    table = np.full((g.n, g.n), np.inf)
-    for j, i in g.edges:
-        table[i - 1, j - 1] = delay(j, i)
-    return table
-
-
 def _delays(config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Every iteration's delay table, laid out as _link_table's, in blocks of
-    BELIEF_CHUNK iterations. Uniform delays come from each sender's own
-    substream in iteration order, then out-neighbor order, drawn a block at
-    a time."""
+    """Every iteration's delay table, laid out as graph.in_links (inf off
+    the edges), in blocks of BELIEF_CHUNK iterations. Uniform delays come
+    from each sender's own substream in iteration order, then out-neighbor
+    order, drawn a block at a time."""
     g, T, adversary = config.graph, config.iterations, config.adversary
     blocks = (min(BELIEF_CHUNK, T - lo) for lo in range(0, T, BELIEF_CHUNK))
     if adversary.mode == "fixed":
-        table = _link_table(g, adversary.delay_for)
+        table = np.full((g.n, g.n), np.inf)
+        for j, i in g.edges:
+            table[i - 1, j - 1] = adversary.delay_for(j, i)
         yield from (np.broadcast_to(table, (size, g.n, g.n)) for size in blocks)
         return
     senders = range(1, g.n + 1)
@@ -846,15 +837,14 @@ def validate_trace(trace: ExecutionTrace) -> None:
 
     alive, takes, quorum = trace.alive, trace.takes_quorum, trace.quorum
     beliefs = trace.log_belief
-    need = np.array([len(g.in_neighbors[i]) - config.f for i in range(1, n + 1)])
-    sizes = np.add.reduce(quorum >= 0, axis=2)
+    # Reductions along the short m or q axis are folded column by column.
+    need = g.in_degree - config.f
+    sizes = _fold_columns(np.add, quorum >= 0)
     # Tables indexed by label, where the padding label -1 reads column 0.
     members = np.maximum(quorum, 0)
-    hears = np.ones((n, n + 1), dtype=bool)
-    hears[:, 1:] = [[j in g.in_neighbors[i] for j in range(1, n + 1)]
-                    for i in range(1, n + 1)]
+    hears = np.concatenate([np.ones((n, 1), dtype=bool), g.in_links], axis=1)
     sent = np.concatenate([np.ones((T, 1), dtype=bool), trace.transmitted], axis=1)
-    malformed = alive & ~np.isfinite(beliefs).all(axis=2)
+    malformed = alive & ~_fold_columns(np.logical_and, np.isfinite(beliefs))
     gaps = np.abs(log_normalizer(np.where(malformed[..., None], 0.0, beliefs))[..., 0])
     before = np.concatenate([trace.initial_log_belief[None], beliefs[:-1]])
 
@@ -868,16 +858,17 @@ def validate_trace(trace: ExecutionTrace) -> None:
          lambda t, i: f"beliefs unnormalized (logsumexp={gaps[t, i]:.3e})"),
         (takes & (sizes != need),
          lambda t, i: f"quorum size {sizes[t, i]} != {need[i]}"),
-        (takes & ((quorum[..., 1:] >= 0)
-                  & (quorum[..., 1:] <= quorum[..., :-1])).any(axis=2),
+        (takes & _fold_columns(np.logical_or, (quorum[..., 1:] >= 0)
+                               & (quorum[..., 1:] <= quorum[..., :-1])),
          lambda t, i: "quorum not strictly increasing"),
-        (takes & ~hears[np.arange(n)[:, None], members].all(axis=2),
+        (takes & ~_fold_columns(np.logical_and, hears[np.arange(n)[:, None], members]),
          lambda t, i: f"quorum members {outside(hears[i], t, i)} are not "
                       f"in-neighbors"),
-        (takes & ~sent[np.arange(T)[:, None, None], members].all(axis=2),
+        (takes & ~_fold_columns(np.logical_and,
+                                sent[np.arange(T)[:, None, None], members]),
          lambda t, i: f"quorum members {outside(sent[t], t, i)} did not "
                       f"transmit at t={t + 1}"),
-        (alive & ~takes & (beliefs != before).any(axis=2),
+        (alive & ~takes & _fold_columns(np.logical_or, beliefs != before),
          lambda t, i: "belief changed without an update"),
     )
     hits = np.flatnonzero(np.stack([mask for mask, _ in checks], axis=2))

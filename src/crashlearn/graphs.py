@@ -7,7 +7,8 @@ of its in-links and up to f sinks of the resulting graph are deleted. A
 topology tolerates f crashes exactly when every reduced graph keeps a single
 source component, and that structural test is equivalent to a quantifier over
 two-sided partitions; both routes are implemented and cross-asserted. The
-detectability report and the checks all read one cached source_census.
+detectability report and the checks all read one cached source_census, and
+every in-degree and link matrix is read from a graph's in_links table.
 """
 
 from __future__ import annotations
@@ -159,12 +160,28 @@ class DirectedGraph:
         return {i: frozenset(s) for i, s in acc.items()}
 
     @cached_property
+    def in_links(self) -> np.ndarray:
+        """Read-only (n, n) bool table, True at [i - 1, j - 1] for edge (j, i)."""
+        links = np.zeros((self.n, self.n), dtype=bool)
+        for j, i in self.edges:
+            links[i - 1, j - 1] = True
+        links.setflags(write=False)
+        return links
+
+    @cached_property
+    def in_degree(self) -> np.ndarray:
+        """Read-only (n,) in-degrees, entry i - 1 for node i."""
+        degree = self.in_links.sum(axis=1)
+        degree.setflags(write=False)
+        return degree
+
+    @cached_property
     def max_in_degree(self) -> int:
-        return max(len(self.in_neighbors[i]) for i in range(1, self.n + 1))
+        return int(self.in_degree.max())
 
     @cached_property
     def min_in_degree(self) -> int:
-        return min(len(self.in_neighbors[i]) for i in range(1, self.n + 1))
+        return int(self.in_degree.min())
 
     def influence_floor(self) -> Fraction:
         """Smallest positive weight any update row can assign: 1/(1 + max in-degree)."""
@@ -254,7 +271,7 @@ def _unpacked(mask: np.ndarray) -> set[int]:
     return {v + 1 for v in range(m.bit_length()) if (m >> v) & 1}
 
 
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D integer array and, for each row, the
     index of its distinct row."""
     order = np.lexsort(keys.T)
@@ -283,8 +300,7 @@ def _removal_counts(g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
     """Per node, its number of ways to drop sizes(in-degree) in-links;
     BudgetExceededError when their product, the candidate count, exceeds
     cap."""
-    degrees = [len(g.in_neighbors[i]) for i in range(1, g.n + 1)]
-    counts = [sum(math.comb(d, k) for k in sizes(d)) for d in degrees]
+    counts = [sum(math.comb(d, k) for k in sizes(d)) for d in g.in_degree.tolist()]
     total = math.prod(counts)
     if total > cap:
         raise BudgetExceededError(f"{total} {what} candidates exceed the cap {cap}")
@@ -323,10 +339,10 @@ class _RemovalSpace:
         for i in range(g.n - 2, -1, -1):
             self.strides[i] = self.strides[i + 1] * counts[i + 1]
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        for start in range(0, self.total, _SCAN_CHUNK):
-            yield np.arange(start, min(start + _SCAN_CHUNK, self.total),
-                            dtype=np.int64)
+    def chunks(self, size: int) -> Iterator[np.ndarray]:
+        """The indices 0 .. size - 1, _SCAN_CHUNK at a time."""
+        for start in range(0, size, _SCAN_CHUNK):
+            yield np.arange(start, min(start + _SCAN_CHUNK, size), dtype=np.int64)
 
     def digits(self, c: np.ndarray) -> np.ndarray:
         return (c[:, None] // self.strides) % self.counts
@@ -357,7 +373,7 @@ def _link_removals(g: DirectedGraph, f: int, max_candidates: int) -> _RemovalSpa
 
 
 def _census(space: _RemovalSpace, f: int,
-            ) -> list[tuple[frozenset[int], np.ndarray, np.ndarray]]:
+            ) -> list[tuple[frozenset[int], np.ndarray | None, np.ndarray | None]]:
     """Every distinct reduced graph, as (sink set S, keys, first candidates)
     blocks ordered by sorted surviving nodes.
 
@@ -365,11 +381,12 @@ def _census(space: _RemovalSpace, f: int,
     same reduced graph exactly when they pick the same options outside S: the
     key is the candidate index with the digits of S zeroed, and first is the
     smallest candidate with that key. For S empty the key is the candidate
-    itself, so that block is every candidate and needs no deduplication.
+    itself, so that block is every candidate, its own first: its keys and
+    firsts are None, and readers walk it by index ranges (space.chunks).
     """
     g = space.g
     found: dict[frozenset[int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
-    for c in space.chunks():
+    for c in space.chunks(space.total):
         digits = space.digits(c)
         has_out = np.bitwise_or.reduce(space.in_masks(digits), axis=1)
         maybe_sinks = sorted(g.nodes - _unpacked(np.bitwise_and.reduce(has_out, axis=0)))
@@ -383,8 +400,7 @@ def _census(space: _RemovalSpace, f: int,
                 block = found.setdefault(frozenset(subset), ([], []))
                 block[0].append(keys)
                 block[1].append(c[rows])
-    everything = np.arange(space.total, dtype=np.int64)
-    blocks = [(frozenset(), everything, everything)]
+    blocks = [(frozenset(), None, None)]
     for sinks, (keys, firsts) in found.items():
         keys, at = np.unique(np.concatenate(keys), return_index=True)
         if keys.size:
@@ -455,6 +471,8 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
     space = _link_removals(g, f, max_candidates)
     reduced = []
     for sinks, keys, firsts in _census(space, f):
+        if keys is None:
+            keys = firsts = np.arange(space.total, dtype=np.int64)
         order = _enumeration_rank(space, sinks, keys)
         reduced.extend(_materialize(space, f, sinks, keys[order], firsts[order]))
     return tuple(reduced)
@@ -514,7 +532,7 @@ def _row_sources(reach: np.ndarray, live: list[int]) -> tuple[np.ndarray, np.nda
     masks = np.concatenate([common, several[in_source]])
     # neighbouring rows mostly share their sources: sort only the changes
     fresh = np.r_[True, (masks[1:] != masks[:-1]).any(axis=1)]
-    return one, _distinct_rows(masks[fresh])[0]
+    return one, distinct_rows(masks[fresh])[0]
 
 
 @lru_cache(maxsize=64)
@@ -525,23 +543,26 @@ def _source_census(g: DirectedGraph, f: int) -> SourceCensus:
     sources: set[frozenset[int]] = set()
     witness = None
     for sinks, keys, firsts in _census(space, f):
-        chi += keys.size
         self_bits = space.self_bits(g.nodes - sinks)
         live = [v - 1 for v in sorted(g.nodes - sinks)]
         dead = [v - 1 for v in sinks]
-        unique = np.empty(keys.size, dtype=bool)
-        for start in range(0, keys.size, _SCAN_CHUNK):
-            rows = slice(start, start + _SCAN_CHUNK)
-            reach = space.in_masks(space.digits(keys[rows]))
+        failing = []        # the block's rows without a unique source
+        for rows in space.chunks(space.total if keys is None else keys.size):
+            chi += rows.size
+            reach = space.in_masks(space.digits(rows if keys is None else keys[rows]))
             reach[:, dead] = 0      # a zeroed key digit keeps every in-link
             reach |= self_bits
             _close_in_reach(reach)
-            unique[rows], masks = _row_sources(reach[:, live], live)
+            unique, masks = _row_sources(reach[:, live], live)
             sources.update(frozenset(_unpacked(m)) for m in masks if m.any())
-        if witness is None and not unique.all():
-            failing = np.flatnonzero(~unique)   # only these rows are ranked
-            first = failing[_enumeration_rank(space, sinks, keys[failing])[:1]]
-            witness, = _materialize(space, f, sinks, keys[first], firsts[first])
+            if witness is None:
+                failing.append(rows[~unique])
+        if witness is None:
+            rows = np.concatenate(failing)      # only these rows are ranked
+            if rows.size:
+                keys, firsts = (rows, rows) if keys is None else (keys[rows], firsts[rows])
+                first = _enumeration_rank(space, sinks, keys)[:1]
+                witness, = _materialize(space, f, sinks, keys[first], firsts[first])
     ordered = tuple(sorted(sources, key=lambda s: (len(s), sorted(s))))
     return SourceCensus(chi=chi, gamma=len(ordered[0]), sources=ordered,
                         witness=witness, xi=g.influence_floor(),
@@ -591,7 +612,7 @@ def check_condition1(g: DirectedGraph, f: int,
     space = _RemovalSpace(g, lambda d: (min(f, d),), max_candidates,
                           "maximal-removal")
     self_bits = space.self_bits(g.nodes)
-    for c in space.chunks():
+    for c in space.chunks(space.total):
         reach = space.in_masks(space.digits(c)) | self_bits
         _close_in_reach(reach)
         bad = c[~np.bitwise_and.reduce(reach, axis=1).any(axis=1)]
@@ -620,10 +641,8 @@ def check_condition2(g: DirectedGraph, f: int,
         raise ValueError("f must be nonnegative")
     n = g.n
     _refuse_partition_scan(n)
-    links = np.zeros((n, n))          # links[j - 1, i - 1]: the link j -> i
-    for i in range(1, n + 1):
-        links[[j - 1 for j in g.in_neighbors[i]], i - 1] = 1.0
-    degrees = links.sum(axis=0)
+    # links[j - 1, i - 1]: j -> i, in C order (a transposed one slows the matmul)
+    links = np.ascontiguousarray(g.in_links.T, dtype=np.float64)
     place = 3 ** np.arange(n - 1, -1, -1)
     total = 3 ** n
     # the assignments in itertools.product order, node 1 the most significant
@@ -635,7 +654,7 @@ def check_condition2(g: DirectedGraph, f: int,
         # each node's in-links from each side, then from its own side
         per_side = member.astype(np.float64) @ links
         own = np.take_along_axis(per_side, side[:, None, :], axis=1)[:, 0]
-        bridged = ((side < 2) & (degrees - own > f)).any(axis=1)
+        bridged = ((side < 2) & (g.in_degree - own > f)).any(axis=1)
         bad = np.flatnonzero(member[:, 0].any(axis=1) & member[:, 1].any(axis=1)
                              & ~bridged)
         if bad.size:

@@ -4,7 +4,8 @@ Each agent i observes i.i.d. signals from a finite alphabet with a strictly
 positive likelihood row per hypothesis. Identifiability questions are always
 about ordered hypothesis pairs: globally (summing information over all
 agents) and locally (summing only over a reduced graph's source component,
-which is what survives worst-case crashes and link starvation).
+which is what survives worst-case crashes and link starvation). Every
+divergence is read from a model's one KL table, kl_table.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,20 +76,12 @@ class LikelihoodModel:
         self.hypotheses: tuple[str, ...] = hyp
         self._hyp_index = {h: k for k, h in enumerate(hyp)}
         self._spaces = tuple(spaces)
-        self._signal_index = tuple({s: k for k, s in enumerate(sp)} for sp in spaces)
+        self.signal_indices: tuple[Mapping[str, int], ...] = tuple(  # label -> column
+            MappingProxyType({s: k for k, s in enumerate(sp)}) for sp in spaces)
         self._tables = tuple(mats)
-        logs = []
-        for arr in mats:
-            lg = np.log(arr)
+        self._log_tables = tuple(np.log(arr) for arr in mats)
+        for lg in self._log_tables:
             lg.setflags(write=False)
-            logs.append(lg)
-        self._log_tables = tuple(logs)
-        cums = []
-        for arr in mats:
-            cm = np.cumsum(arr, axis=1)
-            cm.setflags(write=False)
-            cums.append(cm)
-        self._cumulative = tuple(cums)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -118,13 +113,28 @@ class LikelihoodModel:
 
     def signal_index(self, agent: int, signal: str) -> int:
         try:
-            return self._signal_index[agent - 1][signal]
+            return self.signal_indices[agent - 1][signal]
         except KeyError:
             raise ValueError(f"agent {agent} has no signal {signal!r}") from None
 
     def log_likelihoods(self, agent: int, signal: str) -> np.ndarray:
         """Column of log-likelihoods over hypotheses for one observed signal."""
         return self._log_tables[agent - 1][:, self.signal_index(agent, signal)]
+
+    @cached_property
+    def ordered_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Every ordered pair of distinct hypothesis labels."""
+        return tuple((a, b) for a in self.hypotheses for b in self.hypotheses
+                     if a != b)
+
+    @cached_property
+    def kl_table(self) -> np.ndarray:
+        """Read-only (n, m, m) KL divergences (natural log): [i - 1, a, b]
+        is np.sum(p * (log p - log q)), p and q agent i's rows a and b."""
+        table = np.stack([np.sum(tab[:, None] * (lg[:, None] - lg[None]), axis=-1)
+                          for tab, lg in zip(self._tables, self._log_tables)])
+        table.setflags(write=False)
+        return table
 
     # -- serialization ------------------------------------------------------
 
@@ -179,11 +189,8 @@ class LikelihoodModel:
 
 def kl_divergence(model: LikelihoodModel, agent: int, theta1: str, theta2: str) -> float:
     """KL divergence (natural log) between agent's rows for theta1 and theta2."""
-    a = model.hypothesis_index(theta1)
-    b = model.hypothesis_index(theta2)
-    tab = model.table(agent)
-    p, q = tab[a], tab[b]
-    return float(np.sum(p * (np.log(p) - np.log(q))))
+    return float(model.kl_table[agent - 1, model.hypothesis_index(theta1),
+                                model.hypothesis_index(theta2)])
 
 
 def expected_log_ratios(model: LikelihoodModel, theta: str, theta_star: str) -> np.ndarray:
@@ -192,32 +199,20 @@ def expected_log_ratios(model: LikelihoodModel, theta: str, theta_star: str) -> 
     Equals minus the KL divergence from the true row to the theta row, hence
     always in [-compute_log_ratio_bound(model), 0].
     """
-    return np.array([-kl_divergence(model, i, theta_star, theta)
-                     for i in model.agents()])
-
-
-def _ordered_pairs(model: LikelihoodModel):
-    hyp = model.hypotheses
-    return [(a, b) for a in hyp for b in hyp if a != b]
+    return -model.kl_table[:, model.hypothesis_index(theta_star),
+                           model.hypothesis_index(theta)]
 
 
 def compute_log_ratio_bound(model: LikelihoodModel) -> float:
     """Largest |log(l(w|theta1)/l(w|theta2))| over agents, pairs, signals (C0)."""
-    worst = 0.0
-    for i in model.agents():
-        lg = model.log_table(i)
-        for a in range(model.m):
-            for b in range(model.m):
-                if a == b:
-                    continue
-                worst = max(worst, float(np.max(np.abs(lg[a] - lg[b]))))
-    return worst
+    return max(float(np.max(np.abs(lg[:, None] - lg[None])))
+               for lg in map(model.log_table, model.agents()))
 
 
 def check_failure_free_identifiability(model: LikelihoodModel,
                                        ) -> tuple[bool, tuple[str, str] | None]:
     """True iff for every ordered pair the network-wide KL sum is nonzero."""
-    for a, b in _ordered_pairs(model):
+    for a, b in model.ordered_pairs:
         total = sum(kl_divergence(model, i, a, b) for i in model.agents())
         if total <= ZERO_TOLERANCE:
             return False, (a, b)
@@ -267,17 +262,14 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
 
     c0 = compute_log_ratio_bound(model)
     ff_ok, _ = check_failure_free_identifiability(model)
-    pairs = _ordered_pairs(model)
-    if not pairs:
+    if not model.ordered_pairs:
         return IdentifiabilityReport(failure_free_ok=True, assumption1_ok=True,
                                      worst_pair_and_source=None,
                                      C0=c0, C1=math.inf)
-    per_agent = {(a, b): [kl_divergence(model, i, a, b) for i in model.agents()]
-                 for a, b in pairs}
     worst_value = math.inf
     worst_witness: tuple[str, str, frozenset[int]] | None = None
-    for a, b in pairs:
-        kls = per_agent[(a, b)]
+    for a, b in model.ordered_pairs:
+        kls = [kl_divergence(model, i, a, b) for i in model.agents()]
         for src in census.sources:
             total = sum(kls[i - 1] for i in src)
             if total < worst_value:
@@ -293,7 +285,7 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
 def signal_indices_from_uniforms(model: LikelihoodModel, agent: int,
                                  theta_star: str, u) -> np.ndarray:
     """Signal indices of uniform [0, 1) variates via the inverse CDF."""
-    row = model._cumulative[agent - 1][model.hypothesis_index(theta_star)]
+    row = np.cumsum(model.table(agent)[model.hypothesis_index(theta_star)])
     # the minimum guards the u ~ 1.0 edge
     return np.minimum(np.searchsorted(row, u, side="right"), row.size - 1)
 

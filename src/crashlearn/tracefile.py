@@ -27,7 +27,7 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .engine import (_PHASE_NAMES, _PHASE_TABLE, BELIEF_CHUNK, ExecutionTrace,
+from .engine import (_PHASE_CODES, _PHASE_TABLE, BELIEF_CHUNK, ExecutionTrace,
                      SimulationConfig, TraceInvariantError, _blank_schedule)
 from .graphs import ConfigError, parse_config
 
@@ -72,7 +72,6 @@ _STEP_KEYS = ("kind", "t", "agent", "alive", "completed", "quorum", "signal",
               "log_belief", "crash_phase")
 _STEP_FIELDS = frozenset(_STEP_KEYS)
 _step_values = operator.itemgetter(*_STEP_KEYS)
-_PHASE_CODES = {phase: code for code, phase in enumerate(_PHASE_NAMES)}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -184,12 +183,12 @@ def _check_steps(rows: list, lineno: int, config: SimulationConfig,
     no_signal = each(operator.is_, signal, None)
     # each record's signal looked up in its agent's space (a record whose
     # agent is not a label reads the last space, and breaks a rule anyway)
-    spaces = [{s: k for k, s in enumerate(config.model.signals(a))}
-              for a in range(1, n + 1)]
+    spaces = config.model.signal_indices
     texts = _typed(signal, str)
     k = np.full(R, -1, dtype=np.int32)
-    k[texts] = list(map(dict.get, compress(map(spaces.__getitem__, (agent - 1).tolist()),
-                                           texts), compress(signal, texts), repeat(-1)))
+    k[texts] = [space.get(s, -1) for space, s in zip(
+        compress(map(spaces.__getitem__, (agent - 1).tolist()), texts),
+        compress(signal, texts))]
     malformed = {
         "t": ~t_int,
         "agent": ~agent_int,
@@ -229,7 +228,7 @@ def _check_steps(rows: list, lineno: int, config: SimulationConfig,
         # a quorum the arrays cannot hold gets validate_trace's message
         (takes & (sizes > width),
          lambda r: f"{where(r)}: quorum size {len(quorum[r])} != "
-                   f"{len(config.graph.in_neighbors[rows[r]['agent']]) - config.f}"),
+                   f"{config.graph.in_degree[rows[r]['agent'] - 1] - config.f}"),
         (takes & ~_all_per_list(member_in, sizes),
          lambda r: f"{where(r)}: quorum members "
                    f"{sorted({j for j in quorum[r] if not 1 <= j <= n})} are not "

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from crashlearn.analysis import (ANALYTIC_SLACK, DEFAULT_CHECKS,
                                  PSEUDO_IDENTITY_TOLERANCE,
-                                 PSI_RESIDUAL_TOLERANCE, _fold_ranges,
+                                 PSI_RESIDUAL_TOLERANCE, _FORWARD_KEYS,
+                                 _Shared, _fold_ranges,
                                  backward_product,
                                  check_prop1, decompose_log_ratio_drift,
                                  ergodic_coefficients, estimate_pi,
@@ -291,6 +292,34 @@ def test_estimate_pi_zero_for_dead_agents(suite_traces):
     assert est.pi[3] == 0.0
     assert est.dead_columns_zero
     assert est.pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shared_pi_estimates_match_estimate_pi_bitwise(suite_traces):
+    # On the rings some horizons, r + 30 n, fall below T, so those estimates
+    # read an inner entry of their memoized forward fold over [r, T]. The
+    # 3-ring has converged by then; the 12-ring has not, so a product one
+    # factor short or long differs there.
+    ring12 = run_execution(make_config(
+        DirectedGraph.cycle(12), 0, iterations=1000, seed=7,
+        adversary=AdversarySchedule(mode="fixed", fixed_delays=0.0)))
+    for name, trace in [("ring", suite_traces["ring"][1]),
+                        ("crash_pre", suite_traces["crash_pre"][1]),
+                        ("ring", ring12)]:
+        shared = _Shared(trace)
+        # the forward folds run_checks steps first
+        shared.folds(sorted({key for keys in _FORWARD_KEYS.values()
+                             for key in keys(trace)}))
+        horizons = []
+        for est in shared.pi_samples:
+            alone = estimate_pi(trace, est.r)
+            horizons.append(est.horizon)
+            assert est.horizon == alone.horizon
+            assert est.reference_row == alone.reference_row
+            np.testing.assert_array_equal(est.pi, alone.pi)
+            assert est.residual == alone.residual
+            assert est.bound == alone.bound
+            assert est.dead_columns_zero == alone.dead_columns_zero
+        assert (min(horizons) < trace.iterations) == (name == "ring")
 
 
 def test_estimate_pi_argument_validation(suite_traces):

@@ -606,6 +606,33 @@ def test_crashed_agent_has_no_records_after_crash():
     assert 4 in trace.records[7 - 1]
 
 
+def _alive_after_rows(trace):
+    """alive_after's rows from the phase codes: who is alive at t + 1, or
+    who finished the last iteration with no crash."""
+    return [{a + 1 for a in range(trace.n)
+             if (trace.phase[t, a] >= 0 if t < trace.iterations
+                 else trace.phase[t - 1, a] == 0)}
+            for t in range(1, trace.iterations + 1)]
+
+
+def test_alive_after_names_the_next_alive_set(suite_traces):
+    traces = [trace for _, trace in suite_traces.values()]
+    # a tampered trace: agent 1 of crash_pre is absent from iteration 21 only
+    _, trace = suite_traces["crash_pre"]
+    phase = trace.phase.copy()
+    phase[20, 0] = -1
+    tampered = ExecutionTrace(trace.config, trace.initial_log_belief, phase,
+                              trace.quorum, trace.signal, trace.log_belief)
+    for trace in traces + [tampered]:
+        assert trace.alive_after.shape == (trace.iterations, trace.n)
+        for t, expected in enumerate(_alive_after_rows(trace), start=1):
+            assert set(np.flatnonzero(trace.alive_after[t - 1]) + 1) == expected
+            assert trace.alive_at_start(t + 1) == expected
+    assert 1 not in tampered.alive_at_start(21) and 1 in tampered.alive_at_start(22)
+    with pytest.raises(TraceInvariantError, match="iteration 21 alive set"):
+        validate_trace(tampered)
+
+
 # -- trace serialization and validation --------------------------------------------------------
 
 def test_trace_round_trip_is_byte_identical(tmp_path):

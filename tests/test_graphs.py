@@ -64,6 +64,20 @@ def test_degree_accessors():
     assert g.influence_floor() == Fraction(1, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_in_link_table_matches_in_neighbors(n, p, seed):
+    g = random_graph(np.random.default_rng(seed), n, p)
+    for i in range(1, n + 1):
+        assert set((np.flatnonzero(g.in_links[i - 1]) + 1).tolist()) == g.in_neighbors[i]
+        assert g.in_degree[i - 1] == len(g.in_neighbors[i])
+    assert g.in_links.dtype == bool and g.in_links.shape == (n, n)
+    with pytest.raises(ValueError):
+        g.in_links[0, 0] = True
+    with pytest.raises(ValueError):
+        g.in_degree[0] = 0
+
+
 def test_source_decomposition_condensation():
     g = DirectedGraph.from_edge_list(5, [(1, 2), (2, 1), (2, 3), (3, 4),
                                          (4, 3), (4, 5)])

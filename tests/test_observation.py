@@ -136,6 +136,28 @@ def test_expected_log_ratios_are_negated_divergences():
     assert np.all(vec <= 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(2, 11), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_kl_table_matches_the_row_formula_bitwise(m, sizes, seed):
+    rng = np.random.default_rng(seed)
+    tables = [rng.dirichlet(np.ones(k), size=m) + 1e-9 for k in sizes]
+    tables = [t / t.sum(axis=1, keepdims=True) for t in tables]
+    model = LikelihoodModel([f"h{a}" for a in range(m)],
+                            [[f"s{j}" for j in range(k)] for k in sizes], tables)
+    assert model.kl_table.shape == (len(sizes), m, m)
+    for i in model.agents():
+        tab = model.table(i)
+        for a in range(m):
+            for b in range(m):
+                p, q = tab[a], tab[b]
+                assert model.kl_table[i - 1, a, b] == float(
+                    np.sum(p * (np.log(p) - np.log(q))))
+    assert len(model.ordered_pairs) == m * (m - 1)
+    with pytest.raises(ValueError):
+        model.kl_table[0, 0, 0] = 1.0
+
+
 def test_log_ratio_bound():
     m = model_of([bernoulli_agent(0.25, 0.75), bernoulli_agent(0.5, 0.5)])
     # extreme single-signal ratio log(.75/.25) = ln 3

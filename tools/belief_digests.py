@@ -17,7 +17,10 @@ and diff; a change of belief kernel leaves every line unchanged:
     diff old.txt new.txt
 
 `deviations` runs the configs once with OTHER/src in a subprocess and once
-with the src/ on this process's path, and prints, per config, the largest
+with the src/ on this process's path. The subprocess runs the other
+checkout's own copy of this tool, OTHER/../tools/belief_digests.py, when it
+exists (this copy otherwise), so each side calls its API as it stands there;
+both copies must list the same configs. It prints, per config, the largest
 deviation of each belief-dependent quantity as |a - b| / max(1, |a|, |b|),
 so a value at most tol means math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 holds for every entry: the trace's log beliefs, pseudo_belief_evolution's
@@ -166,9 +169,13 @@ def dump(directory: Path) -> None:
 
 
 def deviations(other_src: Path) -> None:
+    # the other checkout's own copy of this tool calls its API as it stands
+    # there; an older checkout without one runs this copy
+    other_tool = other_src.resolve().parent / "tools" / Path(__file__).name
+    tool = other_tool if other_tool.exists() else Path(__file__)
     with tempfile.TemporaryDirectory() as workdir:
         env = dict(os.environ, PYTHONPATH=str(other_src.resolve()))
-        subprocess.run([sys.executable, __file__, "dump", workdir],
+        subprocess.run([sys.executable, str(tool), "dump", workdir],
                        env=env, check=True)
         print("config", *COLUMNS)
         worst = dict.fromkeys(COLUMNS, 0.0)
