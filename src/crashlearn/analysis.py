@@ -16,10 +16,13 @@ a backward range starts from hi and multiplies on the right,
 (M_hi ... M_{r+1}) @ M_r. It returns the products, or the whole folds: every
 prefix of a forward range, every suffix of a backward one. Each quantity is
 always formed in the same direction and order, whichever ranges share the
-call, so every report is bitwise reproducible. Within run_checks a per-trace
-memo holds the forward folds over [lo, T] and the backward folds over
-[1, hi]; thm2, prop2, the pi estimates (each at its horizon's entry),
-lemma1 and psi read them, so a fold two checks need is stepped once.
+call, so every report is bitwise reproducible. A per-trace memo, _Shared,
+holds the folds of each direction keyed by their exact range (lo, hi):
+thm2 and prop2 read the forward folds over [r, T], the pi estimates the
+last entry of the forward fold over [r, horizon], lemma1 and psi the
+backward folds over [1, t], and so does decompose_log_ratio_drift. A fold
+that several readers need is stepped once, and none is stepped past the
+range its readers ask for.
 
 Each check_* function verifies one such statement on a concrete trace and
 returns a CheckResult; run_checks bundles them. Checks never loosen a bound
@@ -331,21 +334,22 @@ class _Shared:
 
     def __init__(self, trace: ExecutionTrace):
         self.trace = trace
-        # forward folds over [lo, T] by lo, backward folds over [1, hi] by hi
-        self._folds: dict[bool, dict[int, np.ndarray]] = {False: {}, True: {}}
+        # the folds of each direction by their range (lo, hi)
+        self._folds: dict[bool, dict[tuple[int, int], np.ndarray]] = {
+            False: {}, True: {}}
 
-    def folds(self, keys: Sequence[int], backward: bool = False) -> list[np.ndarray]:
-        """The forward fold over [key, T], or the backward fold over
-        [1, key], for each key; the ones not yet memoized are stepped
-        together in one call."""
+    def folds(self, ranges: Sequence[tuple[int, int]],
+              backward: bool = False) -> list[np.ndarray]:
+        """The forward or backward fold over [lo, hi] (_fold_ranges with
+        keep) for each (lo, hi) of ranges; the ones not yet memoized are
+        stepped together in one call."""
         memo = self._folds[backward]
-        missing = sorted(set(keys) - memo.keys())
+        missing = sorted(set(ranges) - memo.keys())
         if missing:
-            ends = [1 if backward else self.trace.iterations] * len(missing)
-            lo, hi = (ends, missing) if backward else (missing, ends)
+            lo, hi = zip(*missing)
             memo.update(zip(missing, _fold_ranges(self.matrices, lo, hi,
                                                   backward, keep=True)))
-        return [memo[key] for key in keys]
+        return [memo[key] for key in ranges]
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -362,37 +366,36 @@ class _Shared:
     @cached_property
     def pi_samples(self) -> list[PiEstimate]:
         """Estimates at the sample points r, each product over [r, horizon]
-        read at entry horizon - r + 1 of the memoized forward fold over
-        [r, T]."""
+        the last entry of the memoized forward fold over that range."""
         trace = self.trace
-        points = _pi_sample_points(trace)
-        estimates = []
-        for r, fold in zip(points, self.folds(points)):
-            horizon = _pi_horizon(trace, r, self.structure)
-            estimates.append(_pi_estimate(trace, r, horizon, fold[horizon - r + 1],
-                                          self.structure))
-        return estimates
+        ranges = [(r, _pi_horizon(trace, r, self.structure))
+                  for r in _pi_sample_points(trace)]
+        return [_pi_estimate(trace, r, horizon, fold[-1], self.structure)
+                for (r, horizon), fold in zip(ranges, self.folds(ranges))]
 
 
-def _thm2_anchors(trace: ExecutionTrace) -> list[int]:
+def _thm2_ranges(trace: ExecutionTrace) -> list[tuple[int, int]]:
+    """[r, T] for each anchor r."""
     T = trace.iterations
-    return sorted({1, max(1, T // 4), max(1, T // 2)})
+    return [(r, T) for r in sorted({1, max(1, T // 4), max(1, T // 2)})]
 
 
-def _alive_boundaries(trace: ExecutionTrace) -> list[int]:
-    """1 and every iteration whose alive set differs from the one before."""
+def _prop2_ranges(trace: ExecutionTrace) -> list[tuple[int, int]]:
+    """[r, T] for r = 1 and every iteration whose alive set differs from the
+    one before."""
     changes = (trace.alive[1:] != trace.alive[:-1]).any(axis=1)
-    return [1] + (np.flatnonzero(changes) + 2).tolist()
+    starts = [1] + (np.flatnonzero(changes) + 2).tolist()
+    return [(r, trace.iterations) for r in starts]
 
 
-# The keys of the forward folds over [key, T] that thm2 and prop2 read;
-# run_checks steps them together in one call. The pi estimates' tails
-# (prop3, lemma4) keep their own call: the one tail that is neither an
-# anchor nor a boundary, 3T/4, would be padded to T entries in this call,
-# and that memory costs more than its T/4 steps.
-_FORWARD_KEYS = {
-    "thm2": _thm2_anchors,
-    "prop2": _alive_boundaries,
+# The forward ranges whose folds thm2 and prop2 read; run_checks steps them
+# together in one call. The pi estimates' ranges (prop3, lemma4) keep their
+# own call: the one that is neither an anchor nor a boundary, [3T/4, T],
+# would be padded to T entries in this call, and that memory costs more
+# than its T/4 steps.
+_FORWARD_RANGES = {
+    "thm2": _thm2_ranges,
+    "prop2": _prop2_ranges,
 }
 
 
@@ -410,7 +413,7 @@ def check_lemma1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckR
     shared = shared or _Shared(trace)
     matrices, structure = shared.matrices, shared.structure
     T = trace.iterations
-    suffixes = shared.folds([T], backward=True)[0][:-1]    # product over [t, T]
+    suffixes = shared.folds([(1, T)], backward=True)[0][:-1]   # over [t, T]
     d_late, e_late = ergodic_coefficients(suffixes, trace.alive)
     d_full, e_full = ergodic_coefficients(suffixes, trace.alive[0])
     per_t = np.stack([(1.0 - e_late) - d_late, (1.0 - e_full) - d_full,
@@ -488,10 +491,10 @@ def check_thm2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRes
     shared = shared or _Shared(trace)
     structure = shared.structure
     T, f = trace.iterations, trace.config.f
-    anchors = _thm2_anchors(trace)
+    ranges = _thm2_ranges(trace)
     stride = max(1, T // 100)
     points, deltas, bounds = [], [], []
-    for r, fold in zip(anchors, shared.folds(anchors)):
+    for (r, _), fold in zip(ranges, shared.folds(ranges)):
         ts = np.arange(r, T + 1)
         ts = ts[((ts - r) % stride == 0) | (ts == T)]
         products = fold[ts - r + 1]                                # over [r, t]
@@ -552,9 +555,9 @@ def check_prop2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
     agents dead at r exactly zero and rows of agents alive at r summing to
     one within rounding."""
     shared = shared or _Shared(trace)
-    boundaries = _alive_boundaries(trace)
+    ranges = _prop2_ranges(trace)
     gaps = []
-    for r, fold in zip(boundaries, shared.folds(boundaries)):
+    for (r, _), fold in zip(ranges, shared.folds(ranges)):
         alive_idx = np.flatnonzero(trace.alive[r - 1])
         dead_idx = np.flatnonzero(~trace.alive[r - 1])
         products = fold[1:][:, alive_idx]                          # over [r, tau]
@@ -577,7 +580,7 @@ def check_prop2(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
     j = int(np.searchsorted(starts, k, side="right")) - 1
     worst = float(margins[k])
     return CheckResult("prop2", worst >= 0.0, worst,
-                       {"r": boundaries[j], "tau": boundaries[j] + k - int(starts[j]),
+                       {"r": ranges[j][0], "tau": ranges[j][0] + k - int(starts[j]),
                         "max_row_sum_gap": float(gaps[k])})
 
 
@@ -604,9 +607,11 @@ def check_prop3(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
 def check_lemma4(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """At every sampled r some reduced-graph source component has estimated
     influence at least xi to the structural window power on every member
-    (compared as exact rationals), and its size is at least gamma. The
-    source read is the one of largest mass among those that clear the
-    threshold, ties going to the first in source_census's canonical order."""
+    (compared as exact rationals). Its size is at least gamma by
+    construction: the sources read are source_census's, and gamma is the
+    size of the smallest of them. The source read is the one of largest mass
+    among those that clear the threshold, ties going to the first in
+    source_census's canonical order."""
     shared = shared or _Shared(trace)
     structure = shared.structure
     threshold = structure.xi_window_exact
@@ -625,11 +630,6 @@ def check_lemma4(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckR
                                {"r": est.r, "pi": est.pi.tolist(),
                                 "reason": "no source clears the threshold"})
         source, mass = best
-        if len(source) < structure.gamma:
-            return CheckResult("lemma4", False, -1.0,
-                               {"r": est.r, "source": sorted(source),
-                                "reason": f"source smaller than gamma="
-                                          f"{structure.gamma}"})
         margin = float(mass - threshold)
         if margin < worst:
             worst = margin
@@ -658,7 +658,8 @@ def check_psi(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResu
                      gap=identity_gap))]
 
     checkpoints = sorted({max(1, T // 3), max(1, (2 * T) // 3), T})
-    suffixes = dict(zip(checkpoints, shared.folds(checkpoints, backward=True)))
+    suffixes = dict(zip(checkpoints, shared.folds(
+        [(1, t) for t in checkpoints], backward=True)))
     for theta, theta_star in trace.config.model.ordered_pairs:
         psi = psi_series(trace, theta, theta_star, pseudo=pseudo)
         ratios = log_ratio_vectors(trace, theta, theta_star)
@@ -718,8 +719,8 @@ def run_checks(trace: ExecutionTrace,
     returns {name: {passed, worst_margin, witness}}."""
     names = check_names(DEFAULT_CHECKS if checks is None else checks)
     shared = _Shared(trace)
-    shared.folds(sorted({key for name in names if name in _FORWARD_KEYS
-                         for key in _FORWARD_KEYS[name](trace)}))
+    shared.folds(sorted({key for name in names if name in _FORWARD_RANGES
+                         for key in _FORWARD_RANGES[name](trace)}))
     return {name: _CHECK_FUNCTIONS[name](trace, shared=shared).to_dict()
             for name in names}
 
@@ -771,16 +772,18 @@ def decompose_log_ratio_drift(trace: ExecutionTrace, theta: str,
     fluctuation + centered sum + drift and compare each part to its bound.
 
     C1 is passed in (it needs the identifiability report) so callers control
-    whether the gate already ran.
+    whether the gate already ran. The matrices, the census, the
+    pseudo-beliefs and the backward folds over [1, t] come from a _Shared
+    memo, as the checks' do.
     """
     cfg = trace.config
-    structure = structure_constants(cfg.graph, cfg.f)
-    matrices = trace_matrices(trace)
+    shared = _Shared(trace)
+    structure = shared.structure
     T, n = trace.iterations, trace.n
     if checkpoints is None:
         checkpoints = sorted({max(2, T // 4), max(2, T // 2),
                               max(2, (3 * T) // 4)})
-    psi = psi_series(trace, theta, theta_star)
+    psi = psi_series(trace, theta, theta_star, pseudo=shared.pseudo)
     ratios = log_ratio_vectors(trace, theta, theta_star)
     expected = expected_ratio_vectors(trace, theta, theta_star)
     C0 = compute_log_ratio_bound(cfg.model)
@@ -791,8 +794,7 @@ def decompose_log_ratio_drift(trace: ExecutionTrace, theta: str,
     for t in checkpoints:
         if not 1 <= t <= T:
             raise ValueError(f"checkpoint {t} outside 1..{T}")
-    folds = _fold_ranges(matrices, [1] * len(checkpoints), checkpoints,
-                         backward=True, keep=True)
+    folds = shared.folds([(1, t) for t in checkpoints], backward=True)
     results = []
     for t, later in zip(checkpoints, folds):
         rows = np.flatnonzero(trace.alive_after[t - 1])

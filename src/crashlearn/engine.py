@@ -74,9 +74,9 @@ each other.
 
 write_trace and read_trace, the trace file's writer and reader, live in
 the tracefile module and are part of this module's interface. A trace's
-step records, one per (iteration, alive agent), come one at a time as
-plain values from step_rows, and a block of BELIEF_CHUNK iterations at a
-time from step_blocks, which both writers format.
+step records, one per (iteration, alive agent), come a block of
+BELIEF_CHUNK iterations at a time from step_blocks, the one record view:
+both writers format it, and records builds its AgentRecords from it.
 """
 
 from __future__ import annotations
@@ -569,12 +569,15 @@ class ExecutionTrace:
 
     @cached_property
     def records(self) -> tuple[dict[int, AgentRecord], ...]:
-        """Every iteration as {agent: AgentRecord}, built on first use."""
+        """Every iteration as {agent: AgentRecord}, built on first use from
+        step_blocks."""
         out = tuple({} for _ in range(self.iterations))
-        for t, agent, completed, phase, signal, quorum, _ in self.step_rows():
-            out[t - 1][agent] = AgentRecord(
-                completed, None if quorum is None else tuple(quorum), signal,
-                self.log_belief[t - 1, agent - 1], phase)
+        for ts, agents, fields, index, _ in self.step_blocks():
+            for t, agent, k in zip(ts.tolist(), agents.tolist(), index.tolist()):
+                _, phase, completed, signal, quorum = fields[k]
+                out[t - 1][agent] = AgentRecord(
+                    completed, None if quorum is None else tuple(quorum), signal,
+                    self.log_belief[t - 1, agent - 1], phase)
         return out
 
     def record(self, t: int, agent: int) -> AgentRecord:
@@ -605,29 +608,15 @@ class ExecutionTrace:
         return tuple(sorted((a + 1, t + 1, _PHASE_NAMES[self.phase[t, a]])
                             for t, a in zip(ts.tolist(), agents.tolist())))
 
-    def step_rows(self) -> Iterator[tuple]:
-        """Every (iteration, alive agent) as plain values, in (t, agent)
-        order: (t, agent, completed, crash_phase, signal, quorum, log_belief)
-        with quorum a list or None and log_belief a list of floats."""
-        rules = _PHASE_TABLE.tolist()
-        spaces = [self.config.model.signals(a) for a in range(1, self.n + 1)]
-        ts, agents = np.nonzero(self.alive)
-        for t, a, code, k, quorum, belief in zip(
-                ts.tolist(), agents.tolist(), self.phase[ts, agents].tolist(),
-                self.signal[ts, agents].tolist(), self.quorum[ts, agents].tolist(),
-                self.log_belief[ts, agents].tolist()):
-            _, _, takes_quorum, completed = rules[code]
-            yield (t + 1, a + 1, completed, _PHASE_NAMES[code],
-                   spaces[a][k] if k >= 0 else None,
-                   [j for j in quorum if j >= 0] if takes_quorum else None, belief)
-
     def step_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple],
                                             np.ndarray, np.ndarray]]:
-        """The records of step_rows, BELIEF_CHUNK iterations at a time, as
-        (t, agent, fields, index, log_belief): the records' t and agent
-        labels, the block's distinct (agent, crash_phase, completed, signal,
-        quorum) fields as step_rows spells them, each record's index into
-        fields, and the records' (R, m) log beliefs."""
+        """The step records, one per (iteration, alive agent) in (t, agent)
+        order, BELIEF_CHUNK iterations at a time, as (t, agent, fields,
+        index, log_belief): the records' t and agent labels, the block's
+        distinct (agent, crash_phase, completed, signal, quorum) fields as
+        plain values (crash_phase and signal a name or None, quorum a list
+        of labels or None for an agent that takes none), each record's index
+        into fields, and the records' (R, m) log beliefs."""
         rules = _PHASE_TABLE.tolist()
         spaces = [self.config.model.signals(a) for a in range(1, self.n + 1)]
         for lo in range(0, self.iterations, BELIEF_CHUNK):

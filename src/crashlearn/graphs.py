@@ -8,7 +8,8 @@ topology tolerates f crashes exactly when every reduced graph keeps a single
 source component, and that structural test is equivalent to a quantifier over
 two-sided partitions; both routes are implemented and cross-asserted. The
 detectability report and the checks all read one cached source_census, and
-every in-degree and link matrix is read from a graph's in_links table.
+every in-degree, neighbor set and link matrix is read from a graph's
+in_links table.
 """
 
 from __future__ import annotations
@@ -147,17 +148,11 @@ class DirectedGraph:
 
     @cached_property
     def in_neighbors(self) -> dict[int, frozenset[int]]:
-        acc: dict[int, set[int]] = {i: set() for i in range(1, self.n + 1)}
-        for j, i in self.edges:
-            acc[i].add(j)
-        return {i: frozenset(s) for i, s in acc.items()}
+        return _label_sets(self.in_links)
 
     @cached_property
     def out_neighbors(self) -> dict[int, frozenset[int]]:
-        acc: dict[int, set[int]] = {i: set() for i in range(1, self.n + 1)}
-        for j, i in self.edges:
-            acc[j].add(i)
-        return {i: frozenset(s) for i, s in acc.items()}
+        return _label_sets(self.in_links.T)
 
     @cached_property
     def in_links(self) -> np.ndarray:
@@ -186,6 +181,13 @@ class DirectedGraph:
     def influence_floor(self) -> Fraction:
         """Smallest positive weight any update row can assign: 1/(1 + max in-degree)."""
         return Fraction(1, 1 + self.max_in_degree)
+
+
+def _label_sets(links: np.ndarray) -> dict[int, frozenset[int]]:
+    """{k: the 1-based labels where row k - 1 of an (n, n) bool table is
+    True}, for every node k."""
+    return {k: frozenset((np.flatnonzero(row) + 1).tolist())
+            for k, row in enumerate(links, start=1)}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ match, share the package's header parsing and line decoding (_parse_header,
 _parse_record) and its phase table; the reader checks each step record's
 rules itself, one record at a time, in _parse_step. The trajectory CSV's
 reference, write_trajectory_csv_by_rows, writes one csv.writer row per
-record of step_rows. Of the two schedule references, heap_schedule draws its
+record. Both writers take their records from step_rows, which reads them
+one cell at a time from the trace's arrays, not from the package's
+step_blocks. Of the two schedule references, heap_schedule draws its
 own delays, and stepwise_schedule, which pins the tie rule, takes its delay
 tables from the package's _delays. The belief recursion's reference,
 belief_recursion_by_chunks, pins how chunks are scanned and takes its two
@@ -535,6 +537,29 @@ def belief_recursion_by_chunks(initial, phase, rows, quorum, log_likelihood,
     return out
 
 
+def step_rows(trace):
+    """Every (iteration, alive agent) record as plain values, in (t, agent)
+    order: (t, agent, completed, crash_phase, signal, quorum, log_belief)
+    with quorum a list or None and log_belief a list of floats, read one
+    cell at a time from the trace's phase, signal, quorum and log_belief
+    arrays."""
+    phases, signals = trace.phase.tolist(), trace.signal.tolist()
+    quorums, beliefs = trace.quorum.tolist(), trace.log_belief.tolist()
+    for t in range(1, trace.iterations + 1):
+        for agent in range(1, trace.n + 1):
+            code = phases[t - 1][agent - 1]
+            if code < 0:
+                continue
+            phase = _PHASE_NAMES[code]
+            _, takes_quorum, completed = _PHASE_RULES[phase]
+            k = signals[t - 1][agent - 1]
+            yield (t, agent, completed, phase,
+                   trace.config.model.signals(agent)[k] if k >= 0 else None,
+                   [j for j in quorums[t - 1][agent - 1] if j >= 0]
+                   if takes_quorum else None,
+                   beliefs[t - 1][agent - 1])
+
+
 def write_trace_by_dumps(trace, path):
     """The trace file written one json.dumps(row, sort_keys=True) per
     record, the writer that write_trace's formatting must reproduce."""
@@ -542,7 +567,7 @@ def write_trace_by_dumps(trace, path):
               "initial_log_belief": trace.initial_log_belief.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
+        for t, agent, completed, phase, signal, quorum, belief in step_rows(trace):
             row = {"kind": "step", "t": t, "agent": agent, "alive": True,
                    "completed": completed, "quorum": quorum, "signal": signal,
                    "log_belief": belief, "crash_phase": phase}
@@ -557,7 +582,7 @@ def write_trajectory_csv_by_rows(trace, path):
         writer.writerow(["t", "agent", "completed", "crash_phase", "signal",
                          "quorum"]
                         + [f"posterior_{h}" for h in trace.config.model.hypotheses])
-        for t, agent, completed, phase, signal, quorum, belief in trace.step_rows():
+        for t, agent, completed, phase, signal, quorum, belief in step_rows(trace):
             writer.writerow(
                 [t, agent, int(completed), phase or "", signal or "",
                  "|".join(str(j) for j in quorum or ())]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from crashlearn.analysis import (ANALYTIC_SLACK, DEFAULT_CHECKS,
                                  PSEUDO_IDENTITY_TOLERANCE,
-                                 PSI_RESIDUAL_TOLERANCE, _FORWARD_KEYS,
+                                 PSI_RESIDUAL_TOLERANCE, _FORWARD_RANGES,
                                  _Shared, _fold_ranges,
                                  backward_product,
                                  check_prop1, decompose_log_ratio_drift,
@@ -296,9 +296,9 @@ def test_estimate_pi_zero_for_dead_agents(suite_traces):
 
 def test_shared_pi_estimates_match_estimate_pi_bitwise(suite_traces):
     # On the rings some horizons, r + 30 n, fall below T, so those estimates
-    # read an inner entry of their memoized forward fold over [r, T]. The
-    # 3-ring has converged by then; the 12-ring has not, so a product one
-    # factor short or long differs there.
+    # read a fold over [r, horizon] that no other check shares. The 3-ring
+    # has converged by then; the 12-ring has not, so a product one factor
+    # short or long differs there.
     ring12 = run_execution(make_config(
         DirectedGraph.cycle(12), 0, iterations=1000, seed=7,
         adversary=AdversarySchedule(mode="fixed", fixed_delays=0.0)))
@@ -307,8 +307,8 @@ def test_shared_pi_estimates_match_estimate_pi_bitwise(suite_traces):
                         ("ring", ring12)]:
         shared = _Shared(trace)
         # the forward folds run_checks steps first
-        shared.folds(sorted({key for keys in _FORWARD_KEYS.values()
-                             for key in keys(trace)}))
+        shared.folds(sorted({key for ranges in _FORWARD_RANGES.values()
+                             for key in ranges(trace)}))
         horizons = []
         for est in shared.pi_samples:
             alone = estimate_pi(trace, est.r)

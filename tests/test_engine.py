@@ -31,8 +31,9 @@ from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
 from oracles import (bayes_log_posterior, belief_recursion_by_chunks,
-                     heap_schedule, read_trace_by_lines, stepwise_schedule,
-                     write_trace_by_dumps, write_trajectory_csv_by_rows)
+                     heap_schedule, read_trace_by_lines, step_rows,
+                     stepwise_schedule, write_trace_by_dumps,
+                     write_trajectory_csv_by_rows)
 
 
 # -- belief arithmetic ----------------------------------------------------------------
@@ -840,6 +841,23 @@ def escaped_runs(draw):
         agent["signals"] = draw(st.lists(st.sampled_from(ESCAPED_SIGNALS),
                                          min_size=2, max_size=2, unique=True))
     return dataclasses.replace(config, model=LikelihoodModel.from_dict(payload))
+
+
+def test_records_match_the_step_rows_oracle(suite_traces):
+    # records is built from step_blocks, the oracle reads the arrays one
+    # cell at a time. The long run spans three BELIEF_CHUNK blocks, with a
+    # crash in the second.
+    long_run = run_execution(make_config(
+        DirectedGraph.complete(4), 1, iterations=2 * BELIEF_CHUNK + 7, seed=5,
+        adversary=AdversarySchedule(mode="uniform", dmax=3.0, crash_plan=(
+            CrashEvent(2, BELIEF_CHUNK + 3, "after_transmit"),))))
+    for trace in [trace for _, trace in suite_traces.values()] + [long_run]:
+        got = [(t, agent, rec.completed, rec.crash_phase, rec.signal,
+                None if rec.quorum is None else list(rec.quorum),
+                rec.log_belief.tolist())
+               for t, records in enumerate(trace.records, start=1)
+               for agent, rec in records.items()]
+        assert got == list(step_rows(trace))
 
 
 def test_write_trace_matches_json_dumps_per_record(tmp_path):

@@ -78,6 +78,17 @@ def test_in_link_table_matches_in_neighbors(n, p, seed):
         g.in_degree[0] = 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_neighbor_sets_match_the_edges(n, p, seed):
+    # Both sets are read from in_links; here they are rebuilt from the edges.
+    g = random_graph(np.random.default_rng(seed), n, p)
+    assert g.in_neighbors == {i: frozenset(j for j, k in g.edges if k == i)
+                              for i in range(1, n + 1)}
+    assert g.out_neighbors == {j: frozenset(i for k, i in g.edges if k == j)
+                               for j in range(1, n + 1)}
+
+
 def test_source_decomposition_condensation():
     g = DirectedGraph.from_edge_list(5, [(1, 2), (2, 1), (2, 3), (3, 4),
                                          (4, 3), (4, 5)])

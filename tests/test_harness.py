@@ -665,6 +665,128 @@ def test_cli_detect_and_identify(config_dir, capsys):
     assert code == 2
 
 
+def test_cli_simulate_csv_matches_write_trajectory_csv(config_dir, tmp_path,
+                                                       capsys):
+    code, _, _ = run_cli(["simulate", "--config", str(config_dir / "sim.json"),
+                          "--csv", str(tmp_path / "cli.csv")], capsys)
+    assert code == 0
+    trace = run_execution(load_simulation_config(config_dir / "sim.json"))
+    write_trajectory_csv(trace, tmp_path / "library.csv")
+    assert ((tmp_path / "cli.csv").read_bytes()
+            == (tmp_path / "library.csv").read_bytes())
+
+
+def test_cli_analyze_out_file_equals_stdout(stored_trace, tmp_path, capsys):
+    directory, _ = stored_trace
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(["analyze", "--trace", str(directory / "good.jsonl"),
+                            "--checks", "prop2,psi", "--out", str(report)],
+                           capsys)
+    assert code == 0
+    assert report.read_text(encoding="utf-8") == out
+
+
+def test_cli_batch_exits_4_when_a_check_fails(config_dir, monkeypatch, capsys):
+    # A stand-in run_checks fails psi on every seed, so the exit code does
+    # not hang on which checks fail on the real traces.
+    def failing_psi(trace, checks=None):
+        return {name: {"passed": name != "psi", "worst_margin": 0.0,
+                       "witness": None} for name in checks}
+
+    monkeypatch.setattr(harness, "run_checks", failing_psi)
+    code, out, _ = run_cli(["batch", "--config", str(config_dir / "batch.json"),
+                            "--min-rate", "0.9", "--quiet"], capsys)
+    assert code == 4
+    assert json.loads(out)["all_checks_passed"] is False
+
+
+def test_cli_batch_exits_3_below_min_rate(config_dir, tmp_path, capsys):
+    sim = json.loads((config_dir / "sim.json").read_text())
+    short = dict(sim, iterations=2, graph=str(config_dir / "graph.json"),
+                 model=str(config_dir / "model.json"),
+                 adversary={"mode": "adversarial_latest", "crash_plan": []})
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": short, "seeds": [21, 22], "convergence_threshold": 0.9}))
+    argv = ["batch", "--config", str(tmp_path / "batch.json"), "--quiet"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["convergence_rate"] == 0.0
+    code, _, _ = run_cli(argv + ["--min-rate", "0.5"], capsys)
+    assert code == 3
+
+
+def test_cli_usage_errors_exit_2(config_dir, stored_trace, tmp_path, capsys):
+    directory, _ = stored_trace
+    code, _, err = run_cli(["analyze", "--trace", str(directory / "good.jsonl"),
+                            "--checks", ","], capsys)
+    assert code == 2 and "empty check list" in err, err
+    code, _, err = run_cli(["batch", "--config", str(config_dir / "batch.json"),
+                            "--write-traces"], capsys)
+    assert code == 2 and "output directory" in err, err
+
+
+def one_negative_edge_delay(config: dict) -> dict:
+    delays = {f"{j}->{i}": -1.0 if (j, i) == (1, 2) else 0.0
+              for j, i in config["graph"]["edges"]}
+    return dict(config, adversary={"mode": "fixed", "fixed_delays": delays})
+
+
+def with_crashes(config: dict, *events) -> dict:
+    return dict(config, adversary=dict(config["adversary"],
+                                       crash_plan=list(events)))
+
+
+# Simulation configs that validate refuses, as (edit of the base config,
+# part of the message).
+SIMULATE_REFUSALS = {
+    "negative-seed": (lambda c: dict(c, seed=-1), "seed"),
+    "negative-edge-delay": (one_negative_edge_delay, "fixed_delays"),
+    "negative-scalar-delay": (lambda c: dict(c, adversary={
+        "mode": "fixed", "fixed_delays": -0.5}), "fixed delay"),
+    "repeated-crash-agent": (lambda c: with_crashes(
+        dict(c, f=2), {"agent": 4, "iteration": 10, "phase": "after_update"},
+        {"agent": 4, "iteration": 12, "phase": "before_transmit"}), "distinct"),
+    "partial-count-off-mid-update": (lambda c: with_crashes(
+        c, {"agent": 4, "iteration": 10, "phase": "after_update",
+            "partial_count": 1}), "partial_count"),
+}
+
+
+@pytest.mark.parametrize("edit, message", SIMULATE_REFUSALS.values(),
+                         ids=SIMULATE_REFUSALS)
+def test_cli_simulate_refuses_invalid_configs(base_config, tmp_path, capsys,
+                                              edit, message):
+    (tmp_path / "sim.json").write_text(json.dumps(edit(base_config.to_dict())))
+    code, _, err = run_cli(["simulate", "--config", str(tmp_path / "sim.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:") and message in err, err
+
+
+@pytest.mark.parametrize("field", ["hypotheses", "agents"])
+def test_cli_identify_refuses_an_empty_model(config_dir, base_config, tmp_path,
+                                             capsys, field):
+    (tmp_path / "model.json").write_text(json.dumps(
+        dict(base_config.model.to_dict(), **{field: []})))
+    code, _, err = run_cli(["identify", "--graph", str(config_dir / "graph.json"),
+                            "--model", str(tmp_path / "model.json"), "--f", "1"],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+
+
+def test_cli_analyze_exits_4_on_an_empty_or_misshapen_trace(stored_trace,
+                                                            tmp_path, capsys):
+    _, lines = stored_trace
+    (tmp_path / "empty.jsonl").write_text("")
+    header = json.loads(lines[0])
+    header["initial_log_belief"] = header["initial_log_belief"][:-1]
+    (tmp_path / "shape.jsonl").write_text(
+        "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    for name, message in (("empty.jsonl", "empty trace"),
+                          ("shape.jsonl", "initial beliefs")):
+        code, _, err = run_cli(["analyze", "--trace", str(tmp_path / name)],
+                               capsys)
+        assert code == 4 and message in err, err
+
+
 # -- check names ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("checks", [["nope"], ["psi", "psi"], ["prop2", 5]],

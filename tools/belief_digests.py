@@ -19,12 +19,16 @@ and diff; a change of belief kernel leaves every line unchanged:
 `deviations` runs the configs once with OTHER/src in a subprocess and once
 with the src/ on this process's path. The subprocess runs the other
 checkout's own copy of this tool, OTHER/../tools/belief_digests.py, when it
-exists (this copy otherwise), so each side calls its API as it stands there;
-both copies must list the same configs. It prints, per config, the largest
-deviation of each belief-dependent quantity as |a - b| / max(1, |a|, |b|),
-so a value at most tol means math.isclose(a, b, rel_tol=tol, abs_tol=tol)
-holds for every entry: the trace's log beliefs, pseudo_belief_evolution's
-output, the run_checks margins (checked configs) and every number of
+exists (this copy otherwise), so each side calls its API as it stands there.
+Both copies must list the same configs in the same order: `dump` writes
+each config's label next to its values, and `deviations` stops with a
+message naming the first config whose label differs, or the two counts if
+they differ (a copy that writes no labels is checked by count alone). It
+prints, per config, the largest deviation of each belief-dependent quantity
+as |a - b| / max(1, |a|, |b|), so a value at most tol means
+math.isclose(a, b, rel_tol=tol, abs_tol=tol) holds for every entry: the
+trace's log beliefs, pseudo_belief_evolution's output, the run_checks
+margins (checked configs) and every number of
 decompose_log_ratio_drift(trace, "theta2", "theta1", 1.0) (the test
 suite's configs); "-" where a config has none. The last line is the largest
 of each column.
@@ -162,9 +166,10 @@ COLUMNS = ("beliefs", "pseudo", "margins", "drift")
 
 
 def dump(directory: Path) -> None:
-    """Write belief_values of every config to DIRECTORY/<index>.npz."""
-    for index, (_, config, with_checks, with_drift) in enumerate(configs()):
-        np.savez(directory / f"{index}.npz",
+    """Write belief_values of every config, with its label, to
+    DIRECTORY/<index>.npz."""
+    for index, (label, config, with_checks, with_drift) in enumerate(configs()):
+        np.savez(directory / f"{index}.npz", label=np.array(label),
                  **belief_values(config, with_checks, with_drift))
 
 
@@ -177,11 +182,23 @@ def deviations(other_src: Path) -> None:
         env = dict(os.environ, PYTHONPATH=str(other_src.resolve()))
         subprocess.run([sys.executable, str(tool), "dump", workdir],
                        env=env, check=True)
+        listed = list(configs())
+        dumped = len(list(Path(workdir).glob("*.npz")))
+        if dumped != len(listed):
+            sys.exit(f"deviations: {tool} lists {dumped} configs and this copy "
+                     f"{len(listed)}; both copies must list the same configs")
         print("config", *COLUMNS)
         worst = dict.fromkeys(COLUMNS, 0.0)
-        for index, (label, config, with_checks, with_drift) in enumerate(configs()):
+        for index, (label, config, with_checks, with_drift) in enumerate(listed):
             ours = belief_values(config, with_checks, with_drift)
             with np.load(Path(workdir) / f"{index}.npz") as theirs:
+                # a copy older than the label entry is paired by position
+                theirs_label = str(theirs["label"]) if "label" in theirs else label
+                if theirs_label != label:
+                    sys.exit(f"deviations: config {index} is {theirs_label!r} "
+                             f"in {tool} and {label!r} in this copy; both "
+                             f"copies must list the same configs in the "
+                             f"same order")
                 row = []
                 for column in COLUMNS:
                     if column not in ours:

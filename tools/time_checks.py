@@ -21,8 +21,12 @@ summed over the four seeds, in seconds; `<config>/peak_mb` is the peak
 tracemalloc size of one run_checks call on seed 1000. The same configs on
 the complete graph of LARGE_N agents with T=2000, seed 1000 ("n32-latest"
 and "n32-async"), give `<config>/run_execution`, the median of REPEATS
-runs, and `<config>/peak_mb`, the peak tracemalloc size of one run. The
-graph layer is timed REPEATS times on the complete graph K6 with f=1:
+runs, and `<config>/peak_mb`, the peak tracemalloc size of one run. A
+RING_N-cycle with f=0 under zero fixed delays, T=RING_ITERATIONS, seed
+1000, whose pi horizons fall short of T, gives `ring12/prop3`, the median
+of REPEATS run_checks calls of prop3 alone after one warm-up call, and
+`ring12/peak_mb`, the peak tracemalloc size of one such call. The graph
+layer is timed REPEATS times on the complete graph K6 with f=1:
 `graph/detect` (detectability_report), `graph/census` (source_census),
 `graph/condition1` and `graph/condition2`, each the median of its repeats;
 `graph7/detect` and `graph7/census` time the first two on K7 with f=1.
@@ -57,6 +61,7 @@ REPEATS = 3
 GRAPH_N, GRAPH_F = 6, 1
 LARGE_GRAPH_N = 7
 LARGE_N, LARGE_ITERATIONS = 32, 2000
+RING_N, RING_ITERATIONS = 12, 5000
 
 
 def traces():
@@ -81,6 +86,20 @@ def large_configs():
         payload["graph"] = {"n": LARGE_N, "edges": complete_edges(LARGE_N)}
         payload["model"]["agents"] = payload["model"]["agents"][:1] * LARGE_N
         yield f"n{LARGE_N}-{label}", SimulationConfig.from_dict(payload)
+
+
+def ring_trace():
+    """The run of the RING_N-cycle, built from the public API alone."""
+    from crashlearn.engine import (AdversarySchedule, SimulationConfig,
+                                   run_execution)
+    from crashlearn.graphs import DirectedGraph
+    from crashlearn.observation import LikelihoodModel, bernoulli_agent
+    spaces, tables = zip(*[bernoulli_agent(0.3, 0.7) for _ in range(RING_N)])
+    return run_execution(SimulationConfig(
+        graph=DirectedGraph.cycle(RING_N), f=0,
+        model=LikelihoodModel(("theta1", "theta2"), spaces, tables),
+        theta_star="theta1", iterations=RING_ITERATIONS, seed=SEEDS[0],
+        adversary=AdversarySchedule(mode="fixed", fixed_delays=0.0)))
 
 
 def peak_mb(call) -> float:
@@ -143,6 +162,13 @@ def measure() -> dict[str, float]:
     for label, config in large_configs():
         add(f"{label}/run_execution", median_time(lambda: run_execution(config)))
         figures[f"{label}/peak_mb"] = peak_mb(lambda: run_execution(config))
+
+    ring = ring_trace()
+    run_checks(ring, checks=("prop3",))
+    add(f"ring{RING_N}/prop3",
+        median_time(lambda: run_checks(ring, checks=("prop3",))))
+    figures[f"ring{RING_N}/peak_mb"] = peak_mb(
+        lambda: run_checks(ring, checks=("prop3",)))
 
     def uncached(call):
         """call, after emptying every lru_cache of the graph layer."""
