@@ -17,7 +17,7 @@ from .engine import (AdversarySchedule, AgentRecord, ConfigError, CrashEvent,
 from .graphs import (BudgetExceededError, DetectabilityReport, DirectedGraph,
                      EquivalenceViolationError, SourceCensus,
                      SourceDecomposition, check_condition1, check_condition2,
-                     detectability_report, random_link_removal_subgraph)
+                     detectability_report)
 from .harness import (BatchSummary, ExperimentBatch, IdentifiabilityGateError,
                       SeedOutcome, analyze_trace, identifiability_gate,
                       load_batch, load_simulation_config, report_metrics,
@@ -50,8 +50,7 @@ __all__ = [
     "identifiability_gate", "kl_divergence", "load_batch",
     "load_simulation_config", "log_ratio_vectors", "min_final_posterior",
     "normalize_log_belief", "partial_update_belief", "pseudo_belief_evolution",
-    "psi_series", "random_link_removal_subgraph", "read_trace",
-    "report_metrics", "run_batch", "run_checks", "run_execution",
-    "structure_constants", "theorem2_bound", "trace_matrices",
+    "psi_series", "read_trace", "report_metrics", "run_batch", "run_checks",
+    "run_execution", "structure_constants", "theorem2_bound", "trace_matrices",
     "update_belief", "validate_trace", "write_trace", "write_trajectory_csv",
 ]

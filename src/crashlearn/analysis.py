@@ -530,7 +530,8 @@ def check_prop1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
     failed = np.zeros(len(firsts), dtype=bool)
     worst_slack = math.inf
     for p, t in enumerate(firsts.tolist()):
-        quorums = trace.quorums_at(t + 1)
+        quorums = {a + 1: tuple(j for j in trace.quorum[t, a].tolist() if j >= 0)
+                   for a in np.flatnonzero(completed[t]).tolist()}
         nodes = first_dominated_nodes(graph, f, quorums)
         if nodes is None:
             failed[p] = True

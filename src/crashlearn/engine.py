@@ -68,6 +68,7 @@ t - 1 for iteration t: phase (T, n) int8 (-1: not alive at the start of t,
 (T, n) (index into model.signals(agent), or -1) and log_belief (T, n, m)
 (beliefs at the end of t; a dead agent's stays frozen). Its alive_after
 (T, n) mask holds, in row t - 1, the agents that begin iteration t + 1.
+Every check and validate_trace read these arrays directly.
 read_trace rejects a record whose own fields are malformed or contradict
 the config or its crash phase; validate_trace checks the records against
 each other.
@@ -583,31 +584,6 @@ class ExecutionTrace:
     def record(self, t: int, agent: int) -> AgentRecord:
         return self.records[t - 1][agent]
 
-    def alive_at_start(self, t: int) -> frozenset[int]:
-        """Agents that began iteration t; t = iterations + 1 gives survivors."""
-        return _agents(self.alive_after[t - 2] if t > 1 else self.alive[0])
-
-    def completed_at(self, t: int) -> frozenset[int]:
-        return _agents(self.completed[t - 1])
-
-    def transmitters_at(self, t: int) -> frozenset[int]:
-        return _agents(self.transmitted[t - 1])
-
-    def quorums_at(self, t: int) -> dict[int, tuple[int, ...]]:
-        """The quorum of every agent that completed iteration t."""
-        rows = self.quorum[t - 1].tolist()
-        return {agent: tuple(j for j in rows[agent - 1] if j >= 0)
-                for agent in sorted(self.completed_at(t))}
-
-    def log_belief_before(self, t: int, agent: int) -> np.ndarray:
-        """Belief the agent held entering iteration t (end of t - 1)."""
-        return (self.initial_log_belief if t == 1 else self.log_belief[t - 2])[agent - 1]
-
-    def crash_events_observed(self) -> tuple[tuple[int, int, str], ...]:
-        ts, agents = np.nonzero(self.phase > 0)
-        return tuple(sorted((a + 1, t + 1, _PHASE_NAMES[self.phase[t, a]])
-                            for t, a in zip(ts.tolist(), agents.tolist())))
-
     def step_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple],
                                             np.ndarray, np.ndarray]]:
         """The step records, one per (iteration, alive agent) in (t, agent)
@@ -819,10 +795,13 @@ def validate_trace(trace: ExecutionTrace) -> None:
 
     planned = tuple(sorted((ev.agent, ev.iteration, ev.phase)
                            for ev in config.adversary.crash_plan))
-    if trace.crash_events_observed() != planned:
+    ts, agents = np.nonzero(trace.phase > 0)
+    observed = tuple(sorted(
+        (a + 1, t + 1, _PHASE_NAMES[code]) for t, a, code in
+        zip(ts.tolist(), agents.tolist(), trace.phase[ts, agents].tolist())))
+    if observed != planned:
         raise TraceInvariantError(
-            f"observed crashes {trace.crash_events_observed()} differ from "
-            f"plan {planned}")
+            f"observed crashes {observed} differ from plan {planned}")
 
     alive, takes, quorum = trace.alive, trace.takes_quorum, trace.quorum
     beliefs = trace.log_belief

@@ -15,7 +15,6 @@ in_links table.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 import operator
@@ -66,7 +65,8 @@ def parse_config(what: str, parse: Callable[..., _Parsed], *args) -> _Parsed:
     """parse(*args), with the errors a parser raises on a missing key, a
     wrong type or an out-of-range value reported as a ConfigError naming
     what was parsed. Every input from outside the program (config, batch,
-    graph and model files, a trace header) is parsed through here."""
+    graph and model files, a trace header) is parsed through here: no other
+    path of the package turns JSON text into a graph, model or config."""
     try:
         return parse(*args)
     except ConfigError:
@@ -134,13 +134,6 @@ class DirectedGraph:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}
-
-    @classmethod
-    def from_json(cls, text: str) -> DirectedGraph:
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @cached_property
     def nodes(self) -> frozenset[int]:
@@ -664,18 +657,6 @@ def check_condition2(g: DirectedGraph, f: int,
             return False, tuple(frozenset((np.flatnonzero(sides == s) + 1).tolist())
                                 for s in range(3))
     return True, None
-
-
-def random_link_removal_subgraph(g: DirectedGraph, f: int, rng: np.random.Generator,
-                                 ) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
-    """Sample one <=f-per-node in-link removal pattern; returns (nodes, kept edges)."""
-    kept: set[tuple[int, int]] = set()
-    for i in range(1, g.n + 1):
-        nbrs = sorted(g.in_neighbors[i])
-        k = int(rng.integers(0, min(f, len(nbrs)) + 1))
-        dropped = set(rng.choice(nbrs, size=k, replace=False)) if k else set()
-        kept.update((j, i) for j in nbrs if j not in dropped)
-    return g.nodes, frozenset(kept)
 
 
 @dataclass(frozen=True)

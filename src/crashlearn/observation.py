@@ -10,7 +10,6 @@ divergence is read from a model's one KL table, kl_table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,10 +154,11 @@ class LikelihoodModel:
                     raise ValueError(f"agent {idx}, hypothesis {h}: row length "
                                      f"{row.size} != {len(labels)} signals")
                 rows.append(row)
-            arr = np.vstack(rows)
+            # (0, k) with no hypotheses, so the constructor says what is wrong
+            arr = np.array(rows).reshape(len(hyp), len(labels))
             if np.any(arr <= 0.0):
                 raise ValueError(f"agent {idx}: zero or negative likelihood entry")
-            gap = np.abs(arr.sum(axis=1) - 1.0).max()
+            gap = np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0)
             if gap > FILE_ROW_SUM_TOLERANCE:
                 raise ValueError(f"agent {idx}: row sums off by {gap:.3e}")
             arr = arr / arr.sum(axis=1, keepdims=True)
@@ -176,13 +176,6 @@ class LikelihoodModel:
                 for k in range(self.n)
             ],
         }
-
-    @classmethod
-    def from_json(cls, text: str) -> LikelihoodModel:
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # -- information quantities ---------------------------------------------------

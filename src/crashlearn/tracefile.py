@@ -259,10 +259,14 @@ def read_trace(path) -> ExecutionTrace:
     (_check_steps). The first record of the file that breaks a rule, or the
     first line that does not decode, is reported as a record-by-record reader
     reports it, unless a duplicate record comes earlier; a belief beyond
-    float range is reported after every line has been checked."""
+    float range is reported after every line has been checked. Lines are
+    numbered as they stand in the file: blank lines at its end are dropped,
+    and any other blank line does not decode."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = fh.readlines()
+        while lines and not lines[-1].strip():
+            lines.pop()
     except UnicodeDecodeError as exc:
         raise TraceInvariantError(f"trace file is not UTF-8 ({exc})") from None
     if not lines:

@@ -30,6 +30,18 @@ def make_config(graph, f, *, iterations, seed, model=None, adversary=None,
         adversary=adversary or AdversarySchedule())
 
 
+def random_link_removal_subgraph(g: DirectedGraph, f: int, rng,
+                                 ) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
+    """Sample one <=f-per-node in-link removal pattern; returns (nodes, kept edges)."""
+    kept: set[tuple[int, int]] = set()
+    for i in range(1, g.n + 1):
+        nbrs = sorted(g.in_neighbors[i])
+        k = int(rng.integers(0, min(f, len(nbrs)) + 1))
+        dropped = set(rng.choice(nbrs, size=k, replace=False)) if k else set()
+        kept.update((j, i) for j in nbrs if j not in dropped)
+    return g.nodes, frozenset(kept)
+
+
 def suite_configs() -> dict[str, SimulationConfig]:
     """Five canonical runs spanning the scenario space.
 

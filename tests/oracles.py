@@ -5,7 +5,7 @@ package internals: literal set-based enumeration, reachability by repeated
 expansion, and plain-float probability math. Small n only. The trace file's
 references, the per-record writer and reader that the array-speed ones must
 match, share the package's header parsing and line decoding (_parse_header,
-_parse_record) and its phase table; the reader checks each step record's
+_parse_record) and its phase rules; the reader checks each step record's
 rules itself, one record at a time, in _parse_step. The trajectory CSV's
 reference, write_trajectory_csv_by_rows, writes one csv.writer row per
 record. Both writers take their records from step_rows, which reads them
@@ -15,7 +15,12 @@ own delays, and stepwise_schedule, which pins the tie rule, takes its delay
 tables from the package's _delays. The belief recursion's reference,
 belief_recursion_by_chunks, pins how chunks are scanned and takes its two
 arithmetic kernels, update_matrices and normalize_log_belief, from the
-package, since it must agree bit for bit.
+package, since it must agree bit for bit. The per-cell views of a trace
+(alive_at_start, transmitters_at, completed_at, quorums_at,
+log_belief_before, crash_events_observed), which the loop oracles and the
+tests read, are the package's phase codes read one iteration at a time
+through _PHASE_RULES; they do not read the trace's masks (alive_after and
+the rest) or the package's phase table, which the checks they referee read.
 """
 
 from __future__ import annotations
@@ -160,6 +165,54 @@ def brute_gamma(n, edges, f):
     return best
 
 
+# -- per-cell views of a trace, read from its phase codes through _PHASE_RULES
+
+def _agents_where(trace, t, rule):
+    """The labels of the agents alive at the start of iteration t whose
+    phase rule entry rule (0 transmits, 1 takes a quorum, 2 completes)
+    holds."""
+    return frozenset(a + 1 for a, code in enumerate(trace.phase[t - 1].tolist())
+                     if code >= 0 and _PHASE_RULES[_PHASE_NAMES[code]][rule])
+
+
+def alive_at_start(trace, t):
+    """Agents that began iteration t; t = iterations + 1 gives the agents
+    that finished the last iteration without crashing."""
+    if t > trace.iterations:
+        return frozenset(a + 1 for a, code in enumerate(trace.phase[-1].tolist())
+                         if code == 0)
+    return frozenset(a + 1 for a, code in enumerate(trace.phase[t - 1].tolist())
+                     if code >= 0)
+
+
+def transmitters_at(trace, t):
+    return _agents_where(trace, t, 0)
+
+
+def completed_at(trace, t):
+    return _agents_where(trace, t, 2)
+
+
+def quorums_at(trace, t):
+    """The quorum of every agent that completed iteration t."""
+    return {agent: tuple(j for j in trace.quorum[t - 1, agent - 1].tolist() if j >= 0)
+            for agent in sorted(completed_at(trace, t))}
+
+
+def log_belief_before(trace, t, agent):
+    """The belief the agent held entering iteration t (end of t - 1)."""
+    return (trace.initial_log_belief if t == 1
+            else trace.log_belief[t - 2])[agent - 1]
+
+
+def crash_events_observed(trace):
+    """(agent, iteration, crash phase) of every crash code, sorted."""
+    return tuple(sorted((a + 1, t, _PHASE_NAMES[code])
+                        for t in range(1, trace.iterations + 1)
+                        for a, code in enumerate(trace.phase[t - 1].tolist())
+                        if code > 0))
+
+
 def first_dominated_reduction(reduced, quorums):
     """Linear search: the first of the given reduced graphs whose every edge
     (j, i) has j in the quorum of completer i (quorums maps each completer to
@@ -175,7 +228,7 @@ def prop1_by_search(reduced, trace, xi):
     iterations and the smallest slack of a required entry over xi."""
     failures, worst = [], math.inf
     for t in range(1, trace.iterations + 1):
-        quorums = trace.quorums_at(t)
+        quorums = quorums_at(trace, t)
         chosen = first_dominated_reduction(reduced, quorums)
         if chosen is None:
             failures.append(t)
@@ -240,8 +293,8 @@ def lemma1_by_loops(trace, matrices, window, xi, slack):
     product = np.eye(n)
     for t in range(T, 0, -1):
         product = product @ matrices[t - 1]
-        d_late, e_late = ergodic_by_pairs(product, trace.alive_at_start(t))
-        d_full, e_full = ergodic_by_pairs(product, trace.alive_at_start(1))
+        d_late, e_late = ergodic_by_pairs(product, alive_at_start(trace, t))
+        d_full, e_full = ergodic_by_pairs(product, alive_at_start(trace, 1))
         for label, delta, eta in (("restricted", d_late, e_late),
                                   ("full", d_full, e_full)):
             items.append(((1.0 - eta) - delta + slack,
@@ -256,7 +309,7 @@ def lemma1_by_loops(trace, matrices, window, xi, slack):
         if crashes.intersection(range(start, start + window)):
             continue
         block = product_by_loop(matrices, start + window - 1, start)
-        _, eta = ergodic_by_pairs(block, trace.alive_at_start(start))
+        _, eta = ergodic_by_pairs(block, alive_at_start(trace, start))
         checked += 1
         with np.errstate(divide="ignore"):
             above_floor = float(np.log(eta)) - window * math.log(xi)
@@ -277,7 +330,7 @@ def lemma2_by_loops(trace, matrices, slack, n_triples=50, seed=0):
             continue
         early = product_by_loop(matrices, t1, t0)
         late = product_by_loop(matrices, t2, t1 + 1)
-        rows = trace.alive_at_start(t1 + 1)
+        rows = alive_at_start(trace, t1 + 1)
         d_full, _ = ergodic_by_pairs(late @ early, rows)
         d_early, _ = ergodic_by_pairs(early, rows)
         _, e_late = ergodic_by_pairs(late, rows)
@@ -298,7 +351,7 @@ def thm2_by_loops(trace, matrices, bound, slack):
             product = matrices[t - 1] @ product
             if (t - r) % stride and t != T:
                 continue
-            delta, _ = ergodic_by_pairs(product, trace.alive_at_start(t + 1))
+            delta, _ = ergodic_by_pairs(product, alive_at_start(trace, t + 1))
             items.append((bound(t, r) - delta + slack,
                           {"r": r, "t": t, "delta": delta, "bound": bound(t, r)}))
     return _first_min(items)
@@ -308,11 +361,11 @@ def prop2_by_loops(trace, matrices, tolerance):
     """check_prop2's margin and witness, one product over [r, tau] at a time."""
     T, n = matrices.shape[:2]
     boundaries = [1] + [t for t in range(2, T + 1)
-                        if trace.alive_at_start(t) != trace.alive_at_start(t - 1)]
+                        if alive_at_start(trace, t) != alive_at_start(trace, t - 1)]
     items = []
     for r in boundaries:
-        alive = sorted(trace.alive_at_start(r))
-        dead = sorted(set(range(1, n + 1)) - trace.alive_at_start(r))
+        alive = sorted(alive_at_start(trace, r))
+        dead = sorted(set(range(1, n + 1)) - alive_at_start(trace, r))
         product = np.eye(n)
         for tau in range(r, T + 1):
             product = matrices[tau - 1] @ product
@@ -337,7 +390,7 @@ def psi_by_loops(trace, matrices, pseudo, pairs, tolerances):
     T, n = matrices.shape[:2]
     identity_gap, identity_witness = 0.0, {}
     for t in range(1, T + 1):
-        for agent in sorted(trace.completed_at(t)):
+        for agent in sorted(completed_at(trace, t)):
             gap = float(np.max(np.abs(pseudo[t][agent - 1]
                                       - trace.log_belief[t - 1][agent - 1])))
             if gap > identity_gap:
@@ -660,7 +713,9 @@ def read_trace_by_lines(path):
     they name, read_trace must reproduce."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = fh.readlines()
+        while lines and not lines[-1].strip():
+            lines.pop()
     except UnicodeDecodeError as exc:
         raise TraceInvariantError(f"trace file is not UTF-8 ({exc})") from None
     if not lines:

@@ -19,13 +19,13 @@ from crashlearn.analysis import (check_lemma1, check_lemma2, check_lemma4,
 from crashlearn.engine import (AdversarySchedule, CrashEvent,
                                min_final_posterior, run_execution)
 from crashlearn.graphs import (DirectedGraph, check_condition1,
-                               check_condition2, random_link_removal_subgraph,
-                               source_decomposition)
+                               check_condition2, source_decomposition)
 from crashlearn.harness import IdentifiabilityGateError, identifiability_gate
 from crashlearn.observation import check_assumption1, bernoulli_agent
 
-from conftest import make_config, two_hypothesis_model
-from oracles import bayes_log_posterior
+from conftest import (make_config, random_link_removal_subgraph,
+                      two_hypothesis_model)
+from oracles import bayes_log_posterior, completed_at
 
 
 def report(num, slug, ok, detail):
@@ -195,7 +195,7 @@ def test_criterion_09_pseudo_belief_identity(suite_traces):
         assert check_psi(trace).passed, name
         pseudo = pseudo_belief_evolution(trace)
         for t in range(1, trace.iterations + 1):
-            for agent in trace.completed_at(t):
+            for agent in completed_at(trace, t):
                 gap = np.max(np.abs(pseudo[t][agent - 1]
                                     - trace.record(t, agent).log_belief))
                 worst_identity = max(worst_identity, float(gap))

@@ -29,11 +29,12 @@ from crashlearn.observation import (ROW_SUM_TOLERANCE, check_assumption1,
                                     kl_divergence)
 
 from conftest import make_config
-from oracles import (backward_product_by_loop, drift_by_loops,
-                     ergodic_by_pairs, first_dominated_reduction,
-                     geometric_tail_sum_direct, lemma1_by_loops,
-                     lemma2_by_loops, prop1_by_search, prop2_by_loops,
-                     product_by_loop, psi_by_loops, thm2_by_loops)
+from oracles import (alive_at_start, backward_product_by_loop, completed_at,
+                     drift_by_loops, ergodic_by_pairs,
+                     first_dominated_reduction, geometric_tail_sum_direct,
+                     lemma1_by_loops, lemma2_by_loops, prop1_by_search,
+                     prop2_by_loops, product_by_loop, psi_by_loops, quorums_at,
+                     thm2_by_loops)
 
 
 # -- update matrices --------------------------------------------------------------------
@@ -41,19 +42,19 @@ from oracles import (backward_product_by_loop, drift_by_loops,
 def test_matrix_rows_on_lockstep_cycle(suite_traces):
     _, trace = suite_traces["ring"]
     matrix = trace_matrices(trace)[5 - 1]
-    assert trace.alive_at_start(5) == trace.completed_at(5) == frozenset({1, 2, 3})
+    assert alive_at_start(trace, 5) == completed_at(trace, 5) == frozenset({1, 2, 3})
     # each agent averages itself with its single in-neighbor
     expected = np.array([[0.5, 0.0, 0.5],
                          [0.5, 0.5, 0.0],
                          [0.0, 0.5, 0.5]])
     np.testing.assert_array_equal(matrix, expected)
-    assert trace.quorums_at(5) == {1: (3,), 2: (1,), 3: (2,)}
+    assert quorums_at(trace, 5) == {1: (3,), 2: (1,), 3: (2,)}
 
 
 def test_matrix_unit_row_for_non_completers(suite_traces):
     _, trace = suite_traces["crash_pre"]       # agent 4 dies at t = 7
     matrix = trace_matrices(trace)[9 - 1]
-    completers, quorums = trace.completed_at(9), trace.quorums_at(9)
+    completers, quorums = completed_at(trace, 9), quorums_at(trace, 9)
     assert 4 not in completers
     np.testing.assert_array_equal(matrix[3], np.eye(4)[3])
     for agent in completers:
@@ -237,7 +238,7 @@ def test_pseudo_beliefs_match_engine_bitwise(suite_traces):
     for name, (config, trace) in suite_traces.items():
         pseudo = pseudo_belief_evolution(trace)
         for t in range(1, trace.iterations + 1):
-            for agent in trace.completed_at(t):
+            for agent in completed_at(trace, t):
                 np.testing.assert_array_equal(
                     pseudo[t][agent - 1], trace.record(t, agent).log_belief,
                     err_msg=f"{name}: t={t} agent={agent}")
@@ -337,8 +338,8 @@ def assert_prop1_matches_search(trace):
     graph, f = trace.config.graph, trace.config.f
     reduced = enumerate_reduced_graphs(graph, f)
     for t in range(1, trace.iterations + 1):
-        found = first_dominated_reduction(reduced, trace.quorums_at(t))
-        assert first_dominated_nodes(graph, f, trace.quorums_at(t)) == (
+        found = first_dominated_reduction(reduced, quorums_at(trace, t))
+        assert first_dominated_nodes(graph, f, quorums_at(trace, t)) == (
             None if found is None else found.nodes), t
     failures, worst = prop1_by_search(reduced, trace,
                                       structure_constants(graph, f).xi)
@@ -569,7 +570,7 @@ def test_drift_decomposition_matches_loop_reference(suite_traces):
         args = (trace, "theta2", "theta1")
         dec = decompose_log_ratio_drift(*args, 1.0)
         for cp in dec.checkpoints:
-            rows = sorted(trace.alive_at_start(cp.t + 1))
+            rows = sorted(alive_at_start(trace, cp.t + 1))
             drift, slln, deviations, residual = drift_by_loops(
                 trace_matrices(trace), psi_series(*args), log_ratio_vectors(*args),
                 expected_ratio_vectors(*args), cp.t, rows)

@@ -30,9 +30,11 @@ from crashlearn.harness import write_trajectory_csv
 from crashlearn.observation import LikelihoodModel
 
 from conftest import make_config, standard_model, suite_configs
-from oracles import (bayes_log_posterior, belief_recursion_by_chunks,
-                     heap_schedule, read_trace_by_lines, step_rows,
-                     stepwise_schedule, write_trace_by_dumps,
+from oracles import (alive_at_start, bayes_log_posterior,
+                     belief_recursion_by_chunks, completed_at,
+                     crash_events_observed, heap_schedule, log_belief_before,
+                     read_trace_by_lines, step_rows, stepwise_schedule,
+                     transmitters_at, write_trace_by_dumps,
                      write_trajectory_csv_by_rows)
 
 
@@ -226,7 +228,7 @@ def test_zero_delay_equals_adversarial_latest(graph, plan):
         assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
     # Lockstep: every quorum is the lowest-labeled transmitting in-neighbors.
     for t in range(1, 61):
-        heard = sorted(ta.transmitters_at(t))
+        heard = sorted(transmitters_at(ta, t))
         for agent, rec in ta.records[t - 1].items():
             if rec.quorum is not None:
                 need = len(graph.in_neighbors[agent]) - 1
@@ -269,7 +271,7 @@ def test_uniform_delays_still_complete_every_iteration():
     # crashed agent 4 leaves; 1..3 always complete
     assert trace.final_alive == frozenset({1, 2, 3})
     for t in range(8, 241):
-        assert trace.completed_at(t) == frozenset({1, 2, 3})
+        assert completed_at(trace, t) == frozenset({1, 2, 3})
 
 
 def test_determinism_bitwise():
@@ -304,12 +306,12 @@ def assert_one_step_updates(trace) -> None:
                for ev in trace.config.adversary.crash_plan}
     for t in range(1, trace.iterations + 1):
         for agent, rec in trace.records[t - 1].items():
-            before = trace.log_belief_before(t, agent)
+            before = log_belief_before(trace, t, agent)
             if rec.quorum is None:
                 assert rec.log_belief.tobytes() == before.tobytes(), \
                     f"t={t} agent={agent}"
                 continue
-            args = (before, [trace.log_belief_before(t, j) for j in rec.quorum],
+            args = (before, [log_belief_before(trace, t, j) for j in rec.quorum],
                     rec.signal, model, agent, len(rec.quorum))
             want = (partial_update_belief(*args, partial[agent])
                     if rec.crash_phase == "mid_update" else update_belief(*args))
@@ -563,36 +565,37 @@ def test_crash_phases_and_alive_sets(mode):
     rec = pre.record(12, 4)
     assert not rec.completed and rec.crash_phase == "before_transmit"
     assert rec.quorum is None and rec.signal is None
-    np.testing.assert_array_equal(rec.log_belief, pre.log_belief_before(12, 4))
-    assert 4 in pre.alive_at_start(12)
-    assert 4 not in pre.alive_at_start(13)
-    assert 4 not in pre.transmitters_at(12)
+    np.testing.assert_array_equal(rec.log_belief, log_belief_before(pre, 12, 4))
+    assert 4 in alive_at_start(pre, 12)
+    assert 4 not in alive_at_start(pre, 13)
+    assert 4 not in transmitters_at(pre, 12)
 
     sent = run_with("after_transmit")
     rec = sent.record(12, 4)
     assert not rec.completed and rec.crash_phase == "after_transmit"
     assert rec.quorum is None and rec.signal is None
-    np.testing.assert_array_equal(rec.log_belief, sent.log_belief_before(12, 4))
-    assert 4 in sent.transmitters_at(12)    # it sent before dying
-    assert 4 not in sent.alive_at_start(13)
+    np.testing.assert_array_equal(rec.log_belief, log_belief_before(sent, 12, 4))
+    assert 4 in transmitters_at(sent, 12)    # it sent before dying
+    assert 4 not in alive_at_start(sent, 13)
 
     mid = run_with("mid_update", partial=1)
     rec = mid.record(12, 4)
     assert not rec.completed and rec.crash_phase == "mid_update"
     assert rec.quorum is not None and rec.signal is not None
-    assert 4 in mid.transmitters_at(12)     # transmit happens before the crash
-    assert 4 not in mid.alive_at_start(13)
+    assert 4 in transmitters_at(mid, 12)     # transmit happens before the crash
+    assert 4 not in alive_at_start(mid, 13)
 
     post = run_with("after_update")
     rec = post.record(12, 4)
     assert rec.completed and rec.crash_phase == "after_update"
-    assert 4 in post.alive_at_start(12)
-    assert 4 not in post.alive_at_start(13)
+    assert 4 in alive_at_start(post, 12)
+    assert 4 not in alive_at_start(post, 13)
 
     for trace in (pre, sent, mid, post):
         validate_trace(trace)
         assert trace.final_alive == frozenset({1, 2, 3})
-        assert trace.crash_events_observed() == ((4, 12, trace.record(12, 4).crash_phase),)
+        assert crash_events_observed(trace) == (
+            (4, 12, trace.record(12, 4).crash_phase),)
         # no quorum ever cites the crashed agent once it stopped transmitting
         for t in range(13, 21):
             for agent in trace.records[t - 1]:
@@ -607,17 +610,12 @@ def test_crashed_agent_has_no_records_after_crash():
     assert 4 in trace.records[7 - 1]
 
 
-def _alive_after_rows(trace):
-    """alive_after's rows from the phase codes: who is alive at t + 1, or
-    who finished the last iteration with no crash."""
-    return [{a + 1 for a in range(trace.n)
-             if (trace.phase[t, a] >= 0 if t < trace.iterations
-                 else trace.phase[t - 1, a] == 0)}
-            for t in range(1, trace.iterations + 1)]
-
-
 def test_alive_after_names_the_next_alive_set(suite_traces):
-    traces = [trace for _, trace in suite_traces.values()]
+    # agent 4 crashes in the last iteration, after its update
+    last = run_execution(make_config(
+        DirectedGraph.complete(4), 1, iterations=12, seed=5,
+        adversary=AdversarySchedule(crash_plan=(CrashEvent(4, 12, "after_update"),))))
+    traces = [trace for _, trace in suite_traces.values()] + [last]
     # a tampered trace: agent 1 of crash_pre is absent from iteration 21 only
     _, trace = suite_traces["crash_pre"]
     phase = trace.phase.copy()
@@ -626,10 +624,11 @@ def test_alive_after_names_the_next_alive_set(suite_traces):
                               trace.quorum, trace.signal, trace.log_belief)
     for trace in traces + [tampered]:
         assert trace.alive_after.shape == (trace.iterations, trace.n)
-        for t, expected in enumerate(_alive_after_rows(trace), start=1):
-            assert set(np.flatnonzero(trace.alive_after[t - 1]) + 1) == expected
-            assert trace.alive_at_start(t + 1) == expected
-    assert 1 not in tampered.alive_at_start(21) and 1 in tampered.alive_at_start(22)
+        for t in range(1, trace.iterations + 1):
+            assert (set(np.flatnonzero(trace.alive_after[t - 1]) + 1)
+                    == alive_at_start(trace, t + 1)), t
+    assert 1 not in alive_at_start(tampered, 21) and 1 in alive_at_start(tampered, 22)
+    assert alive_at_start(last, 13) == last.final_alive == frozenset({1, 2, 3})
     with pytest.raises(TraceInvariantError, match="iteration 21 alive set"):
         validate_trace(tampered)
 

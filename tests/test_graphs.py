@@ -14,12 +14,12 @@ from crashlearn.analysis import structure_constants
 from crashlearn.graphs import (BudgetExceededError, DirectedGraph,
                                check_condition1, check_condition2,
                                detectability_report, enumerate_reduced_graphs,
-                               random_link_removal_subgraph,
                                source_decomposition)
+from crashlearn.harness import load_graph
 from crashlearn.observation import (IdentifiabilityPreconditionError,
                                     check_assumption1)
 
-from conftest import standard_model
+from conftest import random_link_removal_subgraph, standard_model
 from oracles import (brute_condition1, brute_condition2, brute_first_removals,
                      brute_gamma, brute_reduced_graphs, components_and_sources)
 
@@ -48,10 +48,12 @@ def test_from_dict_rejects_duplicate_edges():
         DirectedGraph.from_dict({"n": 3, "edges": [[1, 2], [1, 2]]})
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     g = DirectedGraph.from_edge_list(4, [(1, 2), (2, 3), (3, 1), (4, 1)])
-    assert DirectedGraph.from_json(g.to_json()) == g
-    assert g.to_json() == DirectedGraph.from_json(g.to_json()).to_json()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(g.to_dict()))
+    assert load_graph(path) == g
+    assert load_graph(path).to_dict() == g.to_dict()
 
 
 def test_degree_accessors():

@@ -761,15 +761,18 @@ def test_cli_simulate_refuses_invalid_configs(base_config, tmp_path, capsys,
     assert code == 2 and err.startswith("config:") and message in err, err
 
 
-@pytest.mark.parametrize("field", ["hypotheses", "agents"])
+@pytest.mark.parametrize("field, message",
+                         [("hypotheses", "need at least one hypothesis"),
+                          ("agents", "need at least one agent")],
+                         ids=["hypotheses", "agents"])
 def test_cli_identify_refuses_an_empty_model(config_dir, base_config, tmp_path,
-                                             capsys, field):
+                                             capsys, field, message):
     (tmp_path / "model.json").write_text(json.dumps(
         dict(base_config.model.to_dict(), **{field: []})))
     code, _, err = run_cli(["identify", "--graph", str(config_dir / "graph.json"),
                             "--model", str(tmp_path / "model.json"), "--f", "1"],
                            capsys)
-    assert code == 2 and err.startswith("config:"), err
+    assert code == 2 and err.startswith("config:") and message in err, err
 
 
 def test_cli_analyze_exits_4_on_an_empty_or_misshapen_trace(stored_trace,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashlearn.graphs import DirectedGraph, detectability_report
+from crashlearn.harness import load_model
 from crashlearn.observation import (IdentifiabilityPreconditionError,
                                     LikelihoodModel, bernoulli_agent,
                                     check_assumption1,
@@ -67,15 +68,17 @@ def test_tables_are_read_only():
         m.log_table(1)[0, 0] = 0.0
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     m = model_of([bernoulli_agent(0.25, 0.75), bernoulli_agent(0.5, 0.5)])
-    again = LikelihoodModel.from_json(m.to_json())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(m.to_dict()))
+    again = load_model(path)
     assert again.hypotheses == m.hypotheses
     for i in m.agents():
         assert again.signals(i) == m.signals(i)
         np.testing.assert_array_equal(again.table(i), m.table(i))
     # from_dict renormalizes tiny row-sum slack but rejects gross error
-    payload = json.loads(m.to_json())
+    payload = m.to_dict()
     payload["agents"][0]["likelihood"]["theta1"][0] += 1e-10
     fixed = LikelihoodModel.from_dict(payload)
     np.testing.assert_allclose(fixed.table(1).sum(axis=1), 1.0,

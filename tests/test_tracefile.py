@@ -83,3 +83,18 @@ def test_read_trace_reports_each_step_rule(stored_lines, tmp_path, rule):
         with pytest.raises(TraceInvariantError) as caught:
             reader(path)
         assert str(caught.value) == message
+
+
+def test_read_trace_names_a_blank_line_by_its_file_line(stored_lines, tmp_path):
+    # A blank line 2 comes before a record that is not an object on line 6;
+    # blank lines at the end of a file are dropped.
+    lines = list(stored_lines)
+    lines[LINE - 2] = "[1, 2]"
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n")
+    trailing = tmp_path / "trailing.jsonl"
+    trailing.write_text("\n".join(stored_lines) + "\n\n \n")
+    for reader in (read_trace, read_trace_by_lines):
+        with pytest.raises(TraceInvariantError, match=r"^line 2: not JSON"):
+            reader(path)
+        assert reader(trailing).log_belief.shape == (30, 4, 2)
