@@ -91,7 +91,7 @@ from itertools import compress
 import numpy as np
 
 from .graphs import (ConfigError, DirectedGraph, config_float, config_integer,
-                     distinct_rows)
+                     config_list, distinct_rows)
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -203,8 +203,9 @@ class AdversarySchedule:
         return cls(mode=str(payload.get("mode", "uniform")),
                    dmax=config_float(payload.get("dmax", 1.0), "dmax"),
                    fixed_delays=fixed,
-                   crash_plan=tuple(CrashEvent.from_dict(ev)
-                                    for ev in payload.get("crash_plan", ())))
+                   crash_plan=tuple(CrashEvent.from_dict(ev) for ev in
+                                    config_list(payload.get("crash_plan", ()),
+                                                "crash_plan")))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,14 @@ def config_float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def config_list(value, name: str) -> list:
+    """A config field that must be a JSON array: a list or a tuple. Strings,
+    mappings and other values are rejected, not iterated."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
 def parse_config(what: str, parse: Callable[..., _Parsed], *args) -> _Parsed:
     """parse(*args), with the errors a parser raises on a missing key, a
     wrong type or an out-of-range value reported as a ConfigError naming
@@ -122,9 +130,9 @@ class DirectedGraph:
     def from_dict(cls, payload: Mapping) -> DirectedGraph:
         """Parse {"n": int, "edges": [[j, i], ...]}; rejects duplicates and self-loops."""
         n = config_integer(payload["n"], "graph n")
-        raw = payload.get("edges", [])
         seen: set[tuple[int, int]] = set()
-        for item in raw:
+        for item in config_list(payload.get("edges", []), "graph edges"):
+            item = config_list(item, "edge")
             j = config_integer(item[0], "edge endpoint")
             i = config_integer(item[1], "edge endpoint")
             if (j, i) in seen:

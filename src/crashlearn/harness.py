@@ -26,7 +26,8 @@ from .analysis import DEFAULT_CHECKS, check_names, run_checks
 from .engine import (ConfigError, ExecutionTrace, SimulationConfig,
                      min_final_posterior, run_execution, validate_trace,
                      write_trace, read_trace)
-from .graphs import DirectedGraph, config_float, config_integer, parse_config
+from .graphs import (DirectedGraph, config_float, config_integer, config_list,
+                     parse_config)
 from .observation import (IdentifiabilityPreconditionError, LikelihoodModel,
                           check_assumption1)
 
@@ -67,11 +68,13 @@ class ExperimentBatch:
         config = load_simulation_config(payload["config"], base_dir=base_dir)
         checks = payload.get("checks")
         return cls(base_config=config,
-                   seeds=tuple(config_integer(s, "seed") for s in payload["seeds"]),
+                   seeds=tuple(config_integer(s, "seed")
+                               for s in config_list(payload["seeds"], "seeds")),
                    convergence_threshold=config_float(
                        payload.get("convergence_threshold", 0.99),
                        "convergence_threshold"),
-                   checks=DEFAULT_CHECKS if checks is None else tuple(checks))
+                   checks=DEFAULT_CHECKS if checks is None
+                   else tuple(config_list(checks, "checks")))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
-                     source_census)
+                     config_list, source_census)
 
 ZERO_TOLERANCE = 1e-12          # "nonzero" means strictly above this
 ROW_SUM_TOLERANCE = 1e-12       # direct construction
@@ -139,10 +139,16 @@ class LikelihoodModel:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> LikelihoodModel:
-        hyp = [str(h) for h in payload["hypotheses"]]
-        spaces, tables = [], []
-        for idx, spec in enumerate(payload["agents"], start=1):
-            labels = [str(s) for s in spec["signals"]]
+        """Parse a model file. Rows are renormalized before the constructor
+        checks the tables, and a row sum more than FILE_ROW_SUM_TOLERANCE
+        from 1 is refused after it, so the constructor's messages come
+        first."""
+        hyp = [str(h) for h in config_list(payload["hypotheses"], "hypotheses")]
+        spaces, tables, gaps = [], [], []
+        for idx, spec in enumerate(config_list(payload["agents"], "agents"),
+                                   start=1):
+            labels = [str(s) for s in config_list(spec["signals"],
+                                                  f"agent {idx} signals")]
             table = spec["likelihood"]
             missing = [h for h in hyp if h not in table]
             if missing:
@@ -156,15 +162,17 @@ class LikelihoodModel:
                 rows.append(row)
             # (0, k) with no hypotheses, so the constructor says what is wrong
             arr = np.array(rows).reshape(len(hyp), len(labels))
-            if np.any(arr <= 0.0):
-                raise ValueError(f"agent {idx}: zero or negative likelihood entry")
-            gap = np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0)
+            sums = arr.sum(axis=1, keepdims=True)
+            gaps.append(np.abs(sums - 1.0).max(initial=0.0))
+            # a zero sum needs an entry <= 0, which the constructor refuses
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tables.append(arr / sums)
+            spaces.append(labels)
+        model = cls(hyp, spaces, tables)
+        for idx, gap in enumerate(gaps, start=1):
             if gap > FILE_ROW_SUM_TOLERANCE:
                 raise ValueError(f"agent {idx}: row sums off by {gap:.3e}")
-            arr = arr / arr.sum(axis=1, keepdims=True)
-            spaces.append(labels)
-            tables.append(arr)
-        return cls(hyp, spaces, tables)
+        return model
 
     def to_dict(self) -> dict:
         return {

@@ -304,6 +304,39 @@ def test_cli_batch_rejects_non_integer_seeds(config_dir, tmp_path, capsys, value
     assert "must be an integer" in err
 
 
+# Every list field of a batch description with its config inline, as a path
+# into its dict, a value that iterates but is not a JSON array, and the name
+# the refusal gives the field.
+LIST_FIELDS = {
+    "seeds": (("seeds",), "1000", "seeds"),
+    "checks": (("checks",), {"psi": 1, "thm2": 0}, "checks"),
+    "edges": (("config", "graph", "edges"), "12", "graph edges"),
+    "edge": (("config", "graph", "edges", 0), "12", "edge"),
+    "crash_plan": (("config", "adversary", "crash_plan"),
+                   {"agent": 4, "iteration": 10, "phase": "before_transmit"},
+                   "crash_plan"),
+    "hypotheses": (("config", "model", "hypotheses"), "ab", "hypotheses"),
+    "agents": (("config", "model", "agents"), {"signals": ["a", "b"]}, "agents"),
+    "signals": (("config", "model", "agents", 0, "signals"), "xy",
+                "agent 1 signals"),
+}
+
+
+@pytest.mark.parametrize("path, value, name", LIST_FIELDS.values(),
+                         ids=LIST_FIELDS)
+def test_cli_batch_rejects_non_list_fields(base_config, tmp_path, capsys,
+                                           path, value, name):
+    batch = {"config": base_config.to_dict(), "seeds": [21],
+             "checks": ["psi"]}
+    (tmp_path / "batch.json").write_text(json.dumps(
+        with_field(batch, path, value)))
+    code, _, err = run_cli(["batch", "--config", str(tmp_path / "batch.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert f"{name} must be a list, got {value!r}" in err, err
+    assert "Traceback" not in err
+
+
 # Every float field of a simulation config, as a path into its dict with a
 # per-edge delay table in place, and values float() would turn into a float
 # or fail on with an error other than ConfigError.

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +88,40 @@ def test_json_round_trip(tmp_path):
     payload["agents"][0]["likelihood"]["theta1"][0] += 1e-3
     with pytest.raises(ValueError):
         LikelihoodModel.from_dict(payload)
+
+
+# Agent 1 of a two-agent model file, edited; the message from_dict must give.
+# The constructor's checks report before the file's row-sum tolerance.
+FILE_AGENTS = {
+    "no-signals": ({"signals": [],
+                    "likelihood": {"theta1": [], "theta2": []}},
+                   "agent 1: signal labels empty or duplicated"),
+    "duplicate-signals-off-rows": ({"signals": ["a", "a"],
+                                    "likelihood": {"theta1": [0.3, 0.8],
+                                                   "theta2": [0.7, 0.3]}},
+                                   "agent 1: signal labels empty or duplicated"),
+    "zero-entry": ({"signals": ["a", "b"],
+                    "likelihood": {"theta1": [0.0, 1.0], "theta2": [0.7, 0.3]}},
+                   "agent 1: entries must be finite and > 0"),
+    "zero-row-sum": ({"signals": ["a", "b"],
+                      "likelihood": {"theta1": [-0.5, 0.5],
+                                     "theta2": [0.7, 0.3]}},
+                     "agent 1: entries must be finite and > 0"),
+    "off-row-sum": ({"signals": ["a", "b"],
+                     "likelihood": {"theta1": [0.3, 0.8], "theta2": [0.7, 0.3]}},
+                    "agent 1: row sums off by 1.000e-01"),
+}
+
+
+@pytest.mark.parametrize("agent, message", FILE_AGENTS.values(),
+                         ids=FILE_AGENTS)
+def test_from_dict_reports_the_constructors_checks_first(agent, message):
+    payload = model_of([bernoulli_agent(0.3, 0.7)] * 2).to_dict()
+    payload["agents"][0] = agent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no divide-by-zero warning
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            LikelihoodModel.from_dict(payload)
 
 
 # -- divergences ---------------------------------------------------------------------
