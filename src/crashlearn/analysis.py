@@ -7,28 +7,14 @@ then satisfy a linear recursion driven by per-iteration log-likelihood-ratio
 vectors, and every convergence statement about the protocol is a statement
 about backward products of these matrices.
 
-trace_matrices returns a run's matrices as one (T, n, n) array, row t - 1
-for iteration t. Every product comes from _fold_ranges, which steps many
-ranges [lo, hi] in lockstep: at step k each range still open takes its next
-matrix, and all of them are multiplied in one stacked matmul. A forward
-range starts from lo and multiplies on the left, M_t @ (M_{t-1} ... M_lo);
-a backward range starts from hi and multiplies on the right,
-(M_hi ... M_{r+1}) @ M_r. It returns the products, or the whole folds: every
-prefix of a forward range, every suffix of a backward one. Each quantity is
-always formed in the same direction and order, whichever ranges share the
-call, so every report is bitwise reproducible. A per-trace memo, _Shared,
-holds the folds of each direction keyed by their exact range (lo, hi):
-thm2 and prop2 read the forward folds over [r, T], the pi estimates the
-last entry of the forward fold over [r, horizon], lemma1 and psi the
-backward folds over [1, t], and so does decompose_log_ratio_drift. A fold
-that several readers need is stepped once, and none is stepped past the
-range its readers ask for.
-
 Each check_* function verifies one such statement on a concrete trace and
-returns a CheckResult; run_checks bundles them. Checks never loosen a bound
-to pass: structural claims (zero columns, dominating reduced graphs, source
-mass thresholds) are asserted exactly, in float or rational arithmetic as
-appropriate, and analytic inequalities carry only a 1e-12 rounding slack.
+returns a CheckResult; run_checks bundles them. Every product comes from
+_fold_ranges, formed in one direction and order whatever else is stepped
+with it, so every report is bitwise reproducible from its trace, whichever
+checks ran before. Checks never loosen a bound to pass: structural claims
+(zero columns, dominating reduced graphs, source mass thresholds) are
+asserted exactly, in float or rational arithmetic as appropriate, and
+analytic inequalities carry only a 1e-12 rounding slack.
 """
 
 from __future__ import annotations
@@ -156,7 +142,8 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
 
 def backward_product(matrices: np.ndarray, t_hi: int, t_lo: int) -> np.ndarray:
     """Product of the iteration matrices from t_hi down to t_lo; the empty
-    range t_lo = t_hi + 1 gives the identity."""
+    range t_lo = t_hi + 1 gives the identity. estimate_pi reads it, so it
+    stays a reference for the estimates run_checks reads from the memo."""
     return _fold_ranges(matrices, [t_lo], [t_hi])[0]
 
 
@@ -330,7 +317,12 @@ class CheckResult:
 
 
 class _Shared:
-    """Lazily computed objects reused across checks on one trace."""
+    """Lazily computed objects reused across checks on one trace. Its memo
+    keys the folds of each direction by their exact range (lo, hi): thm2
+    and prop2 read the forward folds over [r, T], the pi estimates the last
+    entry of the forward fold over [r, horizon], and lemma1, psi and
+    decompose_log_ratio_drift the backward folds over [1, t]. A fold that
+    several readers need is stepped once, and none past its range."""
 
     def __init__(self, trace: ExecutionTrace):
         self.trace = trace
@@ -409,7 +401,11 @@ def check_lemma1(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckR
     underflows to 0.0 as a float (4^-1040 on complete-4 with f=1), and an
     overlap of exactly 0 must still fail. A window's margin is
     log(eta) - window * log(xi), -inf at an overlap of 0; its witness
-    reports the float floor."""
+    reports the float floor. The per-t parts cannot fail on a well-formed
+    trace, only by rounding beyond the slack: every product of the
+    row-stochastic update matrices is row-stochastic, a set of rows of such
+    a matrix has disagreement at most one minus its overlap, and dropping
+    rows only shrinks the disagreement and grows the overlap."""
     shared = shared or _Shared(trace)
     matrices, structure = shared.matrices, shared.structure
     T = trace.iterations
@@ -453,7 +449,10 @@ def check_lemma2(trace: ExecutionTrace, shared: _Shared | None = None,
                  n_triples: int = 50, seed: int = 0) -> CheckResult:
     """Splitting a product at any interior point contracts disagreement by at
     least the overlap of the later factor, rows restricted to survivors of
-    the split point."""
+    the split point. This cannot fail on a well-formed trace, only by
+    rounding beyond the slack: for row-stochastic P and Q the disagreement
+    of rows of PQ is at most that of Q times one minus the overlap of P,
+    and the survivors' rows put no weight on agents already dead (prop2)."""
     shared = shared or _Shared(trace)
     matrices = shared.matrices
     T = trace.iterations

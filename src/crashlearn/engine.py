@@ -20,64 +20,12 @@ Crash faults remove an agent at one of four points inside an iteration:
 Dead agents keep their last belief frozen and are dropped from every later
 quorum because they never transmit again.
 
-A run is computed as: schedule, then one belief pass. Quorums and crash
-points depend only on message delays and the crash plan, never on belief
-values, so a belief-free schedule first fixes who hears whom in every
-iteration. It is a recursion over ready times. Every agent is ready for
-iteration 1 at time 0. In iteration t a transmitting agent j sends at its
-ready time r_j, and its message reaches an out-neighbor i at r_j + d_t(j, i).
-An agent that takes a quorum takes the len(in_neighbors) - f earliest
-messages of its transmitting in-neighbors, an arrival tie going to the
-lower sender label, and is ready for t + 1 at the later of r_i and its
-latest taken arrival. Only that latest arrival's value carries from one
-iteration to the next, and a tie does not change it, so the recursion runs
-in blocks of BELIEF_CHUNK iterations: a loop carries the order statistic
-and stores the ready times, then every quorum of the block is taken at
-once. Delays come from per-sender substreams (uniform mode) or a fixed
-table (fixed mode). adversarial_latest is the worst-case scheduler that
-withholds every message as long as it can: nobody can run ahead, so
-execution is lockstep rounds, which is the recursion with every delay 0.
-Then every quorum is the lowest-labeled transmitting in-neighbors and
-depends on the iteration's phase row alone, so the rule runs once per span
-of equal phase rows. No agent waits forever: validate allows at most
-f crashes and f <= every in-degree, so in every iteration each agent keeps
-at least len(in_neighbors) - f transmitting in-neighbors. Signals come from
-per-agent substreams consumed in iteration order, so the signal sequence of
-an agent does not depend on the delay schedule.
-
-The belief pass is belief_recursion, which the analysis replay shares. In
-log space an iteration applies a row-stochastic update matrix, adds the
-log-likelihoods and subtracts a per-row normalizer; a per-row constant
-stays a per-row constant through the next matrix, so the normalizers can
-wait, and the unnormalized beliefs of a stretch of iterations are a prefix
-scan of affine maps. The pass cuts the run where the phase rows change,
-steps each crash iteration on its own (it may rewrite only part of a
-belief), scans the rest in chunks of BELIEF_CHUNK iterations and normalizes
-every row of a chunk at once. Under lockstep rounds every iteration of a
-crash-free stretch applies the same matrix, so such a chunk's products are
-powers of one matrix: they are built once and reused by the chunks that
-follow, which then only combine the log-likelihoods, bit for bit as a
-full scan would. Beliefs agree with one update_belief or
-partial_update_belief call per record within 1e-12 (relative above
-magnitude 1, absolute below); rows that do not update are copied exactly.
-
-An ExecutionTrace stores a run as four arrays over (iteration, agent), row
-t - 1 for iteration t: phase (T, n) int8 (-1: not alive at the start of t,
-0: a normal iteration, k: the k-th entry of CRASH_PHASES), quorum (T, n, q)
-(1-based labels padded with -1, q the largest in-degree minus f), signal
-(T, n) (index into model.signals(agent), or -1) and log_belief (T, n, m)
-(beliefs at the end of t; a dead agent's stays frozen). Its alive_after
-(T, n) mask holds, in row t - 1, the agents that begin iteration t + 1.
-Every check and validate_trace read these arrays directly.
-read_trace rejects a record whose own fields are malformed or contradict
-the config or its crash phase; validate_trace checks the records against
-each other.
-
+A run is computed in two passes. _schedule fixes every phase and quorum
+from the delays and the crash plan alone, since who hears whom never
+depends on belief values; then belief_recursion, which the analysis replay
+shares, computes every belief. An ExecutionTrace holds the result.
 write_trace and read_trace, the trace file's writer and reader, live in
-the tracefile module and are part of this module's interface. A trace's
-step records, one per (iteration, alive agent), come a block of
-BELIEF_CHUNK iterations at a time from step_blocks, the one record view:
-both writers format it, and records builds its AgentRecords from it.
+the tracefile module and are part of this module's interface.
 """
 
 from __future__ import annotations
@@ -87,6 +35,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -520,13 +469,23 @@ def _scan(previous: np.ndarray, prefix: np.ndarray,
 
 # -- trace --------------------------------------------------------------------
 
-# _PHASE_TABLE[code] is (alive, transmits, takes_quorum, completes) for a
-# trace phase code; code -1 reads the last row, the all-False one.
-# _PHASE_NAMES[code] is the crash phase of a code, _PHASE_CODES its inverse.
-_PHASE_NAMES = tuple(_PHASE_RULES)
-_PHASE_CODES = {phase: code for code, phase in enumerate(_PHASE_NAMES)}
-_PHASE_TABLE = np.array([(True, *rules) for rules in _PHASE_RULES.values()]
-                        + [(False, False, False, False)], dtype=bool)
+class PhaseTable(NamedTuple):
+    """The crash-phase state machine over trace phase codes: code 0 is no
+    crash and code k the k-th of CRASH_PHASES. Each bool column is indexed
+    by code, and code -1 (not alive) reads its last entry, False."""
+
+    names: tuple[str | None, ...]       # the crash phase of each code
+    codes: Mapping[str | None, int]     # the code of each crash phase
+    alive: np.ndarray
+    transmits: np.ndarray
+    takes_quorum: np.ndarray
+    completes: np.ndarray
+
+
+PHASES = PhaseTable(tuple(_PHASE_RULES),
+                    {phase: code for code, phase in enumerate(_PHASE_RULES)},
+                    *np.array([(True, *rules) for rules in _PHASE_RULES.values()]
+                              + [(False,) * 4], dtype=bool).T)
 
 
 @dataclass(eq=False)
@@ -541,7 +500,15 @@ class AgentRecord:
 
 
 class ExecutionTrace:
-    """Everything one run produced, as the arrays of the module docstring."""
+    """Everything one run produced, as four arrays over (iteration, agent),
+    row t - 1 for iteration t: phase (T, n) int8 (a PHASES code, -1 for an
+    agent not alive at the start of t), quorum (T, n, q) (1-based labels
+    padded with -1, q the largest in-degree minus f), signal (T, n) (index
+    into model.signals(agent), or -1) and log_belief (T, n, m) (beliefs at
+    the end of t; a dead agent's stays frozen). The masks alive,
+    transmitted, takes_quorum and completed are read from phase through
+    PHASES, and alive_after holds, in row t - 1, the agents that begin
+    iteration t + 1. Every check and validate_trace read these arrays."""
 
     def __init__(self, config: SimulationConfig, initial_log_belief: np.ndarray,
                  phase: np.ndarray, quorum: np.ndarray, signal: np.ndarray,
@@ -555,8 +522,9 @@ class ExecutionTrace:
         self.initial_log_belief = initial_log_belief
         self.phase, self.quorum = phase, quorum
         self.signal, self.log_belief = signal, log_belief
-        (self.alive, self.transmitted, self.takes_quorum,
-         self.completed) = np.moveaxis(_PHASE_TABLE[phase], -1, 0)
+        self.alive, self.transmitted = PHASES.alive[phase], PHASES.transmits[phase]
+        self.takes_quorum = PHASES.takes_quorum[phase]
+        self.completed = PHASES.completes[phase]
         # row t - 1: who begins iteration t + 1 (the survivors in the last row)
         self.alive_after = np.concatenate([self.alive[1:], phase[-1:] == 0])
         self.final_alive = _agents(self.alive_after[-1])
@@ -594,19 +562,19 @@ class ExecutionTrace:
         plain values (crash_phase and signal a name or None, quorum a list
         of labels or None for an agent that takes none), each record's index
         into fields, and the records' (R, m) log beliefs."""
-        rules = _PHASE_TABLE.tolist()
+        takes_quorum, completes = PHASES.takes_quorum.tolist(), PHASES.completes.tolist()
         spaces = [self.config.model.signals(a) for a in range(1, self.n + 1)]
         for lo in range(0, self.iterations, BELIEF_CHUNK):
             ts, agents = np.nonzero(self.alive[lo:lo + BELIEF_CHUNK])
             ts += lo
             code = self.phase[ts, agents]
-            takes = _PHASE_TABLE[code, 2]
+            takes = PHASES.takes_quorum[code]
             distinct, index = distinct_rows(np.column_stack(
                 [agents, code, self.signal[ts, agents],
                  np.where(takes[:, None], self.quorum[ts, agents], -1)]))
-            fields = [(a + 1, _PHASE_NAMES[c], rules[c][3],
+            fields = [(a + 1, PHASES.names[c], completes[c],
                        spaces[a][k] if k >= 0 else None,
-                       [j for j in quorum if j >= 0] if rules[c][2] else None)
+                       [j for j in quorum if j >= 0] if takes_quorum[c] else None)
                       for a, c, k, *quorum in distinct.tolist()]
             yield ts + 1, agents + 1, fields, index, self.log_belief[ts, agents]
 
@@ -638,7 +606,7 @@ def run_execution(config: SimulationConfig) -> ExecutionTrace:
     return _belief_pass(config, phase, quorum)
 
 
-def _blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+def blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """phase and quorum arrays with no agent alive anywhere."""
     g, T = config.graph, config.iterations
     width = g.max_in_degree - config.f
@@ -647,19 +615,31 @@ def _blank_schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The phase and quorum arrays of a run: the ready-time recursion of the
-    module docstring. Under adversarial_latest every delay is 0, so a quorum
-    depends on its phase row alone and each span of equal phase rows is
-    taken once. Otherwise, per block of BELIEF_CHUNK iterations, a loop
-    carries each agent's need-th earliest arrival into its ready time, the
-    one value the recursion needs from an iteration, and then every quorum
-    of the block is taken at once from the ready times the loop stored."""
+    """The phase and quorum arrays of a run, a recursion over ready times.
+    Every agent is ready for iteration 1 at time 0. In iteration t a
+    transmitting agent j sends at its ready time r_j, and its message
+    reaches an out-neighbor i at r_j + d_t(j, i) (_delays). An agent that
+    takes a quorum takes its len(in_neighbors) - f earliest messages
+    (_take) and is ready for t + 1 at the later of r_i and its latest taken
+    arrival, so an agent may run many iterations ahead of a slow one and no
+    message buffer is needed. Only that arrival's value carries to the next
+    iteration, and a tie does not change it, so per block of BELIEF_CHUNK
+    iterations a loop carries each agent's need-th earliest arrival into its
+    ready time, and then every quorum of the block is taken at once.
+
+    adversarial_latest withholds every message as long as it can: nobody
+    runs ahead, so execution is lockstep rounds, the recursion with every
+    delay 0 (fixed delays of 0 give the same quorums). A quorum is then the
+    lowest-labeled transmitting in-neighbors, a function of its phase row,
+    so each span of equal phase rows, the cut belief_recursion uses, is
+    taken once. No agent waits forever: validate allows at most f crashes
+    and f <= every in-degree, so every quorum can be formed."""
     g, adversary = config.graph, config.adversary
-    phase, quorum = _blank_schedule(config)
+    phase, quorum = blank_schedule(config)
     # Code 0 until an agent's crash iteration, its phase's code there, -1 after.
     phase[:] = 0
     for ev in adversary.crash_plan:
-        phase[ev.iteration - 1, ev.agent - 1] = _PHASE_CODES[ev.phase]
+        phase[ev.iteration - 1, ev.agent - 1] = PHASES.codes[ev.phase]
         phase[ev.iteration:, ev.agent - 1] = -1
     need = g.in_degree - config.f
     width = quorum.shape[2]
@@ -667,8 +647,7 @@ def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     def rules(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Who transmits, and how many messages each agent takes (0 if it
         takes no quorum), in each of some phase rows."""
-        _, transmits, takes, _ = np.moveaxis(_PHASE_TABLE[rows], -1, 0)
-        return transmits, np.where(takes, need, 0)
+        return PHASES.transmits[rows], np.where(PHASES.takes_quorum[rows], need, 0)
 
     if adversary.mode == "adversarial_latest":
         spans = _spans(phase)
@@ -761,7 +740,7 @@ def _belief_pass(config: SimulationConfig, phase: np.ndarray,
     for ev in config.adversary.crash_plan:
         if ev.partial_count is not None:
             keep[ev.iteration - 1, ev.agent - 1, ev.partial_count:] = True
-    takes_quorum = _PHASE_TABLE[phase, 2]
+    takes_quorum = PHASES.takes_quorum[phase]
     log_belief = belief_recursion(initial, phase, takes_quorum, quorum,
                                   log_likelihood, keep)
     signal = np.where(takes_quorum, draws, -1).astype(np.int32)
@@ -769,7 +748,8 @@ def _belief_pass(config: SimulationConfig, phase: np.ndarray,
 
 
 def _signal_draws(config: SimulationConfig) -> np.ndarray:
-    """Every agent's T signal indices, as a (T, n) array."""
+    """Every agent's T signal indices, as a (T, n) array, from the agent's
+    own substream in iteration order, so they do not depend on the delays."""
     model, T = config.model, config.iterations
     return np.stack([signal_indices_from_uniforms(
         model, i, config.theta_star, _rng(config.seed, SIGNAL_STREAM, i).random(T))
@@ -798,7 +778,7 @@ def validate_trace(trace: ExecutionTrace) -> None:
                            for ev in config.adversary.crash_plan))
     ts, agents = np.nonzero(trace.phase > 0)
     observed = tuple(sorted(
-        (a + 1, t + 1, _PHASE_NAMES[code]) for t, a, code in
+        (a + 1, t + 1, PHASES.names[code]) for t, a, code in
         zip(ts.tolist(), agents.tolist(), trace.phase[ts, agents].tolist())))
     if observed != planned:
         raise TraceInvariantError(

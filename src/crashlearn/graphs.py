@@ -133,6 +133,8 @@ class DirectedGraph:
         seen: set[tuple[int, int]] = set()
         for item in config_list(payload.get("edges", []), "graph edges"):
             item = config_list(item, "edge")
+            if len(item) != 2:
+                raise ConfigError(f"edge {item!r} must have two endpoints")
             j = config_integer(item[0], "edge endpoint")
             i = config_integer(item[1], "edge endpoint")
             if (j, i) in seen:

@@ -5,9 +5,6 @@ learning under worst-case crashes, because every seed would then measure
 noise; the override flag exists precisely to demonstrate that failure mode.
 All outputs are deterministic functions of the batch description, so repeated
 runs produce byte-identical reports.
-
-The loaders at the end read JSON input files and parse them behind
-graphs.parse_config, so a malformed file or value raises ConfigError.
 """
 
 from __future__ import annotations

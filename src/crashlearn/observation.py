@@ -150,6 +150,9 @@ class LikelihoodModel:
             labels = [str(s) for s in config_list(spec["signals"],
                                                   f"agent {idx} signals")]
             table = spec["likelihood"]
+            if not isinstance(table, Mapping):
+                raise ConfigError(f"agent {idx} likelihood must be an object, "
+                                  f"got {table!r}")
             missing = [h for h in hyp if h not in table]
             if missing:
                 raise ValueError(f"agent {idx}: missing likelihood rows {missing}")

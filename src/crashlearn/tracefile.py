@@ -2,20 +2,7 @@
 
 A trace file is JSON lines, keys sorted: a header with the config and the
 initial beliefs, then one step record per (iteration, alive agent) in (t,
-agent) order. write_trace formats the records of
-ExecutionTrace.step_blocks, BELIEF_CHUNK iterations at a time, into exactly
-the text json.dumps would give each one: once per distinct fields of a
-block, the text up to the beliefs (agent, completed, crash phase) and the
-text from the beliefs up to t (quorum, signal), and the beliefs by str,
-which is json's spelling of a finite float; a record holding a non-finite
-belief and every signal name are spelled by json.dumps. read_trace decodes
-every line with a decoder that refuses duplicate keys, then tests the
-decoded records against an ordered table of rules, one boolean column per
-rule: an object, its kind, its field set, each field's type, the t and
-agent ranges, the belief length, completed against the phase, quorum and
-signal against the phase, and the quorum's width, its members and the
-signal name. The first faulty record is reported with the message of the
-first rule it breaks, unless a repeated (t, agent) cell comes before it.
+agent) order. write_trace writes it and read_trace reads it back.
 """
 
 from __future__ import annotations
@@ -27,17 +14,22 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .engine import (_PHASE_CODES, _PHASE_TABLE, BELIEF_CHUNK, ExecutionTrace,
-                     SimulationConfig, TraceInvariantError, _blank_schedule)
+from .engine import (BELIEF_CHUNK, PHASES, ExecutionTrace, SimulationConfig,
+                     TraceInvariantError, blank_schedule)
 from .graphs import ConfigError, parse_config
 
 
 def write_trace(trace: ExecutionTrace, path) -> None:
     """One JSON object per line, keys sorted: a header record, then one
     record per (iteration, alive agent) in (t, agent) order, each the text
-    json.dumps(row, sort_keys=True) gives. Records are formatted by template
-    from trace.step_blocks(), one block of BELIEF_CHUNK iterations at a
-    time (see the module docstring)."""
+    json.dumps(row, sort_keys=True) gives, without calling it per record.
+    The records of trace.step_blocks() are formatted and written one block
+    of BELIEF_CHUNK iterations at a time, from a template: once per distinct
+    fields of a block, the text up to the beliefs (agent, completed, crash
+    phase) and the text from the beliefs up to t (quorum, signal); the
+    beliefs by str, which is json's spelling of a finite float. Every
+    signal name, and the beliefs of a record holding a non-finite one, are
+    spelled by json.dumps."""
     config, m = trace.config, trace.config.model.m
     record = "%s" + ", ".join(["%s"] * m) + "%s%d}\n"
     header = {"kind": "header", "config": config.to_dict(),
@@ -172,8 +164,8 @@ def _check_steps(rows: list, lineno: int, config: SimulationConfig,
     agent_int, agent_in, agent = _label_column(agent, n)
     named = _typed(phase, str, type(None))
     code = np.full(R, -1, dtype=np.int8)
-    code[named] = list(map(_PHASE_CODES.get, compress(phase, named), repeat(-1)))
-    _, _, takes, completes = _PHASE_TABLE[code].T
+    code[named] = list(map(PHASES.codes.get, compress(phase, named), repeat(-1)))
+    takes, completes = PHASES.takes_quorum[code], PHASES.completes[code]
     said = each(operator.is_, completed, True)
     lists, sizes, flat = _list_column(quorum)
     member_int, member_in, members = _label_column(flat, n)
@@ -255,13 +247,14 @@ def read_trace(path) -> ExecutionTrace:
     own fields on the way; validate_trace checks the rest.
 
     Step lines are read in blocks of BELIEF_CHUNK * n: every line of a block
-    is decoded and its records are tested rule by rule, column by column
-    (_check_steps). The first record of the file that breaks a rule, or the
-    first line that does not decode, is reported as a record-by-record reader
-    reports it, unless a duplicate record comes earlier; a belief beyond
-    float range is reported after every line has been checked. Lines are
-    numbered as they stand in the file: blank lines at its end are dropped,
-    and any other blank line does not decode."""
+    is decoded by a decoder that refuses duplicate keys, and its records are
+    tested against _check_steps's ordered rules, one boolean column each.
+    The first record of the file that breaks a rule, or the first line that
+    does not decode, is reported as a record-by-record reader reports it,
+    unless a duplicate record comes earlier; a belief beyond float range is
+    reported after every line has been checked. Lines are numbered as they
+    stand in the file: blank lines at its end are dropped, and any other
+    blank line does not decode."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -287,7 +280,7 @@ def read_trace(path) -> ExecutionTrace:
         raise TraceInvariantError(
             f"header claims {T} iterations but the trace has "
             f"{len(lines) - 1} step records")
-    phase, quorum = _blank_schedule(config)
+    phase, quorum = blank_schedule(config)
     signal = np.full((T, n), -1, dtype=np.int32)
     # Row 0 is the initial belief; a dead agent reads its last record's row.
     stacked = np.empty((T + 1, n, config.model.m), dtype=np.float64)

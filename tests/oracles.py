@@ -34,13 +34,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from crashlearn.engine import (_PHASE_NAMES, _PHASE_RULES, BELIEF_CHUNK,
+from crashlearn.engine import (_PHASE_RULES, BELIEF_CHUNK,
                                CRASH_PHASES, DELAY_STREAM, ConfigError,
                                DeadlockError, ExecutionTrace, SimulationConfig,
-                               TraceInvariantError, _blank_schedule, _delays,
+                               TraceInvariantError, blank_schedule, _delays,
                                normalize_log_belief, update_matrices)
 from crashlearn.graphs import parse_config
 from crashlearn.tracefile import _parse_header, _parse_record
+
+# The crash phase of each trace phase code, as the package numbers them.
+PHASE_NAMES = (None, *CRASH_PHASES)
 
 
 def reach_sets(nodes, edges):
@@ -172,7 +175,7 @@ def _agents_where(trace, t, rule):
     phase rule entry rule (0 transmits, 1 takes a quorum, 2 completes)
     holds."""
     return frozenset(a + 1 for a, code in enumerate(trace.phase[t - 1].tolist())
-                     if code >= 0 and _PHASE_RULES[_PHASE_NAMES[code]][rule])
+                     if code >= 0 and _PHASE_RULES[PHASE_NAMES[code]][rule])
 
 
 def alive_at_start(trace, t):
@@ -207,7 +210,7 @@ def log_belief_before(trace, t, agent):
 
 def crash_events_observed(trace):
     """(agent, iteration, crash phase) of every crash code, sorted."""
-    return tuple(sorted((a + 1, t, _PHASE_NAMES[code])
+    return tuple(sorted((a + 1, t, PHASE_NAMES[code])
                         for t in range(1, trace.iterations + 1)
                         for a, code in enumerate(trace.phase[t - 1].tolist())
                         if code > 0))
@@ -521,7 +524,7 @@ def stepwise_schedule(config):
     are the package's _delays, which heap_schedule checks on its own draws
     where delivery times do not tie."""
     g, T, adversary = config.graph, config.iterations, config.adversary
-    phase, quorum = _blank_schedule(config)
+    phase, quorum = blank_schedule(config)
     phase[:] = 0
     for ev in adversary.crash_plan:
         phase[ev.iteration - 1, ev.agent - 1] = CRASH_PHASES.index(ev.phase) + 1
@@ -536,7 +539,7 @@ def stepwise_schedule(config):
         delays = (table for block in _delays(config) for table in block)
     ready = np.zeros(g.n)
     for t, delay in enumerate(delays):
-        rules = [_PHASE_RULES[_PHASE_NAMES[code]] if code >= 0 else (False, False)
+        rules = [_PHASE_RULES[PHASE_NAMES[code]] if code >= 0 else (False, False)
                  for code in phase[t].tolist()]
         transmits = np.array([rule[0] for rule in rules])
         takes = np.array([rule[1] for rule in rules])
@@ -603,7 +606,7 @@ def step_rows(trace):
             code = phases[t - 1][agent - 1]
             if code < 0:
                 continue
-            phase = _PHASE_NAMES[code]
+            phase = PHASE_NAMES[code]
             _, takes_quorum, completed = _PHASE_RULES[phase]
             k = signals[t - 1][agent - 1]
             yield (t, agent, completed, phase,
@@ -690,7 +693,7 @@ def _parse_step(line: str, lineno: int, config: SimulationConfig,
         if quorum is not None or signal is not None:
             raise TraceInvariantError(f"{where}: {phase} record must not carry "
                                       f"quorum or signal")
-        return row, _PHASE_NAMES.index(phase), [-1] * width, -1
+        return row, PHASE_NAMES.index(phase), [-1] * width, -1
     if quorum is None or signal is None:
         raise TraceInvariantError(f"{where}: missing quorum or signal")
     # A quorum the arrays cannot hold gets validate_trace's message here.
@@ -703,7 +706,7 @@ def _parse_step(line: str, lineno: int, config: SimulationConfig,
                                   f"in-neighbors")
     if signal not in config.model.signals(agent):
         raise TraceInvariantError(f"{where}: unknown signal {signal!r}")
-    return (row, _PHASE_NAMES.index(phase), quorum + [-1] * (width - len(quorum)),
+    return (row, PHASE_NAMES.index(phase), quorum + [-1] * (width - len(quorum)),
             config.model.signal_index(agent, signal))
 
 
@@ -734,7 +737,7 @@ def read_trace_by_lines(path):
         raise TraceInvariantError(
             f"header claims {T} iterations but the trace has "
             f"{len(lines) - 1} step records")
-    phase, quorum = _blank_schedule(config)
+    phase, quorum = blank_schedule(config)
     signal = np.full((T, n), -1, dtype=np.int32)
     cells, beliefs = [], []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -337,6 +337,38 @@ def test_cli_batch_rejects_non_list_fields(base_config, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# Fields that iterate or index but have the wrong shape, as a path into a
+# batch description with its config inline, the value, and the refusal.
+MISSHAPEN_FIELDS = {
+    "edge-three-endpoints": (("config", "graph", "edges", 0), [1, 2, 3],
+                             "edge [1, 2, 3] must have two endpoints"),
+    "edge-one-endpoint": (("config", "graph", "edges", 0), [1],
+                          "edge [1] must have two endpoints"),
+    "likelihood-string": (("config", "model", "agents", 0, "likelihood"),
+                          "theta1theta2",
+                          "agent 1 likelihood must be an object, got "
+                          "'theta1theta2'"),
+    "likelihood-list": (("config", "model", "agents", 0, "likelihood"),
+                        [0.5, 0.5],
+                        "agent 1 likelihood must be an object, got [0.5, 0.5]"),
+}
+
+
+@pytest.mark.parametrize("path, value, message", MISSHAPEN_FIELDS.values(),
+                         ids=MISSHAPEN_FIELDS)
+def test_cli_batch_rejects_misshapen_fields(base_config, tmp_path, capsys,
+                                            path, value, message):
+    batch = {"config": base_config.to_dict(), "seeds": [21],
+             "checks": ["psi"]}
+    (tmp_path / "batch.json").write_text(json.dumps(
+        with_field(batch, path, value)))
+    code, _, err = run_cli(["batch", "--config", str(tmp_path / "batch.json")],
+                           capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert message in err, err
+    assert "Traceback" not in err
+
+
 # Every float field of a simulation config, as a path into its dict with a
 # per-edge delay table in place, and values float() would turn into a float
 # or fail on with an error other than ConfigError.
