@@ -202,17 +202,12 @@ def geometric_tail_constant_float(xi: Fraction, n: int, chi: int, f: int) -> flo
 # -- pseudo-beliefs and log ratios ---------------------------------------------
 
 def pseudo_belief_evolution(trace: ExecutionTrace) -> np.ndarray:
-    """(T + 1, n, m) log array: completers apply the engine's belief
-    recursion, all other agents carry their previous value forward
-    unchanged."""
-    out = np.empty((trace.iterations + 1,) + trace.initial_log_belief.shape,
-                   dtype=np.float64)
-    out[0] = trace.initial_log_belief
-    out[1:] = belief_recursion(trace.initial_log_belief, trace.phase,
-                               trace.completed, trace.quorum,
-                               log_likelihood_rows(trace.config.model,
-                                                   trace.signal))
-    return out
+    """(T + 1, n, m) log array: the initial block, then the engine's belief
+    pass without its partial writes, the same belief_recursion call over
+    the completers; all other agents carry their previous value forward."""
+    return np.concatenate([trace.initial_log_belief[None], belief_recursion(
+        trace.initial_log_belief, trace.phase, trace.completed, trace.quorum,
+        log_likelihood_rows(trace.config.model, trace.signal))])
 
 
 def log_ratio_vectors(trace: ExecutionTrace, theta: str,

@@ -49,6 +49,8 @@ def _parse_checks(raw: str | None) -> tuple[str, ...] | None:
 
 
 def _cmd_simulate(args) -> int:
+    if not 0.0 < args.threshold <= 1.0:
+        raise ConfigError(f"--threshold {args.threshold} outside (0, 1]")
     config = load_simulation_config(args.config)
     trace = run_execution(config)
     validate_trace(trace)
@@ -79,6 +81,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.min_rate is not None and not 0.0 <= args.min_rate <= 1.0:
+        raise ConfigError(f"--min-rate {args.min_rate} outside [0, 1]")
     batch = load_batch(args.config)
     summary = run_batch(batch, override_gate=args.override_gate,
                         write_traces=args.write_traces, out_dir=args.out_dir)

@@ -22,8 +22,9 @@ quorum because they never transmit again.
 
 A run is computed in two passes. _schedule fixes every phase and quorum
 from the delays and the crash plan alone, since who hears whom never
-depends on belief values; then belief_recursion, which the analysis replay
-shares, computes every belief. An ExecutionTrace holds the result.
+depends on belief values; then _belief_pass computes every belief through
+belief_recursion, the scan the analysis replay shares. An ExecutionTrace
+holds the result.
 write_trace and read_trace, the trace file's writer and reader, live in
 the tracefile module and are part of this module's interface.
 """
@@ -351,14 +352,12 @@ BELIEF_CHUNK = 512
 
 
 def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
-                     quorum: np.ndarray, log_likelihood: np.ndarray,
-                     keep: np.ndarray | None = None) -> np.ndarray:
+                     quorum: np.ndarray, log_likelihood: np.ndarray) -> np.ndarray:
     """(T, n, m) log beliefs at the end of every iteration, from the (n, m)
     initial block, the (T, n) phase codes, a (T, n) mask of the agents that
     update (a function of each iteration's phase row), their (T, n, q)
-    padded quorums and (T, n, m) log-likelihood rows. keep, if given, is a
-    (T, n, m) mask of entries that hold their previous value (the mid_update
-    partial write).
+    padded quorums and (T, n, m) log-likelihood rows. Every update is full;
+    _belief_pass adds the mid_update partial writes.
 
     A span is a run of iterations with equal phase rows, cut into chunks of
     BELIEF_CHUNK iterations and solved with one scan each (see _scan), so
@@ -376,12 +375,8 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
     """
     # Shifting a row's log-likelihoods by a constant only shifts its
     # unnormalized beliefs, so each row drives with its top entry at 0,
-    # which keeps them near the normalized ones (and a flat row exact). A
-    # partial write mixes the update with unshifted previous values, so
-    # those rows keep their log-likelihoods as they are.
+    # which keeps them near the normalized ones (and a flat row exact).
     shift = _fold_columns(np.maximum, log_likelihood)[..., None]
-    if keep is not None:
-        shift = np.where(_fold_columns(np.logical_or, keep)[..., None], 0.0, shift)
     drive = np.where(rows[..., None], log_likelihood - shift, 0.0)
     out = np.empty(drive.shape, dtype=np.float64)
     previous = initial
@@ -400,8 +395,7 @@ def belief_recursion(initial: np.ndarray, phase: np.ndarray, rows: np.ndarray,
             else:
                 prefix = update_matrices(rows[a:b], quorum[a:b])
                 strides = _stacked_strides(prefix)
-            out[a:b] = _scan(previous, prefix, strides, drive[a:b], rows[a],
-                             None if keep is None else keep[a:b])
+            out[a:b] = _scan(previous, prefix, strides, drive[a:b], rows[a])
             previous = out[b - 1]
     return out
 
@@ -445,7 +439,7 @@ def _powers(matrix: np.ndarray, length: int) -> np.ndarray:
 
 def _scan(previous: np.ndarray, prefix: np.ndarray,
           strides: Iterator[tuple[int, np.ndarray]], drive: np.ndarray,
-          rows: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+          rows: np.ndarray) -> np.ndarray:
     """Beliefs over one chunk whose updating rows are the same throughout.
 
     In log space an update is the affine map y -> A_t y + L_t followed by a
@@ -456,14 +450,12 @@ def _scan(previous: np.ndarray, prefix: np.ndarray,
     of a steady chunk, a stack otherwise), and after that step entry t of
     the offsets holds the composition of the maps t - 2k + 1 .. t. The
     prefix products, read once strides is exhausted, are then applied to
-    the chunk's starting beliefs, and every entry is renormalized.
+    the chunk's starting beliefs, and every updating row is renormalized.
     """
     offset = drive.copy()
     for k, product in strides:
         offset[k:] = product @ offset[:-k] + offset[k:]
     unnormalized = prefix @ previous + offset
-    if keep is not None:
-        unnormalized = np.where(keep, previous, unnormalized)
     return np.where(rows[:, None], normalize_log_belief(unnormalized), previous)
 
 
@@ -729,20 +721,28 @@ def _delays(config: SimulationConfig) -> Iterator[np.ndarray]:
 
 def _belief_pass(config: SimulationConfig, phase: np.ndarray,
                  quorum: np.ndarray) -> ExecutionTrace:
-    """Replay the schedule through belief_recursion."""
+    """Replay the schedule through belief_recursion, which updates the
+    completers as in the analysis replay, then apply each mid_update partial
+    write. The crashing agent sends its belief of t - 1 at its crash
+    iteration t and never transmits again, so no agent reads its belief at t
+    and the scan need not know of it: the row is computed afterwards with
+    the scan's arithmetic on the beliefs at t - 1, then frozen from t on."""
     draws = _signal_draws(config)
     log_likelihood = log_likelihood_rows(config.model, draws)
     m = config.model.m
     initial = np.full((config.graph.n, m), -math.log(m), dtype=np.float64)
-    # The entries a mid_update crash leaves untouched; SimulationConfig.validate
-    # sets partial_count for mid_update only.
-    keep = np.zeros(log_likelihood.shape, dtype=bool)
+    takes_quorum = PHASES.takes_quorum[phase]
+    log_belief = belief_recursion(initial, phase, PHASES.completes[phase],
+                                  quorum, log_likelihood)
+    # SimulationConfig.validate sets partial_count for mid_update only.
     for ev in config.adversary.crash_plan:
         if ev.partial_count is not None:
-            keep[ev.iteration - 1, ev.agent - 1, ev.partial_count:] = True
-    takes_quorum = PHASES.takes_quorum[phase]
-    log_belief = belief_recursion(initial, phase, takes_quorum, quorum,
-                                  log_likelihood, keep)
+            t, i, k = ev.iteration - 1, ev.agent - 1, ev.partial_count
+            before = log_belief[t - 1] if t else initial
+            row = (update_matrices(takes_quorum[t:t + 1], quorum[t:t + 1])
+                   @ before + log_likelihood[t:t + 1])[0, i]
+            row[k:] = before[i, k:]
+            log_belief[t:, i] = normalize_log_belief(row)
     signal = np.where(takes_quorum, draws, -1).astype(np.int32)
     return ExecutionTrace(config, initial, phase, quorum, signal, log_belief)
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from crashlearn.engine import (AdversarySchedule, CrashEvent,
+from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
+                               AdversarySchedule, CrashEvent,
                                SimulationConfig, run_execution)
 from crashlearn.graphs import DirectedGraph
 from crashlearn.observation import LikelihoodModel, bernoulli_agent
@@ -40,6 +43,52 @@ def random_link_removal_subgraph(g: DirectedGraph, f: int, rng,
         dropped = set(rng.choice(nbrs, size=k, replace=False)) if k else set()
         kept.update((j, i) for j in nbrs if j not in dropped)
     return g.nodes, frozenset(kept)
+
+
+# Likelihood tables over signals (a, b) by number of hypotheses: informative
+# and flat agents.
+TABLES = {2: ([[0.3, 0.7], [0.7, 0.3]], [[0.5, 0.5], [0.5, 0.5]]),
+          3: ([[0.3, 0.7], [0.7, 0.3], [0.45, 0.55]],
+              [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])}
+
+
+@st.composite
+def recursion_runs(draw, modes=ADVERSARY_MODES, dmaxes=(3.0,),
+                   phases=CRASH_PHASES, min_crashes=0):
+    """Configs on graphs of up to 7 agents whose in-degrees are all at
+    least f <= 2, with 2 or 3 hypotheses, one of the adversary modes and
+    delay bounds given, and min_crashes to f crashes in the phases given.
+    Half the runs are longer than two scan chunks, their first crash one
+    iteration before, at or after a chunk boundary."""
+    n = draw(st.integers(1 + min_crashes, 7))
+    f = draw(st.integers(min_crashes, min(2, n - 1)))
+    edges = []
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        if others:
+            edges += [(j, i) for j in draw(st.sets(st.sampled_from(others),
+                                                   min_size=f))]
+    m = draw(st.sampled_from(sorted(TABLES)))
+    tables = [np.array(draw(st.sampled_from(TABLES[m]))) for _ in range(n)]
+    model = LikelihoodModel(("theta1", "theta2", "theta3")[:m],
+                            [("a", "b")] * n, tables)
+    long = draw(st.booleans())
+    T = draw(st.integers(2 * BELIEF_CHUNK + 1, 2 * BELIEF_CHUNK + 40) if long
+             else st.integers(1, 40))
+    plan = []
+    for k, agent in enumerate(draw(st.lists(st.integers(1, n), unique=True,
+                                            min_size=min_crashes, max_size=f))):
+        phase = draw(st.sampled_from(phases))
+        t = draw(st.integers(BELIEF_CHUNK, BELIEF_CHUNK + 2) if long and k == 0
+                 else st.integers(1, T))
+        plan.append(CrashEvent(agent, t, phase, draw(st.integers(1, m - 1))
+                               if phase == "mid_update" else None))
+    return make_config(
+        DirectedGraph.from_edge_list(n, edges), f, iterations=T,
+        seed=draw(st.integers(0, 2 ** 16)), model=model,
+        adversary=AdversarySchedule(mode=draw(st.sampled_from(modes)),
+                                    dmax=draw(st.sampled_from(dmaxes)),
+                                    crash_plan=tuple(plan)))
 
 
 def suite_configs() -> dict[str, SimulationConfig]:

@@ -565,7 +565,10 @@ def belief_recursion_by_chunks(initial, phase, rows, quorum, log_likelihood,
     own update_matrices, composes them at strides 1, 2, 4, ... and applies
     the prefix products and offsets to the chunk's starting beliefs, which
     normalize_log_belief then renormalizes. The package's steady chunks must
-    agree with it bit for bit, so it shares their two arithmetic kernels."""
+    agree with it bit for bit, so it shares their two arithmetic kernels.
+    keep, if given, is a (T, n, m) mask of entries that hold their previous
+    value, the mid_update partial write made inside the scan; the engine
+    writes that row after its scan, and must agree with this bit for bit."""
     shift = np.max(log_likelihood, axis=-1, keepdims=True)
     if keep is not None:
         shift = np.where(keep.any(axis=-1, keepdims=True), 0.0, shift)

@@ -28,7 +28,7 @@ from crashlearn.graphs import (DirectedGraph, enumerate_reduced_graphs,
 from crashlearn.observation import (ROW_SUM_TOLERANCE, check_assumption1,
                                     kl_divergence)
 
-from conftest import make_config
+from conftest import make_config, recursion_runs
 from oracles import (alive_at_start, backward_product_by_loop, completed_at,
                      drift_by_loops, ergodic_by_pairs,
                      first_dominated_reduction, geometric_tail_sum_direct,
@@ -120,6 +120,35 @@ def test_fold_ranges_match_one_range_loops_bitwise(case):
                 expected = (loop(matrices, b, a + k) if backward
                             else loop(matrices, a + k - 1, a))
                 np.testing.assert_array_equal(entry, expected)
+
+
+def test_crash_iteration_row_is_free():
+    # An agent that transmits at its crash iteration t never transmits
+    # again, so its column is zero in every later survivor row: no survivor
+    # row of a product over [r, T], r <= t, reads its row of the matrices
+    # at t, and any stochastic row there leaves those rows byte for byte.
+    @settings(max_examples=100, deadline=None)
+    @given(recursion_runs(phases=("mid_update", "after_transmit"),
+                          min_crashes=1), st.data())
+    def check(config, data):
+        trace = run_execution(config)
+        matrices = trace_matrices(trace)
+        crash = data.draw(st.sampled_from(config.adversary.crash_plan))
+        t, n = crash.iteration, trace.n
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        row = rng.random(n) * (rng.random(n) < 0.6)
+        row[rng.integers(n)] += 1.0
+        changed = matrices.copy()
+        changed[t - 1, crash.agent - 1] = row / row.sum()
+        lo = sorted({t, *data.draw(st.lists(st.integers(1, t), max_size=3))})
+        survivors = sorted(a - 1 for a in trace.final_alive)
+        for backward in (False, True):
+            before, after = (_fold_ranges(ms, lo, [trace.iterations] * len(lo),
+                                          backward=backward)[:, survivors]
+                             for ms in (matrices, changed))
+            assert before.tobytes() == after.tobytes()
+
+    check()
 
 
 def test_fold_ranges_refuse_ranges_outside_the_run(suite_traces):

@@ -29,7 +29,8 @@ from crashlearn.graphs import DirectedGraph
 from crashlearn.harness import write_trajectory_csv
 from crashlearn.observation import LikelihoodModel
 
-from conftest import make_config, standard_model, suite_configs
+from conftest import (make_config, recursion_runs, standard_model,
+                      suite_configs)
 from oracles import (alive_at_start, bayes_log_posterior,
                      belief_recursion_by_chunks, completed_at,
                      crash_events_observed, heap_schedule, log_belief_before,
@@ -346,51 +347,6 @@ def test_mixed_quorum_sizes_and_mid_update_match_per_agent_replay(mode):
     assert trace.record(6, 4).crash_phase == "mid_update"
 
 
-# Likelihood tables over signals (a, b) by number of hypotheses: informative
-# and flat agents.
-TABLES = {2: ([[0.3, 0.7], [0.7, 0.3]], [[0.5, 0.5], [0.5, 0.5]]),
-          3: ([[0.3, 0.7], [0.7, 0.3], [0.45, 0.55]],
-              [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])}
-
-
-@st.composite
-def recursion_runs(draw, modes=ADVERSARY_MODES, dmaxes=(3.0,)):
-    """Configs on graphs of up to 7 agents whose in-degrees are all at
-    least f <= 2, with 2 or 3 hypotheses, one of the adversary modes and
-    delay bounds given, and up to f crashes in any phase. Half the runs are
-    longer than two scan chunks, their first crash one iteration before, at
-    or after a chunk boundary."""
-    n = draw(st.integers(1, 7))
-    f = draw(st.integers(0, min(2, n - 1)))
-    edges = []
-    for i in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != i]
-        if others:
-            edges += [(j, i) for j in draw(st.sets(st.sampled_from(others),
-                                                   min_size=f))]
-    m = draw(st.sampled_from(sorted(TABLES)))
-    tables = [np.array(draw(st.sampled_from(TABLES[m]))) for _ in range(n)]
-    model = LikelihoodModel(("theta1", "theta2", "theta3")[:m],
-                            [("a", "b")] * n, tables)
-    long = draw(st.booleans())
-    T = draw(st.integers(2 * BELIEF_CHUNK + 1, 2 * BELIEF_CHUNK + 40) if long
-             else st.integers(1, 40))
-    plan = []
-    for k, agent in enumerate(draw(st.lists(st.integers(1, n), unique=True,
-                                            max_size=f))):
-        phase = draw(st.sampled_from(CRASH_PHASES))
-        t = draw(st.integers(BELIEF_CHUNK, BELIEF_CHUNK + 2) if long and k == 0
-                 else st.integers(1, T))
-        plan.append(CrashEvent(agent, t, phase, draw(st.integers(1, m - 1))
-                               if phase == "mid_update" else None))
-    return make_config(
-        DirectedGraph.from_edge_list(n, edges), f, iterations=T,
-        seed=draw(st.integers(0, 2 ** 16)), model=model,
-        adversary=AdversarySchedule(mode=draw(st.sampled_from(modes)),
-                                    dmax=draw(st.sampled_from(dmaxes)),
-                                    crash_plan=tuple(plan)))
-
-
 def assert_recursion_properties(trace) -> None:
     """The engine's records follow the one-row updates, and the analysis
     replay reproduces them on completers bit for bit."""
@@ -497,9 +453,8 @@ def test_belief_recursion_matches_chunk_scans():
                 row = trace.quorum[np.argmax((trace.quorum != row).any(axis=(1, 2)))]
                 held[a:min(a + BELIEF_CHUNK, hi)] = row
         assert (belief_recursion(trace.initial_log_belief, trace.phase,
-                                 trace.takes_quorum, held, log_likelihood,
-                                 keep).tobytes()
-                == reference(trace.takes_quorum, held, keep))
+                                 trace.completed, held, log_likelihood).tobytes()
+                == reference(trace.completed, held, None))
 
     check()
 
@@ -519,6 +474,27 @@ def test_belief_recursion_rebuilds_powers_for_a_new_quorum():
             np.log(np.random.default_rng(16).dirichlet([1.0, 1.0], (T, 4))))
     assert (belief_recursion(*args).tobytes()
             == belief_recursion_by_chunks(*args).tobytes())
+
+
+def test_partial_write_is_a_leaf():
+    # A mid_update agent never transmits after its crash iteration t, so no
+    # agent reads its belief at t: the run with that crash made
+    # after_transmit gives every other agent, and this one before t, the
+    # same bytes.
+    @settings(max_examples=100, deadline=None)
+    @given(recursion_runs(phases=("mid_update",), min_crashes=1))
+    def check(config):
+        crash, *rest = config.adversary.crash_plan
+        sent = dataclasses.replace(crash, phase="after_transmit",
+                                   partial_count=None)
+        other = dataclasses.replace(config, adversary=dataclasses.replace(
+            config.adversary, crash_plan=(sent, *rest)))
+        ours, theirs = (run_execution(c).log_belief for c in (config, other))
+        same = np.ones(ours.shape[:2], dtype=bool)
+        same[crash.iteration - 1:, crash.agent - 1] = False
+        assert ours[same].tobytes() == theirs[same].tobytes()
+
+    check()
 
 
 def test_no_scipy_at_run_time(tmp_path):

@@ -409,6 +409,28 @@ def test_cli_batch_rejects_non_float_threshold(config_dir, tmp_path, capsys,
     assert "must be a number" in err
 
 
+# Convergence targets outside the range of a posterior or a rate; nan
+# compares false either way.
+IMPOSSIBLE_TARGETS = {**{f"threshold-{v}": ("simulate", "--threshold", v)
+                         for v in ("nan", "-1", "0", "1.5", "inf")},
+                      **{f"min-rate-{v}": ("batch", "--min-rate", v)
+                         for v in ("nan", "-1", "1.5", "inf")}}
+
+
+@pytest.mark.parametrize("command, flag, value", IMPOSSIBLE_TARGETS.values(),
+                         ids=IMPOSSIBLE_TARGETS)
+def test_cli_rejects_impossible_targets(config_dir, tmp_path, capsys,
+                                        command, flag, value):
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": str(config_dir / "sim.json"), "seeds": [21]}))
+    config = (config_dir / "sim.json" if command == "simulate"
+              else tmp_path / "batch.json")
+    code, out, err = run_cli([command, "--config", str(config), flag, value],
+                             capsys)
+    assert code == 2 and err.startswith(f"config: {flag} "), err
+    assert out == "" and "Traceback" not in err
+
+
 # Per-edge delay tables whose keys are not exactly the graph's edges.
 NON_EDGE_DELAYS = {"absent-node": "1->9", "absent-link": "1->1",
                    "reversed-sender": "0->2"}
