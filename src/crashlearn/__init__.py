@@ -9,11 +9,10 @@ from .analysis import (CheckResult, DEFAULT_CHECKS, DriftCheckpoint,
                        run_checks, structure_constants, theorem2_bound,
                        trace_matrices)
 from .engine import (AdversarySchedule, AgentRecord, ConfigError, CrashEvent,
-                     DeadlockError, ExecutionTrace, SimulationConfig,
-                     TraceInvariantError, combine_log_beliefs,
-                     min_final_posterior, normalize_log_belief,
-                     partial_update_belief, read_trace, run_execution,
-                     update_belief, validate_trace, write_trace)
+                     ExecutionTrace, SimulationConfig, TraceInvariantError,
+                     combine_log_beliefs, min_final_posterior,
+                     normalize_log_belief, partial_update_belief, read_trace,
+                     run_execution, update_belief, validate_trace, write_trace)
 from .graphs import (BudgetExceededError, DetectabilityReport, DirectedGraph,
                      EquivalenceViolationError, SourceCensus,
                      SourceDecomposition, check_condition1, check_condition2,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdversarySchedule", "AgentRecord", "BatchSummary", "BudgetExceededError",
     "CheckResult", "ConfigError", "CrashEvent", "DEFAULT_CHECKS",
-    "DeadlockError", "DetectabilityReport", "DirectedGraph", "DriftCheckpoint",
+    "DetectabilityReport", "DirectedGraph", "DriftCheckpoint",
     "DriftDecomposition", "EquivalenceViolationError", "ExecutionTrace",
     "ExperimentBatch", "IdentifiabilityGateError",
     "IdentifiabilityPreconditionError", "IdentifiabilityReport",

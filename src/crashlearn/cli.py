@@ -18,9 +18,8 @@ import sys
 from pathlib import Path
 
 from .analysis import DEFAULT_CHECKS, check_names
-from .engine import (ConfigError, DeadlockError, TraceInvariantError,
-                     min_final_posterior, run_execution, validate_trace,
-                     write_trace)
+from .engine import (ConfigError, TraceInvariantError, min_final_posterior,
+                     run_execution, validate_trace, write_trace)
 from .graphs import (DEFAULT_ENUMERATION_CAP, BudgetExceededError,
                      DirectedGraph, detectability_report)
 from .harness import (IdentifiabilityGateError, analyze_trace, load_batch,
@@ -179,7 +178,7 @@ def main(argv=None) -> int:
     except IdentifiabilityGateError as exc:
         print(f"gate: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (TraceInvariantError, DeadlockError) as exc:
+    except TraceInvariantError as exc:
         print(f"invariant: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ConfigError, IdentifiabilityPreconditionError, BudgetExceededError,

@@ -68,10 +68,6 @@ BELIEF_NORMALIZATION_TOLERANCE = 1e-9
 MAX_RUN_CELLS = 10 ** 8
 
 
-class DeadlockError(RuntimeError):
-    """An alive agent can never assemble its quorum; execution cannot finish."""
-
-
 class TraceInvariantError(RuntimeError):
     """A persisted or constructed trace violates a protocol invariant."""
 
@@ -160,6 +156,8 @@ class AdversarySchedule:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One run's description, checked when it is built, so it is valid."""
+
     graph: DirectedGraph
     f: int
     model: LikelihoodModel
@@ -168,8 +166,14 @@ class SimulationConfig:
     seed: int
     adversary: AdversarySchedule = field(default_factory=AdversarySchedule)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         g, model = self.graph, self.model
+        # from_dict reads these with config_integer; a bool or a float here
+        # would reach numpy or the trace file.
+        for name in ("f", "iterations", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if g.n != model.n:
             raise ConfigError(f"graph has {g.n} nodes but model has {model.n} agents")
         if not 0 <= self.f <= g.min_in_degree:
@@ -184,7 +188,7 @@ class SimulationConfig:
                               f"memory, or even the address space")
         if self.theta_star not in model.hypotheses:
             raise ConfigError(f"theta_star {self.theta_star!r} not a hypothesis")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         adv = self.adversary
         if adv.mode not in ADVERSARY_MODES:
@@ -593,7 +597,6 @@ def _rng(seed: int, stream: int, agent: int) -> np.random.Generator:
 
 def run_execution(config: SimulationConfig) -> ExecutionTrace:
     """Simulate one run to completion; deterministic in (config, seed)."""
-    config.validate()
     phase, quorum = _schedule(config)
     return _belief_pass(config, phase, quorum)
 
@@ -624,8 +627,9 @@ def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     delay 0 (fixed delays of 0 give the same quorums). A quorum is then the
     lowest-labeled transmitting in-neighbors, a function of its phase row,
     so each span of equal phase rows, the cut belief_recursion uses, is
-    taken once. No agent waits forever: validate allows at most f crashes
-    and f <= every in-degree, so every quorum can be formed."""
+    taken once. No agent waits forever: a SimulationConfig allows at most f
+    crashes and f <= every in-degree, so every quorum can be formed, and no
+    check for a stuck agent is needed."""
     g, adversary = config.graph, config.adversary
     phase, quorum = blank_schedule(config)
     # Code 0 until an agent's crash iteration, its phase's code there, -1 after.
@@ -658,8 +662,8 @@ def _schedule(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         hi = lo + len(delay)
         transmits, counts = rules(phase[lo:hi])
         offset = np.where(transmits[:, None, :], delay, np.inf)
-        # nan rows for agents that take nothing: fmax ignores them, and
-        # unlike -inf they stay quiet next to a stuck agent's inf ready time.
+        # nan rows for agents that take nothing: fmax ignores them, so their
+        # ready times stay put.
         gate = np.where(counts[:, :, None] > 0, offset, np.nan)
         readies = np.empty((hi - lo, g.n))
         for s, row in enumerate(gate):
@@ -676,17 +680,10 @@ def _take(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
     when j's message reaches i (inf if j sends i none) and counts[s, i - 1]
     how many messages i takes. Every agent takes its count earliest
     messages, ties going to the lower label. Returns the (S, n, n) mask of
-    the messages taken; raises DeadlockError, naming the agents of the first
-    iteration where one would take a message that never arrives.
+    the messages taken.
     """
     rank = np.argsort(np.argsort(times, axis=-1, kind="stable"), axis=-1)
-    taken = rank < counts[..., None]
-    stuck = (taken & (times == np.inf)).any(axis=-1)
-    if stuck.any():
-        first = stuck[np.argmax(stuck.any(axis=-1))]
-        raise DeadlockError(f"agents {(np.flatnonzero(first) + 1).tolist()} have "
-                            f"fewer transmitting in-neighbors than their quorum size")
-    return taken
+    return rank < counts[..., None]
 
 
 def _labels(taken: np.ndarray, width: int) -> np.ndarray:
@@ -734,7 +731,7 @@ def _belief_pass(config: SimulationConfig, phase: np.ndarray,
     takes_quorum = PHASES.takes_quorum[phase]
     log_belief = belief_recursion(initial, phase, PHASES.completes[phase],
                                   quorum, log_likelihood)
-    # SimulationConfig.validate sets partial_count for mid_update only.
+    # A SimulationConfig sets partial_count for mid_update only.
     for ev in config.adversary.crash_plan:
         if ev.partial_count is not None:
             t, i, k = ev.iteration - 1, ev.agent - 1, ev.partial_count
@@ -769,7 +766,6 @@ def validate_trace(trace: ExecutionTrace) -> None:
     Does not re-run the scheduler, so it accepts any delivery order, but
     quorums must name real transmitting in-neighbors."""
     config = trace.config
-    config.validate()
     g, T, n = config.graph, config.iterations, config.graph.n
     if not trace.alive[0].all():
         raise TraceInvariantError("iteration 1 must include every agent")

@@ -48,6 +48,9 @@ class ExperimentBatch:
             raise ConfigError("batch needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("batch seeds must be distinct")
+        # Building every seed's config refuses a bad seed before any runs.
+        for seed in self.seeds:
+            replace(self.base_config, seed=seed)
         if not 0.0 < self.convergence_threshold <= 1.0:
             raise ConfigError(f"threshold {self.convergence_threshold} "
                               f"outside (0, 1]")
@@ -148,7 +151,6 @@ def identifiability_gate(config: SimulationConfig) -> dict:
 
 def run_batch(batch: ExperimentBatch, override_gate: bool = False,
               write_traces: bool = False, out_dir=None) -> BatchSummary:
-    batch.base_config.validate()
     try:
         identifiability = identifiability_gate(batch.base_config)
     except IdentifiabilityGateError as exc:
@@ -289,10 +291,8 @@ def load_simulation_config(source, base_dir: Path | None = None,
     """Accepts a mapping, or a path to a JSON file; the graph and model
     sections may themselves be paths, resolved relative to the config file."""
     payload, base_dir = _payload(source, base_dir, "configuration")
-    config = parse_config("configuration", _simulation_config, payload,
-                          base_dir)
-    config.validate()
-    return config
+    return parse_config("configuration", _simulation_config, payload,
+                        base_dir)
 
 
 def load_batch(source) -> ExperimentBatch:

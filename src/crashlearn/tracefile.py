@@ -89,9 +89,8 @@ def _parse_record(line: str, lineno: int) -> dict:
 
 
 def _parse_header(header: dict) -> tuple[SimulationConfig, np.ndarray]:
-    config = SimulationConfig.from_dict(header["config"])
-    config.validate()
-    return config, np.asarray(header["initial_log_belief"], dtype=np.float64)
+    return (SimulationConfig.from_dict(header["config"]),
+            np.asarray(header["initial_log_belief"], dtype=np.float64))
 
 
 def _typed(values: Sequence, *kinds: type) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from crashlearn.engine import (_PHASE_RULES, BELIEF_CHUNK,
                                CRASH_PHASES, DELAY_STREAM, ConfigError,
-                               DeadlockError, ExecutionTrace, SimulationConfig,
+                               ExecutionTrace, SimulationConfig,
                                TraceInvariantError, blank_schedule, _delays,
                                normalize_log_belief, update_matrices)
 from crashlearn.graphs import parse_config
@@ -547,10 +547,8 @@ def stepwise_schedule(config):
         rank = np.argsort(np.argsort(times, axis=1, kind="stable"), axis=1)
         taken = rank < np.where(takes, need, 0)[:, None]
         latest = np.max(np.where(taken, times, -np.inf), axis=1)
-        if (latest == np.inf).any():
-            stuck = np.flatnonzero(latest == np.inf) + 1
-            raise DeadlockError(f"agents {stuck.tolist()} have fewer transmitting "
-                                f"in-neighbors than their quorum size")
+        stuck = np.flatnonzero(latest == np.inf) + 1
+        assert not stuck.size, f"agents {stuck.tolist()} never form a quorum"
         ready = np.maximum(ready, latest)
         for i in range(g.n):
             members = [j + 1 for j in range(g.n) if taken[i, j]]

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +16,8 @@ import crashlearn
 from crashlearn.analysis import pseudo_belief_evolution
 from crashlearn.engine import (ADVERSARY_MODES, BELIEF_CHUNK, CRASH_PHASES,
                                AdversarySchedule, ConfigError, CrashEvent,
-                               DeadlockError, ExecutionTrace,
-                               SimulationConfig, TraceInvariantError, _schedule,
+                               ExecutionTrace, SimulationConfig,
+                               TraceInvariantError, _schedule,
                                belief_recursion, combine_log_beliefs,
                                log_likelihood_rows, log_normalizer,
                                min_final_posterior,
@@ -132,46 +131,80 @@ def test_log_normalizer_matches_scipy_on_wide_rows(m):
 
 # -- configuration validation -----------------------------------------------------------
 
+def build_directly(config, **overrides):
+    return dataclasses.replace(config, **overrides)
+
+
+def build_from_dict(config, **overrides):
+    return SimulationConfig.from_dict({**config.to_dict(), **{
+        key: value.to_dict() if isinstance(value, AdversarySchedule) else value
+        for key, value in overrides.items()}})
+
+
 def test_config_validation_rejections():
-    g = DirectedGraph.complete(3)
-    ok = make_config(g, 1, iterations=10, seed=0)
-    ok.validate()
+    # One rule refuses each config with the same message whether it is
+    # built in code or read from a payload.
+    ok = make_config(DirectedGraph.complete(3), 1, iterations=10, seed=0)
     cases = [
-        dict(f=5),                                     # exceeds min in-degree
-        dict(f=-1),
-        dict(theta_star="missing"),
-        dict(iterations=0),
-        dict(adversary=AdversarySchedule(mode="warp")),
-        dict(adversary=AdversarySchedule(dmax=-2.0)),
-        dict(adversary=AdversarySchedule(crash_plan=(
+        (dict(f=5),                                    # exceeds min in-degree
+         "f=5 outside [0, min in-degree=2]"),
+        (dict(f=-1), "f=-1 outside [0, min in-degree=2]"),
+        (dict(theta_star="missing"), "theta_star 'missing' not a hypothesis"),
+        (dict(iterations=0), "iterations=0 must be >= 1"),
+        (dict(adversary=AdversarySchedule(mode="warp")),
+         "unknown adversary mode 'warp'"),
+        (dict(adversary=AdversarySchedule(dmax=-2.0)),
+         "uniform mode needs dmax > 0, got -2.0"),
+        (dict(adversary=AdversarySchedule(crash_plan=(
             CrashEvent(1, 2, "before_transmit"),
-            CrashEvent(2, 3, "before_transmit")))),    # two crashes, f = 1
-        dict(adversary=AdversarySchedule(crash_plan=(
-            CrashEvent(9, 2, "before_transmit"),))),   # no such agent
-        dict(adversary=AdversarySchedule(crash_plan=(
+            CrashEvent(2, 3, "before_transmit")))),   # two crashes, f = 1
+         "2 crash events exceed f=1"),
+        (dict(adversary=AdversarySchedule(crash_plan=(
+            CrashEvent(9, 2, "before_transmit"),))),  # no such agent
+         "crash agent 9 outside 1..3"),
+        (dict(adversary=AdversarySchedule(crash_plan=(
             CrashEvent(1, 99, "before_transmit"),))),  # beyond the horizon
-        dict(adversary=AdversarySchedule(crash_plan=(
+         "crash iteration 99 outside 1..10"),
+        (dict(adversary=AdversarySchedule(crash_plan=(
             CrashEvent(1, 2, "sideways"),))),
-        dict(adversary=AdversarySchedule(crash_plan=(
-            CrashEvent(1, 2, "mid_update"),))),        # needs partial_count
-        dict(adversary=AdversarySchedule(crash_plan=(
+         "unknown crash phase 'sideways'"),
+        (dict(adversary=AdversarySchedule(crash_plan=(
+            CrashEvent(1, 2, "mid_update"),))),       # needs partial_count
+         "mid_update partial_count must lie in 1..1, got None"),
+        (dict(adversary=AdversarySchedule(crash_plan=(
             CrashEvent(1, 2, "mid_update", partial_count=7),))),
-        dict(adversary=AdversarySchedule(crash_plan=(
+         "mid_update partial_count must lie in 1..1, got 7"),
+        (dict(f=2, adversary=AdversarySchedule(crash_plan=(
             CrashEvent(1, 2, "before_transmit"),
-            CrashEvent(1, 5, "after_update")))),       # same agent twice
+            CrashEvent(1, 5, "after_update")))),      # same agent twice
+         "crash plan agents must be distinct"),
     ]
-    import dataclasses
-    for overrides in cases:
-        bad = dataclasses.replace(ok, **overrides)
-        with pytest.raises(ConfigError):
-            bad.validate()
+    for build in (build_directly, build_from_dict):
+        assert build(ok).to_dict() == ok.to_dict()
+        for overrides, message in cases:
+            with pytest.raises(ConfigError) as err:
+                build(ok, **overrides)
+            assert str(err.value) == message, (build.__name__, overrides)
+
+
+def test_config_constructor_holds_integers_to_the_payload_rule():
+    # A bool seed would be written to the trace as true, which read_trace
+    # refuses, and a float iteration count would reach numpy.
+    ok = make_config(DirectedGraph.complete(3), 1, iterations=10, seed=0)
+    for build in (build_directly, build_from_dict):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer, got True$"):
+            build(ok, seed=True)
+    with pytest.raises(ConfigError,
+                       match=r"^iterations must be an integer, got 10\.0$"):
+        build_directly(ok, iterations=10.0)
+    # A payload's integral float is read as its integer.
+    assert build_from_dict(ok, iterations=10.0).to_dict() == ok.to_dict()
 
 
 def test_config_round_trip():
     config = suite_configs()["crash_mid"]
     again = SimulationConfig.from_dict(config.to_dict())
     assert again.to_dict() == config.to_dict()
-    again.validate()
 
 
 def test_delay_for_fixed_mapping():
@@ -237,34 +270,6 @@ def test_zero_delay_equals_adversarial_latest(graph, plan):
                     j for j in heard if j in graph.in_neighbors[agent])[:need]
 
 
-# Agent 3 hears only agents 1 and 2, and agent 4 hears agents 1 and 3.
-LATE_STUCK_GRAPH = DirectedGraph.from_edge_list(
-    4, [(1, 3), (2, 3), (1, 4), (3, 4), (3, 1), (3, 2)])
-
-
-@pytest.mark.parametrize("mode", ADVERSARY_MODES)
-def test_quorum_rule_guards_against_deadlock(mode):
-    # Two crashes exceed f=1, which validate rejects, so the schedule is
-    # called directly: from iteration stuck_at on, agent 3 hears no
-    # transmitter. At 700 the first stuck iteration lies inside the second
-    # BELIEF_CHUNK block. There agent 3's ready time stays infinite, so from
-    # the next iteration on agent 4, which needs agent 3's message, would be
-    # stuck too: only the first stuck iteration reads "agents [3]".
-    for graph, stuck_at, iterations in ((DirectedGraph.complete(3), 3, 5),
-                                        (LATE_STUCK_GRAPH, 700, 1000)):
-        plan = (CrashEvent(1, stuck_at - 1, "before_transmit"),
-                CrashEvent(2, stuck_at - 1, "after_update"))
-        config = make_config(graph, 1, iterations=iterations, seed=0,
-                             adversary=AdversarySchedule(mode=mode,
-                                                         crash_plan=plan))
-        with pytest.raises(ConfigError):
-            config.validate()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeadlockError, match=r"agents \[3\] have fewer"):
-                _schedule(config)
-
-
 def test_uniform_delays_still_complete_every_iteration():
     config = suite_configs()["crash_pre"]
     trace = run_execution(config)
@@ -299,12 +304,15 @@ ONE_STEP_TOLERANCE = 1e-12
 
 def assert_one_step_updates(trace) -> None:
     """Every record agrees, within ONE_STEP_TOLERANCE (relative above
-    magnitude 1, absolute below), with update_belief or partial_update_belief
-    applied to the trace's own beliefs of the iteration before; a record
-    without a quorum repeats its previous belief exactly."""
+    magnitude 1, absolute below), with the one-row update (combine_log_beliefs,
+    then for a mid_update crash the partial write) applied to the trace's own
+    beliefs of the iteration before; a record without a quorum repeats its
+    previous belief exactly. The run's updates are normalized as one block,
+    which gives each row the bits the one-row call gives it."""
     model = trace.config.model
     partial = {ev.agent: ev.partial_count
                for ev in trace.config.adversary.crash_plan}
+    cells, unnormalized = [], []
     for t in range(1, trace.iterations + 1):
         for agent, rec in trace.records[t - 1].items():
             before = log_belief_before(trace, t, agent)
@@ -312,14 +320,19 @@ def assert_one_step_updates(trace) -> None:
                 assert rec.log_belief.tobytes() == before.tobytes(), \
                     f"t={t} agent={agent}"
                 continue
-            args = (before, [log_belief_before(trace, t, j) for j in rec.quorum],
-                    rec.signal, model, agent, len(rec.quorum))
-            want = (partial_update_belief(*args, partial[agent])
-                    if rec.crash_phase == "mid_update" else update_belief(*args))
-            assert all(math.isclose(g, w, rel_tol=ONE_STEP_TOLERANCE,
-                                    abs_tol=ONE_STEP_TOLERANCE)
-                       for g, w in zip(rec.log_belief.tolist(), want.tolist())), \
-                f"t={t} agent={agent}: {rec.log_belief} != {want}"
+            row = combine_log_beliefs(
+                before, [log_belief_before(trace, t, j) for j in rec.quorum],
+                len(rec.quorum), model.log_likelihoods(agent, rec.signal))
+            if rec.crash_phase == "mid_update":
+                row[partial[agent]:] = before[partial[agent]:]
+            cells.append((t, agent, rec.log_belief))
+            unnormalized.append(row)
+    for (t, agent, got), want in zip(cells, normalize_log_belief(
+            np.array(unnormalized))):
+        assert all(math.isclose(g, w, rel_tol=ONE_STEP_TOLERANCE,
+                                abs_tol=ONE_STEP_TOLERANCE)
+                   for g, w in zip(got.tolist(), want.tolist())), \
+            f"t={t} agent={agent}: {got} != {want}"
 
 
 @pytest.mark.parametrize("mode", ["adversarial_latest", "uniform"])

@@ -304,6 +304,20 @@ def test_cli_batch_rejects_non_integer_seeds(config_dir, tmp_path, capsys, value
     assert "must be an integer" in err
 
 
+def test_cli_batch_refuses_a_negative_seed_before_any_output(config_dir,
+                                                             tmp_path, capsys):
+    # Every seed's config is built with the batch, so no seed runs and no
+    # trace is written before a later seed is refused.
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": str(config_dir / "sim.json"), "seeds": [1000, -1]}))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["batch", "--config", str(tmp_path / "batch.json"),
+                            "--write-traces", "--out-dir", str(out_dir)], capsys)
+    assert code == 2 and err.startswith("config:"), err
+    assert "seed must be a nonnegative integer, got -1" in err
+    assert not out_dir.exists()
+
+
 # Every list field of a batch description with its config inline, as a path
 # into its dict, a value that iterates but is not a JSON array, and the name
 # the refusal gives the field.
@@ -491,9 +505,9 @@ def test_cli_trace_header_rejects_aliased_delay_keys(stored_trace, key):
 def test_validate_ceiling_on_run_cells(base_config):
     n, m = base_config.graph.n, base_config.model.m
     most = MAX_RUN_CELLS // (n * (n + m))
-    dataclasses.replace(base_config, iterations=most).validate()
+    dataclasses.replace(base_config, iterations=most)
     with pytest.raises(ConfigError, match="above the ceiling"):
-        dataclasses.replace(base_config, iterations=most + 1).validate()
+        dataclasses.replace(base_config, iterations=most + 1)
 
 
 def test_cli_refuses_iterations_above_ceiling(base_config, tmp_path, capsys,
