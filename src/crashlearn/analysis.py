@@ -27,11 +27,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import (ExecutionTrace, belief_recursion, log_likelihood_rows,
-                     update_matrices)
+from .engine import (ExecutionTrace, belief_recursion, distinct_rows,
+                     log_likelihood_rows, update_matrices)
 from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
-                     SourceCensus, distinct_rows, first_dominated_nodes,
-                     source_census)
+                     SourceCensus, first_dominated_nodes, source_census)
 from .observation import (ROW_SUM_TOLERANCE, compute_log_ratio_bound,
                           expected_log_ratios)
 

@@ -119,6 +119,17 @@ def _cmd_identify(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crashlearn",
@@ -157,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="crash-detectability report of a graph")
     det.add_argument("--graph", required=True, help="graph JSON file")
     det.add_argument("--f", type=int, required=True)
-    det.add_argument("--max-candidates", type=int,
+    det.add_argument("--max-candidates", type=_positive_int,
                      default=DEFAULT_ENUMERATION_CAP)
     det.set_defaults(handler=_cmd_detect)
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import (ConfigError, DirectedGraph, config_float, config_integer,
-                     config_list, distinct_rows)
+                     config_list)
 from .observation import LikelihoodModel, signal_indices_from_uniforms
 
 # The crash-phase state machine: what an agent does in the iteration its
@@ -482,6 +482,18 @@ PHASES = PhaseTable(tuple(_PHASE_RULES),
                     {phase: code for code, phase in enumerate(_PHASE_RULES)},
                     *np.array([(True, *rules) for rules in _PHASE_RULES.values()]
                               + [(False,) * 4], dtype=bool).T)
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array and, for each row, the
+    index of its distinct row."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 @dataclass(eq=False)

@@ -7,9 +7,10 @@ of its in-links and up to f sinks of the resulting graph are deleted. A
 topology tolerates f crashes exactly when every reduced graph keeps a single
 source component, and that structural test is equivalent to a quantifier over
 two-sided partitions; both routes are implemented and cross-asserted. The
-detectability report and the checks all read one cached source_census, and
-every in-degree, neighbor set and link matrix is read from a graph's
-in_links table.
+detectability report and the checks all read one cached source_census, whose
+counts, sources and verdict come from closed forms: reduced graphs are
+enumerated only to find a failure's witness. Every in-degree, neighbor set
+and link matrix is read from a graph's in_links table.
 """
 
 from __future__ import annotations
@@ -270,36 +271,6 @@ def _packed(nodes: Iterable[int], words: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _unpacked(mask: np.ndarray) -> set[int]:
-    """The 1-based nodes of one packed mask."""
-    m = sum(int(word) << (_WORD * w) for w, word in enumerate(mask))
-    return {v + 1 for v in range(m.bit_length()) if (m >> v) & 1}
-
-
-def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D integer array and, for each row, the
-    index of its distinct row."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
-def _close_in_reach(reach: np.ndarray) -> None:
-    """Transitive closure in place, one Warshall pass over intermediate nodes.
-
-    reach has shape (candidates, n, words); reach[c, i] holds the nodes with a
-    path into node i of candidate c. Nodes with an empty row stay empty.
-    """
-    for k in range(reach.shape[1]):
-        word, bit = divmod(k, _WORD)
-        into = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
-        reach |= reach[:, k:k + 1, :] * into[:, :, None]
-
-
 def _removal_counts(g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
                     cap: int, what: str) -> list[int]:
     """Per node, its number of ways to drop sizes(in-degree) in-links;
@@ -357,12 +328,21 @@ class _RemovalSpace:
         return np.stack([kept[digits[:, i]] for i, kept in enumerate(self.kept)],
                         axis=1)
 
-    def self_bits(self, nodes: Iterable[int]) -> np.ndarray:
-        """(n, words) masks with each given node's own bit in its row."""
-        bits = np.zeros((self.g.n, self.words), dtype=np.uint64)
+    def several_sources(self, digits: np.ndarray, nodes: frozenset[int]) -> np.ndarray:
+        """Which candidates, the nodes outside nodes deleted as sinks, have
+        more than one source: those where no node reaches every node.
+        reach[c, i] holds the nodes with a path into node i of candidate c,
+        closed by one Warshall pass over intermediate nodes."""
+        reach = self.in_masks(digits)
+        reach[:, [v - 1 for v in self.g.nodes - nodes]] = 0
         for v in nodes:
-            bits[v - 1] = _packed([v], self.words)
-        return bits
+            reach[:, v - 1] |= _packed([v], self.words)
+        for k in range(self.g.n):
+            word, bit = divmod(k, _WORD)
+            into = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
+            reach |= reach[:, k:k + 1, :] * into[:, :, None]
+        live = [v - 1 for v in sorted(nodes)]
+        return ~np.bitwise_and.reduce(reach[:, live], axis=1).any(axis=1)
 
 
 def _link_sizes(f: int) -> Callable[[int], range]:
@@ -372,13 +352,8 @@ def _link_sizes(f: int) -> Callable[[int], range]:
     return lambda d: range(min(f, d) + 1)
 
 
-def _link_removals(g: DirectedGraph, f: int, max_candidates: int) -> _RemovalSpace:
-    """Every way to drop at most f in-links per node; refused above the cap."""
-    return _RemovalSpace(g, _link_sizes(f), max_candidates, "link-removal")
-
-
 def _census(space: _RemovalSpace, f: int,
-            ) -> list[tuple[frozenset[int], np.ndarray | None, np.ndarray | None]]:
+            ) -> list[tuple[frozenset[int], np.ndarray, np.ndarray]]:
     """Every distinct reduced graph, as (sink set S, keys, first candidates)
     blocks ordered by sorted surviving nodes.
 
@@ -386,26 +361,26 @@ def _census(space: _RemovalSpace, f: int,
     same reduced graph exactly when they pick the same options outside S: the
     key is the candidate index with the digits of S zeroed, and first is the
     smallest candidate with that key. For S empty the key is the candidate
-    itself, so that block is every candidate, its own first: its keys and
-    firsts are None, and readers walk it by index ranges (space.chunks).
+    itself, so that block is every candidate, its own first.
     """
     g = space.g
     found: dict[frozenset[int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for c in space.chunks(space.total):
         digits = space.digits(c)
-        has_out = np.bitwise_or.reduce(space.in_masks(digits), axis=1)
-        maybe_sinks = sorted(g.nodes - _unpacked(np.bitwise_and.reduce(has_out, axis=0)))
+        has_out = np.bitwise_or.reduce(space.in_masks(digits), axis=1).view(np.uint8)
+        sends = np.unpackbits(has_out, axis=1, bitorder="little")[:, :g.n].astype(bool)
+        maybe_sinks = np.flatnonzero(~sends.all(axis=0)).tolist()
         for size in range(1, min(f, len(maybe_sinks)) + 1):
             if size == g.n:
                 continue  # never delete every node
-            for subset in itertools.combinations(maybe_sinks, size):
-                rows = ~(has_out & _packed(subset, space.words)).any(axis=1)
-                cols = [v - 1 for v in subset]
+            for cols in map(list, itertools.combinations(maybe_sinks, size)):
+                rows = ~sends[:, cols].any(axis=1)
                 keys = c[rows] - digits[rows][:, cols] @ space.strides[cols]
-                block = found.setdefault(frozenset(subset), ([], []))
+                block = found.setdefault(frozenset(v + 1 for v in cols), ([], []))
                 block[0].append(keys)
                 block[1].append(c[rows])
-    blocks = [(frozenset(), None, None)]
+    every = np.arange(space.total, dtype=np.int64)
+    blocks = [(frozenset(), every, every)]
     for sinks, (keys, firsts) in found.items():
         keys, at = np.unique(np.concatenate(keys), return_index=True)
         if keys.size:
@@ -473,11 +448,9 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
     Raises BudgetExceededError when the link-removal choice space alone
     exceeds max_candidates.
     """
-    space = _link_removals(g, f, max_candidates)
+    space = _RemovalSpace(g, _link_sizes(f), max_candidates, "link-removal")
     reduced = []
     for sinks, keys, firsts in _census(space, f):
-        if keys is None:
-            keys = firsts = np.arange(space.total, dtype=np.int64)
         order = _enumeration_rank(space, sinks, keys)
         reduced.extend(_materialize(space, f, sinks, keys[order], firsts[order]))
     return tuple(reduced)
@@ -517,61 +490,82 @@ def source_census(g: DirectedGraph, f: int,
     return _source_census(g, f)
 
 
-def _row_sources(reach: np.ndarray, live: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows of reach have a unique source, and the distinct source masks
-    of all rows, a zero mask among them when some row has several sources.
+@lru_cache(maxsize=64)
+def _closed_forms(g: DirectedGraph, f: int,
+                  ) -> tuple[int, tuple[frozenset[int], ...], bool]:
+    """chi, the sources in canonical order and condition 1, from closed forms.
 
-    reach has shape (rows, live nodes, words), each live node's row the
-    nodes with a path into it, itself included. A row's source is unique
-    exactly when some node reaches every live node, that is, when the AND of
-    its live rows is nonzero, and that AND is then the source. Otherwise its
-    sources are its minimal in-reach sets: node v lies in one exactly when
-    every node that reaches v is reached by v.
+    With sinks S (at most f nodes, not all), each other node i of in-degree
+    d drops its a = |N_in(i) & S| in-links from S, as a sink keeps no
+    out-link, and k - a of the rest, a <= k <= min(f, d); what the sinks
+    drop never shows. chi sums the product of those counts over every S.
+    C is a source of some reduced graph exactly when G[C] is strongly
+    connected and no member has more than f in-links from outside C. Each
+    such C is grown once from its smallest member, every member in turn
+    dropping some undecided in-neighbours within its budget and taking in
+    the rest. Two disjoint sources are sources of one reduced graph, so
+    condition 1 holds exactly when no two are disjoint.
     """
-    common = np.bitwise_and.reduce(reach, axis=1)
-    one = common.any(axis=1)
-    several = reach[~one]
-    member = np.unpackbits(several.view(np.uint8), axis=-1,
-                           bitorder="little")[:, :, live].astype(bool)
-    in_source = (~member | member.transpose(0, 2, 1)).all(axis=2)
-    masks = np.concatenate([common, several[in_source]])
-    # neighbouring rows mostly share their sources: sort only the changes
-    fresh = np.r_[True, (masks[1:] != masks[:-1]).any(axis=1)]
-    return one, distinct_rows(masks[fresh])[0]
+    n, degree = g.n, g.in_degree.tolist()
+    into = [sum(1 << (j - 1) for j in g.in_neighbors[i]) for i in range(1, n + 1)]
+
+    def ways(i: int, s: int) -> int:
+        a = (into[i] & s).bit_count()
+        return 0 if a > f else sum(math.comb(degree[i] - a, k - a)
+                                   for k in range(a, min(f, degree[i]) + 1))
+
+    chi = sum(math.prod(ways(i, s) for i in range(n) if not s >> i & 1)
+              for size in range(min(f, n - 1) + 1)
+              for s in map(sum, itertools.combinations([1 << v for v in range(n)], size)))
+    found = []
+
+    def grow(members: int, pending: int, out: int) -> None:
+        if pending:
+            i = (pending & -pending).bit_length() - 1
+            free = [1 << j for j in range(n) if (into[i] & ~members & ~out) >> j & 1]
+            for k in range(min(f - (into[i] & out).bit_count(), len(free)) + 1):
+                for drop in map(sum, itertools.combinations(free, k)):
+                    join = sum(free) - drop
+                    grow(members | join, pending & ~(1 << i) | join, out | drop)
+            return
+        reached = members & -members        # every member reaches this one
+        while (more := reached | sum(1 << i for i in range(n)
+                                     if members >> i & 1 and into[i] & reached)) != reached:
+            reached = more
+        if reached == members:
+            found.append(members)
+
+    for v in range(n):
+        grow(1 << v, 1 << v, (1 << v) - 1)
+    sources = sorted((frozenset(i + 1 for i in range(n) if m >> i & 1) for m in found),
+                     key=lambda c: (len(c), sorted(c)))
+    return chi, tuple(sources), all(a & b for a, b in itertools.combinations(found, 2))
 
 
 @lru_cache(maxsize=64)
 def _source_census(g: DirectedGraph, f: int) -> SourceCensus:
-    """source_census without the cap."""
-    space = _link_removals(g, f, math.inf)
-    chi = 0
-    sources: set[frozenset[int]] = set()
-    witness = None
+    """source_census without the cap; the reduced graphs are enumerated only
+    when condition 1 fails, to find the witness."""
+    chi, sources, holds = _closed_forms(g, f)
+    return SourceCensus(chi=chi, gamma=len(sources[0]), sources=sources,
+                        witness=None if holds else _first_failing(g, f),
+                        xi=g.influence_floor(), window=g.n * chi)
+
+
+def _first_failing(g: DirectedGraph, f: int) -> ReducedGraph:
+    """The first reduced graph, in enumerate_reduced_graphs order, without a
+    unique source: the first in the first census block that has one."""
+    space = _RemovalSpace(g, _link_sizes(f), math.inf, "link-removal")
     for sinks, keys, firsts in _census(space, f):
-        self_bits = space.self_bits(g.nodes - sinks)
-        live = [v - 1 for v in sorted(g.nodes - sinks)]
-        dead = [v - 1 for v in sinks]
-        failing = []        # the block's rows without a unique source
-        for rows in space.chunks(space.total if keys is None else keys.size):
-            chi += rows.size
-            reach = space.in_masks(space.digits(rows if keys is None else keys[rows]))
-            reach[:, dead] = 0      # a zeroed key digit keeps every in-link
-            reach |= self_bits
-            _close_in_reach(reach)
-            unique, masks = _row_sources(reach[:, live], live)
-            sources.update(frozenset(_unpacked(m)) for m in masks if m.any())
-            if witness is None:
-                failing.append(rows[~unique])
-        if witness is None:
-            rows = np.concatenate(failing)      # only these rows are ranked
-            if rows.size:
-                keys, firsts = (rows, rows) if keys is None else (keys[rows], firsts[rows])
-                first = _enumeration_rank(space, sinks, keys)[:1]
-                witness, = _materialize(space, f, sinks, keys[first], firsts[first])
-    ordered = tuple(sorted(sources, key=lambda s: (len(s), sorted(s))))
-    return SourceCensus(chi=chi, gamma=len(ordered[0]), sources=ordered,
-                        witness=witness, xi=g.influence_floor(),
-                        window=g.n * chi)
+        nodes = g.nodes - sinks
+        rows = np.concatenate([c[space.several_sources(space.digits(keys[c]), nodes)]
+                               for c in space.chunks(keys.size)])
+        if rows.size:
+            first = rows[_enumeration_rank(space, sinks, keys[rows])[:1]]
+            witness, = _materialize(space, f, sinks, keys[first], firsts[first])
+            return witness
+    raise EquivalenceViolationError("disjoint sources, but every reduced graph "
+                                    "has a unique source")
 
 
 def first_dominated_nodes(g: DirectedGraph, f: int,
@@ -603,28 +597,28 @@ def first_dominated_nodes(g: DirectedGraph, f: int,
 def check_condition1(g: DirectedGraph, f: int,
                      max_candidates: int = DEFAULT_ENUMERATION_CAP,
                      ) -> tuple[bool, ReducedGraph | None]:
-    """True iff every reduced graph has exactly one source component.
-
-    Source-component uniqueness is monotone in the edge set and insensitive to
-    sink removal, so scanning the maximal link-removal patterns (every node
-    drops min(f, in-degree) in-links) decides the property for every reduced
-    graph. On failure the witness is the first such pattern, in per-node
-    itertools.product order, with two or more source components (no sinks
-    removed).
+    """True iff every reduced graph has exactly one source component, that
+    is, iff no two sources are disjoint. Uniqueness is monotone in the edge
+    set and insensitive to sink removal, so on failure some maximal
+    link-removal pattern (every node drops min(f, in-degree) in-links) fails
+    too: the witness is the first, in per-node itertools.product order, with
+    two or more source components (no sinks removed). The cap bounds the
+    number of maximal patterns.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
-    space = _RemovalSpace(g, lambda d: (min(f, d),), max_candidates,
-                          "maximal-removal")
-    self_bits = space.self_bits(g.nodes)
+    sizes = lambda d: (min(f, d),)
+    _removal_counts(g, sizes, max_candidates, "maximal-removal")
+    if _closed_forms(g, f)[2]:
+        return True, None
+    space = _RemovalSpace(g, sizes, math.inf, "maximal-removal")
     for c in space.chunks(space.total):
-        reach = space.in_masks(space.digits(c)) | self_bits
-        _close_in_reach(reach)
-        bad = c[~np.bitwise_and.reduce(reach, axis=1).any(axis=1)]
+        bad = c[space.several_sources(space.digits(c), g.nodes)]
         if bad.size:
             witness, = _materialize(space, f, frozenset(), bad[:1], bad[:1])
             return False, witness
-    return True, None
+    raise EquivalenceViolationError("disjoint sources, but every maximal "
+                                    "pattern has a unique source")
 
 
 def _refuse_partition_scan(n: int) -> None:
@@ -702,25 +696,24 @@ def detectability_report(g: DirectedGraph, f: int,
                          ) -> DetectabilityReport:
     """Reduced-graph census plus both condition checks, cross-asserted.
 
-    chi, gamma, xi and the literal unique-source verdict are source_census's;
-    on failure the witness is its first failing reduced graph in
-    enumerate_reduced_graphs order. Raises EquivalenceViolationError if any
-    two routes disagree (that would be an implementation defect, not a
-    property of the input). Graphs that check_condition2 refuses are refused
-    before the census.
+    chi, gamma, xi and the condition 1 verdict are source_census's; on
+    failure the witness is its first failing reduced graph in
+    enumerate_reduced_graphs order. Raises EquivalenceViolationError if the
+    partition route disagrees (an implementation defect, not a property of
+    the input). Graphs that check_condition2 refuses are refused before the
+    census.
     """
     _refuse_partition_scan(g.n)
     census = source_census(g, f, max_candidates)
-    literal_unique = census.witness is None
-    fast_holds, _ = check_condition1(g, f, max_candidates=max_candidates)
+    c1_holds, _ = check_condition1(g, f, max_candidates=max_candidates)
     c2_holds, _ = check_condition2(g, f)
-    if not (literal_unique == fast_holds == c2_holds):
+    if not ((census.witness is None) == c1_holds == c2_holds):
         raise EquivalenceViolationError(
-            f"detectability routes disagree: literal={literal_unique} "
-            f"maximal-scan={fast_holds} partition={c2_holds}")
+            f"detectability routes disagree: census={census.witness is None} "
+            f"condition1={c1_holds} partition={c2_holds}")
     return DetectabilityReport(
         n=g.n, f=f,
-        condition1_holds=literal_unique,
+        condition1_holds=c1_holds,
         condition2_holds=c2_holds,
         chi=census.chi, gamma=census.gamma, xi=census.xi,
         witness=census.witness)

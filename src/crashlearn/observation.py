@@ -82,6 +82,19 @@ class LikelihoodModel:
         for lg in self._log_tables:
             lg.setflags(write=False)
 
+    def _value(self) -> tuple:
+        return (self.hypotheses, self._spaces,
+                tuple(table.tobytes() for table in self._tables))
+
+    def __eq__(self, other) -> bool:
+        """Equal models have the same hypotheses, signal spaces and tables."""
+        if not isinstance(other, LikelihoodModel):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
     # -- basic accessors ----------------------------------------------------
 
     @property

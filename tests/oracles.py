@@ -21,6 +21,12 @@ log_belief_before, crash_events_observed), which the loop oracles and the
 tests read, are the package's phase codes read one iteration at a time
 through _PHASE_RULES; they do not read the trace's masks (alive_after and
 the rest) or the package's phase table, which the checks they referee read.
+The census scans, census_by_scan and condition1_by_scan, read the source
+structure off every reduced graph, as the package did before its closed
+forms; they take the candidates, their order and the witness's removal
+metadata from the package's link-removal space (_RemovalSpace, _census,
+_enumeration_rank, _materialize), and find paths with boolean matrix
+products of their own.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from crashlearn.engine import (_PHASE_RULES, BELIEF_CHUNK,
                                ExecutionTrace, SimulationConfig,
                                TraceInvariantError, blank_schedule, _delays,
                                normalize_log_belief, update_matrices)
+from crashlearn import graphs
 from crashlearn.graphs import parse_config
 from crashlearn.tracefile import _parse_header, _parse_record
 
@@ -166,6 +173,63 @@ def brute_gamma(n, edges, f):
         _, sources = components_and_sources(alive, surv)
         best = min(best, min(len(c) for c in sources))
     return best
+
+
+def _in_reach(space, digits, nodes):
+    """(candidates, n, n) bool, [c, i, j] when candidate c's graph on nodes,
+    the other nodes deleted as sinks, has a path from j to i. Each node of
+    nodes reaches itself; a deleted node reaches nothing and is reached by
+    nothing."""
+    n = space.g.n
+    kept = np.unpackbits(space.in_masks(digits).view(np.uint8), axis=-1,
+                         bitorder="little")[..., :n].astype(bool)
+    live = np.isin(np.arange(1, n + 1), list(nodes))
+    reach = (kept | np.eye(n, dtype=bool)) & live[:, None] & live[None, :]
+    for _ in range(n.bit_length()):     # the paths found double in length
+        reach = (reach.astype(np.int32) @ reach.astype(np.int32)) > 0
+    return reach
+
+
+def census_by_scan(g, f):
+    """(chi, sources in canonical order, first reduced graph in
+    enumerate_reduced_graphs order without a unique source), read off every
+    reduced graph of the package's census blocks."""
+    space = graphs._RemovalSpace(g, graphs._link_sizes(f), math.inf,
+                                 "link-removal")
+    chi, found, witness = 0, [], None
+    for sinks, keys, firsts in graphs._census(space, f):
+        live = [v - 1 for v in sorted(g.nodes - sinks)]
+        reach = _in_reach(space, space.digits(keys), g.nodes - sinks)[:, live]
+        square = reach[:, :, live]
+        chi += keys.size
+        # a live node lies in a source when it reaches every node that
+        # reaches it, and its in-reach is then that source
+        in_source = (~square | square.transpose(0, 2, 1)).all(axis=2)
+        found.append(reach[in_source] @ (1 << np.arange(g.n)))   # as bitmasks
+        unique = square.all(axis=1).any(axis=1)
+        rows = np.flatnonzero(~unique)
+        if witness is None and rows.size:
+            first = rows[graphs._enumeration_rank(space, sinks, keys[rows])[:1]]
+            witness, = graphs._materialize(space, f, sinks, keys[first],
+                                           firsts[first])
+    sources = {frozenset(v + 1 for v in range(g.n) if m >> v & 1)
+               for m in np.unique(np.concatenate(found)).tolist()}
+    return chi, tuple(sorted(sources, key=lambda c: (len(c), sorted(c)))), witness
+
+
+def condition1_by_scan(g, f):
+    """(holds, witness) of condition 1 from every maximal link-removal
+    pattern, each node dropping min(f, in-degree) in-links: the witness is
+    the first, in per-node itertools.product order, without a unique source."""
+    space = graphs._RemovalSpace(g, lambda d: (min(f, d),), math.inf,
+                                 "maximal-removal")
+    keys = np.arange(space.total)
+    reach = _in_reach(space, space.digits(keys), g.nodes)
+    bad = keys[~reach.all(axis=1).any(axis=1)]
+    if not bad.size:
+        return True, None
+    witness, = graphs._materialize(space, f, frozenset(), bad[:1], bad[:1])
+    return False, witness
 
 
 # -- per-cell views of a trace, read from its phase codes through _PHASE_RULES

@@ -180,7 +180,7 @@ def test_config_validation_rejections():
          "crash plan agents must be distinct"),
     ]
     for build in (build_directly, build_from_dict):
-        assert build(ok).to_dict() == ok.to_dict()
+        assert build(ok) == ok and hash(build(ok)) == hash(ok)
         for overrides, message in cases:
             with pytest.raises(ConfigError) as err:
                 build(ok, **overrides)

@@ -21,13 +21,19 @@ from crashlearn.observation import (IdentifiabilityPreconditionError,
 
 from conftest import random_link_removal_subgraph, standard_model
 from oracles import (brute_condition1, brute_condition2, brute_first_removals,
-                     brute_gamma, brute_reduced_graphs, components_and_sources)
+                     brute_gamma, brute_reduced_graphs, census_by_scan,
+                     components_and_sources, condition1_by_scan)
 
 
 def random_graph(rng, n, p):
     edges = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1)
              if j != i and rng.random() < p]
     return DirectedGraph.from_edge_list(n, edges)
+
+
+def link_removal_candidates(g, f):
+    return math.prod(sum(math.comb(d, k) for k in range(min(f, d) + 1))
+                     for d in g.in_degree.tolist())
 
 
 # -- construction and serialization -------------------------------------------------
@@ -235,8 +241,7 @@ def test_report_matches_literal_route(data):
     edges = sorted(data.draw(st.sets(st.sampled_from(pairs))))
     f = data.draw(st.integers(0, 2))
     g = DirectedGraph.from_edge_list(n, edges)
-    assume(math.prod(sum(math.comb(len(g.in_neighbors[i]), k) for k in range(f + 1))
-                     for i in g.nodes) <= 3000)
+    assume(link_removal_candidates(g, f) <= 3000)
     reduced = enumerate_reduced_graphs(g, f)
     assert list(reduced) == sorted(reduced,
                                    key=lambda r: (sorted(r.nodes), sorted(r.edges)))
@@ -267,6 +272,27 @@ def test_report_matches_literal_route(data):
         # identical agents tie on every smallest source; the first in
         # canonical order is reported
         assert check_assumption1(model, g, f).worst_pair_and_source[2] == sources[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_forms_match_the_scans(seed):
+    # chi, the sources, gamma and condition 1 come from closed forms; the
+    # scans read them off every reduced graph and every maximal pattern.
+    # n, the density and f are drawn from the seed, uniformly; a drawn f is
+    # lowered while the scans would take more than 20,000 candidates.
+    rng = np.random.default_rng(seed)
+    n, density, f = int(rng.integers(2, 7)), rng.uniform(0.3, 0.9), int(rng.integers(0, 3))
+    g = random_graph(rng, n, density)
+    while link_removal_candidates(g, f) > 20_000:
+        f -= 1
+    census = graphs.source_census(g, f)
+    chi, sources, witness = census_by_scan(g, f)
+    assert (census.chi, census.sources, census.gamma) == (chi, sources, len(sources[0]))
+    assert census.witness == witness
+    holds, maximal_witness = check_condition1(g, f)
+    assert (holds, maximal_witness) == condition1_by_scan(g, f)
+    assert holds is (witness is None)
 
 
 def test_census_lists_sources_only_found_beside_others():

@@ -815,6 +815,17 @@ def test_cli_batch_exits_3_below_min_rate(config_dir, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "many"])
+def test_cli_detect_refuses_a_cap_below_one_at_parse_time(config_dir, capsys, cap):
+    with pytest.raises(SystemExit) as exit_:
+        main(["detect", "--graph", str(config_dir / "graph.json"), "--f", "1",
+              "--max-candidates", cap])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --max-candidates: must be an integer of at least 1, got '{cap}'" in err
+    assert "exceed the cap" not in err
+
+
 def test_cli_usage_errors_exit_2(config_dir, stored_trace, tmp_path, capsys):
     directory, _ = stored_trace
     code, _, err = run_cli(["analyze", "--trace", str(directory / "good.jsonl"),

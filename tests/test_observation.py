@@ -113,6 +113,19 @@ FILE_AGENTS = {
 }
 
 
+def test_models_compare_by_value():
+    # Equal hypotheses, signal spaces and tables make equal models with one
+    # hash, so a config holding a model compares and hashes by value too.
+    agents = [bernoulli_agent(0.25, 0.75), bernoulli_agent(0.5, 0.5)]
+    m = model_of(agents)
+    again = LikelihoodModel.from_dict(m.to_dict())
+    assert again is not m and again == m and hash(again) == hash(m)
+    assert model_of(agents, ("a", "b")) != m
+    assert model_of([agents[0], bernoulli_agent(0.5, 0.5, ("x", "y"))]) != m
+    assert model_of([agents[0], bernoulli_agent(0.4, 0.5)]) != m
+    assert m != m.to_dict()
+
+
 @pytest.mark.parametrize("agent, message", FILE_AGENTS.values(),
                          ids=FILE_AGENTS)
 def test_from_dict_reports_the_constructors_checks_first(agent, message):
