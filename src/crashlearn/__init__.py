@@ -4,10 +4,9 @@ from .analysis import (CheckResult, DEFAULT_CHECKS, DriftCheckpoint,
                        DriftDecomposition, PiEstimate, backward_product,
                        decompose_log_ratio_drift, ergodic_coefficients,
                        estimate_pi, expected_ratio_vectors,
-                       geometric_tail_constant, geometric_tail_constant_float,
-                       log_ratio_vectors, pseudo_belief_evolution, psi_series,
-                       run_checks, structure_constants, theorem2_bound,
-                       trace_matrices)
+                       geometric_tail_constant, log_ratio_vectors,
+                       pseudo_belief_evolution, psi_series, run_checks,
+                       structure_constants, theorem2_bound, trace_matrices)
 from .engine import (AdversarySchedule, AgentRecord, ConfigError, CrashEvent,
                      ExecutionTrace, SimulationConfig, TraceInvariantError,
                      combine_log_beliefs, min_final_posterior,
@@ -45,11 +44,11 @@ __all__ = [
     "compute_log_ratio_bound", "decompose_log_ratio_drift",
     "detectability_report", "ergodic_coefficients", "estimate_pi",
     "expected_log_ratios", "expected_ratio_vectors",
-    "geometric_tail_constant", "geometric_tail_constant_float",
-    "identifiability_gate", "kl_divergence", "load_batch",
-    "load_simulation_config", "log_ratio_vectors", "min_final_posterior",
-    "normalize_log_belief", "partial_update_belief", "pseudo_belief_evolution",
-    "psi_series", "read_trace", "report_metrics", "run_batch", "run_checks",
-    "run_execution", "structure_constants", "theorem2_bound", "trace_matrices",
-    "update_belief", "validate_trace", "write_trace", "write_trajectory_csv",
+    "geometric_tail_constant", "identifiability_gate", "kl_divergence",
+    "load_batch", "load_simulation_config", "log_ratio_vectors",
+    "min_final_posterior", "normalize_log_belief", "partial_update_belief",
+    "pseudo_belief_evolution", "psi_series", "read_trace", "report_metrics",
+    "run_batch", "run_checks", "run_execution", "structure_constants",
+    "theorem2_bound", "trace_matrices", "update_belief", "validate_trace",
+    "write_trace", "write_trajectory_csv",
 ]

@@ -29,8 +29,8 @@ import numpy as np
 
 from .engine import (ExecutionTrace, belief_recursion, distinct_rows,
                      log_likelihood_rows, update_matrices)
-from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
-                     SourceCensus, first_dominated_nodes, source_census)
+from .graphs import (ConfigError, DirectedGraph, SourceCensus,
+                     first_dominated_nodes, source_census)
 from .observation import (ROW_SUM_TOLERANCE, compute_log_ratio_bound,
                           expected_log_ratios)
 
@@ -44,11 +44,9 @@ DEFAULT_CHECKS = ("lemma1", "lemma2", "thm2", "prop1", "prop2", "prop3",
 
 # -- structural constants -----------------------------------------------------
 
-def structure_constants(graph: DirectedGraph, f: int,
-                        max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                        ) -> SourceCensus:
+def structure_constants(graph: DirectedGraph, f: int) -> SourceCensus:
     """The cached census of (graph, f) that the convergence bounds read."""
-    return source_census(graph, f, max_candidates)
+    return source_census(graph, f)
 
 
 # -- matrices and products ----------------------------------------------------
@@ -183,17 +181,12 @@ def theorem2_bound(t: int, r: int, structure: SourceCensus, f: int) -> float:
     return min(1.0, base ** exponent)
 
 
-def geometric_tail_constant(xi: Fraction, n: int, chi: int, f: int) -> Fraction:
-    """Closed form of the summed contraction bounds over an infinite horizon:
-    window * ((f + 1) + (1 - q) / q) with q = xi ** window."""
-    window = n * chi
-    q = xi ** window
-    return window * ((f + 1) + (1 - q) / q)
-
-
-def geometric_tail_constant_float(xi: Fraction, n: int, chi: int, f: int) -> float:
+def geometric_tail_constant(structure: SourceCensus, f: int) -> float:
+    """Closed form of the summed contraction bounds over an infinite horizon,
+    window * ((f + 1) + (1 - q) / q) with q = xi ** window, which is
+    window * (f + (1 + d) ** window): inf once that overflows a float."""
     try:
-        return float(geometric_tail_constant(xi, n, chi, f))
+        return float(structure.window * (f + structure.xi_window_inverse(1024)))
     except OverflowError:
         return math.inf
 
@@ -601,34 +594,31 @@ def check_prop3(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckRe
 def check_lemma4(trace: ExecutionTrace, shared: _Shared | None = None) -> CheckResult:
     """At every sampled r some reduced-graph source component has estimated
     influence at least xi to the structural window power on every member
-    (compared as exact rationals). Its size is at least gamma by
-    construction: the sources read are source_census's, and gamma is the
-    size of the smallest of them. The source read is the one of largest mass
-    among those that clear the threshold, ties going to the first in
-    source_census's canonical order."""
+    (compared exactly, without building the power). Its size is at least
+    gamma by construction: the sources read are source_census's, and gamma
+    is the size of the smallest of them. The source read is the one of
+    largest mass among those that clear the threshold, ties going to the
+    first in source_census's canonical order."""
     shared = shared or _Shared(trace)
     structure = shared.structure
-    threshold = structure.xi_window_exact
     worst = math.inf
     witness = None
     for est in shared.pi_samples:
         exact = [Fraction(float(v)) for v in est.pi]
-        best = None
-        for source in structure.sources:
-            if all(exact[k - 1] >= threshold for k in source):
-                mass = sum(exact[k - 1] for k in source)
-                if best is None or mass > best[1]:
-                    best = (source, mass)
-        if best is None:
+        clears = [structure.compare_xi_window(v)[0] for v in exact]
+        masses = {source: sum(exact[k - 1] for k in source)
+                  for source in structure.sources
+                  if all(clears[k - 1] for k in source)}
+        if not masses:
             return CheckResult("lemma4", False, -1.0,
                                {"r": est.r, "pi": est.pi.tolist(),
                                 "reason": "no source clears the threshold"})
-        source, mass = best
-        margin = float(mass - threshold)
+        source = max(masses, key=masses.get)
+        _, margin = structure.compare_xi_window(masses[source])
         if margin < worst:
             worst = margin
             witness = {"r": est.r, "source": sorted(source),
-                       "mass": float(mass)}
+                       "mass": float(masses[source])}
     return CheckResult("lemma4", worst >= 0.0, float(worst), witness)
 
 
@@ -781,8 +771,7 @@ def decompose_log_ratio_drift(trace: ExecutionTrace, theta: str,
     ratios = log_ratio_vectors(trace, theta, theta_star)
     expected = expected_ratio_vectors(trace, theta, theta_star)
     C0 = compute_log_ratio_bound(cfg.model)
-    xi_pow = structure.xi_window_float
-    tail = geometric_tail_constant_float(structure.xi, n, structure.chi, cfg.f)
+    tail = geometric_tail_constant(structure, cfg.f)
     fluct_bound = n * tail * C0 if math.isfinite(tail) else math.inf
 
     for t in checkpoints:
@@ -803,7 +792,7 @@ def decompose_log_ratio_drift(trace: ExecutionTrace, theta: str,
         residuals = psi[t][rows] - (deviations[rows] + slln + drift)
         results.append(DriftCheckpoint(
             t=t, reference_row=int(rows[0]) + 1,
-            drift=drift, drift_bound=-C1 * xi_pow * t,
+            drift=drift, drift_bound=-C1 * structure.xi_window_float * t,
             slln=slln, slln_bound=6.0 * C0 * math.sqrt(t),
             max_fluctuation=float(np.max(np.abs(deviations[rows]))),
             fluctuation_bound=fluct_bound,

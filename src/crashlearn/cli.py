@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--graph", required=True, help="graph JSON file")
     det.add_argument("--f", type=int, required=True)
     det.add_argument("--max-candidates", type=_positive_int,
-                     default=DEFAULT_ENUMERATION_CAP)
+                     default=DEFAULT_ENUMERATION_CAP,
+                     help="cap on the witness search when condition 1 fails")
     det.set_defaults(handler=_cmd_detect)
 
     ide = sub.add_parser("identify",

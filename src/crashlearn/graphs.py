@@ -459,24 +459,35 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
 @dataclass(frozen=True)
 class SourceCensus:
     """Source structure over every reduced graph of (g, f), with the constants
-    the convergence bounds read from it."""
+    the convergence bounds read from it; xi ** window is never built."""
 
     chi: int                                # number of distinct reduced graphs
     gamma: int                              # smallest source component size
     sources: tuple[frozenset[int], ...]     # distinct, by size then members
     witness: ReducedGraph | None            # first graph without a unique source
-    xi: Fraction                            # influence floor of the base graph
+    xi: Fraction                            # 1/(1 + d), d the base graph's max in-degree
     window: int                             # graph size times chi
 
-    @cached_property
-    def xi_window_exact(self) -> Fraction:
-        """xi ** window, Theorem 2's per-window overlap floor."""
-        return self.xi ** self.window
+    def xi_window_inverse(self, bits: int) -> int | float:
+        """(1 + d) ** window = 1 / xi ** window, built below 2 ** (2 * bits):
+        inf once its bound 2 ** (window * (bit_length(1 + d) - 1)) reaches 2 ** bits."""
+        base = self.xi.denominator
+        if self.window * (base.bit_length() - 1) >= bits:
+            return math.inf
+        return base ** self.window
+
+    def compare_xi_window(self, x: Fraction) -> tuple[bool, float]:
+        """Whether x >= xi ** window, and x - xi ** window as a float. Doubles
+        and their midpoints, multiples of 2 ** -1075, are x = p / q or lie at
+        least 1 / (q << 1075) below it: any smaller xi ** window acts as 1 / (q << 1076)."""
+        p, q = x.numerator, x.denominator
+        power = min(self.xi_window_inverse(q.bit_length() + 1076), q << 1076)
+        return p * power >= q, (p * power - q) / (q * power)
 
     @cached_property
     def xi_window_float(self) -> float:
         """xi ** window as a float: 0.0 once it underflows."""
-        return float(self.xi_window_exact)
+        return -self.compare_xi_window(Fraction(0))[1]
 
 
 def source_census(g: DirectedGraph, f: int,
@@ -484,9 +495,10 @@ def source_census(g: DirectedGraph, f: int,
     """chi, gamma, every distinct source component in canonical order (by
     size, then by sorted members), the first reduced graph in
     enumerate_reduced_graphs order without a unique source, and xi and the
-    window n * chi. The cap is checked on every call, but the census is
-    cached on (g, f) alone, whatever cap let it through."""
-    _removal_counts(g, _link_sizes(f), max_candidates, "link-removal")
+    window n * chi. The cap guards the witness search only: it is checked on
+    every call where condition 1 fails, though the census is cached."""
+    if not _closed_forms(g, f)[2]:
+        _removal_counts(g, _link_sizes(f), max_candidates, "link-removal")
     return _source_census(g, f)
 
 
@@ -506,6 +518,8 @@ def _closed_forms(g: DirectedGraph, f: int,
     the rest. Two disjoint sources are sources of one reduced graph, so
     condition 1 holds exactly when no two are disjoint.
     """
+    if f < 0:
+        raise ValueError("f must be nonnegative")
     n, degree = g.n, g.in_degree.tolist()
     into = [sum(1 << (j - 1) for j in g.in_neighbors[i]) for i in range(1, n + 1)]
 
@@ -603,15 +617,12 @@ def check_condition1(g: DirectedGraph, f: int,
     link-removal pattern (every node drops min(f, in-degree) in-links) fails
     too: the witness is the first, in per-node itertools.product order, with
     two or more source components (no sinks removed). The cap bounds the
-    number of maximal patterns.
+    number of maximal patterns scanned for it when condition 1 fails.
     """
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    sizes = lambda d: (min(f, d),)
-    _removal_counts(g, sizes, max_candidates, "maximal-removal")
     if _closed_forms(g, f)[2]:
         return True, None
-    space = _RemovalSpace(g, sizes, math.inf, "maximal-removal")
+    space = _RemovalSpace(g, lambda d: (min(f, d),), max_candidates,
+                          "maximal-removal")
     for c in space.chunks(space.total):
         bad = c[space.several_sources(space.digits(c), g.nodes)]
         if bad.size:

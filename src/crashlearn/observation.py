@@ -18,8 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import (DEFAULT_ENUMERATION_CAP, ConfigError, DirectedGraph,
-                     config_list, source_census)
+from .graphs import ConfigError, DirectedGraph, config_list, source_census
 
 ZERO_TOLERANCE = 1e-12          # "nonzero" means strictly above this
 ROW_SUM_TOLERANCE = 1e-12       # direct construction
@@ -152,10 +151,11 @@ class LikelihoodModel:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> LikelihoodModel:
-        """Parse a model file. Rows are renormalized before the constructor
-        checks the tables, and a row sum more than FILE_ROW_SUM_TOLERANCE
-        from 1 is refused after it, so the constructor's messages come
-        first."""
+        """Parse a model file. A row whose sum is within ROW_SUM_TOLERANCE
+        of 1 is kept as written, so a model's to_dict parses back equal;
+        every other row is divided by its sum, once, before the constructor
+        checks the tables. A row sum more than FILE_ROW_SUM_TOLERANCE from 1
+        is refused after it, so the constructor's messages come first."""
         hyp = [str(h) for h in config_list(payload["hypotheses"], "hypotheses")]
         spaces, tables, gaps = [], [], []
         for idx, spec in enumerate(config_list(payload["agents"], "agents"),
@@ -179,10 +179,10 @@ class LikelihoodModel:
             # (0, k) with no hypotheses, so the constructor says what is wrong
             arr = np.array(rows).reshape(len(hyp), len(labels))
             sums = arr.sum(axis=1, keepdims=True)
-            gaps.append(np.abs(sums - 1.0).max(initial=0.0))
+            gaps.append((off := np.abs(sums - 1.0)).max(initial=0.0))
             # a zero sum needs an entry <= 0, which the constructor refuses
             with np.errstate(divide="ignore", invalid="ignore"):
-                tables.append(arr / sums)
+                tables.append(np.where(off <= ROW_SUM_TOLERANCE, arr, arr / sums))
             spaces.append(labels)
         model = cls(hyp, spaces, tables)
         for idx, gap in enumerate(gaps, start=1):
@@ -257,9 +257,8 @@ class IdentifiabilityReport:
                 "C0": self.C0, "C1": self.C1}
 
 
-def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
-                      max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                      ) -> IdentifiabilityReport:
+def check_assumption1(model: LikelihoodModel, g: DirectedGraph,
+                      f: int) -> IdentifiabilityReport:
     """Every reduced-graph source component must distinguish every ordered pair.
 
     Raises IdentifiabilityPreconditionError if some reduced graph lacks a
@@ -270,7 +269,7 @@ def check_assumption1(model: LikelihoodModel, g: DirectedGraph, f: int,
     """
     if g.n != model.n:
         raise ConfigError(f"graph has {g.n} nodes but model has {model.n} agents")
-    census = source_census(g, f, max_candidates)
+    census = source_census(g, f)
     if census.witness is not None:
         decomp = census.witness.source_decomposition()
         raise IdentifiabilityPreconditionError(

@@ -855,3 +855,21 @@ def geometric_tail_sum_direct(xi_float, n, chi, f, tiny=1e-15, max_terms=10_000_
     else:
         raise RuntimeError("direct summation did not terminate")
     return total
+
+
+def xi_window_by_power(xi, window, x):
+    """x >= xi ** window and x - xi ** window as a float, the power built as
+    an exact Fraction."""
+    floor = xi ** window
+    return x >= floor, float(x - floor)
+
+
+def geometric_tail_by_power(xi, window, f):
+    """window * ((f + 1) + (1 - q) / q) with q = xi ** window, built as an
+    exact Fraction, and that as a float: inf once it overflows."""
+    q = xi ** window
+    exact = window * ((f + 1) + (1 - q) / q)
+    try:
+        return exact, float(exact)
+    except OverflowError:
+        return exact, math.inf

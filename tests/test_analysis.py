@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,24 +18,25 @@ from crashlearn.analysis import (ANALYTIC_SLACK, DEFAULT_CHECKS,
                                  ergodic_coefficients, estimate_pi,
                                  expected_ratio_vectors,
                                  geometric_tail_constant,
-                                 geometric_tail_constant_float,
                                  log_ratio_vectors, pseudo_belief_evolution,
                                  psi_series, run_checks, structure_constants,
                                  theorem2_bound, trace_matrices)
 from crashlearn.engine import (CRASH_PHASES, AdversarySchedule, CrashEvent,
                                ExecutionTrace, run_execution)
-from crashlearn.graphs import (DirectedGraph, enumerate_reduced_graphs,
-                               first_dominated_nodes)
+from crashlearn import graphs
+from crashlearn.graphs import (DirectedGraph, SourceCensus,
+                               enumerate_reduced_graphs, first_dominated_nodes)
 from crashlearn.observation import (ROW_SUM_TOLERANCE, check_assumption1,
                                     kl_divergence)
 
 from conftest import make_config, recursion_runs
 from oracles import (alive_at_start, backward_product_by_loop, completed_at,
                      drift_by_loops, ergodic_by_pairs,
-                     first_dominated_reduction, geometric_tail_sum_direct,
-                     lemma1_by_loops, lemma2_by_loops, prop1_by_search,
+                     first_dominated_reduction, geometric_tail_by_power,
+                     geometric_tail_sum_direct, lemma1_by_loops,
+                     lemma2_by_loops, prop1_by_search,
                      prop2_by_loops, product_by_loop, psi_by_loops, quorums_at,
-                     thm2_by_loops)
+                     thm2_by_loops, xi_window_by_power)
 
 
 # -- update matrices --------------------------------------------------------------------
@@ -226,7 +228,8 @@ def test_ergodic_coefficients_of_a_stack_match_each_matrix(seed):
 def test_theorem2_bound_on_ring():
     structure = structure_constants(DirectedGraph.cycle(3), 0)
     assert structure.window == 3
-    assert structure.xi_window_exact == Fraction(1, 8)
+    assert structure.xi_window_float == 0.125
+    assert structure.compare_xi_window(Fraction(1, 8)) == (True, 0.0)
     # below one full window the bound is vacuous
     assert theorem2_bound(3, 2, structure, 0) == 1.0
     assert theorem2_bound(5, 1, structure, 0) == pytest.approx(7 / 8)
@@ -243,22 +246,85 @@ def test_theorem2_bound_monotone_in_t():
 
 
 def test_geometric_tail_closed_form_matches_direct_sum():
-    xi = Fraction(1, 2)
-    exact = geometric_tail_constant(xi, 3, 1, 0)
-    assert exact == 24
+    structure = structure_constants(DirectedGraph.cycle(3), 0)   # xi 1/2, window 3
+    tail = geometric_tail_constant(structure, 0)
+    assert tail == 24.0
     direct = geometric_tail_sum_direct(0.5, 3, 1, 0)
-    assert float(exact) == pytest.approx(direct, rel=1e-9)
+    assert tail == pytest.approx(direct, rel=1e-9)
     # with a fault budget the vacuous-window prefix lengthens
-    exact_f1 = geometric_tail_constant(xi, 3, 1, 1)
+    tail_f1 = geometric_tail_constant(structure, 1)
     direct_f1 = geometric_tail_sum_direct(0.5, 3, 1, 1)
-    assert float(exact_f1) == pytest.approx(direct_f1, rel=1e-9)
+    assert tail_f1 == pytest.approx(direct_f1, rel=1e-9)
 
 
 def test_geometric_tail_float_overflow_is_infinite():
     # (1/4) ** 1040 underflows; its reciprocal overflows the float range
-    assert geometric_tail_constant_float(Fraction(1, 4), 4, 260, 1) == math.inf
-    exact = geometric_tail_constant(Fraction(1, 4), 4, 260, 1)
+    structure = structure_constants(DirectedGraph.complete(4), 1)
+    assert (structure.xi, structure.window) == (Fraction(1, 4), 1040)
+    assert geometric_tail_constant(structure, 1) == math.inf
+    exact, _ = geometric_tail_by_power(Fraction(1, 4), 1040, 1)
     assert exact > 10 ** 600        # exact arithmetic survives
+
+
+@st.composite
+def xi_window_cases(draw):
+    """(1 + d, window, x, f) with xi ** window near 2 ** -1024 (the tail's
+    overflow), 2 ** -1075 (a double's underflow) or the bits at which the
+    comparison stops building the power for a double x, on both sides."""
+    base = draw(st.integers(1, 13))
+    bits = draw(st.sampled_from((1024, 1075, 1130, 2200))) + draw(st.integers(-60, 60))
+    window = (max(1, round(bits / math.log2(base)) + draw(st.integers(-2, 2)))
+              if base > 1 else bits)
+    floor = Fraction(1, base ** window)
+    kind = draw(st.sampled_from(("double", "tiny", "near", "midpoint", "sum", "zero")))
+    if kind == "double":
+        x = Fraction(draw(st.floats(-2.0, 2.0)))
+    elif kind == "tiny":
+        x = Fraction(draw(st.integers(-2 ** 53, 2 ** 53)), 2 ** draw(st.integers(1000, 1130)))
+    elif kind == "near":
+        x = floor * (1 + Fraction(draw(st.integers(-3, 3)), 2 ** draw(st.integers(1, 70))))
+    elif kind == "midpoint":
+        v = draw(st.floats(0.0, 2.0))
+        x = Fraction(v) + Fraction(math.ulp(v)) / 2
+    elif kind == "sum":
+        x = sum(map(Fraction, draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7))))
+    else:
+        x = Fraction(0)
+    return base, window, x, draw(st.integers(0, 3))
+
+
+@settings(max_examples=250, deadline=None)
+@given(xi_window_cases())
+def test_xi_window_comparison_matches_the_power(case):
+    base, window, x, f = case
+    xi = Fraction(1, base)
+    census = SourceCensus(chi=window, gamma=1, sources=(frozenset({1}),),
+                          witness=None, xi=xi, window=window)
+    clears, rounded = census.compare_xi_window(x)
+    expected_clears, expected = xi_window_by_power(xi, window, x)
+    # repr tells -0.0 from 0.0, which a report would print
+    assert (clears, repr(rounded)) == (expected_clears, repr(expected))
+    assert repr(census.xi_window_float) == repr(float(xi ** window))
+    assert (repr(geometric_tail_constant(census, f))
+            == repr(geometric_tail_by_power(xi, window, f)[1]))
+
+
+def test_cold_run_checks_on_complete7_never_builds_the_window_power():
+    # n * chi is 5,764,850 here, so xi ** window as an exact rational would
+    # hold a 16-million-bit integer
+    trace = run_execution(make_config(DirectedGraph.complete(7), 1,
+                                      iterations=200, seed=1000))
+    for cached in vars(graphs).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    tracemalloc.start()
+    try:
+        report = run_checks(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(result["passed"] for result in report.values())
+    assert peak < 4_000_000
 
 
 # -- pseudo-beliefs ------------------------------------------------------------------------
@@ -312,8 +378,8 @@ def test_estimate_pi_uniform_on_ring(suite_traces):
     assert est.pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert est.residual <= est.bound
     assert est.dead_columns_zero
-    threshold = structure_constants(trace.config.graph, 0).xi_window_exact
-    assert all(Fraction(float(v)) >= threshold for v in est.pi)
+    structure = structure_constants(trace.config.graph, 0)
+    assert all(structure.compare_xi_window(Fraction(float(v)))[0] for v in est.pi)
 
 
 def test_estimate_pi_zero_for_dead_agents(suite_traces):

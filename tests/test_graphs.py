@@ -354,12 +354,31 @@ def test_sampling_is_seed_deterministic():
     assert a == b
 
 
+# Two disjoint K4s: condition 1 fails for every f, and with f=1 there are
+# 4^8 = 65,536 link-removal candidates and 3^8 maximal patterns.
+TWO_CLIQUES = DirectedGraph.from_edge_list(
+    8, [(j, i) for block in (range(1, 5), range(5, 9))
+        for j in block for i in block if j != i])
+
+
 def test_enumeration_budget_raises():
     with pytest.raises(BudgetExceededError):
-        enumerate_reduced_graphs(DirectedGraph.complete(5), 2,
-                                 max_candidates=1000)
-    with pytest.raises(BudgetExceededError):
-        detectability_report(DirectedGraph.complete(5), 2, max_candidates=1000)
+        enumerate_reduced_graphs(TWO_CLIQUES, 1, max_candidates=1000)
+    with pytest.raises(BudgetExceededError,
+                       match="65536 link-removal candidates exceed the cap 1000"):
+        detectability_report(TWO_CLIQUES, 1, max_candidates=1000)
+    with pytest.raises(BudgetExceededError,
+                       match="6561 maximal-removal candidates exceed the cap 1000"):
+        check_condition1(TWO_CLIQUES, 1, max_candidates=1000)
+
+
+def test_cap_guards_only_the_witness_search():
+    # K5 with f=2 has 11^5 link-removal candidates and 6^5 maximal patterns,
+    # but condition 1 holds, so nothing is enumerated
+    g = DirectedGraph.complete(5)
+    report = detectability_report(g, 2, max_candidates=1000)
+    assert (report.condition1_holds, report.chi, report.gamma) == (True, 162_341, 3)
+    assert check_condition1(g, 2, max_candidates=1000) == (True, None)
 
 
 def test_census_cache_ignores_how_the_cap_is_spelled():
@@ -371,12 +390,11 @@ def test_census_cache_ignores_how_the_cap_is_spelled():
 
 
 def test_cached_census_still_refuses_above_the_cap():
-    g = DirectedGraph.complete(5)
-    graphs.source_census(g, 2)
+    graphs.source_census(TWO_CLIQUES, 1)
     with pytest.raises(BudgetExceededError):
-        detectability_report(g, 2, max_candidates=1000)
+        detectability_report(TWO_CLIQUES, 1, max_candidates=1000)
     with pytest.raises(BudgetExceededError):
-        check_assumption1(standard_model(5), g, 2, max_candidates=1000)
+        graphs.source_census(TWO_CLIQUES, 1, max_candidates=1000)
 
 
 def test_report_refuses_partition_scan_before_census(monkeypatch):

@@ -21,7 +21,7 @@ from crashlearn.harness import (ExperimentBatch, IdentifiabilityGateError,
                                 write_trajectory_csv)
 from crashlearn.observation import bernoulli_agent
 
-from conftest import make_config, two_hypothesis_model
+from conftest import make_config, standard_model, two_hypothesis_model
 
 
 def flat_model(n):
@@ -824,6 +824,36 @@ def test_cli_detect_refuses_a_cap_below_one_at_parse_time(config_dir, capsys, ca
     err = capsys.readouterr().err
     assert f"argument --max-candidates: must be an integer of at least 1, got '{cap}'" in err
     assert "exceed the cap" not in err
+
+
+def test_cli_detect_and_identify_answer_above_the_cap(tmp_path, capsys):
+    # K6 with f=2 has 16^6 link-removal candidates, above the default cap,
+    # but condition 1 holds, so no reduced graph is enumerated
+    (tmp_path / "graph.json").write_text(json.dumps(
+        DirectedGraph.complete(6).to_dict()))
+    (tmp_path / "model.json").write_text(json.dumps(standard_model(6).to_dict()))
+    code, out, _ = run_cli(["detect", "--graph", str(tmp_path / "graph.json"),
+                            "--f", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["chi"], payload["gamma"], payload["condition1_holds"]) == (
+        16_795_981, 4, True)
+    code, out, _ = run_cli(["identify", "--graph", str(tmp_path / "graph.json"),
+                            "--model", str(tmp_path / "model.json"),
+                            "--f", "2"], capsys)
+    assert code == 0 and json.loads(out)["assumption1_ok"]
+
+
+def test_cli_detect_refuses_a_failing_graph_above_the_cap(tmp_path, capsys):
+    # two disjoint K4s fail condition 1; with f=1 the witness search would
+    # walk 4^8 link-removal candidates
+    two_cliques = [[j, i] for block in (range(1, 5), range(5, 9))
+                   for j in block for i in block if j != i]
+    (tmp_path / "graph.json").write_text(json.dumps({"n": 8, "edges": two_cliques}))
+    code, out, err = run_cli(["detect", "--graph", str(tmp_path / "graph.json"),
+                              "--f", "1", "--max-candidates", "1000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config: 65536 link-removal candidates exceed the cap 1000\n"
 
 
 def test_cli_usage_errors_exit_2(config_dir, stored_trace, tmp_path, capsys):

@@ -126,6 +126,19 @@ def test_models_compare_by_value():
     assert m != m.to_dict()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(2, 4), st.data())
+def test_model_round_trip_is_exact(n, m, k, data):
+    # rows normalized as x / x.sum() often sum to 1.0 only within rounding,
+    # and dividing them again moves their last bits
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n * m * k,
+                                      max_size=n * m * k))).reshape(n, m, k)
+    model = LikelihoodModel([f"theta{h}" for h in range(m)],
+                            [[f"s{j}" for j in range(k)]] * n,
+                            list(raw / raw.sum(axis=2, keepdims=True)))
+    assert LikelihoodModel.from_dict(model.to_dict()) == model
+
+
 @pytest.mark.parametrize("agent, message", FILE_AGENTS.values(),
                          ids=FILE_AGENTS)
 def test_from_dict_reports_the_constructors_checks_first(agent, message):

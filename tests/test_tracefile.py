@@ -3,10 +3,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from crashlearn.engine import (TraceInvariantError, read_trace, run_execution,
                                write_trace)
+from crashlearn.observation import LikelihoodModel
 
 from conftest import suite_configs
 from oracles import read_trace_by_lines
@@ -98,3 +100,15 @@ def test_read_trace_names_a_blank_line_by_its_file_line(stored_lines, tmp_path):
         with pytest.raises(TraceInvariantError, match=r"^line 2: not JSON"):
             reader(path)
         assert reader(trailing).log_belief.shape == (30, 4, 2)
+
+
+def test_trace_round_trip_returns_an_equal_config(tmp_path):
+    # rows normalized as x / x.sum(), some summing to 1.0 only within rounding
+    tables = [x / x.sum(axis=1, keepdims=True)
+              for x in np.random.default_rng(7).random((4, 2, 3)) + 0.1]
+    assert any(row.sum() != 1.0 for table in tables for row in table)
+    model = LikelihoodModel(("theta1", "theta2"), [("a", "b", "c")] * 4, tables)
+    config = dataclasses.replace(suite_configs()["crash_mid"], model=model,
+                                 iterations=20)
+    write_trace(run_execution(config), tmp_path / "t.jsonl")
+    assert read_trace(tmp_path / "t.jsonl").config == config
