@@ -20,8 +20,7 @@ from pathlib import Path
 from .analysis import DEFAULT_CHECKS, check_names
 from .engine import (ConfigError, TraceInvariantError, min_final_posterior,
                      run_execution, validate_trace, write_trace)
-from .graphs import (DEFAULT_ENUMERATION_CAP, BudgetExceededError,
-                     DirectedGraph, detectability_report)
+from .graphs import BudgetExceededError, DirectedGraph, detectability_report
 from .harness import (IdentifiabilityGateError, analyze_trace, load_batch,
                       load_graph, load_model, load_simulation_config,
                       report_metrics, run_batch, write_trajectory_csv)
@@ -104,8 +103,7 @@ def _check_fault_budget(graph: DirectedGraph, f: int) -> None:
 def _cmd_detect(args) -> int:
     graph = load_graph(args.graph)
     _check_fault_budget(graph, args.f)
-    report = detectability_report(graph, args.f,
-                                  max_candidates=args.max_candidates)
+    report = detectability_report(graph, args.f)
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -117,17 +115,6 @@ def _cmd_identify(args) -> int:
     report = check_assumption1(model, graph, args.f)
     _emit(report.to_dict())
     return EXIT_OK
-
-
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {raw!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="crash-detectability report of a graph")
     det.add_argument("--graph", required=True, help="graph JSON file")
     det.add_argument("--f", type=int, required=True)
-    det.add_argument("--max-candidates", type=_positive_int,
-                     default=DEFAULT_ENUMERATION_CAP,
-                     help="cap on the witness search when condition 1 fails")
     det.set_defaults(handler=_cmd_detect)
 
     ide = sub.add_parser("identify",

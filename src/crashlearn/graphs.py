@@ -8,8 +8,8 @@ topology tolerates f crashes exactly when every reduced graph keeps a single
 source component, and that structural test is equivalent to a quantifier over
 two-sided partitions; both routes are implemented and cross-asserted. The
 detectability report and the checks all read one cached source_census, whose
-counts, sources and verdict come from closed forms: reduced graphs are
-enumerated only to find a failure's witness. Every in-degree, neighbor set
+counts, sources, verdict and witness come from closed forms: only
+enumerate_reduced_graphs lists reduced graphs. Every in-degree, neighbor set
 and link matrix is read from a graph's in_links table.
 """
 
@@ -271,18 +271,6 @@ def _packed(nodes: Iterable[int], words: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _removal_counts(g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
-                    cap: int, what: str) -> list[int]:
-    """Per node, its number of ways to drop sizes(in-degree) in-links;
-    BudgetExceededError when their product, the candidate count, exceeds
-    cap."""
-    counts = [sum(math.comb(d, k) for k in sizes(d)) for d in g.in_degree.tolist()]
-    total = math.prod(counts)
-    if total > cap:
-        raise BudgetExceededError(f"{total} {what} candidates exceed the cap {cap}")
-    return counts
-
-
 class _RemovalSpace:
     """Every way for each node to drop some of its in-links, as one index.
 
@@ -294,9 +282,12 @@ class _RemovalSpace:
     """
 
     def __init__(self, g: DirectedGraph, sizes: Callable[[int], Iterable[int]],
-                 cap: int, what: str) -> None:
-        counts = _removal_counts(g, sizes, cap, what)
+                 cap: int) -> None:
+        counts = [sum(math.comb(d, k) for k in sizes(d)) for d in g.in_degree.tolist()]
         self.total = math.prod(counts)
+        if self.total > cap:
+            raise BudgetExceededError(
+                f"{self.total} link-removal candidates exceed the cap {cap}")
         self.g = g
         self.words = -(-g.n // _WORD)
         self.removals: list[list[tuple[int, frozenset[int]]]] = []
@@ -315,10 +306,10 @@ class _RemovalSpace:
         for i in range(g.n - 2, -1, -1):
             self.strides[i] = self.strides[i + 1] * counts[i + 1]
 
-    def chunks(self, size: int) -> Iterator[np.ndarray]:
-        """The indices 0 .. size - 1, _SCAN_CHUNK at a time."""
-        for start in range(0, size, _SCAN_CHUNK):
-            yield np.arange(start, min(start + _SCAN_CHUNK, size), dtype=np.int64)
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The candidates 0 .. total - 1, _SCAN_CHUNK at a time."""
+        for start in range(0, self.total, _SCAN_CHUNK):
+            yield np.arange(start, min(start + _SCAN_CHUNK, self.total), dtype=np.int64)
 
     def digits(self, c: np.ndarray) -> np.ndarray:
         return (c[:, None] // self.strides) % self.counts
@@ -327,22 +318,6 @@ class _RemovalSpace:
         """(candidates, n, words) kept in-link masks for the given digits."""
         return np.stack([kept[digits[:, i]] for i, kept in enumerate(self.kept)],
                         axis=1)
-
-    def several_sources(self, digits: np.ndarray, nodes: frozenset[int]) -> np.ndarray:
-        """Which candidates, the nodes outside nodes deleted as sinks, have
-        more than one source: those where no node reaches every node.
-        reach[c, i] holds the nodes with a path into node i of candidate c,
-        closed by one Warshall pass over intermediate nodes."""
-        reach = self.in_masks(digits)
-        reach[:, [v - 1 for v in self.g.nodes - nodes]] = 0
-        for v in nodes:
-            reach[:, v - 1] |= _packed([v], self.words)
-        for k in range(self.g.n):
-            word, bit = divmod(k, _WORD)
-            into = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
-            reach |= reach[:, k:k + 1, :] * into[:, :, None]
-        live = [v - 1 for v in sorted(nodes)]
-        return ~np.bitwise_and.reduce(reach[:, live], axis=1).any(axis=1)
 
 
 def _link_sizes(f: int) -> Callable[[int], range]:
@@ -365,7 +340,7 @@ def _census(space: _RemovalSpace, f: int,
     """
     g = space.g
     found: dict[frozenset[int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
-    for c in space.chunks(space.total):
+    for c in space.chunks():
         digits = space.digits(c)
         has_out = np.bitwise_or.reduce(space.in_masks(digits), axis=1).view(np.uint8)
         sends = np.unpackbits(has_out, axis=1, bitorder="little")[:, :g.n].astype(bool)
@@ -448,7 +423,7 @@ def enumerate_reduced_graphs(g: DirectedGraph, f: int,
     Raises BudgetExceededError when the link-removal choice space alone
     exceeds max_candidates.
     """
-    space = _RemovalSpace(g, _link_sizes(f), max_candidates, "link-removal")
+    space = _RemovalSpace(g, _link_sizes(f), max_candidates)
     reduced = []
     for sinks, keys, firsts in _census(space, f):
         order = _enumeration_rank(space, sinks, keys)
@@ -464,7 +439,7 @@ class SourceCensus:
     chi: int                                # number of distinct reduced graphs
     gamma: int                              # smallest source component size
     sources: tuple[frozenset[int], ...]     # distinct, by size then members
-    witness: ReducedGraph | None            # first graph without a unique source
+    witness: ReducedGraph | None            # a graph without a unique source
     xi: Fraction                            # 1/(1 + d), d the base graph's max in-degree
     window: int                             # graph size times chi
 
@@ -490,22 +465,11 @@ class SourceCensus:
         return -self.compare_xi_window(Fraction(0))[1]
 
 
-def source_census(g: DirectedGraph, f: int,
-                  max_candidates: int = DEFAULT_ENUMERATION_CAP) -> SourceCensus:
-    """chi, gamma, every distinct source component in canonical order (by
-    size, then by sorted members), the first reduced graph in
-    enumerate_reduced_graphs order without a unique source, and xi and the
-    window n * chi. The cap guards the witness search only: it is checked on
-    every call where condition 1 fails, though the census is cached."""
-    if not _closed_forms(g, f)[2]:
-        _removal_counts(g, _link_sizes(f), max_candidates, "link-removal")
-    return _source_census(g, f)
-
-
 @lru_cache(maxsize=64)
-def _closed_forms(g: DirectedGraph, f: int,
-                  ) -> tuple[int, tuple[frozenset[int], ...], bool]:
-    """chi, the sources in canonical order and condition 1, from closed forms.
+def source_census(g: DirectedGraph, f: int) -> SourceCensus:
+    """chi, gamma, every distinct source component in canonical order (by
+    size, then by sorted members), a reduced graph without a unique source
+    or None, and xi and the window n * chi, all from closed forms.
 
     With sinks S (at most f nodes, not all), each other node i of in-degree
     d drops its a = |N_in(i) & S| in-links from S, as a sink keeps no
@@ -515,8 +479,9 @@ def _closed_forms(g: DirectedGraph, f: int,
     connected and no member has more than f in-links from outside C. Each
     such C is grown once from its smallest member, every member in turn
     dropping some undecided in-neighbours within its budget and taking in
-    the rest. Two disjoint sources are sources of one reduced graph, so
-    condition 1 holds exactly when no two are disjoint.
+    the rest. Two disjoint sources are sources of one reduced graph, the
+    witness built from the first such pair, so condition 1 holds exactly
+    when no two are disjoint.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
@@ -551,35 +516,27 @@ def _closed_forms(g: DirectedGraph, f: int,
 
     for v in range(n):
         grow(1 << v, 1 << v, (1 << v) - 1)
-    sources = sorted((frozenset(i + 1 for i in range(n) if m >> i & 1) for m in found),
-                     key=lambda c: (len(c), sorted(c)))
-    return chi, tuple(sources), all(a & b for a, b in itertools.combinations(found, 2))
-
-
-@lru_cache(maxsize=64)
-def _source_census(g: DirectedGraph, f: int) -> SourceCensus:
-    """source_census without the cap; the reduced graphs are enumerated only
-    when condition 1 fails, to find the witness."""
-    chi, sources, holds = _closed_forms(g, f)
+    sources = tuple(sorted((frozenset(i + 1 for i in range(n) if m >> i & 1) for m in found),
+                           key=lambda c: (len(c), sorted(c))))
+    pair = next((p for p in itertools.combinations(sources, 2) if not p[0] & p[1]), None)
     return SourceCensus(chi=chi, gamma=len(sources[0]), sources=sources,
-                        witness=None if holds else _first_failing(g, f),
-                        xi=g.influence_floor(), window=g.n * chi)
+                        witness=None if pair is None else _two_sources(g, f, *pair),
+                        xi=g.influence_floor(), window=n * chi)
 
 
-def _first_failing(g: DirectedGraph, f: int) -> ReducedGraph:
-    """The first reduced graph, in enumerate_reduced_graphs order, without a
-    unique source: the first in the first census block that has one."""
-    space = _RemovalSpace(g, _link_sizes(f), math.inf, "link-removal")
-    for sinks, keys, firsts in _census(space, f):
-        nodes = g.nodes - sinks
-        rows = np.concatenate([c[space.several_sources(space.digits(keys[c]), nodes)]
-                               for c in space.chunks(keys.size)])
-        if rows.size:
-            first = rows[_enumeration_rank(space, sinks, keys[rows])[:1]]
-            witness, = _materialize(space, f, sinks, keys[first], firsts[first])
-            return witness
-    raise EquivalenceViolationError("disjoint sources, but every reduced graph "
-                                    "has a unique source")
+def _two_sources(g: DirectedGraph, f: int, a: frozenset[int],
+                 b: frozenset[int]) -> ReducedGraph:
+    """The reduced graph where each member of a drops its in-links from
+    outside a, each member of b those from outside b, and no other node
+    drops any or is deleted. As a and b are disjoint sources, each drop is
+    at most f links, and both are source components of the result."""
+    home = {i: c for c in (a, b) for i in c}
+    return ReducedGraph(
+        base=g, f=f,
+        removed_in_links=tuple((i, g.in_neighbors[i] - home.get(i, g.nodes))
+                               for i in range(1, g.n + 1)),
+        removed_sinks=frozenset(), nodes=g.nodes,
+        edges=frozenset((j, i) for j, i in g.edges if j in home.get(i, g.nodes)))
 
 
 def first_dominated_nodes(g: DirectedGraph, f: int,
@@ -608,28 +565,12 @@ def first_dominated_nodes(g: DirectedGraph, f: int,
     return None if best is None else frozenset(best)
 
 
-def check_condition1(g: DirectedGraph, f: int,
-                     max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                     ) -> tuple[bool, ReducedGraph | None]:
+def check_condition1(g: DirectedGraph, f: int) -> tuple[bool, ReducedGraph | None]:
     """True iff every reduced graph has exactly one source component, that
-    is, iff no two sources are disjoint. Uniqueness is monotone in the edge
-    set and insensitive to sink removal, so on failure some maximal
-    link-removal pattern (every node drops min(f, in-degree) in-links) fails
-    too: the witness is the first, in per-node itertools.product order, with
-    two or more source components (no sinks removed). The cap bounds the
-    number of maximal patterns scanned for it when condition 1 fails.
-    """
-    if _closed_forms(g, f)[2]:
-        return True, None
-    space = _RemovalSpace(g, lambda d: (min(f, d),), max_candidates,
-                          "maximal-removal")
-    for c in space.chunks(space.total):
-        bad = c[space.several_sources(space.digits(c), g.nodes)]
-        if bad.size:
-            witness, = _materialize(space, f, frozenset(), bad[:1], bad[:1])
-            return False, witness
-    raise EquivalenceViolationError("disjoint sources, but every maximal "
-                                    "pattern has a unique source")
+    is, iff no two sources are disjoint; on failure the witness is
+    source_census's, a reduced graph with two or more source components."""
+    witness = source_census(g, f).witness
+    return witness is None, witness
 
 
 def _refuse_partition_scan(n: int) -> None:
@@ -702,29 +643,26 @@ class DetectabilityReport:
         }
 
 
-def detectability_report(g: DirectedGraph, f: int,
-                         max_candidates: int = DEFAULT_ENUMERATION_CAP,
-                         ) -> DetectabilityReport:
+def detectability_report(g: DirectedGraph, f: int) -> DetectabilityReport:
     """Reduced-graph census plus both condition checks, cross-asserted.
 
-    chi, gamma, xi and the condition 1 verdict are source_census's; on
-    failure the witness is its first failing reduced graph in
-    enumerate_reduced_graphs order. Raises EquivalenceViolationError if the
-    partition route disagrees (an implementation defect, not a property of
-    the input). Graphs that check_condition2 refuses are refused before the
+    chi, gamma, xi, the condition 1 verdict and its witness are
+    source_census's. Raises EquivalenceViolationError if the partition
+    route disagrees (an implementation defect, not a property of the
+    input). Graphs that check_condition2 refuses are refused before the
     census.
     """
     _refuse_partition_scan(g.n)
-    census = source_census(g, f, max_candidates)
-    c1_holds, _ = check_condition1(g, f, max_candidates=max_candidates)
+    census = source_census(g, f)
+    c1_holds, witness = check_condition1(g, f)
     c2_holds, _ = check_condition2(g, f)
-    if not ((census.witness is None) == c1_holds == c2_holds):
+    if c1_holds != c2_holds:
         raise EquivalenceViolationError(
-            f"detectability routes disagree: census={census.witness is None} "
-            f"condition1={c1_holds} partition={c2_holds}")
+            f"detectability routes disagree: condition1={c1_holds} "
+            f"partition={c2_holds}")
     return DetectabilityReport(
         n=g.n, f=f,
         condition1_holds=c1_holds,
         condition2_holds=c2_holds,
         chi=census.chi, gamma=census.gamma, xi=census.xi,
-        witness=census.witness)
+        witness=witness)

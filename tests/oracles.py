@@ -23,10 +23,10 @@ through _PHASE_RULES; they do not read the trace's masks (alive_after and
 the rest) or the package's phase table, which the checks they referee read.
 The census scans, census_by_scan and condition1_by_scan, read the source
 structure off every reduced graph, as the package did before its closed
-forms; they take the candidates, their order and the witness's removal
-metadata from the package's link-removal space (_RemovalSpace, _census,
-_enumeration_rank, _materialize), and find paths with boolean matrix
-products of their own.
+forms, and report only whether some graph fails, not which: a witness is
+judged by the property it must have (tests/test_graphs.py). They take the
+candidates from the package's link-removal space (_RemovalSpace, _census)
+and find paths with boolean matrix products of their own.
 """
 
 from __future__ import annotations
@@ -191,13 +191,12 @@ def _in_reach(space, digits, nodes):
 
 
 def census_by_scan(g, f):
-    """(chi, sources in canonical order, first reduced graph in
-    enumerate_reduced_graphs order without a unique source), read off every
-    reduced graph of the package's census blocks."""
-    space = graphs._RemovalSpace(g, graphs._link_sizes(f), math.inf,
-                                 "link-removal")
-    chi, found, witness = 0, [], None
-    for sinks, keys, firsts in graphs._census(space, f):
+    """(chi, sources in canonical order, whether some reduced graph lacks a
+    unique source), read off every reduced graph of the package's census
+    blocks."""
+    space = graphs._RemovalSpace(g, graphs._link_sizes(f), math.inf)
+    chi, found, fails = 0, [], False
+    for sinks, keys, _ in graphs._census(space, f):
         live = [v - 1 for v in sorted(g.nodes - sinks)]
         reach = _in_reach(space, space.digits(keys), g.nodes - sinks)[:, live]
         square = reach[:, :, live]
@@ -206,30 +205,18 @@ def census_by_scan(g, f):
         # reaches it, and its in-reach is then that source
         in_source = (~square | square.transpose(0, 2, 1)).all(axis=2)
         found.append(reach[in_source] @ (1 << np.arange(g.n)))   # as bitmasks
-        unique = square.all(axis=1).any(axis=1)
-        rows = np.flatnonzero(~unique)
-        if witness is None and rows.size:
-            first = rows[graphs._enumeration_rank(space, sinks, keys[rows])[:1]]
-            witness, = graphs._materialize(space, f, sinks, keys[first],
-                                           firsts[first])
+        fails = fails or not square.all(axis=1).any(axis=1).all()
     sources = {frozenset(v + 1 for v in range(g.n) if m >> v & 1)
                for m in np.unique(np.concatenate(found)).tolist()}
-    return chi, tuple(sorted(sources, key=lambda c: (len(c), sorted(c)))), witness
+    return chi, tuple(sorted(sources, key=lambda c: (len(c), sorted(c)))), fails
 
 
 def condition1_by_scan(g, f):
-    """(holds, witness) of condition 1 from every maximal link-removal
-    pattern, each node dropping min(f, in-degree) in-links: the witness is
-    the first, in per-node itertools.product order, without a unique source."""
-    space = graphs._RemovalSpace(g, lambda d: (min(f, d),), math.inf,
-                                 "maximal-removal")
-    keys = np.arange(space.total)
-    reach = _in_reach(space, space.digits(keys), g.nodes)
-    bad = keys[~reach.all(axis=1).any(axis=1)]
-    if not bad.size:
-        return True, None
-    witness, = graphs._materialize(space, f, frozenset(), bad[:1], bad[:1])
-    return False, witness
+    """Condition 1 from every maximal link-removal pattern, each node
+    dropping min(f, in-degree) in-links: whether each has a unique source."""
+    space = graphs._RemovalSpace(g, lambda d: (min(f, d),), math.inf)
+    reach = _in_reach(space, space.digits(np.arange(space.total)), g.nodes)
+    return bool(reach.all(axis=1).any(axis=1).all())
 
 
 # -- per-cell views of a trace, read from its phase codes through _PHASE_RULES

@@ -185,21 +185,33 @@ def test_gamma_matches_brute_force():
         assert rep.gamma == brute_gamma(n, edges, f)
 
 
+def assert_two_source_witness(g, f, witness):
+    """A failing (g, f)'s witness is one of its reduced graphs, with the
+    removal metadata of the first pattern that produces it and no sink
+    deleted, and has two or more sources; the census and check_condition1
+    return the same graph."""
+    first = brute_first_removals(g.n, sorted(g.edges), f)
+    assert (witness.base, witness.f, witness.removed_sinks) == (g, f, frozenset())
+    assert first[witness.key] == (dict(witness.removed_in_links), frozenset())
+    assert len(components_and_sources(witness.nodes, witness.edges)[1]) >= 2
+    assert graphs.source_census(g, f).witness == witness == check_condition1(g, f)[1]
+
+
 # HAND_CASES index -> condition 1's witness: its kept edges and the in-links
 # each node drops (no sinks are removed)
 CONDITION1_WITNESSES = {
-    1: ([], {1: {3}, 2: {1}, 3: {2}}),
-    4: ([], {1: set(), 2: {1}, 3: {2}}),
+    1: ([(2, 3)], {1: {3}, 2: {1}, 3: set()}),
+    4: ([(2, 3)], {1: set(), 2: {1}, 3: set()}),
     5: ([(1, 2), (2, 1), (3, 4), (4, 3)], {1: set(), 2: set(), 3: set(), 4: set()}),
-    6: ([(3, 1), (4, 1)], {1: {2}, 2: set(), 3: set(), 4: set()}),
-    7: ([(2, 3), (3, 4)], {1: {4}, 2: {1}, 3: {1}, 4: {2}}),
+    6: ([(2, 1), (3, 1), (4, 1)], {1: set(), 2: set(), 3: set(), 4: set()}),
+    7: ([(1, 3), (2, 3), (2, 4), (3, 4)], {1: {4}, 2: {1}, 3: set(), 4: set()}),
 }
 
 
 @pytest.mark.parametrize("k", range(len(HAND_CASES)))
 def test_condition1_witness(k):
-    # the first maximal removal pattern, in per-node itertools.product
-    # order, without a unique source
+    # the first two disjoint sources in canonical order, each cut off from
+    # the rest of the graph
     n, edges, f = HAND_CASES[k]
     g = DirectedGraph.from_edge_list(n, edges)
     if k == 1:
@@ -214,23 +226,27 @@ def test_condition1_witness(k):
         base=g, f=f,
         removed_in_links=tuple((i, frozenset(dropped[i])) for i in sorted(dropped)),
         removed_sinks=frozenset(), nodes=g.nodes, edges=frozenset(kept))
+    assert_two_source_witness(g, f, witness)
 
 
 @pytest.mark.parametrize("n,edges,f,witness,dropped,sinks", [
-    (3, [(1, 2), (2, 3), (3, 1)], 1, {"nodes": [1, 2], "edges": []},
-     {1: {3}, 2: {1}, 3: set()}, {3}),
-    (4, [(2, 1), (3, 1), (4, 1)], 1, {"nodes": [1, 2, 3], "edges": [[2, 1], [3, 1]]},
-     {1: {4}, 2: set(), 3: set(), 4: set()}, {4}),
+    (3, [(1, 2), (2, 3), (3, 1)], 1, {"nodes": [1, 2, 3], "edges": [[2, 3]]},
+     {1: {3}, 2: {1}, 3: set()}, set()),
+    (4, [(2, 1), (3, 1), (4, 1)], 1,
+     {"nodes": [1, 2, 3, 4], "edges": [[2, 1], [3, 1], [4, 1]]},
+     {1: set(), 2: set(), 3: set(), 4: set()}, set()),
     (4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)], 1,
-     {"nodes": [1, 2, 3], "edges": [[1, 3]]},
-     {1: {4}, 2: {1}, 3: {2}, 4: set()}, {4}),
+     {"nodes": [1, 2, 3, 4], "edges": [[1, 3], [2, 3], [2, 4], [3, 4]]},
+     {1: {4}, 2: {1}, 3: set(), 4: set()}, set()),
 ])
 def test_failing_report_witness(n, edges, f, witness, dropped, sinks):
-    rep = detectability_report(DirectedGraph.from_edge_list(n, edges), f)
+    g = DirectedGraph.from_edge_list(n, edges)
+    rep = detectability_report(g, f)
     assert rep.to_dict()["witness"] == witness
     assert dict(rep.witness.removed_in_links) == {i: frozenset(s)
                                                   for i, s in dropped.items()}
     assert rep.witness.removed_sinks == frozenset(sinks)
+    assert_two_source_witness(g, f, rep.witness)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,15 +273,17 @@ def test_report_matches_literal_route(data):
     assert rep.chi == len(reduced) == len(brute_reduced_graphs(n, edges, f))
     assert rep.gamma == brute_gamma(n, edges, f) == gamma
     assert rep.condition1_holds is (not failing)
-    assert rep.witness == (failing[0][0] if failing else None)
+    assert (rep.witness is None) is (not failing)
     structure = structure_constants(g, f)
     assert (structure.chi, structure.gamma, list(structure.sources)) == (
         len(reduced), gamma, sources)
     model = standard_model(n)
     if failing:
-        witness, decomp = failing[0]
+        assert_two_source_witness(g, f, rep.witness)
+        assert rep.witness in reduced
+        decomp = rep.witness.source_decomposition()
         with pytest.raises(IdentifiabilityPreconditionError, match=re.escape(
-                f"reduced graph on nodes {sorted(witness.nodes)} has "
+                f"reduced graph on nodes {sorted(rep.witness.nodes)} has "
                 f"{len(decomp.source_components)} source components")):
             check_assumption1(model, g, f)
     else:
@@ -277,22 +295,23 @@ def test_report_matches_literal_route(data):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_closed_forms_match_the_scans(seed):
-    # chi, the sources, gamma and condition 1 come from closed forms; the
-    # scans read them off every reduced graph and every maximal pattern.
-    # n, the density and f are drawn from the seed, uniformly; a drawn f is
-    # lowered while the scans would take more than 20,000 candidates.
+    # chi, the sources, gamma, condition 1 and its witness come from closed
+    # forms; the scans read the first four off every reduced graph and every
+    # maximal pattern. n, the density and f are drawn from the seed,
+    # uniformly; a drawn f is lowered while the scans would take more than
+    # 20,000 candidates.
     rng = np.random.default_rng(seed)
     n, density, f = int(rng.integers(2, 7)), rng.uniform(0.3, 0.9), int(rng.integers(0, 3))
     g = random_graph(rng, n, density)
     while link_removal_candidates(g, f) > 20_000:
         f -= 1
     census = graphs.source_census(g, f)
-    chi, sources, witness = census_by_scan(g, f)
+    chi, sources, fails = census_by_scan(g, f)
     assert (census.chi, census.sources, census.gamma) == (chi, sources, len(sources[0]))
-    assert census.witness == witness
-    holds, maximal_witness = check_condition1(g, f)
-    assert (holds, maximal_witness) == condition1_by_scan(g, f)
-    assert holds is (witness is None)
+    holds, witness = check_condition1(g, f)
+    assert holds is condition1_by_scan(g, f) is (not fails) is (witness is None)
+    if witness is not None:
+        assert_two_source_witness(g, f, witness)
 
 
 def test_census_lists_sources_only_found_beside_others():
@@ -355,52 +374,33 @@ def test_sampling_is_seed_deterministic():
 
 
 # Two disjoint K4s: condition 1 fails for every f, and with f=1 there are
-# 4^8 = 65,536 link-removal candidates and 3^8 maximal patterns.
+# 4^8 = 65,536 link-removal candidates.
 TWO_CLIQUES = DirectedGraph.from_edge_list(
     8, [(j, i) for block in (range(1, 5), range(5, 9))
         for j in block for i in block if j != i])
 
 
 def test_enumeration_budget_raises():
-    with pytest.raises(BudgetExceededError):
-        enumerate_reduced_graphs(TWO_CLIQUES, 1, max_candidates=1000)
     with pytest.raises(BudgetExceededError,
                        match="65536 link-removal candidates exceed the cap 1000"):
-        detectability_report(TWO_CLIQUES, 1, max_candidates=1000)
-    with pytest.raises(BudgetExceededError,
-                       match="6561 maximal-removal candidates exceed the cap 1000"):
-        check_condition1(TWO_CLIQUES, 1, max_candidates=1000)
+        enumerate_reduced_graphs(TWO_CLIQUES, 1, max_candidates=1000)
 
 
-def test_cap_guards_only_the_witness_search():
-    # K5 with f=2 has 11^5 link-removal candidates and 6^5 maximal patterns,
-    # but condition 1 holds, so nothing is enumerated
-    g = DirectedGraph.complete(5)
-    report = detectability_report(g, 2, max_candidates=1000)
-    assert (report.condition1_holds, report.chi, report.gamma) == (True, 162_341, 3)
-    assert check_condition1(g, 2, max_candidates=1000) == (True, None)
-
-
-def test_census_cache_ignores_how_the_cap_is_spelled():
-    g = DirectedGraph.complete(4)
-    census = graphs.source_census(g, 1)
-    assert graphs.source_census(g, 1, graphs.DEFAULT_ENUMERATION_CAP) is census
-    assert graphs.source_census(
-        g, 1, max_candidates=graphs.DEFAULT_ENUMERATION_CAP) is census
-
-
-def test_cached_census_still_refuses_above_the_cap():
-    graphs.source_census(TWO_CLIQUES, 1)
+def test_census_answers_above_the_enumeration_cap():
+    # the census of a failing graph enumerates nothing, and a cached census
+    # leaves the enumeration's cap in force
+    census = graphs.source_census(TWO_CLIQUES, 1)
+    assert (census.chi, census.gamma) == (67_584, 3)
+    assert [sorted(c) for c in census.witness.source_decomposition().source_components] == [
+        [1, 2, 3], [5, 6, 7]]
     with pytest.raises(BudgetExceededError):
-        detectability_report(TWO_CLIQUES, 1, max_candidates=1000)
-    with pytest.raises(BudgetExceededError):
-        graphs.source_census(TWO_CLIQUES, 1, max_candidates=1000)
+        enumerate_reduced_graphs(TWO_CLIQUES, 1, max_candidates=1000)
 
 
 def test_report_refuses_partition_scan_before_census(monkeypatch):
     def census(*args):
         raise AssertionError("census ran")
-    monkeypatch.setattr(graphs, "_census", census)
+    monkeypatch.setattr(graphs, "source_census", census)
     with pytest.raises(BudgetExceededError, match=re.escape("partition scan is 3^13")):
         detectability_report(DirectedGraph.cycle(13), 1)
 

@@ -817,12 +817,13 @@ def test_cli_batch_exits_3_below_min_rate(config_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("cap", ["0", "-5", "many"])
 def test_cli_detect_refuses_a_cap_below_one_at_parse_time(config_dir, capsys, cap):
+    # detect takes no cap at all: argparse refuses the option
     with pytest.raises(SystemExit) as exit_:
         main(["detect", "--graph", str(config_dir / "graph.json"), "--f", "1",
               "--max-candidates", cap])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --max-candidates: must be an integer of at least 1, got '{cap}'" in err
+    assert f"unrecognized arguments: --max-candidates {cap}" in err
     assert "exceed the cap" not in err
 
 
@@ -844,16 +845,40 @@ def test_cli_detect_and_identify_answer_above_the_cap(tmp_path, capsys):
     assert code == 0 and json.loads(out)["assumption1_ok"]
 
 
-def test_cli_detect_refuses_a_failing_graph_above_the_cap(tmp_path, capsys):
-    # two disjoint K4s fail condition 1; with f=1 the witness search would
-    # walk 4^8 link-removal candidates
-    two_cliques = [[j, i] for block in (range(1, 5), range(5, 9))
+def test_cli_answers_a_failing_graph_above_the_enumeration_cap(config_dir, tmp_path,
+                                                              capsys):
+    # two disjoint K5s fail condition 1; with f=1 they have 5^10 link-removal
+    # candidates, above the cap, which bounds only enumerate_reduced_graphs
+    two_cliques = [[j, i] for block in (range(1, 6), range(6, 11))
                    for j in block for i in block if j != i]
-    (tmp_path / "graph.json").write_text(json.dumps({"n": 8, "edges": two_cliques}))
-    code, out, err = run_cli(["detect", "--graph", str(tmp_path / "graph.json"),
-                              "--f", "1", "--max-candidates", "1000"], capsys)
+    (tmp_path / "graph.json").write_text(json.dumps({"n": 10, "edges": two_cliques}))
+    (tmp_path / "model.json").write_text(json.dumps(standard_model(10).to_dict()))
+    code, out, _ = run_cli(["detect", "--graph", str(tmp_path / "graph.json"),
+                            "--f", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["condition1_holds"] is payload["condition2_holds"] is False
+    assert payload["witness"]["nodes"] == list(range(1, 11))
+    with pytest.raises(SystemExit) as exit_:
+        main(["detect", "--graph", str(tmp_path / "graph.json"), "--f", "1",
+              "--max-candidates", "1000000"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --max-candidates" in capsys.readouterr().err
+    code, out, err = run_cli(["identify", "--graph", str(tmp_path / "graph.json"),
+                              "--model", str(tmp_path / "model.json"),
+                              "--f", "1"], capsys)
     assert (code, out) == (2, "")
-    assert err == "config: 65536 link-removal candidates exceed the cap 1000\n"
+    assert err == ("config: reduced graph on nodes [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] "
+                   "has 2 source components\n")
+    # batch runs the identifiability gate; simulate runs no gate
+    sim = dict(json.loads((config_dir / "sim.json").read_text()),
+               graph="graph.json", model="model.json")
+    (tmp_path / "batch.json").write_text(json.dumps(
+        {"config": sim, "seeds": [21], "convergence_threshold": 0.9}))
+    code, out, err = run_cli(["batch", "--config", str(tmp_path / "batch.json")],
+                             capsys)
+    assert (code, out) == (5, ""), err
+    assert err.startswith("gate: refused: topology fails the crash-detectability")
 
 
 def test_cli_usage_errors_exit_2(config_dir, stored_trace, tmp_path, capsys):

@@ -29,9 +29,10 @@ of REPEATS run_checks calls of prop3 alone after one warm-up call, and
 layer is timed REPEATS times on the complete graph K6 with f=1:
 `graph/detect` (detectability_report), `graph/census` (source_census),
 `graph/condition1` and `graph/condition2`, each the median of its repeats;
-`graph7/detect` and `graph7/census` time the first two on K7 with f=1.
-Every cache of the graph layer is cleared before each call, so each one
-builds what it reads.
+`graph7/detect` and `graph7/census` time the first two on K7 with f=1,
+and `graph/witness` times detectability_report on two disjoint K4s with
+f=1, where condition 1 fails and a witness is built. Every cache of the
+graph layer is cleared before each call, so each one builds what it reads.
 
 OUT.json gets, per figure, the median, quartiles and interquartile range of
 each side over the pairs, the ratio of the medians (base over this tree),
@@ -186,6 +187,9 @@ def measure() -> dict[str, float]:
         g = DirectedGraph.complete(n)
         add(f"{label}/detect", median_time(uncached(lambda: detectability_report(g, f))))
         add(f"{label}/census", median_time(uncached(lambda: source_census(g, f))))
+    g = DirectedGraph.from_edge_list(8, ((j, i) for block in (range(1, 5), range(5, 9))
+                                         for j in block for i in block if j != i))
+    add("graph/witness", median_time(uncached(lambda: detectability_report(g, f))))
     return figures
 
 
